@@ -39,7 +39,6 @@ Construction summary (see DESIGN.md §4 for the argument):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -62,6 +61,7 @@ __all__ = [
     "plan_y_allocation",
     "build_phase2_matrices",
     "solve_transport_counts",
+    "TransportGraph",
     "MAX_BLOCK_POINTS",
     "MAX_PHASE2_ROWS",
 ]
@@ -549,10 +549,226 @@ def plan_y_allocation(
     return YAllocation(blocks=blocks, receivers=receivers)
 
 
+class TransportGraph:
+    """The bipartite transportation network of one plan, built once.
+
+    Demand node ``j`` may draw from supply node ``k`` where
+    ``allowed[j][k]`` is true.  The graph holds only that structure, as
+    edge arrays; demands and capacities arrive per solve, so one plan
+    builds its graph once however many flows it solves on it.
+
+    Layout: source 0, demand nodes ``1..J``, supply nodes
+    ``J+1..J+K``, sink ``J+K+1``.  Edges come in pairs (edge ``e ^ 1``
+    is the reverse of ``e``), added in a fixed order — source to every
+    demand node, every supply node to the sink, then demand to supply
+    where allowed, row-major — so node and arc order follow the input
+    order alone.  A *residual* is the list of per-edge residual
+    capacities; the flow on a forward edge is its reverse's residual.
+    """
+
+    def __init__(self, allowed: Sequence[Sequence[bool]], n_supplies: int) -> None:
+        n_demands = len(allowed)
+        self.n_demands = n_demands
+        self.n_supplies = n_supplies
+        sink = self.sink = n_demands + n_supplies + 1
+        first_link = 2 * (n_demands + n_supplies)
+        #: ``(j, k)`` per demand-to-supply edge; link ``i`` is edge
+        #: ``first_link + 2 * i``.
+        links = [
+            (j, k) for j, row in enumerate(allowed) for k in range(n_supplies) if row[k]
+        ]
+        edge_to = [0] * (first_link + 2 * len(links))
+        edge_to[0 : 2 * n_demands : 2] = range(1, n_demands + 1)
+        edge_to[2 * n_demands : first_link : 2] = [sink] * n_supplies
+        edge_to[2 * n_demands + 1 : first_link : 2] = range(n_demands + 1, sink)
+        adjacency = (
+            [list(range(0, 2 * n_demands, 2))]
+            + [[2 * j + 1] for j in range(n_demands)]
+            + [[2 * (n_demands + k)] for k in range(n_supplies)]
+            + [list(range(2 * n_demands + 1, first_link, 2))]
+        )
+        #: Per demand node, ``(edge, sink edge)`` for each supply it may
+        #: draw from: its demand-to-supply edge, and that supply's edge
+        #: to the sink.
+        row_arcs: list = [[] for _ in range(n_demands)]
+        e = first_link
+        for j, k in links:
+            edge_to[e] = n_demands + 1 + k
+            edge_to[e + 1] = j + 1
+            adjacency[j + 1].append(e)
+            adjacency[n_demands + 1 + k].append(e + 1)
+            row_arcs[j].append((e, 2 * (n_demands + k)))
+            e += 2
+        self.links = links
+        self.row_arcs = row_arcs
+        self.edge_to = edge_to
+        self.adjacency = adjacency
+
+    def residual(self, demands: Sequence[int], capacities: Sequence[int]) -> list:
+        """The zero flow's residual: every forward edge at full capacity.
+
+        Source edges carry the demands, sink edges the capacities, and
+        each demand-to-supply edge its row's demand.
+        """
+        demands = [int(d) for d in demands]
+        n_demands = self.n_demands
+        first_link = 2 * (n_demands + self.n_supplies)
+        cap = [0] * len(self.edge_to)
+        cap[0 : 2 * n_demands : 2] = demands
+        cap[2 * n_demands : first_link : 2] = [int(c) for c in capacities]
+        cap[first_link::2] = [demands[j] for j, _ in self.links]
+        return cap
+
+    def augment(self, cap: list) -> int:
+        """Dinic to a maximum flow on residual ``cap``, in place.
+
+        Returns the flow added.  Each phase layers the residual graph by
+        BFS distance from the source, then pushes one augmenting path at
+        a time along the first usable arc of each node, arcs taken in
+        adjacency order — the same paths, in the same order, on every
+        run.  A path visits source, demand and supply nodes alternately
+        (a supply node reaches another demand node only back through a
+        reverse edge), so it holds at most ``2 * min(J, K) + 2`` nodes:
+        the first phase's paths have 4, later ones run longer.
+        """
+        edge_to = self.edge_to
+        adjacency = self.adjacency
+        sink = self.sink
+        n_nodes = sink + 1
+        # Once every source edge is saturated no path can leave the
+        # source, so stop there instead of proving it with another BFS.
+        want = sum(cap[0 : 2 * self.n_demands : 2])
+        total = 0
+        # While any direct path source -> j -> k -> sink has residual
+        # left, the sink sits at BFS level 3 and the first phase pushes
+        # exactly those paths: demand nodes in order, each through its
+        # supplies in arc order, every path as far as it goes.  This loop
+        # is that phase without the layering.  (A demand-to-supply edge
+        # never has less residual than its source edge, so it never
+        # limits a direct path.)
+        for j, arcs in enumerate(self.row_arcs):
+            left = start = cap[2 * j]
+            if not left:
+                continue
+            for e, s in arcs:
+                room = cap[s]
+                if room:
+                    pushed = left if left < room else room
+                    cap[s] = room - pushed
+                    cap[s ^ 1] += pushed
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                    left -= pushed
+                    if not left:
+                        break
+            cap[2 * j] = left
+            cap[2 * j + 1] += start - left
+            total += start - left
+        while total < want:
+            # BFS layering.  ``forward[u]`` keeps u's arcs that lead one
+            # level deeper with residual left, in adjacency order: within
+            # a phase such arcs only ever saturate, never reopen, so the
+            # blocking flow scans these lists instead of all arcs.
+            level = [-1] * n_nodes
+            level[0] = 0
+            forward: list = [()] * n_nodes
+            queue = [0]
+            for u in queue:
+                deeper = level[u] + 1
+                if deeper > level[sink] >= 0:
+                    break  # every node that can lie on a path is layered
+                arcs = []
+                for e in adjacency[u]:
+                    if cap[e] > 0:
+                        v = edge_to[e]
+                        if level[v] < 0:
+                            level[v] = deeper
+                            queue.append(v)
+                            arcs.append(e)
+                        elif level[v] == deeper:
+                            arcs.append(e)
+                forward[u] = arcs
+            if level[sink] < 0:
+                break
+            next_arc = [0] * n_nodes
+            path: list = []  # edges from the source to ``u``
+            u = 0
+            while True:
+                if u == sink:
+                    pushed = min([cap[e] for e in path])
+                    for e in path:
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
+                    total += pushed
+                    # Resume at the tail of the first saturated edge:
+                    # the arcs before it are still usable and current.
+                    cut = 0
+                    while cap[path[cut]]:
+                        cut += 1
+                    u = edge_to[path[cut] ^ 1]
+                    del path[cut:]
+                    continue
+                arcs = forward[u]
+                i = next_arc[u]
+                n_arcs = len(arcs)
+                while i < n_arcs and not cap[arcs[i]]:
+                    i += 1
+                next_arc[u] = i
+                if i < n_arcs:
+                    path.append(arcs[i])
+                    u = edge_to[arcs[i]]
+                elif path:  # dead end: retreat and skip the arc here
+                    u = edge_to[path.pop() ^ 1]
+                    next_arc[u] += 1
+                else:
+                    break
+        return total
+
+    def flow(self, cap: list) -> np.ndarray:
+        """The ``(J, K)`` demand-to-supply flow matrix of residual ``cap``."""
+        out = np.zeros((self.n_demands, self.n_supplies), dtype=np.int64)
+        e = 2 * (self.n_demands + self.n_supplies) + 1
+        for j, k in self.links:
+            if cap[e]:
+                out[j, k] = cap[e]
+            e += 2
+        return out
+
+    def solve(self, demands: Sequence[int], capacities: Sequence[int]) -> np.ndarray:
+        """Cold-start maximum flow: from the zero flow, to a flow matrix."""
+        cap = self.residual(demands, capacities)
+        self.augment(cap)
+        return self.flow(cap)
+
+    def raise_demands(
+        self, cap: list, old: Sequence[int], new: Sequence[int]
+    ) -> Optional[list]:
+        """Warm-start feasibility: can demands grow from ``old`` to ``new``?
+
+        ``cap`` is the residual of a flow meeting ``old`` in full, and
+        ``new`` is at least ``old`` in every row.  A copy gets each row's
+        extra demand on its source and demand-to-supply
+        edges, and Dinic routes only that extra on top of the existing
+        flow.  Returns the copy when all of it routes (a residual meeting
+        ``new`` in full), else None; ``cap`` itself is never modified.
+        """
+        raised = list(cap)
+        extra = 0
+        for j, (was, now) in enumerate(zip(old, new)):
+            grow = int(now) - int(was)
+            if grow:
+                extra += grow
+                raised[2 * j] += grow
+                for e, _ in self.row_arcs[j]:
+                    raised[e] += grow
+        return raised if self.augment(raised) == extra else None
+
+
 def solve_transport_counts(
     demands: Sequence[int],
     capacities: Sequence[int],
     allowed: Sequence[Sequence[bool]],
+    graph: Optional[TransportGraph] = None,
 ) -> np.ndarray:
     """Integral transportation max-flow on counts (no ids involved).
 
@@ -561,104 +777,29 @@ def solve_transport_counts(
     where ``allowed[j][k]`` is true.  Returns the ``(J, K)`` integer
     flow matrix of a maximum flow.
 
+    A thin cold-start call on a :class:`TransportGraph`: every call
+    starts from the zero flow.  ``graph``, when given, must have been
+    built from ``allowed``; a caller solving several flows on one
+    network builds it once and passes it to each call.
+
     This is the shared max-flow core of the protocol's support
     assignment: :func:`_assign_ids_by_flow` routes concrete x-ids
     through it for the per-packet session, and the batched engine's
     per-round realised planner
-    (:func:`repro.theory.allocation.realised_support_flow`) runs it
-    directly on reception-pattern histograms — thousands of times per
-    campaign, which is why this is a dependency-free Dinic rather than
-    a general graph library call (the realised planner's solve count
-    made ``networkx`` graph construction the dominant campaign cost).
+    (:func:`repro.theory.allocation.realised_support_flow`) runs it on
+    reception-pattern histograms, one graph per plan — thousands of
+    plans per campaign, which is why this is a dependency-free Dinic on
+    edge arrays rather than a graph library call (per-call overhead
+    dominates at these sizes).
 
-    Determinism matters as much as speed: node and edge order are
-    fixed by the input order alone (no hashing of arbitrary keys), so
-    the same inputs always yield the same — not merely equally optimal
-    — flow matrix, keeping campaigns reproducible across processes.
+    Determinism matters as much as speed: node and arc order are fixed
+    by the input order alone (no hashing of arbitrary keys), so the same
+    inputs always yield the same — not merely equally optimal — flow
+    matrix, keeping campaigns reproducible across processes.
     """
-    n_demands = len(demands)
-    n_supplies = len(capacities)
-    out = np.zeros((n_demands, n_supplies), dtype=np.int64)
-    if n_demands == 0 or n_supplies == 0:
-        return out
-
-    # Dinic on the 4-layer graph: source 0, demand nodes 1..J,
-    # supply nodes J+1..J+K, sink J+K+1.  Edges are stored as parallel
-    # arrays with paired reverse edges (edge i ^ 1 is the reverse).
-    n_nodes = n_demands + n_supplies + 2
-    source = 0
-    sink = n_nodes - 1
-    edge_to: list = []
-    edge_cap: list = []
-    adjacency: list = [[] for _ in range(n_nodes)]
-
-    def add_edge(u: int, v: int, capacity: int) -> None:
-        adjacency[u].append(len(edge_to))
-        edge_to.append(v)
-        edge_cap.append(capacity)
-        adjacency[v].append(len(edge_to))
-        edge_to.append(u)
-        edge_cap.append(0)
-
-    demand_edges = []
-    for j in range(n_demands):
-        add_edge(source, 1 + j, int(demands[j]))
-    for k in range(n_supplies):
-        add_edge(1 + n_demands + k, sink, int(capacities[k]))
-    for j in range(n_demands):
-        row = allowed[j]
-        for k in range(n_supplies):
-            if row[k]:
-                demand_edges.append((j, k, len(edge_to)))
-                add_edge(1 + j, 1 + n_demands + k, int(demands[j]))
-
-    level = [0] * n_nodes
-    iter_idx = [0] * n_nodes
-
-    while True:
-        # BFS: layered residual distances from the source.
-        for i in range(n_nodes):
-            level[i] = -1
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for e in adjacency[u]:
-                v = edge_to[e]
-                if edge_cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[sink] < 0:
-            break
-        for i in range(n_nodes):
-            iter_idx[i] = 0
-
-        # DFS blocking flow (recursion depth <= 4: the graph is layered
-        # source -> demand -> supply -> sink); deterministic arc order.
-        def augment(u: int, pushed: int) -> int:
-            if u == sink:
-                return pushed
-            edges = adjacency[u]
-            while iter_idx[u] < len(edges):
-                e = edges[iter_idx[u]]
-                v = edge_to[e]
-                if edge_cap[e] > 0 and level[v] == level[u] + 1:
-                    got = augment(v, min(pushed, edge_cap[e]))
-                    if got > 0:
-                        edge_cap[e] -= got
-                        edge_cap[e ^ 1] += got
-                        return got
-                iter_idx[u] += 1
-            return 0
-
-        while augment(source, 1 << 60) > 0:
-            pass
-
-    for j, k, e in demand_edges:
-        flow = edge_cap[e ^ 1]  # reverse capacity equals pushed flow
-        if flow > 0:
-            out[j, k] = flow
-    return out
+    if graph is None:
+        graph = TransportGraph(allowed, len(capacities))
+    return graph.solve(demands, capacities)
 
 
 def _assign_ids_by_flow(cells: Mapping, id_demand: Mapping) -> dict:

@@ -26,7 +26,7 @@ for B independent rounds simultaneously:
    *integral* transportation max-flow on the round's observed pattern
    histogram (:func:`repro.theory.allocation.realised_support_flow`,
    memoized by observed-pattern key, sharing the flow core of
-   :func:`repro.coding.privacy.solve_transport_counts` with the
+   :class:`repro.coding.privacy.TransportGraph` with the
    per-packet session).  Supports are disjoint, rows are whole
    numbers, and shortfalls land exactly where the session's flow
    assignment would put them — no fractional-LP optimism at small N.

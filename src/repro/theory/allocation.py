@@ -16,7 +16,8 @@ planner's id demands per terminal subset come from the memoized
 scenario LP.  :func:`realised_support_flow` solves the integral
 transportation max-flow between the two — subset ``T`` may only draw
 support packets from pattern cells ``P >= T`` — reusing the exact flow
-core the session uses (:func:`repro.coding.privacy.solve_transport_counts`).
+core the session uses (:class:`repro.coding.privacy.TransportGraph`,
+built once per plan and solved on several times).
 
 Solves are memoized on the observed ``(histogram, demands)`` key:
 within a scenario many rounds realise the same histogram (small ``N``
@@ -29,11 +30,12 @@ flow table as read-only (the array is marked unwriteable).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.coding.privacy import solve_transport_counts
+from repro.coding.privacy import TransportGraph, solve_transport_counts
 
 __all__ = [
     "RealisedPlan",
@@ -107,7 +109,8 @@ def realised_support_flow(
     demands = [int(d) for _, d in subset_demands]
     capacities = [int(c) for _, c in cell_counts]
     allowed = [[(s & p) == s for p in cells] for s in subsets]
-    flow = solve_transport_counts(demands, capacities, allowed)
+    graph = TransportGraph(allowed, len(cells))
+    flow = solve_transport_counts(demands, capacities, allowed, graph=graph)
     scale = 1.0
     if flow.sum() < sum(demands):
         # Infeasible round: a maximum flow meets the total but may
@@ -122,26 +125,35 @@ def realised_support_flow(
         # exactly at their certified-rate ceiling with no rounding
         # buffer, precisely the blocks whose secrecy deficits the
         # session never produces.
+        #
+        # Each step only asks whether the scaled demand routes, so it
+        # warm-starts from the last feasible step's residual and routes
+        # just the extra demand.  The returned matrix comes from one cold
+        # solve at the chosen scale, which is what fixes *which* maximum
+        # flow the plan holds.
         lo = 0.0
         hi = 1.0
-        best = np.zeros_like(flow)
+        met = [0] * len(demands)
+        residual = graph.residual(met, capacities)
         for _ in range(6):
             mid = (lo + hi) / 2.0
-            scaled = [int(np.floor(mid * d)) for d in demands]
-            candidate = solve_transport_counts(scaled, capacities, allowed)
-            if candidate.sum() >= sum(scaled):
-                lo = mid
-                best = candidate
+            scaled = [math.floor(mid * d) for d in demands]
+            raised = graph.raise_demands(residual, met, scaled)
+            if raised is not None:
+                lo, met, residual = mid, scaled, raised
             else:
                 hi = mid
+        best = solve_transport_counts(met, capacities, allowed, graph=graph)
         if top_up:
             residual_demands = [
-                int(d) - int(best[j].sum()) for j, d in enumerate(demands)
+                d - int(best[j].sum()) for j, d in enumerate(demands)
             ]
             residual_caps = [
-                int(c) - int(best[:, k].sum()) for k, c in enumerate(capacities)
+                c - int(best[:, k].sum()) for k, c in enumerate(capacities)
             ]
-            extra = solve_transport_counts(residual_demands, residual_caps, allowed)
+            extra = solve_transport_counts(
+                residual_demands, residual_caps, allowed, graph=graph
+            )
             flow = best + extra
             scale = 1.0  # demand caps stay unscaled; exact budgets bind instead
         else:

@@ -70,7 +70,9 @@ def masked_networks(draw):
     """Arbitrary bipartite networks with a random ``allowed`` mask."""
     n_demands = draw(st.integers(0, 7))
     n_supplies = draw(st.integers(0, 7))
-    demands = draw(st.lists(st.integers(0, 30), min_size=n_demands, max_size=n_demands))
+    demands = draw(
+        st.lists(st.integers(0, 30), min_size=n_demands, max_size=n_demands)
+    )
     capacities = draw(
         st.lists(st.integers(0, 30), min_size=n_supplies, max_size=n_supplies)
     )
@@ -85,7 +87,7 @@ def masked_networks(draw):
 
 
 @st.composite
-def lattice_keys(draw, max_cells=10, max_subsets=10):
+def lattice_rounds(draw, max_cells=10, max_subsets=10):
     """``(cell_counts, subset_demands)`` keys on the subset lattice of
     2-5 receivers: most subsets sit below some pattern, a few below none."""
     n = draw(st.integers(2, 5))
@@ -93,7 +95,9 @@ def lattice_keys(draw, max_cells=10, max_subsets=10):
     patterns = sorted(
         draw(st.lists(st.integers(1, full), min_size=1, max_size=max_cells, unique=True))
     )
-    counts = draw(st.lists(st.integers(0, 25), min_size=len(patterns), max_size=len(patterns)))
+    counts = draw(
+        st.lists(st.integers(0, 25), min_size=len(patterns), max_size=len(patterns))
+    )
     picks = draw(
         st.lists(
             st.tuples(st.sampled_from(patterns), st.integers(0, full)),
@@ -101,8 +105,12 @@ def lattice_keys(draw, max_cells=10, max_subsets=10):
             max_size=max_subsets,
         )
     )
-    subsets = sorted({(p & m) or p for p, m in picks} | set(draw(st.sets(st.integers(1, full), max_size=2))))
-    demands = draw(st.lists(st.integers(0, 40), min_size=len(subsets), max_size=len(subsets)))
+    below = {(p & m) or p for p, m in picks}
+    anywhere = draw(st.sets(st.integers(1, full), max_size=2))
+    subsets = sorted(below | anywhere)
+    demands = draw(
+        st.lists(st.integers(0, 40), min_size=len(subsets), max_size=len(subsets))
+    )
     return tuple(zip(patterns, counts)), tuple(zip(subsets, demands))
 
 
@@ -126,7 +134,7 @@ class TestSolveTransportCounts:
         assert np.array_equal(solve_transport_counts(*network), flow)
 
     @settings(max_examples=200, deadline=None)
-    @given(lattice_keys(max_cells=16, max_subsets=16))
+    @given(lattice_rounds(max_cells=16, max_subsets=16))
     def test_maximum_feasible_and_deterministic_on_lattices(self, key):
         network = lattice_network(*key)
         flow = solve_transport_counts(*network)
@@ -139,7 +147,7 @@ class TestScaleSearch:
     @settings(
         max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
-    @given(lattice_keys())
+    @given(lattice_rounds())
     def test_scale_is_the_largest_routable_grid_point(self, key):
         clear_realised_flow_cache()
         plan = realised_support_flow(*key)
@@ -148,20 +156,17 @@ class TestScaleSearch:
             assert plan.scale == 1.0
             assert plan.assigned.tolist() == demands
             return
-        routable = [
-            k
-            for k in range(SCALE_STEPS)
-            if oracle_max_flow(
-                [int(np.floor(k / SCALE_STEPS * d)) for d in demands], capacities, allowed
-            )
-            == sum(int(np.floor(k / SCALE_STEPS * d)) for d in demands)
-        ]
+        routable = []
+        for k in range(SCALE_STEPS):
+            scaled = [int(np.floor(k / SCALE_STEPS * d)) for d in demands]
+            if oracle_max_flow(scaled, capacities, allowed) == sum(scaled):
+                routable.append(k)
         assert plan.scale == max(routable) / SCALE_STEPS
         # The balanced scale-down grants every subset exactly its share.
         assert plan.assigned.tolist() == [int(np.floor(plan.scale * d)) for d in demands]
 
     @settings(max_examples=80, deadline=None)
-    @given(lattice_keys())
+    @given(lattice_rounds())
     def test_top_up_stays_feasible_and_keeps_the_scaled_shares(self, key):
         clear_realised_flow_cache()
         plain = realised_support_flow(*key)
