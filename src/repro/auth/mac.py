@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gf.field import gf_add, gf_mul, gf_poly_eval
+from repro.gf.field import gf_poly_eval
 
 __all__ = ["OneTimeMac", "MAC_KEY_BYTES", "TAG_SYMBOLS", "forgery_bound"]
 
@@ -62,23 +62,23 @@ class OneTimeMac:
             raise ValueError(f"key must be exactly {MAC_KEY_BYTES} bytes")
 
     def tag(self, message: bytes) -> bytes:
-        """Authenticate ``message``; returns a TAG_SYMBOLS-byte tag."""
+        """Authenticate ``message``; returns a TAG_SYMBOLS-byte tag.
+
+        The tagged value ``m(k) * k + len`` is the message polynomial
+        with the length byte appended as its constant term, so all
+        TAG_SYMBOLS symbols come from one :func:`gf_poly_eval` over the
+        evaluation points.
+        """
+        key = np.frombuffer(self.key, dtype=np.uint8)
+        # Evaluating at 0 keeps only the constant term; shift to the
+        # multiplicative group to keep every byte binding.
+        points = np.maximum(key[:TAG_SYMBOLS], 1)
         coeffs = np.frombuffer(message, dtype=np.uint8)
         if coeffs.size == 0:
             coeffs = np.zeros(1, dtype=np.uint8)
-        out = bytearray()
-        for j in range(TAG_SYMBOLS):
-            point = self.key[j]
-            pad = self.key[TAG_SYMBOLS + j]
-            if point == 0:
-                # gf_poly_eval at 0 keeps only the constant term; shift
-                # to the multiplicative group to keep every byte binding.
-                point = 1
-            value = gf_poly_eval(coeffs, point)
-            # Bind the length so extensions cannot be forged.
-            value = gf_add(gf_mul(value, point), len(message) % 256)
-            out.append(gf_add(value, pad))
-        return bytes(out)
+        # Bind the length so extensions cannot be forged.
+        coeffs = np.append(coeffs, np.uint8(len(message) % 256))
+        return (gf_poly_eval(coeffs, points) ^ key[TAG_SYMBOLS:]).tobytes()
 
     def verify(self, message: bytes, tag: bytes) -> bool:
         """Constant-shape verification (recompute and compare)."""

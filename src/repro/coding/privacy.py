@@ -866,11 +866,14 @@ def _trim_excess_rows(blocks: list, receivers: tuple, budget_fn: BudgetFn) -> li
         if keep == b.rows:
             trimmed.append(b)
         else:
+            # Followers rebuild every block as cauchy_matrix(rows,
+            # |support|) from its descriptor, so a trimmed block must be
+            # exactly that matrix (its column points start at ``keep``).
             trimmed.append(
                 CombinationBlock(
                     subset=b.subset,
                     support=b.support,
-                    matrix=b.matrix.take_rows(range(keep)),
+                    matrix=cauchy_matrix(keep, len(b.support)),
                     certified_budget=b.certified_budget,
                 )
             )

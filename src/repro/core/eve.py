@@ -18,10 +18,12 @@ field symbols per payload position is::
 
     hidden = rank([Z_D; S_D]) - rank(Z_D)
 
-and reliability is ``hidden / L``.  ``r = 1`` means the secret is
-uniform given everything Eve saw; ``r = 0`` means she can reconstruct it
-outright.  The rank identity and the per-bit guessing interpretation are
-exercised by a Monte-Carlo cross-check in the test suite.
+and reliability is ``hidden / L``; :func:`round_leakage` computes both
+ranks in one elimination pass (:func:`repro.gf.linalg.conditional_rank`).
+``r = 1`` means the secret is uniform given everything Eve saw; ``r = 0``
+means she can reconstruct it outright.  The rank identity and the
+per-bit guessing interpretation are exercised by a Monte-Carlo
+cross-check in the test suite.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import FrozenSet, Sequence, Tuple
 import numpy as np
 
 from repro.coding.privacy import GroupCodingPlan, YAllocation
-from repro.gf.linalg import GFMatrix
+from repro.gf.linalg import GFMatrix, conditional_rank
 
 __all__ = ["LeakageReport", "round_leakage", "stacked_secret_maps"]
 
@@ -119,5 +121,5 @@ def round_leakage(
         return LeakageReport(secret_dims, 0, 0)
     z_d = z_map.take_cols(missed_cols)
     s_d = s_map.take_cols(missed_cols)
-    hidden = z_d.vstack(s_d).rank() - z_d.rank()
+    hidden = conditional_rank(s_d, given=z_d)
     return LeakageReport(secret_dims, hidden, len(missed_cols))

@@ -13,9 +13,12 @@ with generator element 2.
 
 Public surface:
 
+* :mod:`repro.gf.tables` — the ``EXP``/``LOG`` discrete-log tables and
+  the ``MUL``/``INV`` product and inverse tables every kernel looks up.
 * :mod:`repro.gf.field` — scalar and vectorised numpy arithmetic.
 * :mod:`repro.gf.linalg` — :class:`GFMatrix` with rank / solve / inverse /
-  null-space, the workhorse behind both decoding and leakage measurement.
+  null-space, the workhorse behind both decoding and leakage measurement,
+  and :func:`conditional_rank` for Eve's hidden dimensions.
 * :mod:`repro.gf.matrices` — Cauchy and Vandermonde MDS generator
   matrices, whose minor-nonsingularity properties carry the secrecy proofs.
 """
@@ -29,7 +32,7 @@ from repro.gf.field import (
     gf_mul,
     gf_pow,
 )
-from repro.gf.linalg import GFMatrix
+from repro.gf.linalg import GFMatrix, conditional_rank
 from repro.gf.matrices import cauchy_matrix, is_superregular_sample, vandermonde_matrix
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "gf_inv",
     "gf_pow",
     "GFMatrix",
+    "conditional_rank",
     "cauchy_matrix",
     "vandermonde_matrix",
     "is_superregular_sample",

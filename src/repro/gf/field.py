@@ -2,12 +2,16 @@
 
 All functions accept either Python ints or numpy arrays (any shape) of
 dtype uint8 and broadcast like ordinary numpy ufuncs.  Addition is XOR;
-multiplication and division go through the discrete-log tables from
-:mod:`repro.gf.tables`.
+every product is one lookup in the 256 x 256 table ``MUL`` and every
+inverse one lookup in ``INV`` (both from :mod:`repro.gf.tables`), so
+zero operands need no masking.  Powers go through the discrete-log
+tables.
 
-The hot path of the whole library is :func:`gf_matmul` — combining packet
-payloads and running Gaussian elimination both reduce to it — so it is
-written to stay inside vectorised numpy.
+The arithmetic is exact: a table lookup returns the same byte as any
+other correct multiplication, so kernels built on these tables produce
+bit-identical combinations, tags and ranks.  :func:`gf_matmul` — which
+combines packet payloads — is one broadcast gather plus an XOR
+reduction.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.gf.tables import EXP, GF_GENERATOR, GF_ORDER, GF_POLY, LOG
+from repro.gf.tables import EXP, GF_GENERATOR, GF_ORDER, GF_POLY, INV, LOG, MUL
 
 GFElement = Union[int, np.ndarray]
 
@@ -57,45 +61,26 @@ def gf_add(a: GFElement, b: GFElement) -> GFElement:
 
 
 def gf_mul(a: GFElement, b: GFElement) -> GFElement:
-    """Field multiplication via log/antilog tables.
-
-    ``a * b = g**(log a + log b)`` for nonzero operands; any zero operand
-    yields zero.  The vectorised branch uses the sentinel in LOG[0]
-    (a large negative value) together with ``np.where`` masking so no
-    conditional indexing is needed.
-    """
+    """Field multiplication: one lookup in the product table ``MUL``."""
     if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-        if a == 0 or b == 0:
-            return 0
-        return int(EXP[LOG[int(a)] + LOG[int(b)]])
-    a_arr = as_gf_array(a)
-    b_arr = as_gf_array(b)
-    la = LOG[a_arr]
-    lb = LOG[b_arr]
-    idx = la + lb
-    zero = (a_arr == 0) | (b_arr == 0)
-    # Sentinel sums are far negative; clamp them into the padded EXP range
-    # before the lookup, then mask the result to zero.
-    idx = np.where(zero, 0, idx)
-    return np.where(zero, 0, EXP[idx]).astype(np.uint8)
+        return int(MUL[a, b])
+    return MUL[as_gf_array(a), as_gf_array(b)]
 
 
 def gf_inv(a: GFElement) -> GFElement:
     """Multiplicative inverse.
 
     Raises:
-        ZeroDivisionError: on a zero operand (scalar path) — vectorised
-        callers must mask zeros themselves, mirroring numpy's behaviour
-        for integer division.
+        ZeroDivisionError: on any zero operand, scalar or array.
     """
     if isinstance(a, (int, np.integer)):
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(256)")
-        return int(EXP[255 - LOG[int(a)]])
+        return int(INV[a])
     a_arr = as_gf_array(a)
     if np.any(a_arr == 0):
         raise ZeroDivisionError("0 has no inverse in GF(256)")
-    return EXP[255 - LOG[a_arr]].astype(np.uint8)
+    return INV[a_arr]
 
 
 def gf_div(a: GFElement, b: GFElement) -> GFElement:
@@ -103,81 +88,69 @@ def gf_div(a: GFElement, b: GFElement) -> GFElement:
     if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
         if b == 0:
             raise ZeroDivisionError("division by zero in GF(256)")
-        if a == 0:
-            return 0
-        return int(EXP[LOG[int(a)] - LOG[int(b)] + 255])
+        return int(MUL[a, INV[b]])
     b_arr = as_gf_array(b)
     if np.any(b_arr == 0):
         raise ZeroDivisionError("division by zero in GF(256)")
-    a_arr = as_gf_array(a)
-    la = LOG[a_arr]
-    lb = LOG[b_arr]
-    idx = la - lb + 255
-    zero = a_arr == 0
-    idx = np.where(zero, 0, idx)
-    return np.where(zero, 0, EXP[idx]).astype(np.uint8)
+    return MUL[as_gf_array(a), INV[b_arr]]
+
+
+def _powers(a: np.ndarray, exponents) -> np.ndarray:
+    """``a ** e`` elementwise (broadcasting) for exponents ``e >= 0``."""
+    # LOG[0] is a sentinel: 0 ** e is 0, except 0 ** 0 == 1.
+    powers = EXP[LOG[a] * (exponents % 255) % 255]
+    return np.where(a == 0, exponents == 0, powers).astype(np.uint8)
 
 
 def gf_pow(a: GFElement, exponent: int) -> GFElement:
     """``a ** exponent`` with the usual conventions (``a**0 == 1``)."""
     if exponent < 0:
         return gf_pow(gf_inv(a), -exponent)
-    if isinstance(a, (int, np.integer)):
-        if exponent == 0:
-            return 1
-        if a == 0:
-            return 0
-        return int(EXP[(LOG[int(a)] * exponent) % 255])
-    a_arr = as_gf_array(a)
-    if exponent == 0:
-        return np.ones_like(a_arr)
-    idx = (LOG[a_arr] * exponent) % 255
-    zero = a_arr == 0
-    idx = np.where(zero, 0, idx)
-    return np.where(zero, 0, EXP[idx]).astype(np.uint8)
+    out = _powers(as_gf_array(a), exponent)
+    return int(out) if isinstance(a, (int, np.integer)) else out
+
+
+#: Bytes of the (rows, k, cols) product block :func:`gf_matmul` gathers
+#: at once; larger products run in row chunks of about this size.
+MATMUL_CHUNK_BYTES = 1 << 20
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(256).
 
     ``a`` has shape (r, k), ``b`` has shape (k, c); the result has shape
-    (r, c).  Implemented row-by-row with table lookups: for each row of
-    ``a`` we compute all scalar-vector products in one vectorised XOR
-    reduction.  This keeps memory bounded at O(k*c) per row while staying
-    fully inside numpy.
+    (r, c).  Every scalar product is one broadcast gather
+    ``MUL[a[:, :, None], b[None]]`` of shape (r, k, c), XOR-reduced over
+    k.  Rows run in chunks so the gathered block stays near
+    :data:`MATMUL_CHUNK_BYTES`.
     """
     a = as_gf_array(np.atleast_2d(a))
     b = as_gf_array(np.atleast_2d(b))
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch for GF matmul: {a.shape} x {b.shape}")
     rows, k = a.shape
-    _, cols = b.shape
+    cols = b.shape[1]
     out = np.zeros((rows, cols), dtype=np.uint8)
-    if k == 0 or rows == 0 or cols == 0:
+    if k == 0 or cols == 0:
         return out
-    log_b = LOG[b]  # (k, c), sentinel at zeros
-    b_zero = b == 0
-    for i in range(rows):
-        row = a[i]
-        nz = row != 0
-        if not np.any(nz):
-            continue
-        la = LOG[row[nz]][:, None]  # (k', 1)
-        idx = la + log_b[nz]  # (k', c)
-        prod = EXP[np.where(b_zero[nz], 0, idx)]
-        prod = np.where(b_zero[nz], 0, prod)
-        out[i] = np.bitwise_xor.reduce(prod, axis=0)
+    step = max(1, MATMUL_CHUNK_BYTES // (k * cols))
+    for start in range(0, rows, step):
+        block = MUL[a[start : start + step, :, None], b[None]]
+        np.bitwise_xor.reduce(block, axis=1, out=out[start : start + step])
     return out
 
 
 def gf_poly_eval(coeffs: np.ndarray, x: GFElement) -> GFElement:
-    """Evaluate a polynomial with GF(256) coefficients at ``x`` (Horner).
+    """Evaluate a polynomial with GF(256) coefficients at ``x``.
 
-    ``coeffs`` is highest-degree first.  Used by the authentication MAC
-    (polynomial universal hashing).
+    ``coeffs`` is highest-degree first; ``x`` is one point or an array
+    of points, and the result has the shape of ``x``.  The powers
+    ``x**d`` come from the log tables, and the sum over terms is one
+    ``MUL`` gather XOR-reduced over the degree axis.  Used by the
+    authentication MAC (polynomial universal hashing).
     """
     coeffs = as_gf_array(np.atleast_1d(coeffs))
-    acc: GFElement = 0
-    for c in coeffs:
-        acc = gf_add(gf_mul(acc, x), int(c))
-    return acc
+    points = as_gf_array(x)
+    powers = _powers(points[..., None], np.arange(coeffs.size - 1, -1, -1))
+    values = np.bitwise_xor.reduce(MUL[coeffs, powers], axis=-1)
+    return int(values) if np.ndim(x) == 0 else values

@@ -21,19 +21,61 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.gf.field import as_gf_array, gf_matmul
-from repro.gf.tables import EXP, LOG
+from repro.gf.tables import INV, MUL
 
-__all__ = ["GFMatrix"]
+__all__ = ["GFMatrix", "conditional_rank"]
 
 
-def _scale_rows(block: np.ndarray, scalars: np.ndarray) -> np.ndarray:
-    """Multiply each row of ``block`` by the matching scalar (vectorised)."""
-    scalars = scalars.reshape(-1, 1)
-    log_s = LOG[scalars]
-    log_b = LOG[block]
-    zero = (block == 0) | (scalars == 0)
-    idx = np.where(zero, 0, log_s + log_b)
-    return np.where(zero, 0, EXP[idx]).astype(np.uint8)
+def _row_reduce(
+    a: np.ndarray,
+    aug: Optional[np.ndarray] = None,
+    start: int = 0,
+    stop: Optional[int] = None,
+) -> list[int]:
+    """Gauss-Jordan elimination in place, pivots drawn from a row band.
+
+    Pivots come only from rows ``start .. stop-1`` (``stop`` defaults to
+    the last row) and are moved up to rows ``start, start+1, ...``.  Each
+    pivot row is scaled to a leading 1 and its column is cleared in every
+    row from ``start`` on; rows above ``start`` are left as they are.
+    ``aug`` (if given) receives the same row operations.  Returns the
+    pivot columns in order.
+
+    Every product is a ``MUL`` lookup: ``MUL[f][:, row]`` holds
+    ``f[i] * row[j]``, so zero entries need no masking.
+    """
+    rows, cols = a.shape
+    stop = rows if stop is None else stop
+    pivot_cols: list[int] = []
+    r = start
+    for c in range(cols):
+        if r >= stop:
+            break
+        candidates = np.flatnonzero(a[r:stop, c])
+        if candidates.size == 0:
+            continue
+        p = r + int(candidates[0])
+        # Scale the pivot row to a leading 1; it will sit in row r.
+        scale = MUL[INV[a[p, c]]]
+        pivot = scale[a[p]]
+        # Row r moves to p (a swap), then column c is cleared in one
+        # pass; row r itself is overwritten by the pivot afterwards.
+        factors = a[start:, c].copy()
+        if p != r:
+            a[p] = a[r]
+            factors[p - start] = factors[r - start]
+        products = MUL[factors]
+        a[start:] ^= products[:, pivot]
+        a[r] = pivot
+        if aug is not None:
+            pivot_aug = scale[aug[p]]
+            if p != r:
+                aug[p] = aug[r]
+            aug[start:] ^= products[:, pivot_aug]
+            aug[r] = pivot_aug
+        pivot_cols.append(c)
+        r += 1
+    return pivot_cols
 
 
 class GFMatrix:
@@ -130,45 +172,14 @@ class GFMatrix:
     # -- elimination core ----------------------------------------------
 
     def _eliminate(self, augment: Optional[np.ndarray] = None):
-        """Forward elimination to reduced row echelon form.
+        """Reduced row echelon form on a copy.
 
         Returns ``(rref, aug_rref, pivot_cols)``.  If ``augment`` is given
         it is carried along (for solving); otherwise ``aug_rref`` is None.
         """
         a = self.data.copy()
         aug = None if augment is None else as_gf_array(augment).copy()
-        rows, cols = a.shape
-        pivot_cols: list[int] = []
-        r = 0
-        for c in range(cols):
-            if r >= rows:
-                break
-            pivot_rows = np.nonzero(a[r:, c])[0]
-            if pivot_rows.size == 0:
-                continue
-            p = r + int(pivot_rows[0])
-            if p != r:
-                a[[r, p]] = a[[p, r]]
-                if aug is not None:
-                    aug[[r, p]] = aug[[p, r]]
-            # Normalise the pivot row to a leading 1.
-            inv = EXP[255 - LOG[a[r, c]]]
-            a[r] = _scale_rows(a[r : r + 1], np.array([inv], dtype=np.uint8))[0]
-            if aug is not None:
-                aug[r] = _scale_rows(aug[r : r + 1], np.array([inv], dtype=np.uint8))[0]
-            # Clear the column everywhere else in one vectorised pass.
-            col = a[:, c].copy()
-            col[r] = 0
-            mask = col != 0
-            if np.any(mask):
-                factors = col[mask]
-                a[mask] ^= _scale_rows(np.broadcast_to(a[r], (factors.size, cols)), factors)
-                if aug is not None:
-                    aug[mask] ^= _scale_rows(
-                        np.broadcast_to(aug[r], (factors.size, aug.shape[1])), factors
-                    )
-            pivot_cols.append(c)
-            r += 1
+        pivot_cols = _row_reduce(a, aug)
         return a, aug, pivot_cols
 
     def rref(self) -> tuple["GFMatrix", list[int]]:
@@ -243,3 +254,21 @@ class GFMatrix:
             raise ValueError("vector length must match column count")
         base = self.rank()
         return GFMatrix(np.vstack([self.data, vec])).rank() == base
+
+
+def conditional_rank(rows: GFMatrix, given: GFMatrix) -> int:
+    """``rank([given; rows]) - rank(given)``, in one elimination pass.
+
+    The rank ``rows`` add beyond the row space of ``given``: Eve's
+    conditional entropy when ``given`` is what she knows and ``rows``
+    is the secret (see :func:`repro.core.eve.round_leakage`).  The
+    ``given`` rows are reduced first, with pivots drawn from them only,
+    which clears their pivot columns from ``rows`` as well; the pivots
+    the reduced ``rows`` then yield are exactly the added rank.
+    """
+    if rows.cols != given.cols:
+        raise ValueError("column mismatch for conditional rank")
+    a = np.vstack([given.data, rows.data])
+    known = len(_row_reduce(a, stop=given.rows))
+    # Unused given rows are zero now, so carry on from the first of them.
+    return len(_row_reduce(a, start=known))

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gf.field import gf_inv, gf_pow
 from repro.gf.linalg import GFMatrix
+from repro.gf.tables import EXP, INV, LOG
 
 __all__ = [
     "cauchy_matrix",
@@ -64,15 +64,11 @@ def cauchy_matrix(rows: int, cols: int, offset: int = 0) -> GFMatrix:
             f"Cauchy matrix needs {rows + cols + offset} <= 256 distinct points; "
             "chunk the pool instead"
         )
-    if rows == 0 or cols == 0:
-        return GFMatrix.zeros(rows, cols)
     x = np.arange(offset, offset + rows, dtype=np.uint8)
     y = np.arange(offset + rows, offset + rows + cols, dtype=np.uint8)
     # Field addition is XOR; all x_i ^ y_j are nonzero because the point
     # sets are disjoint.
-    denom = np.bitwise_xor(x[:, None], y[None, :])
-    data = np.vectorize(gf_inv, otypes=[np.uint8])(denom)
-    return GFMatrix(data)
+    return GFMatrix(INV[x[:, None] ^ y[None, :]])
 
 
 def vandermonde_matrix(rows: int, cols: int, start: int = 1) -> GFMatrix:
@@ -88,13 +84,9 @@ def vandermonde_matrix(rows: int, cols: int, start: int = 1) -> GFMatrix:
         raise ValueError("matrix dimensions must be non-negative")
     if start < 1 or start + cols > 256:
         raise ValueError("Vandermonde points must be distinct nonzero field elements")
-    if rows == 0 or cols == 0:
-        return GFMatrix.zeros(rows, cols)
-    points = np.arange(start, start + cols, dtype=np.uint8)
-    data = np.zeros((rows, cols), dtype=np.uint8)
-    for i in range(rows):
-        data[i] = [gf_pow(int(p), i) for p in points]
-    return GFMatrix(data)
+    points = np.arange(start, start + cols)
+    # a_j ** i through the log tables; every point is nonzero.
+    return GFMatrix(EXP[LOG[points][None, :] * np.arange(rows)[:, None] % 255])
 
 
 def is_superregular_sample(

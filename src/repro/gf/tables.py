@@ -1,14 +1,17 @@
-"""Construction of the GF(2^8) discrete-log tables.
+"""Construction of the GF(2^8) lookup tables.
 
 The field GF(256) is represented as polynomials over GF(2) modulo the
 primitive polynomial 0x11D.  Because the polynomial is primitive, the
 element ``2`` (the polynomial ``x``) generates the multiplicative group,
 so every nonzero element is ``2**k`` for a unique ``k`` in ``[0, 255)``.
-Multiplication then reduces to adding discrete logs, which is what the
-:data:`EXP` / :data:`LOG` tables implement.
+The :data:`EXP` / :data:`LOG` discrete-log tables record that
+correspondence; powers are ``EXP[(LOG[a] * e) % 255]``.
 
-The tables are built once at import time; they are tiny (768 bytes total)
-and building them takes microseconds.
+Every product in the library is one lookup in :data:`MUL`, the full
+256 x 256 multiplication table (its row and column 0 are zero), and
+every inverse one lookup in :data:`INV`.  Both are derived from
+``EXP``/``LOG`` once at import time.  All four tables together hold
+about 66 KiB (``MUL`` is 64 KiB) and build in well under a millisecond.
 """
 
 from __future__ import annotations
@@ -55,7 +58,28 @@ def build_tables(poly: int = GF_POLY) -> tuple[np.ndarray, np.ndarray]:
     return exp, log
 
 
+def build_product_tables(
+    exp: np.ndarray, log: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Build (MUL, INV) from the discrete-log tables.
+
+    Returns:
+        ``MUL``: shape (256, 256) uint8 — ``MUL[a, b] = a * b``, with a
+        zero row and a zero column, so zero operands need no masking.
+        ``INV``: shape (256,) uint8 — ``INV[a] = 1 / a`` for nonzero
+        ``a``.  ``INV[0]`` is 0; callers that must reject a zero divisor
+        check for it themselves.
+    """
+    logs = log[1:]
+    mul = np.zeros((256, 256), dtype=np.uint8)
+    mul[1:, 1:] = exp[logs[:, None] + logs[None, :]]
+    inv = np.zeros(256, dtype=np.uint8)
+    inv[1:] = exp[255 - logs]
+    return mul, inv
+
+
 EXP, LOG = build_tables()
+MUL, INV = build_product_tables(EXP, LOG)
 
 
 def multiplicative_order(element: int, poly: int = GF_POLY) -> int:

@@ -121,6 +121,21 @@ class TestAllocationInvariants:
                 # Removing any row of this block would drop t to >= floor.
                 assert alloc.m_i(t) - 0 >= floor
 
+    def test_every_block_is_the_cauchy_matrix_of_its_shape(self):
+        # Followers rebuild each block as cauchy_matrix(rows, |support|)
+        # from its descriptor; trimmed blocks must match that too.
+        trimmed = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = 2 + seed % 4
+            reports = make_reports(rng, n_receivers=n, n_packets=96)
+            eve_missed = {i for i in range(96) if rng.random() < 0.5}
+            alloc = plan_y_allocation(reports, oracle_for(eve_missed), 96)
+            for b in alloc.blocks:
+                assert b.matrix == cauchy_matrix(b.rows, len(b.support))
+                trimmed += b.rows < b.certified_budget
+        assert trimmed > 0  # the sweep does exercise trimming
+
     def test_global_matrix_matches_blocks(self, rng):
         reports = make_reports(rng)
         eve_missed = {i for i in range(60) if rng.random() < 0.5}
