@@ -20,7 +20,9 @@ from repro.coding.privacy import (
     CombinationBlock,
     GroupCodingPlan,
     YAllocation,
+    allocation_lp_cache_info,
     build_phase2_matrices,
+    clear_allocation_lp_cache,
     plan_y_allocation,
 )
 from repro.coding.reconcile import (
@@ -36,6 +38,8 @@ __all__ = [
     "YAllocation",
     "GroupCodingPlan",
     "plan_y_allocation",
+    "allocation_lp_cache_info",
+    "clear_allocation_lp_cache",
     "build_phase2_matrices",
     "decodable_y_indices",
     "decode_y_from_x",

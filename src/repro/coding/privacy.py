@@ -39,8 +39,9 @@ Construction summary (see DESIGN.md §4 for the argument):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from repro.gf.linalg import GFMatrix
 from repro.gf.matrices import cauchy_matrix
 
 try:  # scipy is a hard dependency of the package, but keep the import local-ish
-    from scipy.optimize import linprog
+    from scipy.optimize import LinearConstraint, milp
 except ImportError as exc:  # pragma: no cover - environment guard
     raise ImportError("repro.coding.privacy requires scipy") from exc
 
@@ -59,11 +60,15 @@ __all__ = [
     "Phase2Chunk",
     "GroupCodingPlan",
     "plan_y_allocation",
+    "allocation_lp_cache_info",
+    "clear_allocation_lp_cache",
+    "solve_lp",
     "build_phase2_matrices",
     "solve_transport_counts",
     "TransportGraph",
     "MAX_BLOCK_POINTS",
     "MAX_PHASE2_ROWS",
+    "MEMO_MAX_ENTRIES",
 ]
 
 #: ``budget_fn(ids, exclude)`` returns a certified lower bound (a float —
@@ -83,6 +88,13 @@ MAX_BLOCK_POINTS = 256
 
 #: Phase-2 Cauchy matrices are ``M x M`` stacked from ``2M`` points.
 MAX_PHASE2_ROWS = 128
+
+#: Largest allocation-LP matrix, in entries, the memo keeps.  One to
+#: three receivers stay below it (at most 29 x 20); four receivers
+#: reach 84 x 66 and seven about 1,900 x 1,800, keys of 44 KB to 27 MB
+#: that rarely repeat.  Those are solved without caching, so the memo's
+#: 2,048 keys of at most 8 KB each stay under 17 MB.
+MEMO_MAX_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -287,6 +299,18 @@ def _candidate_subsets(
     return sorted(candidates, key=lambda s: (len(s), sorted(s)))
 
 
+def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> Optional[np.ndarray]:
+    """Minimise ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``x >= 0``.
+
+    The one LP entry point of the planners: HiGHS through
+    :func:`scipy.optimize.milp` with no integrality constraints, the
+    solver's leanest public wrapper.  Returns None when HiGHS reports
+    no optimum.
+    """
+    res = milp(c, constraints=LinearConstraint(a_ub, -np.inf, b_ub))
+    return res.x if res.success else None
+
+
 def _solve_allocation_lp(
     receivers: Sequence,
     cells: Mapping,
@@ -302,6 +326,11 @@ def _solve_allocation_lp(
     (the x-transmissions).  ``pair_budgets[(T, P)]`` is the estimator's
     view of how many Eve-misses cell ``P`` can fund for a block decodable
     by ``T``.  Returns ``{(subset, pattern): rows}``.
+
+    The solve itself is memoized on the LP's numeric input (see
+    :func:`_memoized_allocation`) when its matrix has at most
+    :data:`MEMO_MAX_ENTRIES` entries; only the mapping of variables
+    back onto ``(subset, pattern)`` pairs happens here.
     """
     receivers = tuple(receivers)
     pairs = [tp for tp, budget in pair_budgets.items() if budget > 0]
@@ -344,28 +373,90 @@ def _solve_allocation_lp(
         b_ub.append(0.0)
     a_ub = np.array(a_ub)
     b_ub = np.array(b_ub)
+    if a_ub.size <= MEMO_MAX_ENTRIES:
+        solution = _memoized_allocation(
+            a_ub.tobytes(),
+            b_ub.tobytes(),
+            a_ub.shape,
+            overhead_packets,
+            z_cost_factor,
+            max_iterations,
+        )
+    else:
+        solution = _dinkelbach_allocation(
+            a_ub, b_ub, overhead_packets, z_cost_factor, max_iterations
+        )
+    return {pairs[j]: value for j, value in solution}
 
+
+@functools.lru_cache(maxsize=2048)
+def _memoized_allocation(
+    a_bytes: bytes,
+    b_bytes: bytes,
+    shape: Tuple[int, int],
+    overhead_packets: float,
+    z_cost_factor: float,
+    max_iterations: int,
+) -> Tuple[Tuple[int, float], ...]:
+    """:func:`_dinkelbach_allocation` memoized on its exact input.
+
+    The key is the constraint bytes, their shape and the scalars, so
+    equal inputs get the solution HiGHS returned the first time — the
+    memo cannot change a plan.  Terminal names and pattern sets never
+    enter the key: sessions whose reception histograms differ only in
+    who received what share one entry.
+    """
+    a_ub = np.frombuffer(a_bytes).reshape(shape)
+    b_ub = np.frombuffer(b_bytes)
+    return _dinkelbach_allocation(
+        a_ub, b_ub, overhead_packets, z_cost_factor, max_iterations
+    )
+
+
+def _dinkelbach_allocation(
+    a_ub: np.ndarray,
+    b_ub: np.ndarray,
+    overhead_packets: float,
+    z_cost_factor: float,
+    max_iterations: int,
+) -> Tuple[Tuple[int, float], ...]:
+    """The Dinkelbach loop of :func:`_solve_allocation_lp`.
+
+    Returns ``((variable, rows), ...)`` for the pair variables above
+    zero, in variable order; the trailing variable is L.
+    """
+    n_vars = a_ub.shape[1]
+    l_idx = n_vars - 1
     theta = 0.0
-    best: dict = {}
+    best: Tuple[Tuple[int, float], ...] = ()
     for _ in range(max_iterations):
         # maximise L - theta*(overhead + z_cost*(M - L)); a z-packet costs
         # more airtime than its payload (retries under jamming + ACKs),
         # which z_cost_factor folds into the fractional objective.
         c = np.full(n_vars, theta * z_cost_factor)
         c[l_idx] = -(1.0 + theta * z_cost_factor)
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-        if not res.success:  # pragma: no cover - LP is always feasible (0 works)
+        f = solve_lp(c, a_ub, b_ub)
+        if f is None:  # pragma: no cover - LP is always feasible (0 works)
             break
-        f = res.x
         l_val = f[l_idx]
         m_val = float(np.sum(f[:l_idx]))
-        best = {pairs[j]: f[j] for j in range(len(pairs)) if f[j] > 1e-9}
+        best = tuple((j, float(f[j])) for j in range(l_idx) if f[j] > 1e-9)
         denom = overhead_packets + z_cost_factor * (m_val - l_val)
         new_theta = 0.0 if denom <= 0 else l_val / denom
         if abs(new_theta - theta) < 1e-9:
             break
         theta = new_theta
     return best
+
+
+def allocation_lp_cache_info():
+    """Hit/miss statistics of the allocation-LP memo."""
+    return _memoized_allocation.cache_info()
+
+
+def clear_allocation_lp_cache() -> None:
+    """Drop every memoized allocation LP (tests use this for isolation)."""
+    _memoized_allocation.cache_clear()
 
 
 def _scatter_order(ids: Sequence[int]) -> list:

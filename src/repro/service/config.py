@@ -15,6 +15,7 @@ and so the deterministic network-test harness can replay any session.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -22,12 +23,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.auth.mac import MAC_KEY_BYTES
 from repro.core.estimator import (
     EveErasureEstimator,
     FixedFractionEstimator,
     OracleEstimator,
 )
-from repro.service.derive import hkdf_expand, hkdf_extract
+from repro.service.derive import HKDF_MAX_BYTES, hkdf_expand, hkdf_extract
 
 __all__ = ["ServiceConfig", "LEADER_ROLE", "FOLLOWER_ROLE"]
 
@@ -38,6 +40,22 @@ FOLLOWER_ROLE = 1
 #: band (the paper's "fundamentally unavoidable" step); tests override
 #: it per scenario.
 _DEMO_BOOTSTRAP = b"thin-air-service-demo-bootstrap/not-for-production"
+
+
+@functools.lru_cache(maxsize=1024)
+def _pair_pool(bootstrap: bytes, leader: str, follower: str, size: int) -> bytes:
+    """HKDF expansion of one pair's pool (memoized).
+
+    The pool is a pure function of these four values, so every session
+    of a pair reuses one expansion.  The key holds the full bootstrap
+    bytes: :meth:`ServiceConfig.digest` leaves the secret out, so two
+    configs with equal digests may still hold different pools.
+    """
+    salt = hashlib.sha256(
+        b"thin-air/pair-pool|" + leader.encode() + b"|" + follower.encode()
+    ).digest()
+    prk = hkdf_extract(salt, bootstrap)
+    return hkdf_expand(prk, b"bootstrap-pool", size)
 
 
 @dataclass(frozen=True)
@@ -70,7 +88,8 @@ class ServiceConfig:
             folded into :meth:`digest`.
         bootstrap: master bootstrap secret shared by the group.
         pool_bytes_per_peer: per-(leader, follower) one-time-MAC pool
-            size expanded from the bootstrap.
+            size expanded from the bootstrap: at least one MAC key,
+            at most one HKDF expansion (8,160 bytes).
         payload_seed: seeds the leader's x-payload generator.
         loss_seed: seeds every per-terminal erasure trace.
         loss_prob: per-packet erasure probability in the traces.
@@ -114,6 +133,11 @@ class ServiceConfig:
             raise ValueError("secrecy margin must be non-negative")
         if len(self.bootstrap) < 16:
             raise ValueError("bootstrap secret must be at least 16 bytes")
+        if not MAC_KEY_BYTES <= self.pool_bytes_per_peer <= HKDF_MAX_BYTES:
+            raise ValueError(
+                f"pool_bytes_per_peer must be in [{MAC_KEY_BYTES}, {HKDF_MAX_BYTES}]:"
+                " one MAC key at least, one HKDF expansion at most"
+            )
 
     # -- wire identity -----------------------------------------------------
 
@@ -165,11 +189,7 @@ class ServiceConfig:
         Expanded from the master bootstrap with HKDF so each pair
         consumes independent material; both ends compute it locally.
         """
-        salt = hashlib.sha256(
-            b"thin-air/pair-pool|" + leader.encode() + b"|" + follower.encode()
-        ).digest()
-        prk = hkdf_extract(salt, self.bootstrap)
-        return hkdf_expand(prk, b"bootstrap-pool", self.pool_bytes_per_peer)
+        return _pair_pool(self.bootstrap, leader, follower, self.pool_bytes_per_peer)
 
     def _trace_rng(self, name: str) -> np.random.Generator:
         tag = int.from_bytes(

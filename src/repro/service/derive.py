@@ -50,9 +50,13 @@ __all__ = [
     "LeakageBudget",
     "derive_session_keys",
     "MIN_KEY_BYTES",
+    "HKDF_MAX_BYTES",
 ]
 
 _HASH_LEN = hashlib.sha256().digest_size
+
+#: RFC 5869 caps one expansion at 255 hash blocks.
+HKDF_MAX_BYTES = 255 * _HASH_LEN
 
 #: Smallest key material the service will ever emit (mirrors the
 #: ``ServiceConfig.key_bytes`` floor): a budget that cannot cover this
@@ -112,8 +116,8 @@ def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
     """RFC 5869 expand: stretch a PRK to ``length`` output bytes."""
     if length < 0:
         raise ValueError("cannot derive a negative number of bytes")
-    if length > 255 * _HASH_LEN:
-        raise ValueError(f"HKDF-Expand caps output at {255 * _HASH_LEN} bytes")
+    if length > HKDF_MAX_BYTES:
+        raise ValueError(f"HKDF-Expand caps output at {HKDF_MAX_BYTES} bytes")
     out = bytearray()
     block = b""
     counter = 1

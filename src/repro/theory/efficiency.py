@@ -43,7 +43,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+
+from repro.coding.privacy import solve_lp
 
 __all__ = [
     "unicast_efficiency",
@@ -212,16 +213,16 @@ def _solve_group_lp(
         for j, t in enumerate(levels):
             c[j] = theta * zc * math.comb(r, t)
         c[l_idx] = -(1.0 + theta * zc)
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-        if not res.success:  # pragma: no cover — always feasible (all-zero)
+        x = solve_lp(c, a_ub, b_ub)
+        if x is None:  # pragma: no cover — always feasible (all-zero)
             break
-        l_val = float(res.x[l_idx])
-        m_val = m_total(res.x[:l_idx])
+        l_val = float(x[l_idx])
+        m_val = m_total(x[:l_idx])
         denom = 1.0 + zc * (m_val - l_val)
         eff = 0.0 if denom <= 0 else l_val / denom
         if eff > best_eff:
             best_eff = eff
-            best_x = res.x
+            best_x = x
         if abs(eff - theta) < tol:
             break
         theta = eff
