@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -117,14 +119,72 @@ def per_from_sinr_db(
 
 
 def per_from_sinr_db_array(
-    sinr_values_db: np.ndarray, packet_bits: int, processing_gain: float = 11.0
+    sinr_values_db: np.ndarray,
+    packet_bits: int,
+    processing_gain: float = 11.0,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Vectorised :func:`per_from_sinr_db` over an array of SINRs."""
-    sinr_linear = 10.0 ** (np.asarray(sinr_values_db, dtype=float) / 10.0)
-    gamma = np.minimum(np.maximum(sinr_linear, 0.0) * processing_gain, 700.0)
-    ber = 0.5 * np.exp(-gamma)
-    log_success = packet_bits * np.log1p(-np.minimum(ber, 1.0 - 1e-15))
-    return -np.expm1(log_success)
+    """Vectorised :func:`per_from_sinr_db` over an array of SINRs.
+
+    With ``out`` (a float64 array shaped like the input, possibly the
+    input itself) every step runs in place and ``out`` is returned;
+    without it, one fresh array is allocated.  Either way the same
+    ufuncs run in the same order, so the values are identical.
+    """
+    sinr_values_db = np.asarray(sinr_values_db, dtype=float)
+    scalar = out is None and sinr_values_db.ndim == 0
+    if out is None:
+        out = np.empty(sinr_values_db.shape)
+    np.divide(sinr_values_db, 10.0, out=out)
+    np.power(10.0, out, out=out)  # linear SINR
+    np.maximum(out, 0.0, out=out)
+    np.multiply(out, processing_gain, out=out)
+    np.minimum(out, 700.0, out=out)  # gamma
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.multiply(out, 0.5, out=out)  # BER
+    np.minimum(out, 1.0 - 1e-15, out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    np.multiply(out, packet_bits, out=out)  # log P(success)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    return out[()] if scalar else out
+
+
+#: SINRs per in-place PER block: 32 x 3,840 quadrature nodes is about
+#: 1 MB of float64, small enough to stay cache-resident.
+_QUADRATURE_BLOCK = 32
+
+
+@lru_cache(maxsize=16)
+def _quadrature_nodes(
+    rayleigh_fading: bool,
+    shadowing_sigma_db: float,
+    n_fading: int,
+    n_shadowing: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fading/shadowing offsets (dB) and weights of the PER quadrature.
+
+    Built once per configuration and shared, so both arrays are
+    read-only.
+    """
+    offsets = np.zeros(1)
+    weights = np.ones(1)
+    if rayleigh_fading:
+        u = (np.arange(n_fading) + 0.5) / n_fading
+        gain = -np.log1p(-u)
+        offsets = 10.0 * np.log10(np.maximum(gain, 1e-12))
+        weights = np.full(n_fading, 1.0 / n_fading)
+    if shadowing_sigma_db > 0:
+        nodes, hermite_w = np.polynomial.hermite.hermgauss(n_shadowing)
+        shadow_db = math.sqrt(2.0) * shadowing_sigma_db * nodes
+        shadow_w = hermite_w / math.sqrt(math.pi)
+        offsets = (offsets[:, None] + shadow_db[None, :]).ravel()
+        weights = (weights[:, None] * shadow_w[None, :]).ravel()
+    offsets.flags.writeable = False
+    weights.flags.writeable = False
+    return offsets, weights
 
 
 def expected_packet_loss(
@@ -143,6 +203,11 @@ def expected_packet_loss(
     monotone integrand bounded by 1 the midpoint rule error is below
     ``1/(2 n_fading)`` — far inside campaign Monte-Carlo noise.
 
+    The integrand is evaluated in place, a block of SINRs at a time,
+    into one ``input shape + (nodes,)`` array, and reduced by a single
+    ``@ weights`` at that shape: flattening the leading axes would
+    change matmul's summation order and the last bits of the result.
+
     Args:
         mean_sinr_db: scalar or array of pre-fading mean SINRs.
         packet_bits: bits per packet (PER exponent).
@@ -153,22 +218,23 @@ def expected_packet_loss(
     Returns:
         Array of expected loss probabilities, shaped like the input.
     """
-    offsets = np.zeros(1)
-    weights = np.ones(1)
-    if config.rayleigh_fading:
-        u = (np.arange(n_fading) + 0.5) / n_fading
-        gain = -np.log1p(-u)
-        offsets = 10.0 * np.log10(np.maximum(gain, 1e-12))
-        weights = np.full(n_fading, 1.0 / n_fading)
-    if config.shadowing_sigma_db > 0:
-        nodes, hermite_w = np.polynomial.hermite.hermgauss(n_shadowing)
-        shadow_db = math.sqrt(2.0) * config.shadowing_sigma_db * nodes
-        shadow_w = hermite_w / math.sqrt(math.pi)
-        offsets = (offsets[:, None] + shadow_db[None, :]).ravel()
-        weights = (weights[:, None] * shadow_w[None, :]).ravel()
+    offsets, weights = _quadrature_nodes(
+        bool(config.rayleigh_fading),
+        float(config.shadowing_sigma_db),
+        n_fading,
+        n_shadowing,
+    )
     sinr = np.asarray(mean_sinr_db, dtype=float)
-    faded = sinr[..., None] + offsets
-    per = per_from_sinr_db_array(faded, packet_bits, config.processing_gain)
+    per = np.empty(sinr.shape + offsets.shape)
+    flat_sinr = sinr.reshape(-1)
+    flat_per = per.reshape(-1, offsets.size)
+    for start in range(0, flat_sinr.size, _QUADRATURE_BLOCK):
+        stop = start + _QUADRATURE_BLOCK
+        block = flat_per[start:stop]
+        np.add(flat_sinr[start:stop, None], offsets, out=block)
+        per_from_sinr_db_array(
+            block, packet_bits, config.processing_gain, out=block
+        )
     return per @ weights
 
 

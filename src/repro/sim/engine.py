@@ -38,6 +38,20 @@ for B independent rounds simultaneously:
    secret (estimator over-promises convert into rank deficit exactly
    as in :mod:`repro.core.eve`, block by disjoint block).
 
+**One kernel.**  Steps 2-3 run in :func:`_pattern_lattice` and steps
+4-6 in :func:`_account_cell`, for both callers: a single cell
+(:meth:`BatchedRoundEngine.account`) and a group of cells stacked into
+one reception tensor (:func:`repro.sim.stack.run_stacked_batch`, which
+slices the lattice arrays per cell — every step is row-wise, so a
+slice is indistinguishable from a per-cell array).  The per-round loop
+(integerise demand, memoized max-flow, hypergeometric sampling,
+certification, excess-row trim) runs on plain Python scalars and
+lists (:func:`_integerise_fast`, :func:`_realise_fast`): numpy's
+per-op dispatch dominates at subset-lattice sizes.  Every float op is
+exact on integral-valued doubles (sums are order-independent;
+``math.floor(x + 1e-9)`` rounds like ``np.floor``), so results do not
+depend on the caller.
+
 The engine remains a statistical model, not a bit-exact replay: it
 applies leave-one-out exclusions at subset granularity using global
 miss rates, and it accounts supports at histogram granularity rather
@@ -59,7 +73,9 @@ what makes sharded campaigns bit-identical to serial ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import lru_cache
+from math import floor as _floor
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,6 +94,8 @@ from repro.theory.allocation import realised_support_flow
 from repro.theory.efficiency import group_allocation_profile
 
 __all__ = ["BatchResult", "BatchedRoundEngine", "run_batch"]
+
+_INF = float("inf")
 
 
 def _superset_sums(table: np.ndarray) -> np.ndarray:
@@ -232,12 +250,8 @@ class BatchedRoundEngine:
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         r = scenario.n_receivers
         self._n_subsets = 1 << r
-        subsets = np.arange(self._n_subsets)
         #: membership[S, i] — receiver i belongs to subset bitmask S.
-        self._membership = (subsets[:, None] >> np.arange(r)[None, :] & 1).astype(
-            bool
-        )
-        self._subset_sizes = self._membership.sum(axis=1)
+        self._membership, self._subset_sizes, _, _ = _lattice_geometry(r)
 
     # -- budgets ---------------------------------------------------------
 
@@ -370,147 +384,6 @@ class BatchedRoundEngine:
             rates[:, s] = worst
         return np.maximum(rates - spec.rate_margin, 0.0)
 
-    # -- realised per-round assignment -----------------------------------
-
-    def _integerise_demand(
-        self, id_need: np.ndarray, counts_int: np.ndarray
-    ) -> np.ndarray:
-        """Round one round's fractional support demand to whole packets.
-
-        Largest-remainder rounding, capped by the nested size-family
-        capacities: a unit granted to subset ``T`` counts against every
-        family ``s <= |T|`` (blocks decodable by >= s receivers draw
-        from patterns of size >= s), so a blanket ``ceil`` — which can
-        inflate total demand past the realised histogram and push the
-        max-flow into starving whole subsets — never happens.  Rounds
-        whose demand is family-feasible after this step almost always
-        get their full assignment from a single flow solve.
-        """
-        sizes = self._subset_sizes
-        r = self.scenario.n_receivers
-        base = np.floor(id_need + 1e-9)
-        remainder = id_need - base
-        fam_need = np.array(
-            [base[sizes >= s].sum() for s in range(r + 1)]
-        )
-        fam_cap = np.array(
-            [counts_int[sizes >= s].sum() for s in range(r + 1)]
-        )
-        demand = base.copy()
-        # Deterministic order: biggest remainder first, mask tie-break.
-        order = np.lexsort((np.arange(remainder.size), -remainder))
-        for s_idx in order:
-            if remainder[s_idx] <= 1e-9:
-                break
-            level = int(sizes[s_idx])
-            if level == 0:
-                continue
-            if np.all(fam_need[1 : level + 1] + 1 <= fam_cap[1 : level + 1]):
-                demand[s_idx] += 1
-                fam_need[1 : level + 1] += 1
-        return demand.astype(np.int64)
-
-    def _realise_round(
-        self,
-        counts_int: np.ndarray,
-        miss_int: np.ndarray,
-        demand_rows: np.ndarray,
-        id_demand: np.ndarray,
-        rates: Optional[np.ndarray],
-        uses_oracle: bool,
-    ) -> Tuple[np.ndarray, float]:
-        """One round's integral assignment: (rows over 2^r subsets, deficit).
-
-        Draws the round's support assignment from the memoized flow on
-        the observed pattern histogram, samples Eve's misses inside
-        each realised support (multivariate hypergeometric over the
-        support's cell composition), certifies rows per estimator on
-        the realised support, trims rows that cannot raise ``L`` (the
-        session's :func:`repro.coding.privacy._trim_excess_rows`), and
-        sums the rank deficit Eve's actual misses leave behind.
-        """
-        rows = np.zeros(self._n_subsets)
-        active = np.flatnonzero(id_demand)
-        if active.size == 0:
-            return rows, 0.0
-        cell_masks = np.flatnonzero(counts_int)
-        cell_masks = cell_masks[cell_masks != 0]
-        if cell_masks.size == 0:
-            return rows, 0.0
-        plan = realised_support_flow(
-            tuple((int(p), int(counts_int[p])) for p in cell_masks),
-            tuple((int(s), int(id_demand[s])) for s in active),
-            top_up=rates is None,
-        )
-        flow = plan.flow
-        assigned = plan.assigned
-
-        # Eve's misses inside each realised support: cells are
-        # exchangeable pools, so sequential hypergeometric draws give
-        # the exact multivariate law of the disjoint supports.
-        good_left = {p: int(miss_int[p]) for p in plan.cells}
-        total_left = {p: int(counts_int[p]) for p in plan.cells}
-        sampled = np.zeros(len(plan.subsets))
-        for j in range(len(plan.subsets)):
-            for k, p in enumerate(plan.cells):
-                take = int(flow[j, k])
-                if take == 0:
-                    continue
-                good = good_left[p]
-                total = total_left[p]
-                if good <= 0:
-                    drawn = 0
-                elif take >= total:
-                    drawn = good
-                else:
-                    drawn = int(self.rng.hypergeometric(good, total - good, take))
-                sampled[j] += drawn
-                good_left[p] = good - drawn
-                total_left[p] = total - take
-
-        # Certified rows per realised support, integral like the
-        # session: rate evidence scales linearly with support size (the
-        # session's LeaveOneOutEstimator deliberately applies *global*
-        # pretend-Eve rates — counting a witness's misses inside a
-        # subset pool is circular, the pool is missed wholesale by
-        # terminals outside its patterns), while the oracle certifies
-        # the support's actual sampled misses.
-        for j, s in enumerate(plan.subsets):
-            cert = np.inf
-            if uses_oracle:
-                cert = float(sampled[j])
-            if rates is not None:
-                cert = min(cert, float(rates[s]) * float(assigned[j]))
-            rows[s] = min(
-                float(np.floor(plan.scale * demand_rows[s] + 1e-9)),
-                float(np.floor(cert + 1e-9)),
-                float(assigned[j]),
-            )
-        rows = np.maximum(rows, 0.0)
-
-        # Trim rows that cannot raise L = min_i M_i (every extra z-packet
-        # hands Eve a free equation), mirroring the session's greedy
-        # small-subsets-first trim.
-        m_i = rows @ self._membership.astype(float)
-        if rows.sum() > 0:
-            floor_val = m_i.min()
-            order = sorted(
-                (s for s in plan.subsets if rows[s] > 0),
-                key=lambda s: (int(self._subset_sizes[s]), s),
-            )
-            for s in order:
-                members = self._membership[s]
-                slack = (m_i[members] - floor_val).min()
-                cut = min(rows[s], max(slack, 0.0))
-                if cut > 0:
-                    rows[s] -= cut
-                    m_i[members] -= cut
-
-        deficit = 0.0
-        for j, s in enumerate(plan.subsets):
-            deficit += max(rows[s] - sampled[j], 0.0)
-        return rows, deficit
-
     # -- the batch -------------------------------------------------------
 
     def run(self, rounds: Optional[int] = None) -> BatchResult:
@@ -524,160 +397,11 @@ class BatchedRoundEngine:
 
     def account(self, batch: ReceptionBatch) -> BatchResult:
         """Run the protocol accounting on an already-sampled batch."""
-        scenario = self.scenario
-        recv = batch.terminals
-        b, r, n = recv.shape
-        if r != scenario.n_receivers or n != scenario.n_x_packets:
+        _, r, n = batch.terminals.shape
+        if r != self.scenario.n_receivers or n != self.scenario.n_x_packets:
             raise ValueError("batch shape does not match the scenario")
-        n_sub = self._n_subsets
-
-        # Pattern histogram: one bincount over (round, pattern) pairs.
-        weights = (1 << np.arange(r)).astype(np.int64)
-        patterns = np.tensordot(recv.astype(np.int64), weights, axes=([1], [0]))
-        flat = (np.arange(b, dtype=np.int64)[:, None] * n_sub + patterns).ravel()
-        counts = (
-            np.bincount(flat, minlength=b * n_sub).reshape(b, n_sub).astype(float)
-        )
-        eve_miss = ~batch.eve
-        miss_counts = (
-            np.bincount(flat, weights=eve_miss.ravel().astype(float), minlength=b * n_sub)
-            .reshape(b, n_sub)
-        )
-
-        pools = _superset_sums(counts)
-        eve_pools = _superset_sums(miss_counts)
-        # Missed-count over n, not 1 - mean(): bitwise-identical to the
-        # collusion estimator's missed_by_all / n, so k = 1 collusion
-        # and leave-one-out certify the same budgets to the last ulp
-        # (the realised planner's integer thresholds amplify ulps).
-        miss_rates = (n - recv.sum(axis=2)) / float(n)
-
-        # Certified budgets per (round, subset) pool: rate evidence
-        # times pool size, floored by the oracle's exact misses when
-        # the estimator knows them.
-        rates, uses_oracle = self._certified_rates(
-            scenario.estimator, counts, miss_rates
-        )
-        if rates is not None:
-            budgets = np.clip(rates, 0.0, 1.0) * pools
-            if uses_oracle:
-                budgets = np.minimum(budgets, eve_pools)
-        else:
-            budgets = eve_pools.copy()
-        budgets[:, 0] = 0.0
-
-        # Planning: one memoized LP per scenario sets the per-level row
-        # targets; each round's demand is the target clamped by its
-        # certified budget and realised pool.
-        planning_loss = scenario.loss.planning_loss(r)
-        profile = group_allocation_profile(
-            scenario.n_terminals,
-            planning_loss,
-            z_cost_factor=scenario.z_cost_factor,
-            max_level=self._certifiable_level_cap(scenario.estimator),
-            support_feasible=True,
-            support_rate=self._planning_certified_rate(
-                scenario.estimator, planning_loss
-            ),
-        )
-        level_rows = np.concatenate(([0.0], np.asarray(profile.level_rows)))
-        targets = level_rows[self._subset_sizes] * n  # (2^r,)
-        demand_rows = np.minimum(targets[None, :], np.minimum(budgets, pools))
-        demand_rows = np.maximum(demand_rows, 0.0)
-
-        # Support demand in packets: rate evidence needs pool/budget
-        # packets per certified row.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pool_rates = np.where(pools > 0, budgets / pools, 0.0)
-            id_need = np.where(
-                pool_rates > 1e-12, demand_rows / pool_rates, 0.0
-            )
-
-        # Realised feasibility: the planning targets saturate the
-        # *expected* support-capacity families, so on a realised
-        # histogram roughly half the rounds overshoot them.  Scale each
-        # nested size family (blocks decodable by >= s receivers can
-        # only draw support from patterns of size >= s — the Hall
-        # condition of the transportation flow) down to what the round
-        # actually holds, largest s first, so the max-flow distributes
-        # demand instead of starving whichever subsets it visits last.
-        sizes = self._subset_sizes
-        for s in range(r, 0, -1):
-            family = sizes >= s
-            need = id_need[:, family].sum(axis=1)
-            cap = counts[:, family].sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.where(need > cap, cap / np.maximum(need, 1e-12), 1.0)
-            if np.any(scale < 1.0):
-                id_need[:, family] *= scale[:, None]
-                demand_rows[:, family] *= scale[:, None]
-
-        # Rounds where the demand floors to zero rows request no
-        # support at all (they must not starve other subsets).
-        id_need = np.minimum(id_need, pools)
-        id_need[np.floor(demand_rows + 1e-9) < 1.0] = 0.0
-        id_need[:, 0] = 0.0
-
-        counts_int = np.rint(counts).astype(np.int64)
-        miss_int = np.rint(miss_counts).astype(np.int64)
-        rows = np.zeros((b, n_sub))
-        deficit = np.zeros(b)
-        for bi in range(b):
-            id_demand = self._integerise_demand(id_need[bi], counts_int[bi])
-            rows[bi], deficit[bi] = self._realise_round(
-                counts_int[bi],
-                miss_int[bi],
-                demand_rows[bi],
-                id_demand,
-                rates[bi] if rates is not None else None,
-                uses_oracle,
-            )
-
-        m_i = rows @ self._membership.astype(float)  # (B, r)
-        l_cap = m_i.min(axis=1)
-        m_total = rows.sum(axis=1)
-        z_public = m_total - l_cap
-
-        # Phase-2 chunking: slack dims withheld per chunk shrink the
-        # secret but absorb estimator over-promises first (see
-        # repro.coding.privacy.build_phase2_matrices).
-        chunks = np.ceil(np.maximum(m_total, 1e-12) / MAX_PHASE2_ROWS)
-        slack = scenario.secrecy_slack * chunks
-        secret = np.maximum(l_cap - slack, 0.0)
-        secret[m_total <= 0] = 0.0
-
-        # Secrecy deficit: inside each block's realised support, Eve's
-        # sampled misses may fall short of the certified rows; every
-        # missing dimension costs one rank of hiddenness (disjoint
-        # blocks add).  The withheld slack dims absorb deficit first.
-        effective_deficit = np.maximum(deficit - slack, 0.0)
-        hidden = np.maximum(secret - effective_deficit, 0.0)
-        reliability = np.ones(b)
-        positive = secret > 1e-12
-        reliability[positive] = hidden[positive] / secret[positive]
-
-        efficiency = secret / (n + z_public)
-
-        # Measured secrecy: Eve's equation count (captured x-packets
-        # plus every public z-row) and the residual hidden dimensions
-        # the deficit accounting leaves her.  Same expressions as the
-        # stacked path (`repro.sim.stack._account_cell`) — bit-identity
-        # is part of the contract.
-        eve_missed_counts = batch.eve_missed_counts()
-        eve_equations = (n - eve_missed_counts) + z_public
-
-        return BatchResult(
-            scenario=scenario,
-            secret_packets=secret,
-            public_packets=z_public,
-            total_rows=m_total,
-            efficiency=efficiency,
-            reliability=reliability,
-            eve_missed=eve_missed_counts,
-            terminal_receptions=recv.sum(axis=2),
-            delivery_rates=batch.delivery_rates(),
-            hidden_dims=hidden,
-            eve_equations=eve_equations,
+        return _account_cell(
+            self, *_pattern_lattice(batch), batch.terminals, batch.eve
         )
 
 
@@ -688,3 +412,435 @@ def run_batch(
 ) -> BatchResult:
     """One-call convenience: simulate a scenario's full batch."""
     return BatchedRoundEngine(scenario, seed=seed, rng=rng).run()
+
+
+@lru_cache(maxsize=None)
+def _lattice_geometry(r: int) -> Tuple[np.ndarray, np.ndarray, tuple, tuple]:
+    """Subset-lattice tables for ``r`` receivers, shared read-only
+    (at most 17 entries: the engine caps ``r`` at 16).
+
+    Returns ``(membership, sizes, size_of, members_of)``:
+    ``membership[S, i]`` says receiver i belongs to bitmask S,
+    ``sizes[S]`` is its popcount, and ``size_of`` / ``members_of`` are
+    the same two facts as Python tuples for the scalar kernel.
+    """
+    subsets = np.arange(1 << r)
+    membership = (subsets[:, None] >> np.arange(r)[None, :] & 1).astype(bool)
+    sizes = membership.sum(axis=1)
+    membership.flags.writeable = False
+    sizes.flags.writeable = False
+    size_of = tuple(int(x) for x in sizes)
+    members_of = tuple(
+        tuple(int(i) for i in np.flatnonzero(row)) for row in membership
+    )
+    return membership, sizes, size_of, members_of
+
+
+def _pattern_lattice(batch: ReceptionBatch) -> Tuple[np.ndarray, ...]:
+    """Per-round lattice arrays of a (possibly stacked) batch.
+
+    Returns ``(counts, miss_counts, pools, eve_pools, miss_rates)``:
+    the pattern histogram (one ``bincount`` over (round, pattern)
+    pairs), the same histogram over Eve-missed packets, both
+    superset-sum transforms, and each receiver's miss rate.  Every
+    array is row-wise in the round axis, so a caller may slice a cell's
+    row range out of a stacked batch.
+    """
+    recv = batch.terminals
+    b, r, n = recv.shape
+    n_sub = 1 << r
+    weights = (1 << np.arange(r)).astype(np.int64)
+    patterns = np.tensordot(recv.astype(np.int64), weights, axes=([1], [0]))
+    flat = (np.arange(b, dtype=np.int64)[:, None] * n_sub + patterns).ravel()
+    counts = (
+        np.bincount(flat, minlength=b * n_sub).reshape(b, n_sub).astype(float)
+    )
+    eve_miss = ~batch.eve
+    miss_counts = np.bincount(
+        flat, weights=eve_miss.ravel().astype(float), minlength=b * n_sub
+    ).reshape(b, n_sub)
+    # Missed-count over n, not 1 - mean(): bitwise-identical to the
+    # collusion estimator's missed_by_all / n, so k = 1 collusion
+    # and leave-one-out certify the same budgets to the last ulp
+    # (the realised planner's integer thresholds amplify ulps).
+    miss_rates = (n - recv.sum(axis=2)) / float(n)
+    return (
+        counts,
+        miss_counts,
+        _superset_sums(counts),
+        _superset_sums(miss_counts),
+        miss_rates,
+    )
+
+
+def _account_cell(
+    engine: BatchedRoundEngine,
+    counts: np.ndarray,
+    miss_counts: np.ndarray,
+    pools: np.ndarray,
+    eve_pools: np.ndarray,
+    miss_rates: np.ndarray,
+    recv: np.ndarray,
+    eve: np.ndarray,
+) -> BatchResult:
+    """One cell's accounting on its rows of :func:`_pattern_lattice`.
+
+    The planning prelude and the epilogue are vectorised over the
+    cell's rounds; the per-round loop runs the scalar kernels and
+    consumes ``engine.rng``.
+    """
+    scenario = engine.scenario
+    b, r, n = recv.shape
+    n_sub = engine._n_subsets
+    _, _, sizes, members_of = _lattice_geometry(r)
+
+    # Certified budgets per (round, subset) pool: rate evidence
+    # times pool size, floored by the oracle's exact misses when
+    # the estimator knows them.
+    rates, uses_oracle = engine._certified_rates(
+        scenario.estimator, counts, miss_rates
+    )
+    if rates is not None:
+        budgets = np.clip(rates, 0.0, 1.0) * pools
+        if uses_oracle:
+            budgets = np.minimum(budgets, eve_pools)
+    else:
+        budgets = eve_pools.copy()
+    budgets[:, 0] = 0.0
+
+    # Planning: one memoized LP per scenario sets the per-level row
+    # targets; each round's demand is the target clamped by its
+    # certified budget and realised pool.
+    planning_loss = scenario.loss.planning_loss(r)
+    profile = group_allocation_profile(
+        scenario.n_terminals,
+        planning_loss,
+        z_cost_factor=scenario.z_cost_factor,
+        max_level=engine._certifiable_level_cap(scenario.estimator),
+        support_feasible=True,
+        support_rate=engine._planning_certified_rate(
+            scenario.estimator, planning_loss
+        ),
+    )
+    level_rows = np.concatenate(([0.0], np.asarray(profile.level_rows)))
+    targets = level_rows[engine._subset_sizes] * n  # (2^r,)
+    demand_rows = np.minimum(targets[None, :], np.minimum(budgets, pools))
+    demand_rows = np.maximum(demand_rows, 0.0)
+
+    # Support demand in packets: rate evidence needs pool/budget
+    # packets per certified row.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pool_rates = np.where(pools > 0, budgets / pools, 0.0)
+        id_need = np.where(pool_rates > 1e-12, demand_rows / pool_rates, 0.0)
+
+    # Realised feasibility: the planning targets saturate the
+    # *expected* support-capacity families, so on a realised
+    # histogram roughly half the rounds overshoot them.  Scale each
+    # nested size family (blocks decodable by >= s receivers can
+    # only draw support from patterns of size >= s — the Hall
+    # condition of the transportation flow) down to what the round
+    # actually holds, largest s first, so the max-flow distributes
+    # demand instead of starving whichever subsets it visits last.
+    sizes_arr = engine._subset_sizes
+    for s in range(r, 0, -1):
+        family = sizes_arr >= s
+        need = id_need[:, family].sum(axis=1)
+        cap = counts[:, family].sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(need > cap, cap / np.maximum(need, 1e-12), 1.0)
+        if np.any(scale < 1.0):
+            id_need[:, family] *= scale[:, None]
+            demand_rows[:, family] *= scale[:, None]
+
+    # Rounds where the demand floors to zero rows request no
+    # support at all (they must not starve other subsets).
+    id_need = np.minimum(id_need, pools)
+    id_need[np.floor(demand_rows + 1e-9) < 1.0] = 0.0
+    id_need[:, 0] = 0.0
+
+    # Scalar form for the per-round loop: exact conversions only.
+    counts_list = np.rint(counts).astype(np.int64).tolist()
+    miss_list = np.rint(miss_counts).astype(np.int64).tolist()
+    id_need_list = id_need.tolist()
+    demand_list = demand_rows.tolist()
+    rates_list = rates.tolist() if rates is not None else None
+    rng = engine.rng
+    plan_memo: Dict[tuple, tuple] = {}
+
+    rows_out = np.zeros((b, n_sub))
+    deficit = np.zeros(b)
+    for bi in range(b):
+        id_demand = _integerise_fast(id_need_list[bi], counts_list[bi], sizes, r)
+        row, d = _realise_fast(
+            counts_list[bi],
+            miss_list[bi],
+            demand_list[bi],
+            id_demand,
+            rates_list[bi] if rates_list is not None else None,
+            uses_oracle,
+            rng,
+            r,
+            sizes,
+            members_of,
+            plan_memo,
+        )
+        rows_out[bi] = row
+        deficit[bi] = d
+
+    m_i = rows_out @ engine._membership.astype(float)  # (B, r)
+    l_cap = m_i.min(axis=1)
+    m_total = rows_out.sum(axis=1)
+    z_public = m_total - l_cap
+
+    # Phase-2 chunking: slack dims withheld per chunk shrink the
+    # secret but absorb estimator over-promises first (see
+    # repro.coding.privacy.build_phase2_matrices).
+    chunks = np.ceil(np.maximum(m_total, 1e-12) / MAX_PHASE2_ROWS)
+    slack = scenario.secrecy_slack * chunks
+    secret = np.maximum(l_cap - slack, 0.0)
+    secret[m_total <= 0] = 0.0
+
+    # Secrecy deficit: inside each block's realised support, Eve's
+    # sampled misses may fall short of the certified rows; every
+    # missing dimension costs one rank of hiddenness (disjoint
+    # blocks add).  The withheld slack dims absorb deficit first.
+    effective_deficit = np.maximum(deficit - slack, 0.0)
+    hidden = np.maximum(secret - effective_deficit, 0.0)
+    reliability = np.ones(b)
+    positive = secret > 1e-12
+    reliability[positive] = hidden[positive] / secret[positive]
+
+    efficiency = secret / (n + z_public)
+
+    # Measured secrecy: Eve's equation count (captured x-packets plus
+    # every public z-row) and the residual hidden dimensions the
+    # deficit accounting leaves her.
+    eve_missed_counts = (~eve).sum(axis=1)
+    eve_equations = (n - eve_missed_counts) + z_public
+
+    return BatchResult(
+        scenario=scenario,
+        secret_packets=secret,
+        public_packets=z_public,
+        total_rows=m_total,
+        efficiency=efficiency,
+        reliability=reliability,
+        eve_missed=eve_missed_counts,
+        terminal_receptions=recv.sum(axis=2),
+        delivery_rates=recv.mean(axis=(0, 2)),
+        hidden_dims=hidden,
+        eve_equations=eve_equations,
+    )
+
+
+def _integerise_fast(
+    id_need: List[float],
+    counts_int: List[int],
+    sizes: Tuple[int, ...],
+    r: int,
+) -> List[int]:
+    """Round one round's fractional support demand to whole packets.
+
+    Largest-remainder rounding, capped by the nested size-family
+    capacities: a unit granted to subset ``T`` counts against every
+    family ``s <= |T|`` (blocks decodable by >= s receivers draw from
+    patterns of size >= s), so a blanket ``ceil`` — which can inflate
+    total demand past the realised histogram and push the max-flow into
+    starving whole subsets — never happens.  Rounds whose demand is
+    family-feasible after this step almost always get their full
+    assignment from a single flow solve.  Grants go biggest remainder
+    first, ties to the lower mask; the family totals are integers.
+    """
+    n_sub = len(id_need)
+    # Integral state stays in ints: Python float-vs-int arithmetic and
+    # comparison convert the int to an exactly-equal double, so every
+    # operation below sees the same values the all-float form saw.
+    base = [0] * n_sub
+    rem = [0.0] * n_sub
+    size_need = [0] * (r + 1)
+    size_cap = [0] * (r + 1)
+    for i in range(n_sub):
+        x = id_need[i]
+        floored = _floor(x + 1e-9)
+        base[i] = floored
+        rem[i] = x - floored
+        level = sizes[i]
+        size_need[level] += floored
+        size_cap[level] += counts_int[i]
+    # fam_*[s] = total over subsets of size >= s (nested families).
+    fam_need = [0] * (r + 1)
+    fam_cap = [0] * (r + 1)
+    acc_need = 0
+    acc_cap = 0
+    for s in range(r, -1, -1):
+        acc_need += size_need[s]
+        acc_cap += size_cap[s]
+        fam_need[s] = acc_need
+        fam_cap[s] = acc_cap
+    order = sorted(range(n_sub), key=lambda i: (-rem[i], i))
+    demand = base
+    for i in order:
+        if rem[i] <= 1e-9:
+            break
+        level = sizes[i]
+        if level == 0:
+            continue
+        feasible = True
+        for t in range(1, level + 1):
+            if fam_need[t] + 1 > fam_cap[t]:
+                feasible = False
+                break
+        if feasible:
+            demand[i] += 1
+            for t in range(1, level + 1):
+                fam_need[t] += 1
+    return demand
+
+
+def _realise_fast(
+    counts_int: List[int],
+    miss_int: List[int],
+    demand_rows: List[float],
+    id_demand: List[int],
+    rates_row: Optional[List[float]],
+    uses_oracle: bool,
+    rng: np.random.Generator,
+    r: int,
+    sizes: Tuple[int, ...],
+    members_of: Tuple[tuple, ...],
+    plan_memo: Dict[tuple, tuple],
+) -> Tuple[List[float], float]:
+    """One round's integral assignment: (rows over 2^r subsets, deficit).
+
+    Draws the round's support assignment from the memoized flow on the
+    observed pattern histogram, samples Eve's misses inside each
+    realised support (multivariate hypergeometric over the support's
+    cell composition: one draw per (subset j, cell k) with flow,
+    ascending), certifies rows per estimator on the realised support,
+    trims rows that cannot raise ``L`` (the session's
+    :func:`repro.coding.privacy._trim_excess_rows`), and sums the rank
+    deficit Eve's actual misses leave behind.  Rows are integral
+    doubles throughout, so the membership sums and the trim's slack
+    arithmetic are exact in any order.  ``plan_memo`` caches each flow
+    plan in list form for the rest of the cell.
+    """
+    n_sub = len(counts_int)
+    rows = [0.0] * n_sub
+    active = tuple((s, id_demand[s]) for s in range(n_sub) if id_demand[s])
+    if not active:
+        return rows, 0.0
+    cells = tuple(
+        (p, counts_int[p]) for p in range(1, n_sub) if counts_int[p]
+    )
+    if not cells:
+        return rows, 0.0
+
+    plan_parts = plan_memo.get((cells, active))
+    if plan_parts is None:
+        plan = realised_support_flow(cells, active, top_up=rates_row is None)
+        flow = plan.flow.tolist()
+        plan_parts = (
+            plan.subsets,
+            plan.cells,
+            flow,
+            [sum(frow) for frow in flow],
+            plan.scale,
+        )
+        plan_memo[(cells, active)] = plan_parts
+    subsets, plan_cells, flow, assigned, scale = plan_parts
+    n_plan = len(subsets)
+    n_cells = len(plan_cells)
+
+    # Eve's misses inside each realised support: cells are
+    # exchangeable pools, so sequential hypergeometric draws give the
+    # exact multivariate law of the disjoint supports.  Plan cells are
+    # distinct patterns, so positional lists track what each has left.
+    good_left = [miss_int[p] for p in plan_cells]
+    total_left = [counts_int[p] for p in plan_cells]
+    sampled = [0] * n_plan
+    hyper = rng.hypergeometric
+    for j in range(n_plan):
+        frow = flow[j]
+        drawn_total = 0
+        for k in range(n_cells):
+            take = frow[k]
+            if take == 0:
+                continue
+            good = good_left[k]
+            total = total_left[k]
+            if good <= 0:
+                drawn = 0
+            elif take >= total:
+                drawn = good
+            else:
+                drawn = int(hyper(good, total - good, take))
+            drawn_total += drawn
+            good_left[k] = good - drawn
+            total_left[k] = total - take
+        sampled[j] = drawn_total
+
+    # Certified rows per realised support, integral like the session:
+    # rate evidence scales linearly with support size (the session's
+    # LeaveOneOutEstimator deliberately applies *global* pretend-Eve
+    # rates — counting a witness's misses inside a subset pool is
+    # circular, the pool is missed wholesale by terminals outside its
+    # patterns), while the oracle certifies the support's actual
+    # sampled misses.
+    for j in range(n_plan):
+        s = subsets[j]
+        cert = _INF
+        if uses_oracle:
+            cert = float(sampled[j])
+        if rates_row is not None:
+            rate_cert = rates_row[s] * float(assigned[j])
+            if rate_cert < cert:
+                cert = rate_cert
+        value = float(_floor(scale * demand_rows[s] + 1e-9))
+        if cert != _INF:
+            ceiling = float(_floor(cert + 1e-9))
+            if ceiling < value:
+                value = ceiling
+        granted_cap = float(assigned[j])
+        if granted_cap < value:
+            value = granted_cap
+        rows[s] = value if value > 0.0 else 0.0
+
+    # Trim rows that cannot raise L = min_i M_i (every extra z-packet
+    # hands Eve a free equation), mirroring the session's greedy
+    # small-subsets-first trim.
+    m_i = [0.0] * r
+    has_rows = False
+    for j in range(n_plan):
+        value = rows[subsets[j]]
+        if value > 0.0:
+            has_rows = True
+            for i in members_of[subsets[j]]:
+                m_i[i] += value
+    if has_rows:
+        floor_val = min(m_i)
+        order = sorted(
+            (s for s in subsets if rows[s] > 0),
+            key=lambda s: (sizes[s], s),
+        )
+        for s in order:
+            mem = members_of[s]
+            slack = m_i[mem[0]] - floor_val
+            for i in mem:
+                diff = m_i[i] - floor_val
+                if diff < slack:
+                    slack = diff
+            if slack <= 0.0:
+                continue
+            cut = rows[s]
+            if slack < cut:
+                cut = slack
+            rows[s] = rows[s] - cut
+            for i in mem:
+                m_i[i] -= cut
+
+    deficit = 0.0
+    for j in range(n_plan):
+        shortfall = rows[subsets[j]] - sampled[j]
+        if shortfall > 0.0:
+            deficit += shortfall
+    return rows, deficit

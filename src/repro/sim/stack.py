@@ -28,46 +28,32 @@ bit-identical between the stacked and per-cell paths; the equivalence
 suite (``tests/sim/test_stack.py``) and
 ``scripts/check_sweep_equivalence.py`` pin this byte-for-byte.
 
-Where the speed comes from:
-
-1. The histogram/zeta kernels amortise their fixed numpy dispatch cost
-   over the whole group.
-2. The per-round realisation — integerise demand, memoized max-flow,
-   hypergeometric sampling, certification, excess-row trim — runs on
-   plain Python scalars and lists (:func:`_integerise_fast`,
-   :func:`_realise_fast`) instead of length-``2^r`` numpy arrays, whose
-   per-op dispatch dominates at subset-lattice sizes.  Each scalar step
-   mirrors its array counterpart through exact float identities (sums
-   of integral-valued doubles are order-independent; ``math.floor(x +
-   1e-9) == np.floor(x + 1e-9)`` for finite x; ``sorted(...,
-   key=(-rem, i))`` reproduces ``np.lexsort((arange, -rem))`` because
-   ``-0.0 == 0.0`` ties break on the index in both).
-3. The memoized flow plans (already shared process-wide through
-   :func:`~repro.theory.allocation.realised_support_flow`) are cached
-   per cell in list form, skipping repeated array-to-scalar conversion.
+There is one accounting kernel, and it lives in :mod:`repro.sim.engine`:
+the pattern histogram and zeta transforms
+(:func:`~repro.sim.engine._pattern_lattice`) run once over the whole
+stacked tensor, amortising their fixed numpy dispatch cost over the
+group, and each cell is then accounted on its row range by the same
+:func:`~repro.sim.engine._account_cell` a single-cell
+:meth:`~repro.sim.engine.BatchedRoundEngine.account` calls.  Grouping
+only chooses the draw layout.
 """
 
 from __future__ import annotations
 
-from math import floor as _floor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.coding.privacy import MAX_PHASE2_ROWS
 from repro.sim.engine import (
     BatchResult,
     BatchedRoundEngine,
-    _superset_sums,
+    _account_cell,
+    _pattern_lattice,
 )
 from repro.sim.reception import sample_receptions_stacked
 from repro.sim.spec import Scenario
-from repro.theory.allocation import realised_support_flow
-from repro.theory.efficiency import group_allocation_profile
 
 __all__ = ["stack_signature", "group_cells", "run_stacked_batch"]
-
-_INF = float("inf")
 
 
 def stack_signature(scenario: Scenario) -> tuple:
@@ -133,378 +119,13 @@ def run_stacked_batch(
     # block from its own generator), then the histogram and both zeta
     # transforms once over every round of every cell.
     batch, segments = sample_receptions_stacked(scenarios, rngs)
-    recv = batch.terminals
-    b_total, r, n = recv.shape
-    n_sub = 1 << r
-    weights = (1 << np.arange(r)).astype(np.int64)
-    patterns = np.tensordot(recv.astype(np.int64), weights, axes=([1], [0]))
-    flat = (np.arange(b_total, dtype=np.int64)[:, None] * n_sub + patterns).ravel()
-    counts = (
-        np.bincount(flat, minlength=b_total * n_sub)
-        .reshape(b_total, n_sub)
-        .astype(float)
-    )
-    eve_miss = ~batch.eve
-    miss_counts = np.bincount(
-        flat, weights=eve_miss.ravel().astype(float), minlength=b_total * n_sub
-    ).reshape(b_total, n_sub)
-    pools = _superset_sums(counts)
-    eve_pools = _superset_sums(miss_counts)
-    miss_rates = (n - recv.sum(axis=2)) / float(n)
-
-    # Subset-lattice geometry is shared by the whole group (same r).
-    sizes = [int(x) for x in engines[0]._subset_sizes]
-    members_of = [
-        tuple(int(i) for i in np.flatnonzero(engines[0]._membership[s]))
-        for s in range(n_sub)
+    lattice = _pattern_lattice(batch)
+    return [
+        _account_cell(
+            engine,
+            *(rows[start:stop] for rows in lattice),
+            batch.terminals[start:stop],
+            batch.eve[start:stop],
+        )
+        for engine, (start, stop) in zip(engines, segments)
     ]
-
-    results = []
-    for engine, (start, stop) in zip(engines, segments):
-        results.append(
-            _account_cell(
-                engine,
-                counts[start:stop],
-                miss_counts[start:stop],
-                pools[start:stop],
-                eve_pools[start:stop],
-                miss_rates[start:stop],
-                recv[start:stop],
-                batch.eve[start:stop],
-                sizes,
-                members_of,
-            )
-        )
-    return results
-
-
-def _account_cell(
-    engine: BatchedRoundEngine,
-    counts: np.ndarray,
-    miss_counts: np.ndarray,
-    pools: np.ndarray,
-    eve_pools: np.ndarray,
-    miss_rates: np.ndarray,
-    recv: np.ndarray,
-    eve: np.ndarray,
-    sizes: List[int],
-    members_of: List[tuple],
-) -> BatchResult:
-    """One cell's accounting on precomputed stacked-kernel slices.
-
-    The vectorised planning prelude is the engine's own
-    (:meth:`~repro.sim.engine.BatchedRoundEngine.account`), operating on
-    this cell's row range of the stacked arrays — every step is
-    row-wise, so the slice view is indistinguishable from a per-cell
-    array.  The per-round loop runs the scalar kernels.
-    """
-    scenario = engine.scenario
-    b, r, n = recv.shape
-    n_sub = engine._n_subsets
-
-    rates, uses_oracle = engine._certified_rates(
-        scenario.estimator, counts, miss_rates
-    )
-    if rates is not None:
-        budgets = np.clip(rates, 0.0, 1.0) * pools
-        if uses_oracle:
-            budgets = np.minimum(budgets, eve_pools)
-    else:
-        budgets = eve_pools.copy()
-    budgets[:, 0] = 0.0
-
-    planning_loss = scenario.loss.planning_loss(r)
-    profile = group_allocation_profile(
-        scenario.n_terminals,
-        planning_loss,
-        z_cost_factor=scenario.z_cost_factor,
-        max_level=engine._certifiable_level_cap(scenario.estimator),
-        support_feasible=True,
-        support_rate=engine._planning_certified_rate(
-            scenario.estimator, planning_loss
-        ),
-    )
-    level_rows = np.concatenate(([0.0], np.asarray(profile.level_rows)))
-    targets = level_rows[engine._subset_sizes] * n
-    demand_rows = np.minimum(targets[None, :], np.minimum(budgets, pools))
-    demand_rows = np.maximum(demand_rows, 0.0)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pool_rates = np.where(pools > 0, budgets / pools, 0.0)
-        id_need = np.where(pool_rates > 1e-12, demand_rows / pool_rates, 0.0)
-
-    sizes_arr = engine._subset_sizes
-    for s in range(r, 0, -1):
-        family = sizes_arr >= s
-        need = id_need[:, family].sum(axis=1)
-        cap = counts[:, family].sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(need > cap, cap / np.maximum(need, 1e-12), 1.0)
-        if np.any(scale < 1.0):
-            id_need[:, family] *= scale[:, None]
-            demand_rows[:, family] *= scale[:, None]
-
-    id_need = np.minimum(id_need, pools)
-    id_need[np.floor(demand_rows + 1e-9) < 1.0] = 0.0
-    id_need[:, 0] = 0.0
-
-    # Scalar form for the per-round loop: exact conversions only.
-    counts_list = np.rint(counts).astype(np.int64).tolist()
-    miss_list = np.rint(miss_counts).astype(np.int64).tolist()
-    id_need_list = id_need.tolist()
-    demand_list = demand_rows.tolist()
-    rates_list = rates.tolist() if rates is not None else None
-    rng = engine.rng
-    plan_memo: Dict[tuple, tuple] = {}
-
-    rows_out = np.zeros((b, n_sub))
-    deficit = np.zeros(b)
-    for bi in range(b):
-        id_demand = _integerise_fast(id_need_list[bi], counts_list[bi], sizes, r)
-        row, d = _realise_fast(
-            counts_list[bi],
-            miss_list[bi],
-            demand_list[bi],
-            id_demand,
-            rates_list[bi] if rates_list is not None else None,
-            uses_oracle,
-            rng,
-            r,
-            sizes,
-            members_of,
-            plan_memo,
-        )
-        rows_out[bi] = row
-        deficit[bi] = d
-
-    m_i = rows_out @ engine._membership.astype(float)
-    l_cap = m_i.min(axis=1)
-    m_total = rows_out.sum(axis=1)
-    z_public = m_total - l_cap
-
-    chunks = np.ceil(np.maximum(m_total, 1e-12) / MAX_PHASE2_ROWS)
-    slack = scenario.secrecy_slack * chunks
-    secret = np.maximum(l_cap - slack, 0.0)
-    secret[m_total <= 0] = 0.0
-
-    effective_deficit = np.maximum(deficit - slack, 0.0)
-    hidden = np.maximum(secret - effective_deficit, 0.0)
-    reliability = np.ones(b)
-    positive = secret > 1e-12
-    reliability[positive] = hidden[positive] / secret[positive]
-
-    efficiency = secret / (n + z_public)
-
-    # Measured secrecy, same expressions as the engine's epilogue
-    # (bit-identity contract: hidden is already shared arithmetic, and
-    # the equation count is integer-exact in float64).
-    eve_missed_counts = (~eve).sum(axis=1)
-    eve_equations = (n - eve_missed_counts) + z_public
-
-    return BatchResult(
-        scenario=scenario,
-        secret_packets=secret,
-        public_packets=z_public,
-        total_rows=m_total,
-        efficiency=efficiency,
-        reliability=reliability,
-        eve_missed=eve_missed_counts,
-        terminal_receptions=recv.sum(axis=2),
-        delivery_rates=recv.mean(axis=(0, 2)),
-        hidden_dims=hidden,
-        eve_equations=eve_equations,
-    )
-
-
-def _integerise_fast(
-    id_need: List[float],
-    counts_int: List[int],
-    sizes: List[int],
-    r: int,
-) -> List[int]:
-    """Scalar :meth:`~repro.sim.engine.BatchedRoundEngine._integerise_demand`.
-
-    Identical arithmetic on Python floats: the family totals are sums
-    of integral-valued doubles (exact in any order), the grant order is
-    ``sorted`` on ``(-remainder, index)`` which matches ``np.lexsort``
-    tie-for-tie, and each feasibility check compares the same exact
-    integral floats the array path compares.
-    """
-    n_sub = len(id_need)
-    # Integral state stays in ints: Python float-vs-int arithmetic and
-    # comparison convert the int to an exactly-equal double, so every
-    # operation below sees the same values the all-float form saw.
-    base = [0] * n_sub
-    rem = [0.0] * n_sub
-    size_need = [0] * (r + 1)
-    size_cap = [0] * (r + 1)
-    for i in range(n_sub):
-        x = id_need[i]
-        floored = _floor(x + 1e-9)
-        base[i] = floored
-        rem[i] = x - floored
-        level = sizes[i]
-        size_need[level] += floored
-        size_cap[level] += counts_int[i]
-    # fam_*[s] = total over subsets of size >= s (nested families).
-    fam_need = [0] * (r + 1)
-    fam_cap = [0] * (r + 1)
-    acc_need = 0
-    acc_cap = 0
-    for s in range(r, -1, -1):
-        acc_need += size_need[s]
-        acc_cap += size_cap[s]
-        fam_need[s] = acc_need
-        fam_cap[s] = acc_cap
-    order = sorted(range(n_sub), key=lambda i: (-rem[i], i))
-    demand = base
-    for i in order:
-        if rem[i] <= 1e-9:
-            break
-        level = sizes[i]
-        if level == 0:
-            continue
-        feasible = True
-        for t in range(1, level + 1):
-            if fam_need[t] + 1 > fam_cap[t]:
-                feasible = False
-                break
-        if feasible:
-            demand[i] += 1
-            for t in range(1, level + 1):
-                fam_need[t] += 1
-    return demand
-
-
-def _realise_fast(
-    counts_int: List[int],
-    miss_int: List[int],
-    demand_rows: List[float],
-    id_demand: List[int],
-    rates_row: Optional[List[float]],
-    uses_oracle: bool,
-    rng: np.random.Generator,
-    r: int,
-    sizes: List[int],
-    members_of: List[tuple],
-    plan_memo: Dict[tuple, tuple],
-) -> Tuple[List[float], float]:
-    """Scalar :meth:`~repro.sim.engine.BatchedRoundEngine._realise_round`.
-
-    Consumes the cell's generator in the exact array-path order (one
-    hypergeometric per (subset j, cell k) with flow, ascending), shares
-    the same memoized :func:`realised_support_flow` cache keys, and
-    keeps every float op bit-identical: rows are integral doubles
-    throughout, so the membership sums and the trim's slack arithmetic
-    are exact in any order.
-    """
-    n_sub = len(counts_int)
-    rows = [0.0] * n_sub
-    active = tuple((s, id_demand[s]) for s in range(n_sub) if id_demand[s])
-    if not active:
-        return rows, 0.0
-    cells = tuple(
-        (p, counts_int[p]) for p in range(1, n_sub) if counts_int[p]
-    )
-    if not cells:
-        return rows, 0.0
-
-    plan_parts = plan_memo.get((cells, active))
-    if plan_parts is None:
-        plan = realised_support_flow(cells, active, top_up=rates_row is None)
-        flow = plan.flow.tolist()
-        plan_parts = (
-            plan.subsets,
-            plan.cells,
-            flow,
-            [sum(frow) for frow in flow],
-            plan.scale,
-        )
-        plan_memo[(cells, active)] = plan_parts
-    subsets, plan_cells, flow, assigned, scale = plan_parts
-    n_plan = len(subsets)
-    n_cells = len(plan_cells)
-
-    # Plan cells are distinct patterns, so positional lists replace the
-    # pattern-keyed dicts: same cells, same draw order, no hashing.
-    good_left = [miss_int[p] for p in plan_cells]
-    total_left = [counts_int[p] for p in plan_cells]
-    sampled = [0] * n_plan
-    hyper = rng.hypergeometric
-    for j in range(n_plan):
-        frow = flow[j]
-        drawn_total = 0
-        for k in range(n_cells):
-            take = frow[k]
-            if take == 0:
-                continue
-            good = good_left[k]
-            total = total_left[k]
-            if good <= 0:
-                drawn = 0
-            elif take >= total:
-                drawn = good
-            else:
-                drawn = int(hyper(good, total - good, take))
-            drawn_total += drawn
-            good_left[k] = good - drawn
-            total_left[k] = total - take
-        sampled[j] = drawn_total
-
-    for j in range(n_plan):
-        s = subsets[j]
-        cert = _INF
-        if uses_oracle:
-            cert = float(sampled[j])
-        if rates_row is not None:
-            rate_cert = rates_row[s] * float(assigned[j])
-            if rate_cert < cert:
-                cert = rate_cert
-        value = float(_floor(scale * demand_rows[s] + 1e-9))
-        if cert != _INF:
-            ceiling = float(_floor(cert + 1e-9))
-            if ceiling < value:
-                value = ceiling
-        granted_cap = float(assigned[j])
-        if granted_cap < value:
-            value = granted_cap
-        rows[s] = value if value > 0.0 else 0.0
-
-    # Trim rows that cannot raise L = min_i M_i, mirroring the array
-    # path's greedy small-subsets-first pass.
-    m_i = [0.0] * r
-    has_rows = False
-    for j in range(n_plan):
-        value = rows[subsets[j]]
-        if value > 0.0:
-            has_rows = True
-            for i in members_of[subsets[j]]:
-                m_i[i] += value
-    if has_rows:
-        floor_val = min(m_i)
-        order = sorted(
-            (s for s in subsets if rows[s] > 0),
-            key=lambda s: (sizes[s], s),
-        )
-        for s in order:
-            mem = members_of[s]
-            slack = m_i[mem[0]] - floor_val
-            for i in mem:
-                diff = m_i[i] - floor_val
-                if diff < slack:
-                    slack = diff
-            if slack <= 0.0:
-                continue
-            cut = rows[s]
-            if slack < cut:
-                cut = slack
-            rows[s] = rows[s] - cut
-            for i in mem:
-                m_i[i] -= cut
-
-    deficit = 0.0
-    for j in range(n_plan):
-        shortfall = rows[subsets[j]] - sampled[j]
-        if shortfall > 0.0:
-            deficit += shortfall
-    return rows, deficit

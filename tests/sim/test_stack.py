@@ -1,12 +1,14 @@
-"""Cross-cell stacking: bit-identity to the per-cell engine.
+"""Cross-cell stacking: a stacked group equals its cells run alone.
 
-The tentpole contract of :mod:`repro.sim.stack`: grouping cells that
-share a stack signature into one kernel pass is a pure throughput
-optimisation.  Every array of every cell's :class:`BatchResult` — and
-therefore every stored shard, resumed campaign, and streamed aggregate
-— must be *bit-identical* to the historical one-engine-per-cell path,
-because per-cell generators stay content-keyed and the stacked kernels
-mirror the per-cell arithmetic exactly.
+The contract of :mod:`repro.sim.stack`: grouping cells that share a
+stack signature into one kernel pass is a pure throughput
+optimisation.  Both paths run the engine's single accounting kernel,
+so every array of every cell's :class:`BatchResult` — and therefore
+every stored shard, resumed campaign, and streamed aggregate — must be
+*bit-identical* to running each cell through its own
+:class:`BatchedRoundEngine`: per-cell generators stay content-keyed,
+and the stacked tensor only changes where each cell's draws are
+stored.
 """
 
 import numpy as np
