@@ -47,10 +47,9 @@ slice is indistinguishable from a per-cell array).  The per-round loop
 (integerise demand, memoized max-flow, hypergeometric sampling,
 certification, excess-row trim) runs on plain Python scalars and
 lists (:func:`_integerise_fast`, :func:`_realise_fast`): numpy's
-per-op dispatch dominates at subset-lattice sizes.  Every float op is
-exact on integral-valued doubles (sums are order-independent;
-``math.floor(x + 1e-9)`` rounds like ``np.floor``), so results do not
-depend on the caller.
+per-op dispatch dominates at subset-lattice sizes.  Golden digests
+recorded from the earlier array form of that loop
+(``tests/sim/test_accounting_golden.py``) pin its results.
 
 The engine remains a statistical model, not a bit-exact replay: it
 applies leave-one-out exclusions at subset granularity using global

@@ -51,13 +51,6 @@ def test_block_boundaries_leave_no_seam(size):
     np.testing.assert_allclose(whole, one_by_one, rtol=1e-12, atol=1e-15)
 
 
-def test_output_keeps_the_input_shape():
-    sinr = np.random.default_rng(3).uniform(-40.0, 80.0, size=(3, 4, 5))
-    out = expected_packet_loss(sinr, BITS, RadioConfig())
-    assert out.shape == sinr.shape
-    assert np.all((out >= 0.0) & (out <= 1.0))
-
-
 def test_cached_nodes_are_shared_and_read_only():
     config = RadioConfig()
     key = (config.rayleigh_fading, config.shadowing_sigma_db, 256, 15)
