@@ -9,7 +9,10 @@ feed which block, and with it every wire byte and key downstream.
 
 This module pins, for about 400 seeded report sets, the sha256 of each
 plan's blocks ``(subset, support, rows)``, and for a grid of ``(n, p)``
-cells the exact float fields of the symmetric profile.  The fixture in
+cells the exact float fields of the symmetric profile.  A second grid
+pins the family the batched engine plans with: ``support_feasible``
+with an estimator ``support_rate`` below ``p`` and ``z_cost_factor``
+up to 2.5.  The fixture in
 ``golden/allocation_plans.json`` must never be regenerated to make a
 planning change pass; run this file as a script (``PYTHONPATH=src
 python tests/coding/test_allocation_golden.py``) only to print what the
@@ -49,6 +52,12 @@ Z_COST_FACTORS = (1.0, 2.0)
 PROFILE_NS = tuple(range(3, 11))
 PROFILE_PS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 PROFILE_MAX_LEVELS = (None, 2)
+
+#: The rated-profile grid: ``support_rate = factor * p``.
+RATED_NS = tuple(range(3, 9))
+RATED_PS = (0.2, 0.4, 0.6)
+RATED_Z_COST_FACTORS = (1.0, 2.5)
+RATED_RATE_FACTORS = (0.5, 0.9)
 
 
 def report_cases(seed: int = REPORT_SEED, count: int = REPORT_COUNT) -> list:
@@ -122,6 +131,14 @@ def plan_digests() -> list:
     ]
 
 
+def _hex_fields(prof) -> list:
+    return [v.hex() for v in prof.level_rows] + [
+        prof.l_per_packet.hex(),
+        prof.m_per_packet.hex(),
+        prof.efficiency.hex(),
+    ]
+
+
 def profile_fields() -> list:
     """``[n, p, support_feasible, max_level, fields]`` per grid cell,
     every float as its exact ``float.hex()``."""
@@ -134,12 +151,31 @@ def profile_fields() -> list:
             prof = group_allocation_profile(
                 n, p, support_feasible=feasible, max_level=max_level
             )
-            fields = [v.hex() for v in prof.level_rows] + [
-                prof.l_per_packet.hex(),
-                prof.m_per_packet.hex(),
-                prof.efficiency.hex(),
-            ]
-            out.append([n, p, feasible, max_level, fields])
+            out.append([n, p, feasible, max_level, _hex_fields(prof)])
+    finally:
+        clear_efficiency_cache()
+    return out
+
+
+def rated_profile_fields() -> list:
+    """``[n, p, z_cost_factor, rate_factor, max_level, fields]`` per
+    cell of the support-feasible grid planned at ``rate_factor * p``."""
+    clear_efficiency_cache()
+    out = []
+    try:
+        for n, p, z_cost, factor, max_level in itertools.product(
+            RATED_NS, RATED_PS, RATED_Z_COST_FACTORS, RATED_RATE_FACTORS,
+            PROFILE_MAX_LEVELS,
+        ):
+            prof = group_allocation_profile(
+                n,
+                p,
+                z_cost_factor=z_cost,
+                max_level=max_level,
+                support_feasible=True,
+                support_rate=factor * p,
+            )
+            out.append([n, p, z_cost, factor, max_level, _hex_fields(prof)])
     finally:
         clear_efficiency_cache()
     return out
@@ -187,12 +223,21 @@ def test_group_profiles_unchanged(golden):
     assert not changed, f"{len(changed)} profile(s) changed, first: {changed[0]}"
 
 
+def test_rated_profiles_unchanged(golden):
+    got = rated_profile_fields()
+    want = golden["rated_profiles"]
+    assert len(got) == len(want)
+    changed = [g[:5] for g, w in zip(got, want) if g != w]
+    assert not changed, f"{len(changed)} rated profile(s) changed, first: {changed[0]}"
+
+
 if __name__ == "__main__":  # print what the current code produces
     doc = {
         "report_seed": REPORT_SEED,
         "report_count": REPORT_COUNT,
         "plans": plan_digests(),
         "profiles": profile_fields(),
+        "rated_profiles": rated_profile_fields(),
     }
     json.dump(doc, sys.stdout, indent=1)
     print()
