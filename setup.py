@@ -22,7 +22,10 @@ setup(
     python_requires=">=3.11",
     install_requires=[
         "numpy",
-        "scipy",
+        # repro.coding.privacy.solve_lp calls scipy's bundled HiGHS
+        # binding (scipy.optimize._highspy._core), a private module;
+        # re-check it against the lp tests before moving this pin.
+        "scipy>=1.17,<1.18",
     ],
     extras_require={
         "test": [

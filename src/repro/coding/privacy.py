@@ -49,7 +49,8 @@ from repro.gf.linalg import GFMatrix
 from repro.gf.matrices import cauchy_matrix
 
 try:  # scipy is a hard dependency of the package, but keep the import local-ish
-    from scipy.optimize import LinearConstraint, milp
+    # Private binding: setup.py pins scipy's minor version for it.
+    from scipy.optimize._highspy import _core as _highs
 except ImportError as exc:  # pragma: no cover - environment guard
     raise ImportError("repro.coding.privacy requires scipy") from exc
 
@@ -299,16 +300,49 @@ def _candidate_subsets(
     return sorted(candidates, key=lambda s: (len(s), sorted(s)))
 
 
+#: The one option :func:`scipy.optimize.milp` sets; everything else,
+#: presolve included, stays at HiGHS's default.
+_HIGHS_OPTIONS = _highs.HighsOptions()
+_HIGHS_OPTIONS.log_to_console = False
+
+
 def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> Optional[np.ndarray]:
     """Minimise ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``x >= 0``.
 
-    The one LP entry point of the planners: HiGHS through
-    :func:`scipy.optimize.milp` with no integrality constraints, the
-    solver's leanest public wrapper.  Returns None when HiGHS reports
-    no optimum.
+    The one LP entry point of the planners: scipy's bundled HiGHS
+    binding, called directly.  The model is the one
+    :func:`scipy.optimize.milp` hands HiGHS — the nonzeros of ``a_ub``
+    in column-major order, columns in ``[0, inf)``, rows in
+    ``(-inf, b_ub]``, the same options — so the returned ``x`` is the
+    same to the last bit, without the wrapper's cost.  Each call builds
+    a fresh solver instance, so concurrent callers share no state.
+    Returns None when HiGHS reports no optimum.
     """
-    res = milp(c, constraints=LinearConstraint(a_ub, -np.inf, b_ub))
-    return res.x if res.success else None
+    a_ub = np.asarray(a_ub, dtype=np.float64)
+    n_rows, n_cols = a_ub.shape
+    cols, rows = np.nonzero(a_ub.T)  # CSC order, explicit zeros dropped
+    lp = _highs.HighsLp()
+    lp.num_col_ = n_cols
+    lp.num_row_ = n_rows
+    lp.col_cost_ = np.asarray(c, dtype=np.float64)
+    lp.col_lower_ = np.zeros(n_cols)
+    lp.col_upper_ = np.full(n_cols, np.inf)
+    lp.row_lower_ = np.full(n_rows, -np.inf)
+    lp.row_upper_ = np.asarray(b_ub, dtype=np.float64)
+    matrix = lp.a_matrix_
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.num_col_ = n_cols
+    matrix.num_row_ = n_rows
+    matrix.start_ = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_cols))))
+    matrix.index_ = rows
+    matrix.value_ = a_ub.T[cols, rows]
+    solver = _highs._Highs()
+    solver.passOptions(_HIGHS_OPTIONS)
+    solver.passModel(lp)
+    solver.run()
+    if solver.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+        return None
+    return np.array(solver.getSolution().col_value)
 
 
 def _solve_allocation_lp(

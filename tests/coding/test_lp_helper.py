@@ -3,10 +3,13 @@
 Both Dinkelbach loops (the allocation LP of
 :func:`repro.coding.privacy.plan_y_allocation` and the level LP of
 :func:`repro.theory.efficiency.group_allocation_profile`) solve through
-:func:`repro.coding.privacy.solve_lp`, which calls HiGHS by way of
-``scipy.optimize.milp``.  ``linprog(method="highs")`` reaches the same
-solver through another wrapper; on every LP the loops pose, both must
-return the same ``x`` to the last bit, or plans would move.
+:func:`repro.coding.privacy.solve_lp`, which builds the HiGHS model
+itself and calls scipy's bundled binding directly.
+``linprog(method="highs")`` reaches the same solver through scipy's
+public wrapper; on every LP the loops pose, both must return the same
+``x`` to the last bit, or plans would move.  The edge cases below (no
+optimum, empty columns, non-contiguous input, concurrent callers) are
+held to the same oracle.
 
 The LPs are captured from the loops themselves, every Dinkelbach step
 included: allocation LPs from random pattern-cell sizes and budgets,
@@ -16,6 +19,7 @@ level LPs from random ``(n, p, level cap)`` cells.
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -121,3 +125,47 @@ def test_solve_lp_matches_linprog_bit_for_bit(monkeypatch, family):
 def test_solve_lp_reports_infeasible_as_none():
     # x >= 0 and x <= -1 cannot both hold.
     assert solve_lp(np.ones(1), np.array([[1.0]]), np.array([-1.0])) is None
+
+
+def test_solve_lp_reports_unbounded_as_none():
+    # Minimise -x with x >= 0 and a row that never binds it.
+    c, a_ub, b_ub = np.array([-1.0]), np.array([[-1.0]]), np.array([0.0])
+    assert linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs").status == 3
+    assert solve_lp(c, a_ub, b_ub) is None
+
+
+@pytest.mark.parametrize(
+    "c, a_ub, b_ub",
+    [
+        # x1 appears in no row; its positive cost pins it at 0.
+        ([-1.0, 1.0, -2.0], [[1.0, 0.0, 1.0], [0.0, 0.0, 2.0]], [3.0, 2.0]),
+        # An all-zero constraint matrix: no column appears in any row.
+        ([1.0, 2.0], [[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0]),
+    ],
+    ids=["empty-column", "all-zero"],
+)
+def test_solve_lp_empty_columns_match_linprog(c, a_ub, b_ub):
+    c, a_ub, b_ub = np.array(c), np.array(a_ub), np.array(b_ub)
+    assert solve_lp(c, a_ub, b_ub).tobytes() == _linprog_x(c, a_ub, b_ub).tobytes()
+
+
+def test_solve_lp_ignores_memory_layout(monkeypatch):
+    lps = level_lps(monkeypatch)
+    monkeypatch.undo()
+    for c, a_ub, b_ub in lps:
+        want = solve_lp(c, np.ascontiguousarray(a_ub), b_ub).tobytes()
+        wide = np.zeros((a_ub.shape[0], 2 * a_ub.shape[1]))
+        wide[:, ::2] = a_ub
+        assert solve_lp(c, np.asfortranarray(a_ub), b_ub).tobytes() == want
+        assert solve_lp(c, wide[:, ::2], b_ub).tobytes() == want
+        assert want == _linprog_x(c, a_ub, b_ub).tobytes()
+
+
+def test_solve_lp_is_thread_safe(monkeypatch):
+    lps = level_lps(monkeypatch)
+    monkeypatch.undo()
+    serial = [solve_lp(*lp).tobytes() for lp in lps]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = [x.tobytes() for x in pool.map(lambda lp: solve_lp(*lp), lps)]
+    assert threaded == serial
+    assert serial == [_linprog_x(*lp).tobytes() for lp in lps]
