@@ -19,6 +19,7 @@ level LPs from random ``(n, p, level cap)`` cells.
 from __future__ import annotations
 
 import itertools
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -165,7 +166,13 @@ def test_solve_lp_is_thread_safe(monkeypatch):
     lps = level_lps(monkeypatch)
     monkeypatch.undo()
     serial = [solve_lp(*lp).tobytes() for lp in lps]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = [x.tobytes() for x in pool.map(lambda lp: solve_lp(*lp), lps)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-call as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            solved = pool.map(lambda lp: solve_lp(*lp), lps, timeout=120)
+            threaded = [x.tobytes() for x in solved]
+    finally:
+        sys.setswitchinterval(interval)
     assert threaded == serial
     assert serial == [_linprog_x(*lp).tobytes() for lp in lps]
