@@ -300,8 +300,8 @@ def _candidate_subsets(
     return sorted(candidates, key=lambda s: (len(s), sorted(s)))
 
 
-#: The one option :func:`scipy.optimize.milp` sets; everything else,
-#: presolve included, stays at HiGHS's default.
+#: The one option scipy's own HiGHS wrappers set for a plain LP;
+#: everything else, presolve included, stays at HiGHS's default.
 _HIGHS_OPTIONS = _highs.HighsOptions()
 _HIGHS_OPTIONS.log_to_console = False
 
@@ -310,13 +310,13 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> Optional[np.n
     """Minimise ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``x >= 0``.
 
     The one LP entry point of the planners: scipy's bundled HiGHS
-    binding, called directly.  The model is the one
-    :func:`scipy.optimize.milp` hands HiGHS — the nonzeros of ``a_ub``
-    in column-major order, columns in ``[0, inf)``, rows in
-    ``(-inf, b_ub]``, the same options — so the returned ``x`` is the
-    same to the last bit, without the wrapper's cost.  Each call builds
-    a fresh solver instance, so concurrent callers share no state.
-    Returns None when HiGHS reports no optimum.
+    binding, called directly.  The model is the one scipy's public
+    wrappers hand HiGHS — the nonzeros of ``a_ub`` in column-major
+    order, columns in ``[0, inf)``, rows in ``(-inf, b_ub]`` — so the
+    returned ``x`` equals ``linprog(method="highs")``'s to the last
+    bit, without the wrappers' cost.  Each call builds a fresh solver
+    instance, so concurrent callers share no state.  Returns None when
+    HiGHS reports no optimum.
     """
     a_ub = np.asarray(a_ub, dtype=np.float64)
     n_rows, n_cols = a_ub.shape
