@@ -5,14 +5,18 @@ change that returns a different (even equally optimal) flow matrix, or
 lands the scale search on a different grid point, silently forks every
 recorded campaign.  This module pins the exact output of
 :func:`repro.theory.allocation.realised_support_flow` on a seeded set of
-lattice-structured keys, plus the stored shard bytes of one tiny
-batched testbed campaign and one tiny stacked scenario grid.
+lattice-structured keys (``plans``: n = 3-6, small histograms;
+``large_plans``: n = 6-7 with up to 64 cells and 64 subsets, the size
+Figure-2's larger groups plan at), plus the stored shard bytes of one
+tiny batched testbed campaign and one tiny stacked scenario grid.
 
-The digests in ``golden/realised_flow.json`` were recorded before the
-build-once transport graph replaced the per-step graph rebuild.  They
-must never be regenerated to make a solver change pass; run this file
-as a script (``PYTHONPATH=src python tests/theory/test_flow_golden.py``)
-only to print what the current code produces.
+The ``plans`` digests in ``golden/realised_flow.json`` were recorded
+before the build-once transport graph replaced the per-step graph
+rebuild, the ``large_plans`` digests while the scale search still ran
+six warm-started halvings.  They must never be regenerated to make a
+solver change pass; run this file as a script (``PYTHONPATH=src python
+tests/theory/test_flow_golden.py``) only to print what the current code
+produces.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ GOLDEN = Path(__file__).with_name("golden") / "realised_flow.json"
 #: Seed and size of the lattice-key generator the fixture was built from.
 KEY_SEED = 2012
 KEY_COUNT = 300
+#: Seed and size of the ``large_plans`` keys.
+LARGE_KEY_SEED = 2013
+LARGE_KEY_COUNT = 100
 
 
 def _submasks(mask: int) -> list:
@@ -57,19 +64,27 @@ def _submasks(mask: int) -> list:
     return sorted(out)
 
 
-def lattice_keys(seed: int = KEY_SEED, count: int = KEY_COUNT) -> list:
+def lattice_keys(
+    seed: int = KEY_SEED,
+    count: int = KEY_COUNT,
+    receivers: tuple = (3, 6),
+    max_cells: int = 24,
+    max_subsets: int = 20,
+    loads: tuple = (0.3, 0.8, 1.2, 2.0, 5.0),
+) -> list:
     """Seeded ``(cell_counts, subset_demands)`` keys shaped like the
-    batched engine's: n = 3-6 receivers, pattern cells on the subset
-    lattice, subsets drawn below the patterns (plus the odd subset no
-    cell contains), demand loads from comfortably feasible to several
-    times the round's packets, and zero demands and capacities mixed in.
+    batched engine's: ``receivers`` (inclusive range), pattern cells on
+    the subset lattice, subsets drawn below the patterns (plus the odd
+    subset no cell contains), demand loads from comfortably feasible to
+    several times the round's packets, and zero demands and capacities
+    mixed in.
     """
     rng = np.random.default_rng(seed)
     keys = []
     for _ in range(count):
-        n = int(rng.integers(3, 7))
+        n = int(rng.integers(receivers[0], receivers[1] + 1))
         full = (1 << n) - 1
-        n_cells = int(rng.integers(1, min(full, 24) + 1))
+        n_cells = int(rng.integers(1, min(full, max_cells) + 1))
         patterns = sorted(
             int(p) for p in rng.choice(np.arange(1, full + 1), n_cells, replace=False)
         )
@@ -78,12 +93,12 @@ def lattice_keys(seed: int = KEY_SEED, count: int = KEY_COUNT) -> list:
             if rng.random() < 0.1:
                 counts[k] = 0
         below = sorted({s for p in patterns for s in _submasks(p)})
-        n_subsets = int(rng.integers(1, min(len(below), 20) + 1))
+        n_subsets = int(rng.integers(1, min(len(below), max_subsets) + 1))
         subsets = {int(s) for s in rng.choice(below, n_subsets, replace=False)}
         if rng.random() < 0.2:
             subsets.add(int(rng.integers(1, full + 1)))
         subsets = sorted(subsets)
-        load = float(rng.choice([0.3, 0.8, 1.2, 2.0, 5.0]))
+        load = float(rng.choice(loads))
         mean = load * max(sum(counts), 1) / len(subsets)
         demands = [int(d) for d in rng.integers(0, int(2 * mean) + 2, size=len(subsets))]
         for j in range(len(subsets)):
@@ -93,6 +108,19 @@ def lattice_keys(seed: int = KEY_SEED, count: int = KEY_COUNT) -> list:
             (tuple(zip(patterns, counts)), tuple(zip(subsets, demands)))
         )
     return keys
+
+
+def large_lattice_keys() -> list:
+    """The ``large_plans`` keys: 6-7 receivers, up to 64 cells and 64
+    subsets, loads 0.8-5 (mostly infeasible rounds)."""
+    return lattice_keys(
+        LARGE_KEY_SEED,
+        LARGE_KEY_COUNT,
+        receivers=(6, 7),
+        max_cells=64,
+        max_subsets=64,
+        loads=(0.8, 1.2, 2.0, 5.0),
+    )
 
 
 def plan_digest(plan) -> str:
@@ -105,13 +133,13 @@ def plan_digest(plan) -> str:
     return h.hexdigest()
 
 
-def plan_digests() -> list:
+def plan_digests(keys: list) -> list:
     """One digest per (key, top_up), keys in generator order."""
     clear_realised_flow_cache()
     try:
         return [
             plan_digest(realised_support_flow(cells, demands, top_up=top_up))
-            for cells, demands in lattice_keys()
+            for cells, demands in keys
             for top_up in (False, True)
         ]
     finally:
@@ -170,32 +198,42 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-def test_generator_covers_the_edge_cases():
-    """The fixture is only as strong as its keys: feasible and
-    infeasible rounds, zero demands and zero capacities all occur."""
-    keys = lattice_keys()
-    feasible = infeasible = 0
+def _count_infeasible(keys: list) -> int:
     clear_realised_flow_cache()
     try:
-        for cells, demands in keys:
-            plan = realised_support_flow(cells, demands)
-            if plan.scale == 1.0:
-                feasible += 1
-            else:
-                infeasible += 1
+        return sum(realised_support_flow(*key).scale < 1.0 for key in keys)
     finally:
         clear_realised_flow_cache()
-    assert feasible >= 30 and infeasible >= 100
+
+
+def test_generator_covers_the_edge_cases():
+    """The fixture is only as strong as its keys: feasible and
+    infeasible rounds, zero demands and zero capacities all occur, and
+    the large keys are mostly infeasible (where the scale search works
+    hardest)."""
+    keys = lattice_keys()
+    infeasible = _count_infeasible(keys)
+    assert len(keys) - infeasible >= 30 and infeasible >= 100
     assert sum(any(c == 0 for _, c in cells) for cells, _ in keys) >= 50
     assert sum(any(d == 0 for _, d in demands) for _, demands in keys) >= 50
+    large = large_lattice_keys()
+    assert _count_infeasible(large) >= 50
+    assert max(len(cells) for cells, _ in large) > 40
+    assert max(len(demands) for _, demands in large) > 40
 
 
-def test_realised_plans_unchanged(golden):
-    got = plan_digests()
-    want = golden["plans"]
+def _assert_digests_match(got: list, want: list) -> None:
     assert len(got) == len(want)
     changed = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
     assert not changed, f"{len(changed)} plan(s) changed, first (key, top_up): {divmod(changed[0], 2)}"
+
+
+def test_realised_plans_unchanged(golden):
+    _assert_digests_match(plan_digests(lattice_keys()), golden["plans"])
+
+
+def test_large_realised_plans_unchanged(golden):
+    _assert_digests_match(plan_digests(large_lattice_keys()), golden["large_plans"])
 
 
 def test_testbed_campaign_shards_unchanged(golden, tmp_path):
@@ -213,7 +251,10 @@ if __name__ == "__main__":  # print what the current code produces
         doc = {
             "key_seed": KEY_SEED,
             "key_count": KEY_COUNT,
-            "plans": plan_digests(),
+            "plans": plan_digests(lattice_keys()),
+            "large_key_seed": LARGE_KEY_SEED,
+            "large_key_count": LARGE_KEY_COUNT,
+            "large_plans": plan_digests(large_lattice_keys()),
             "testbed_campaign": campaign_shard_digest(Path(tmp) / "testbed"),
             "stacked_grid": grid_shard_digest(Path(tmp) / "grid"),
         }
