@@ -689,6 +689,11 @@ class TransportGraph:
     where allowed, row-major — so node and arc order follow the input
     order alone.  A *residual* is the list of per-edge residual
     capacities; the flow on a forward edge is its reverse's residual.
+
+    A solve builds a zero-flow residual (:meth:`residual`), runs Dinic
+    on it (:meth:`augment`) and reads the flow matrix off it
+    (:meth:`flow`).  When the demand does not route in full, the same
+    residual yields a Hall certificate (:meth:`hall_cut`).
     """
 
     def __init__(self, allowed: Sequence[Sequence[bool]], n_supplies: int) -> None:
@@ -865,28 +870,41 @@ class TransportGraph:
         self.augment(cap)
         return self.flow(cap)
 
-    def raise_demands(
-        self, cap: list, old: Sequence[int], new: Sequence[int]
-    ) -> Optional[list]:
-        """Warm-start feasibility: can demands grow from ``old`` to ``new``?
+    def hall_cut(self, cap: list) -> Tuple[list, int]:
+        """Hall certificate read from the minimum cut of a maximum flow.
 
-        ``cap`` is the residual of a flow meeting ``old`` in full, and
-        ``new`` is at least ``old`` in every row.  A copy gets each row's
-        extra demand on its source and demand-to-supply
-        edges, and Dinic routes only that extra on top of the existing
-        flow.  Returns the copy when all of it routes (a residual meeting
-        ``new`` in full), else None; ``cap`` itself is never modified.
+        ``cap`` is the residual of a maximum flow that left some demand
+        unrouted.  Returns ``(rows, room)``: ``rows`` are the demand
+        nodes reachable from the source in ``cap`` (ascending), ``room``
+        the summed capacity of the supply nodes reachable from them.
+
+        Every supply node the rows may draw from is reachable, and no
+        other is (the sink is not, the flow being maximum): an edge from
+        a reached row saturates only when the row's whole demand flows
+        down it, and then the row was reached through that very supply.
+        So ``room`` is the capacity of the rows' neighbourhood, which
+        max-flow/min-cut says their demand exceeds.  By Hall's condition
+        no demand vector whose ``rows`` want more than ``room`` routes in
+        full on this graph, whatever the other rows want.
         """
-        raised = list(cap)
-        extra = 0
-        for j, (was, now) in enumerate(zip(old, new)):
-            grow = int(now) - int(was)
-            if grow:
-                extra += grow
-                raised[2 * j] += grow
-                for e, _ in self.row_arcs[j]:
-                    raised[e] += grow
-        return raised if self.augment(raised) == extra else None
+        edge_to = self.edge_to
+        adjacency = self.adjacency
+        n_demands = self.n_demands
+        seen = [False] * (self.sink + 1)
+        seen[0] = True
+        queue = [0]
+        for u in queue:
+            for e in adjacency[u]:
+                if cap[e]:
+                    v = edge_to[e]
+                    if not seen[v]:
+                        seen[v] = True
+                        queue.append(v)
+        rows = sorted(v - 1 for v in queue if 0 < v <= n_demands)
+        # Node ``v`` of a supply is ``n_demands + 1 + k``; its sink edge
+        # is ``2 * (v - 1)`` and holds the capacity as residual + flow.
+        room = sum(cap[2 * v - 2] + cap[2 * v - 1] for v in queue if v > n_demands)
+        return rows, room
 
 
 def solve_transport_counts(

@@ -17,7 +17,12 @@ scenario LP.  :func:`realised_support_flow` solves the integral
 transportation max-flow between the two — subset ``T`` may only draw
 support packets from pattern cells ``P >= T`` — reusing the exact flow
 core the session uses (:class:`repro.coding.privacy.TransportGraph`,
-built once per plan and solved on several times).
+built once per plan and solved on several times).  When the round
+cannot meet its full demand, the demand is scaled down to the largest
+routable grid point ``k / SCALE_STEPS``, found by jumping between the
+Hall certificates that each failed solve's minimum cut provides
+(:meth:`~repro.coding.privacy.TransportGraph.hall_cut`); the plan is
+the cold solve at that point.
 
 Solves are memoized on the observed ``(histogram, demands)`` key:
 within a scenario many rounds realise the same histogram (small ``N``
@@ -43,6 +48,9 @@ __all__ = [
     "realised_flow_cache_info",
     "clear_realised_flow_cache",
 ]
+
+#: Scales of an infeasible round live on the grid ``k / SCALE_STEPS``.
+SCALE_STEPS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,40 +118,46 @@ def realised_support_flow(
     capacities = [int(c) for _, c in cell_counts]
     allowed = [[(s & p) == s for p in cells] for s in subsets]
     graph = TransportGraph(allowed, len(cells))
-    flow = solve_transport_counts(demands, capacities, allowed, graph=graph)
+    cap = graph.residual(demands, capacities)
     scale = 1.0
-    if flow.sum() < sum(demands):
+    if graph.augment(cap) < sum(demands):
         # Infeasible round: a maximum flow meets the total but may
         # starve individual subsets entirely (max-flow optimises the
         # sum, not the spread), and a starved subset drags the secret
         # cap L = min_i M_i down for every terminal it served.  Scale
-        # the demand vector down uniformly to the largest fraction the
-        # histogram can fully satisfy (binary search — demand
-        # satisfaction is monotone in the scale), which spreads the
-        # shortfall evenly like the fractional planner would.  No
-        # opportunistic top-up: partially-filled blocks would sit
-        # exactly at their certified-rate ceiling with no rounding
-        # buffer, precisely the blocks whose secrecy deficits the
-        # session never produces.
+        # the demand vector down uniformly to the largest grid point
+        # k / SCALE_STEPS whose floored demands the histogram can fully
+        # satisfy, which spreads the shortfall evenly like the
+        # fractional planner would.  No opportunistic top-up:
+        # partially-filled blocks would sit exactly at their
+        # certified-rate ceiling with no rounding buffer, precisely the
+        # blocks whose secrecy deficits the session never produces.
         #
-        # Each step only asks whether the scaled demand routes, so it
-        # warm-starts from the last feasible step's residual and routes
-        # just the extra demand.  The returned matrix comes from one cold
-        # solve at the chosen scale, which is what fixes *which* maximum
-        # flow the plan holds.
-        lo = 0.0
-        hi = 1.0
-        met = [0] * len(demands)
-        residual = graph.residual(met, capacities)
-        for _ in range(6):
-            mid = (lo + hi) / 2.0
-            scaled = [math.floor(mid * d) for d in demands]
-            raised = graph.raise_demands(residual, met, scaled)
-            if raised is not None:
-                lo, met, residual = mid, scaled, raised
-            else:
-                hi = mid
-        best = solve_transport_counts(met, capacities, allowed, graph=graph)
+        # Each failed solve's minimum cut is a Hall certificate
+        # (TransportGraph.hall_cut): no grid point whose floored demand
+        # on the cut's rows exceeds their cells' capacity can route.
+        # Jump to the largest point the certificate allows and solve
+        # cold there; a failed solve's cut is the next certificate.
+        # Routability is monotone in the step, so this stops on the
+        # largest routable grid point, and the plan is the cold solve at
+        # its demands.
+        step = SCALE_STEPS
+        while True:
+            rows, room = graph.hall_cut(cap)
+            lo, hi = 0, step  # the certificate holds at lo, fails at hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                wanted = sum(math.floor(mid / SCALE_STEPS * demands[j]) for j in rows)
+                if wanted <= room:
+                    lo = mid
+                else:
+                    hi = mid
+            step = lo
+            met = [math.floor(step / SCALE_STEPS * d) for d in demands]
+            cap = graph.residual(met, capacities)
+            if graph.augment(cap) == sum(met):
+                break
+        best = graph.flow(cap)
         if top_up:
             residual_demands = [
                 d - int(best[j].sum()) for j, d in enumerate(demands)
@@ -158,7 +172,9 @@ def realised_support_flow(
             scale = 1.0  # demand caps stay unscaled; exact budgets bind instead
         else:
             flow = best
-            scale = lo
+            scale = step / SCALE_STEPS
+    else:
+        flow = graph.flow(cap)
     flow.setflags(write=False)
     return RealisedPlan(subsets=subsets, cells=cells, flow=flow, scale=scale)
 

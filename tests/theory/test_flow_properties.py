@@ -4,29 +4,30 @@
 *maximum* flow (its value equals the max-flow/min-cut value scipy's
 ``maximum_flow`` finds on the same network), a *feasible* one (demands,
 capacities and the ``allowed`` mask respected) and the *same* one on
-every call.  :func:`repro.theory.allocation.realised_support_flow`'s
-scale search must land exactly on the largest grid point ``k/64`` whose
-floored demands can be fully routed.  scipy is used here only; the
-package's own solver stays dependency-free.
+every call.  :meth:`repro.coding.privacy.TransportGraph.hall_cut` must
+read a Hall certificate off every maximum flow that leaves demand
+unrouted: rows that want more than the summed capacity of the cells
+they may draw from.  :func:`repro.theory.allocation.realised_support_flow`'s
+scale search, which jumps between such certificates, must land exactly
+on the largest grid point ``k/64`` whose floored demands can be fully
+routed, for every group size the campaigns plan (2-7 receivers).  scipy
+is used here only; the package's own solver stays dependency-free.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from repro.coding.privacy import solve_transport_counts
+from repro.coding.privacy import TransportGraph, solve_transport_counts
 from repro.theory import clear_realised_flow_cache
-from repro.theory.allocation import realised_support_flow
+from repro.theory.allocation import SCALE_STEPS, realised_support_flow
 
 pytestmark = pytest.mark.flow
-
-#: The scale search runs 6 halvings, so scales live on this grid.
-SCALE_STEPS = 64
 
 
 def oracle_max_flow(demands, capacities, allowed) -> int:
@@ -87,10 +88,11 @@ def masked_networks(draw):
 
 
 @st.composite
-def lattice_rounds(draw, max_cells=10, max_subsets=10):
+def lattice_rounds(draw, max_cells=10, max_subsets=10, receivers=(2, 5)):
     """``(cell_counts, subset_demands)`` keys on the subset lattice of
-    2-5 receivers: most subsets sit below some pattern, a few below none."""
-    n = draw(st.integers(2, 5))
+    ``receivers`` (an inclusive range, 2-5 by default): most subsets sit
+    below some pattern, a few below none."""
+    n = draw(st.integers(*receivers))
     full = (1 << n) - 1
     patterns = sorted(
         draw(st.lists(st.integers(1, full), min_size=1, max_size=max_cells, unique=True))
@@ -143,27 +145,61 @@ class TestSolveTransportCounts:
         assert np.array_equal(solve_transport_counts(*network), flow)
 
 
+class TestHallCut:
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_rounds(max_cells=16, max_subsets=16, receivers=(2, 7)))
+    def test_cut_rows_want_more_than_their_cells_hold(self, key):
+        demands, capacities, allowed = lattice_network(*key)
+        graph = TransportGraph(allowed, len(capacities))
+        cap = graph.residual(demands, capacities)
+        routed = graph.augment(cap)
+        assume(routed < sum(demands))
+        rows, room = graph.hall_cut(cap)
+        assert rows == sorted(set(rows))
+        assert sum(demands[j] for j in rows) > room
+        # The cut is a minimum one: the flow saturates every other row
+        # and every cell the rows reach.
+        assert routed == sum(d for j, d in enumerate(demands) if j not in rows) + room
+        # ``room`` is the capacity of the rows' neighbourhood, by masks.
+        subsets = [s for s, _ in key[1]]
+        neighbourhood = [
+            c for p, c in key[0] if any(subsets[j] & p == subsets[j] for j in rows)
+        ]
+        assert room == sum(neighbourhood)
+
+
+def assert_scale_is_the_largest_routable_grid_point(key):
+    clear_realised_flow_cache()
+    plan = realised_support_flow(*key)
+    demands, capacities, allowed = lattice_network(*key)
+    if oracle_max_flow(demands, capacities, allowed) == sum(demands):
+        assert plan.scale == 1.0
+        assert plan.assigned.tolist() == demands
+        return
+    routable = []
+    for k in range(SCALE_STEPS):
+        scaled = [int(np.floor(k / SCALE_STEPS * d)) for d in demands]
+        if oracle_max_flow(scaled, capacities, allowed) == sum(scaled):
+            routable.append(k)
+    assert plan.scale == max(routable) / SCALE_STEPS
+    # The balanced scale-down grants every subset exactly its share.
+    assert plan.assigned.tolist() == [int(np.floor(plan.scale * d)) for d in demands]
+
+
 class TestScaleSearch:
     @settings(
         max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
     @given(lattice_rounds())
     def test_scale_is_the_largest_routable_grid_point(self, key):
-        clear_realised_flow_cache()
-        plan = realised_support_flow(*key)
-        demands, capacities, allowed = lattice_network(*key)
-        if oracle_max_flow(demands, capacities, allowed) == sum(demands):
-            assert plan.scale == 1.0
-            assert plan.assigned.tolist() == demands
-            return
-        routable = []
-        for k in range(SCALE_STEPS):
-            scaled = [int(np.floor(k / SCALE_STEPS * d)) for d in demands]
-            if oracle_max_flow(scaled, capacities, allowed) == sum(scaled):
-                routable.append(k)
-        assert plan.scale == max(routable) / SCALE_STEPS
-        # The balanced scale-down grants every subset exactly its share.
-        assert plan.assigned.tolist() == [int(np.floor(plan.scale * d)) for d in demands]
+        assert_scale_is_the_largest_routable_grid_point(key)
+
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(lattice_rounds(max_cells=20, max_subsets=20, receivers=(6, 7)))
+    def test_scale_is_the_largest_routable_grid_point_at_six_and_seven(self, key):
+        assert_scale_is_the_largest_routable_grid_point(key)
 
     @settings(max_examples=80, deadline=None)
     @given(lattice_rounds())
