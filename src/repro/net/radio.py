@@ -21,6 +21,8 @@ the protocol.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -156,6 +158,10 @@ def per_from_sinr_db_array(
 #: 1 MB of float64, small enough to stay cache-resident.
 _QUADRATURE_BLOCK = 32
 
+#: Margin (dB) by which the fill thresholds of :func:`_saturation` sit
+#: inside the bisected saturation edges.
+_SATURATION_GUARD_DB = 0.5
+
 
 @lru_cache(maxsize=16)
 def _quadrature_nodes(
@@ -187,6 +193,56 @@ def _quadrature_nodes(
     return offsets, weights
 
 
+@lru_cache(maxsize=16)
+def _saturation(
+    packet_bits: int, processing_gain: float
+) -> Tuple[float, float, float, float]:
+    """Fill thresholds of the PER quadrature: ``(low, low_value, high, high_value)``.
+
+    :func:`per_from_sinr_db_array` is exactly constant at both ends:
+    ``high_value`` (its value at ``+inf``) once ``gamma`` reaches the
+    700 clip, ``low_value`` (its value at ``-inf``; 1.0 for campaign
+    packet sizes, where ``expm1`` returns -1.0) deep in the waterfall.
+    Each edge is bisected on that function itself, so there is no
+    second formula to keep in sync, and then moved inward by
+    :data:`_SATURATION_GUARD_DB`: every SINR ``>= high`` evaluates to
+    ``high_value`` and every SINR ``<= low`` to ``low_value``.  A side
+    whose bracket does not straddle its edge gets an infinite
+    threshold, which fills only the infinity itself.
+    """
+
+    def per(x: float) -> float:
+        return float(per_from_sinr_db_array(x, packet_bits, processing_gain))
+
+    def edge(value: float, inside: float, outside: float) -> float:
+        # Bisect to the last point, from ``inside``, known to give ``value``.
+        if per(inside) != value or per(outside) == value:
+            return math.copysign(math.inf, inside)
+        while True:
+            mid = 0.5 * (inside + outside)
+            if mid in (inside, outside):
+                return inside
+            if per(mid) == value:
+                inside = mid
+            else:
+                outside = mid
+
+    # The bracket, +-400 dB, lies far past both edges.
+    low_value, high_value = per(-math.inf), per(math.inf)
+    low = edge(low_value, -400.0, 400.0) - _SATURATION_GUARD_DB
+    high = edge(high_value, 400.0, -400.0) + _SATURATION_GUARD_DB
+    return low, low_value, high, high_value
+
+
+def _quadrature_workers(n_blocks: int) -> int:
+    """Threads for ``n_blocks`` PER blocks: the usable CPUs, at most one per block."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_blocks))
+
+
 def expected_packet_loss(
     mean_sinr_db,
     packet_bits: int,
@@ -203,10 +259,17 @@ def expected_packet_loss(
     monotone integrand bounded by 1 the midpoint rule error is below
     ``1/(2 n_fading)`` — far inside campaign Monte-Carlo noise.
 
-    The integrand is evaluated in place, a block of SINRs at a time,
-    into one ``input shape + (nodes,)`` array, and reduced by a single
-    ``@ weights`` at that shape: flattening the leading axes would
-    change matmul's summation order and the last bits of the result.
+    The integrand fills one ``input shape + (nodes,)`` array, a block
+    of SINRs at a time.  Per block, the faded SINRs ``>= high`` (of
+    :func:`_saturation`) get the clip constant, those ``<= low`` get
+    the deep-fade constant, and only the rest, NaN included, run
+    through :func:`per_from_sinr_db_array`: every node gets the value
+    that function gives it, at its own position.  The blocks are split
+    into contiguous chunks over the usable CPUs, on a thread pool that
+    lives only for this call (NumPy releases the GIL), and the array is
+    reduced by a single ``@ weights`` at the input's shape: flattening
+    the leading axes would change matmul's summation order and the last
+    bits of the result.
 
     Args:
         mean_sinr_db: scalar or array of pre-fading mean SINRs.
@@ -224,17 +287,58 @@ def expected_packet_loss(
         n_fading,
         n_shadowing,
     )
+    low, low_value, high, high_value = _saturation(
+        packet_bits, float(config.processing_gain)
+    )
     sinr = np.asarray(mean_sinr_db, dtype=float)
     per = np.empty(sinr.shape + offsets.shape)
     flat_sinr = sinr.reshape(-1)
     flat_per = per.reshape(-1, offsets.size)
-    for start in range(0, flat_sinr.size, _QUADRATURE_BLOCK):
-        stop = start + _QUADRATURE_BLOCK
-        block = flat_per[start:stop]
-        np.add(flat_sinr[start:stop, None], offsets, out=block)
-        per_from_sinr_db_array(
-            block, packet_bits, config.processing_gain, out=block
-        )
+
+    def fill(first: int, last: int) -> None:
+        # Buffers are reused across the chunk's blocks.
+        shape = (min(_QUADRATURE_BLOCK, last - first), offsets.size)
+        is_high, is_low, is_middle = (np.empty(shape, dtype=bool) for _ in range(3))
+        for start in range(first, last, _QUADRATURE_BLOCK):
+            stop = min(start + _QUADRATURE_BLOCK, last)
+            block = flat_per[start:stop]
+            rows = stop - start
+            high_mask, low_mask, middle_mask = (
+                is_high[:rows], is_low[:rows], is_middle[:rows]
+            )
+            np.add(flat_sinr[start:stop, None], offsets, out=block)
+            np.greater_equal(block, high, out=high_mask)
+            np.less_equal(block, low, out=low_mask)
+            np.logical_or(high_mask, low_mask, out=middle_mask)
+            np.logical_not(middle_mask, out=middle_mask)
+            middle = block[middle_mask]  # a contiguous copy
+            per_from_sinr_db_array(
+                middle, packet_bits, config.processing_gain, out=middle
+            )
+            block.fill(low_value)
+            np.copyto(block, high_value, where=high_mask)
+            block[middle_mask] = middle
+
+    n_rows = flat_sinr.size
+    n_blocks = -(-n_rows // _QUADRATURE_BLOCK)
+    workers = _quadrature_workers(n_blocks)
+    if workers <= 1:
+        fill(0, n_rows)
+    else:
+        # Contiguous whole-block chunks, the first on the caller's
+        # thread.  The pool ends with this call, so no thread survives
+        # into a forked campaign worker.
+        bounds = [
+            min(n_rows, _QUADRATURE_BLOCK * (n_blocks * k // workers))
+            for k in range(workers + 1)
+        ]
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            chunks = [
+                pool.submit(fill, a, b) for a, b in zip(bounds[1:], bounds[2:])
+            ]
+            fill(bounds[0], bounds[1])
+            for done in chunks:
+                done.result()
     return per @ weights
 
 
