@@ -265,11 +265,12 @@ def expected_packet_loss(
     the deep-fade constant, and only the rest, NaN included, run
     through :func:`per_from_sinr_db_array`: every node gets the value
     that function gives it, at its own position.  The blocks are split
-    into contiguous chunks over the usable CPUs, on a thread pool that
-    lives only for this call (NumPy releases the GIL), and the array is
-    reduced by a single ``@ weights`` at the input's shape: flattening
-    the leading axes would change matmul's summation order and the last
-    bits of the result.
+    into contiguous chunks over the usable CPUs (NumPy releases the
+    GIL): the caller's thread takes the first, and a thread pool that
+    lives only for this call takes the rest.  The array is reduced by a
+    single ``@ weights`` at the input's shape: flattening the leading
+    axes would change matmul's summation order and the last bits of the
+    result.
 
     Args:
         mean_sinr_db: scalar or array of pre-fading mean SINRs.
@@ -296,22 +297,20 @@ def expected_packet_loss(
     flat_per = per.reshape(-1, offsets.size)
 
     def fill(first: int, last: int) -> None:
-        # Buffers are reused across the chunk's blocks.
+        # The masks are reused across the chunk's blocks.
         shape = (min(_QUADRATURE_BLOCK, last - first), offsets.size)
-        is_high, is_low, is_middle = (np.empty(shape, dtype=bool) for _ in range(3))
+        is_high, is_middle = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
         for start in range(first, last, _QUADRATURE_BLOCK):
             stop = min(start + _QUADRATURE_BLOCK, last)
             block = flat_per[start:stop]
-            rows = stop - start
-            high_mask, low_mask, middle_mask = (
-                is_high[:rows], is_low[:rows], is_middle[:rows]
-            )
+            high_mask, middle_mask = is_high[: stop - start], is_middle[: stop - start]
             np.add(flat_sinr[start:stop, None], offsets, out=block)
             np.greater_equal(block, high, out=high_mask)
-            np.less_equal(block, low, out=low_mask)
-            np.logical_or(high_mask, low_mask, out=middle_mask)
+            # Middle is "neither high nor low", so NaN lands in it.
+            np.less_equal(block, low, out=middle_mask)
+            np.logical_or(middle_mask, high_mask, out=middle_mask)
             np.logical_not(middle_mask, out=middle_mask)
-            middle = block[middle_mask]  # a contiguous copy
+            middle = block[middle_mask]  # contiguous, like the unfilled block
             per_from_sinr_db_array(
                 middle, packet_bits, config.processing_gain, out=middle
             )
@@ -322,7 +321,7 @@ def expected_packet_loss(
     n_rows = flat_sinr.size
     n_blocks = -(-n_rows // _QUADRATURE_BLOCK)
     workers = _quadrature_workers(n_blocks)
-    if workers <= 1:
+    if workers == 1:
         fill(0, n_rows)
     else:
         # Contiguous whole-block chunks, the first on the caller's
