@@ -21,7 +21,9 @@ the protocol.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -235,7 +237,19 @@ def _saturation(
 
 
 def _quadrature_workers(n_blocks: int) -> int:
-    """Threads for ``n_blocks`` PER blocks: the usable CPUs, at most one per block."""
+    """Threads for ``n_blocks`` PER blocks: the usable CPUs, at most one per block.
+
+    Only a process's main thread, in a process that multiprocessing did
+    not start, splits its blocks.  Any other caller is one worker of a
+    sharded campaign (a thread or process pool, or a queue worker of
+    ``--workers-per-host``) that already keeps the CPUs busy, and runs
+    serially.
+    """
+    if (
+        threading.current_thread() is not threading.main_thread()
+        or multiprocessing.parent_process() is not None
+    ):
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
@@ -264,13 +278,14 @@ def expected_packet_loss(
     :func:`_saturation`) get the clip constant, those ``<= low`` get
     the deep-fade constant, and only the rest, NaN included, run
     through :func:`per_from_sinr_db_array`: every node gets the value
-    that function gives it, at its own position.  The blocks are split
-    into contiguous chunks over the usable CPUs (NumPy releases the
-    GIL): the caller's thread takes the first, and a thread pool that
-    lives only for this call takes the rest.  The array is reduced by a
-    single ``@ weights`` at the input's shape: flattening the leading
-    axes would change matmul's summation order and the last bits of the
-    result.
+    that function gives it, at its own position.  Called from a
+    process's main thread, the blocks are split into contiguous chunks
+    over the usable CPUs (NumPy releases the GIL) on a thread pool that
+    lives only for this call; the workers of a sharded campaign run
+    them serially (see :func:`_quadrature_workers`).  The array is
+    reduced by a single ``@ weights`` at the input's shape: flattening
+    the leading axes would change matmul's summation order and the last
+    bits of the result.
 
     Args:
         mean_sinr_db: scalar or array of pre-fading mean SINRs.
@@ -297,19 +312,13 @@ def expected_packet_loss(
     flat_per = per.reshape(-1, offsets.size)
 
     def fill(first: int, last: int) -> None:
-        # The masks are reused across the chunk's blocks.
-        shape = (min(_QUADRATURE_BLOCK, last - first), offsets.size)
-        is_high, is_middle = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
         for start in range(first, last, _QUADRATURE_BLOCK):
             stop = min(start + _QUADRATURE_BLOCK, last)
             block = flat_per[start:stop]
-            high_mask, middle_mask = is_high[: stop - start], is_middle[: stop - start]
             np.add(flat_sinr[start:stop, None], offsets, out=block)
-            np.greater_equal(block, high, out=high_mask)
+            high_mask = block >= high
             # Middle is "neither high nor low", so NaN lands in it.
-            np.less_equal(block, low, out=middle_mask)
-            np.logical_or(middle_mask, high_mask, out=middle_mask)
-            np.logical_not(middle_mask, out=middle_mask)
+            middle_mask = ~((block <= low) | high_mask)
             middle = block[middle_mask]  # contiguous, like the unfilled block
             per_from_sinr_db_array(
                 middle, packet_bits, config.processing_gain, out=middle
@@ -325,7 +334,8 @@ def expected_packet_loss(
         fill(0, n_rows)
     else:
         # Contiguous whole-block chunks, the first on the caller's
-        # thread.  The pool ends with this call, so no thread survives
+        # thread (measured faster than running every chunk on the
+        # pool).  The pool ends with this call, so no thread survives
         # into a forked campaign worker.
         bounds = [
             min(n_rows, _QUADRATURE_BLOCK * (n_blocks * k // workers))

@@ -8,7 +8,8 @@ nodes cannot be written through.  It also pins the saturated fill and
 the thread split against the plain chain ``per_from_sinr_db_array(sinr
 + offsets) @ weights``: the same bits at every shape and configuration,
 NaN and infinities included, fill thresholds that only cover nodes the
-chain itself maps to the fill constants, and no thread left running.
+chain itself maps to the fill constants, no thread left running, and
+no split inside a sharded campaign's workers.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -221,4 +223,15 @@ def test_workers_follow_cpu_affinity(monkeypatch):
     assert radio._quadrature_workers(21) == 3
     monkeypatch.delattr(radio.os, "sched_getaffinity")
     monkeypatch.setattr(radio.os, "cpu_count", lambda: None)
+    assert radio._quadrature_workers(21) == 1
+
+
+def test_only_the_main_thread_of_a_top_level_process_splits(monkeypatch):
+    monkeypatch.setattr(radio.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert radio._quadrature_workers(21) == 3
+    with ThreadPoolExecutor(1) as pool:  # a thread-sharded campaign worker
+        assert pool.submit(radio._quadrature_workers, 21).result() == 1
+    with ProcessPoolExecutor(1) as pool:  # a process-sharded one
+        assert pool.submit(radio._quadrature_workers, 21).result() == 1
+    monkeypatch.setattr(radio.multiprocessing, "parent_process", lambda: object())
     assert radio._quadrature_workers(21) == 1
