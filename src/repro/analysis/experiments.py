@@ -33,6 +33,11 @@ from __future__ import annotations
 
 import functools
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -41,7 +46,7 @@ import numpy as np
 from repro.core.estimator import EveErasureEstimator
 from repro.core.rotation import ExperimentResult, run_experiment
 from repro.core.session import SessionConfig
-from repro.sim.campaign import _as_store, shard_map
+from repro.sim.campaign import ShardWorkerError, _as_store, shard_map
 from repro.sim.engine import BatchedRoundEngine
 from repro.store.fingerprint import fingerprint
 from repro.sim.spec import (
@@ -51,7 +56,11 @@ from repro.sim.spec import (
     Scenario,
 )
 from repro.testbed.deployment import Testbed
-from repro.testbed.pertable import placement_schedule_specs
+from repro.testbed.pertable import (
+    draw_positions,
+    placement_schedule_specs,
+    schedule_loss_table,
+)
 from repro.testbed.placements import (
     Placement,
     enumerate_placements,
@@ -200,6 +209,15 @@ def _experiment_seed_sequence(
     return np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
 
 
+def _experiment_rng(
+    config: CampaignConfig, placement: Placement
+) -> np.random.Generator:
+    """A fresh generator on the experiment's private stream."""
+    return np.random.default_rng(
+        _experiment_seed_sequence(config.seed, placement, placement.n_terminals)
+    )
+
+
 def run_placement_experiment(
     testbed: Testbed,
     placement: Placement,
@@ -207,9 +225,7 @@ def run_placement_experiment(
     config: CampaignConfig,
 ) -> ExperimentRecord:
     """Run one experiment (full rotation) on one placement."""
-    rng = np.random.default_rng(
-        _experiment_seed_sequence(config.seed, placement, placement.n_terminals)
-    )
+    rng = _experiment_rng(config, placement)
     medium, names = testbed.build_medium(
         placement, rng, eve_extra_cells=config.eve_extra_cells
     )
@@ -280,6 +296,7 @@ def run_placement_experiment_batched(
     estimator_spec: EstimatorSpec,
     config: CampaignConfig,
     rounds_per_leader: int = 8,
+    prefetched: Optional[Callable[[], tuple]] = None,
 ) -> ExperimentRecord:
     """Batched counterpart of :func:`run_placement_experiment`.
 
@@ -292,11 +309,11 @@ def run_placement_experiment_batched(
     metric (secret-length-weighted) and is NaN when the experiment
     produced no secret at all — campaign aggregates exclude those
     records instead of counting them as perfectly reliable.  Efficiency
-    uses the idealised x+z accounting.
+    uses the idealised x+z accounting.  ``prefetched`` is passed on to
+    :func:`~repro.testbed.pertable.placement_schedule_specs` (a table
+    :func:`run_campaign`'s helper process built for this placement).
     """
-    rng = np.random.default_rng(
-        _experiment_seed_sequence(config.seed, placement, placement.n_terminals)
-    )
+    rng = _experiment_rng(config, placement)
     session = config.session
     specs = placement_schedule_specs(
         testbed,
@@ -304,6 +321,7 @@ def run_placement_experiment_batched(
         rng,
         payload_bytes=session.payload_bytes,
         eve_extra_cells=config.eve_extra_cells,
+        prefetched=prefetched,
     )
     adversary = AdversarySpec(antennas=1 + len(config.eve_extra_cells))
     total_secret = 0.0
@@ -473,6 +491,121 @@ def campaign_sweep_manifest(
     )
 
 
+#: Pending placements whose PER tables the helper process of a serial
+#: batched campaign keeps queued ahead of the running experiment.
+_TABLES_AHEAD = 2
+
+
+def _table_helper_selected(n_pending: int) -> bool:
+    """Whether a serial batched campaign builds PER tables on a helper.
+
+    Decided from observable facts only.  The caller must be the main
+    thread of a process multiprocessing did not start: any other caller
+    is a worker of a sharded campaign (a thread or process pool, or a
+    queue worker of ``--workers-per-host``) whose peers already keep
+    the CPUs busy.  At least two CPUs must be usable, ``fork`` must be
+    the default start method (the helper inherits the loaded program
+    instead of importing it again), and at least two experiments must
+    be pending (the first table is always built in-line).
+    """
+    if (
+        n_pending < 2
+        or threading.current_thread() is not threading.main_thread()
+        or multiprocessing.parent_process() is not None
+    ):
+        return False
+    start_method = multiprocessing.get_start_method(allow_none=True)
+    if (start_method or multiprocessing.get_all_start_methods()[0]) != "fork":
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cpus = os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _prefetch_table(
+    testbed: Testbed, placement: Placement, config: CampaignConfig
+) -> tuple:
+    """The helper's job: ``(positions, table)`` for one placement.
+
+    The jitter comes from a twin of the generator
+    :func:`run_placement_experiment_batched` makes for the placement,
+    through the same :func:`~repro.testbed.pertable.draw_positions`,
+    so the experiment's own draw lands on exactly these positions.
+    """
+    positions = draw_positions(
+        testbed, placement, _experiment_rng(config, placement),
+        config.eve_extra_cells,
+    )
+    return positions, schedule_loss_table(
+        testbed, *positions, payload_bytes=config.session.payload_bytes
+    )
+
+
+class _TablePrefetcher:
+    """PER tables of a serial batched campaign's upcoming placements.
+
+    One helper process, forked at the first :meth:`table_for` call,
+    builds the tables of the next :data:`_TABLES_AHEAD` placements
+    while the running experiment's rounds use this process's core.
+    :meth:`close` ends it.
+    """
+
+    def __init__(
+        self, testbed: Testbed, config: CampaignConfig, placements: list
+    ) -> None:
+        self._job = functools.partial(_prefetch_table, testbed, config=config)
+        self._placements = placements
+        self._futures: dict = {}
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def table_for(self, index: int) -> Optional[Callable[[], tuple]]:
+        """The ``prefetched`` source of placement ``index``'s table.
+
+        Queues the tables of the placements after it first.  Returns
+        None when the table was not queued (placement 0: build it
+        in-line).  A dead helper raises :class:`ShardWorkerError`
+        naming placement ``index``, here or from the source.
+        """
+        label = placement_label(self._placements[index])
+        try:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    1, mp_context=multiprocessing.get_context("fork")
+                )
+            last = min(index + _TABLES_AHEAD, len(self._placements) - 1)
+            for ahead in range(index + 1, last + 1):
+                if ahead not in self._futures:
+                    self._futures[ahead] = self._pool.submit(
+                        self._job, self._placements[ahead]
+                    )
+        except BrokenProcessPool as exc:
+            raise _helper_failed(label, exc) from exc
+        future = self._futures.pop(index, None)
+        if future is None:
+            return None
+
+        def fetch() -> tuple:
+            try:
+                return future.result()
+            except BrokenProcessPool as exc:
+                raise _helper_failed(label, exc) from exc
+
+        return fetch
+
+    def close(self) -> None:
+        """Cancel the queued tables and wait for the helper to exit."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _helper_failed(label: str, exc: BaseException) -> ShardWorkerError:
+    return ShardWorkerError(
+        f"PER-table helper failed on {label}: {type(exc).__name__}: {exc}"
+    )
+
+
 def run_campaign(
     testbed: Testbed,
     estimator_factory: Optional[EstimatorFactory] = None,
@@ -495,6 +628,19 @@ def run_campaign(
     private RNG streams, so sharding them across workers is bit-identical
     to the serial run at a fixed seed — for the per-packet oracle too,
     whose 9·C(8,n)-experiment campaigns are the expensive ones.
+
+    The serial batched path may build the PER tables of the next
+    placements on one helper process while the running placement's
+    rounds use this one's core.  It does so only in the main thread of
+    a process multiprocessing did not start, with at least two usable
+    CPUs, ``fork`` as the default start method and at least two pending
+    experiments (:func:`_table_helper_selected`); never in manifest
+    mode.  The helper starts inside the first experiment and is shut
+    down, its queued tables cancelled, before this call returns or
+    raises.  Records and stored bytes are identical either way; a
+    helper that dies raises
+    :class:`~repro.sim.campaign.ShardWorkerError` naming the placement
+    whose table it owed.
 
     Args:
         testbed: the deployment.
@@ -707,25 +853,37 @@ def run_campaign(
             )
 
     if max_workers is None or max_workers <= 1:
+        prefetch = (
+            _TablePrefetcher(testbed, config, [p for _, p in pending_work])
+            if engine == "batched" and _table_helper_selected(len(pending_work))
+            else None
+        )
+
         # Serial: fire progress just before each experiment, as before.
         def run_with_progress(item):
-            n, placement = item
+            index, (n, placement) = item
             if progress is not None:
                 progress(n, placement)
-            return run_one(placement)
+            if prefetch is None:
+                return run_one(placement)
+            return run_one(placement, prefetched=prefetch.table_for(index))
 
-        results = shard_map(
-            run_with_progress,
-            pending_work,
-            max_workers=max_workers,
-            executor=executor,
-            label=lambda item: placement_label(item[1]),
-            on_result=(
-                None
-                if persist is None
-                else lambda item, record: persist(item[1], record)
-            ),
-        )
+        try:
+            results = shard_map(
+                run_with_progress,
+                list(enumerate(pending_work)),
+                max_workers=max_workers,
+                executor=executor,
+                label=lambda item: placement_label(item[1][1]),
+                on_result=(
+                    None
+                    if persist is None
+                    else lambda item, record: persist(item[1][1], record)
+                ),
+            )
+        finally:
+            if prefetch is not None:
+                prefetch.close()
     else:
         if progress is not None:
             for n, placement in pending_work:

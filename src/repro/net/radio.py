@@ -21,10 +21,6 @@ the protocol.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -236,27 +232,6 @@ def _saturation(
     return low, low_value, high, high_value
 
 
-def _quadrature_workers(n_blocks: int) -> int:
-    """Threads for ``n_blocks`` PER blocks: the usable CPUs, at most one per block.
-
-    Only a process's main thread, in a process that multiprocessing did
-    not start, splits its blocks.  Any other caller is one worker of a
-    sharded campaign (a thread or process pool, or a queue worker of
-    ``--workers-per-host``) that already keeps the CPUs busy, and runs
-    serially.
-    """
-    if (
-        threading.current_thread() is not threading.main_thread()
-        or multiprocessing.parent_process() is not None
-    ):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_blocks))
-
-
 def expected_packet_loss(
     mean_sinr_db,
     packet_bits: int,
@@ -278,11 +253,10 @@ def expected_packet_loss(
     :func:`_saturation`) get the clip constant, those ``<= low`` get
     the deep-fade constant, and only the rest, NaN included, run
     through :func:`per_from_sinr_db_array`: every node gets the value
-    that function gives it, at its own position.  Called from a
-    process's main thread, the blocks are split into contiguous chunks
-    over the usable CPUs (NumPy releases the GIL) on a thread pool that
-    lives only for this call; the workers of a sharded campaign run
-    them serially (see :func:`_quadrature_workers`).  The array is
+    that function gives it, at its own position.  The blocks are
+    filled serially in the caller's thread; a Figure-2 campaign builds
+    its tables on a helper process instead (see
+    :func:`repro.analysis.experiments.run_campaign`).  The array is
     reduced by a single ``@ weights`` at the input's shape: flattening
     the leading axes would change matmul's summation order and the last
     bits of the result.
@@ -310,44 +284,20 @@ def expected_packet_loss(
     per = np.empty(sinr.shape + offsets.shape)
     flat_sinr = sinr.reshape(-1)
     flat_per = per.reshape(-1, offsets.size)
-
-    def fill(first: int, last: int) -> None:
-        for start in range(first, last, _QUADRATURE_BLOCK):
-            stop = min(start + _QUADRATURE_BLOCK, last)
-            block = flat_per[start:stop]
-            np.add(flat_sinr[start:stop, None], offsets, out=block)
-            high_mask = block >= high
-            # Middle is "neither high nor low", so NaN lands in it.
-            middle_mask = ~((block <= low) | high_mask)
-            middle = block[middle_mask]  # contiguous, like the unfilled block
-            per_from_sinr_db_array(
-                middle, packet_bits, config.processing_gain, out=middle
-            )
-            block.fill(low_value)
-            np.copyto(block, high_value, where=high_mask)
-            block[middle_mask] = middle
-
-    n_rows = flat_sinr.size
-    n_blocks = -(-n_rows // _QUADRATURE_BLOCK)
-    workers = _quadrature_workers(n_blocks)
-    if workers == 1:
-        fill(0, n_rows)
-    else:
-        # Contiguous whole-block chunks, the first on the caller's
-        # thread (measured faster than running every chunk on the
-        # pool).  The pool ends with this call, so no thread survives
-        # into a forked campaign worker.
-        bounds = [
-            min(n_rows, _QUADRATURE_BLOCK * (n_blocks * k // workers))
-            for k in range(workers + 1)
-        ]
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            chunks = [
-                pool.submit(fill, a, b) for a, b in zip(bounds[1:], bounds[2:])
-            ]
-            fill(bounds[0], bounds[1])
-            for done in chunks:
-                done.result()
+    for start in range(0, flat_sinr.size, _QUADRATURE_BLOCK):
+        stop = start + _QUADRATURE_BLOCK
+        block = flat_per[start:stop]
+        np.add(flat_sinr[start:stop, None], offsets, out=block)
+        high_mask = block >= high
+        # Middle is "neither high nor low", so NaN lands in it.
+        middle_mask = ~((block <= low) | high_mask)
+        middle = block[middle_mask]  # contiguous, like the unfilled block
+        per_from_sinr_db_array(
+            middle, packet_bits, config.processing_gain, out=middle
+        )
+        block.fill(low_value)
+        np.copyto(block, high_value, where=high_mask)
+        block[middle_mask] = middle
     return per @ weights
 
 

@@ -36,7 +36,7 @@ Axis and ordering conventions (shared with :mod:`repro.sim.spec`):
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from repro.testbed.placements import Placement
 __all__ = [
     "pattern_mean_sinr_db",
     "schedule_loss_table",
+    "draw_positions",
     "placement_schedule_specs",
 ]
 
@@ -120,12 +121,42 @@ def schedule_loss_table(
     return cfg.base_loss + (1.0 - cfg.base_loss) * per
 
 
+def draw_positions(
+    testbed: Testbed,
+    placement: Placement,
+    rng: np.random.Generator,
+    eve_extra_cells: tuple = (),
+) -> tuple:
+    """Jittered ``(tx_positions, rx_positions)`` of a placement's links.
+
+    Transmitters are the terminals in placement order; receivers are
+    the same terminals followed by every Eve antenna (her placement
+    cell, then ``eve_extra_cells`` in the order given).  The jitter
+    comes from ``rng`` in
+    :meth:`~repro.testbed.deployment.Testbed.build_medium` order, so a
+    twin of an experiment's generator draws the positions its
+    :func:`placement_schedule_specs` call will draw.
+
+    Raises:
+        ValueError: an extra antenna cell holds a terminal.
+    """
+    for cell in eve_extra_cells:
+        if cell in placement.terminal_cells:
+            raise ValueError("Eve's extra antennas cannot share terminal cells")
+    terminal_positions, eve_position = testbed.node_positions(placement, rng)
+    antenna_positions = [eve_position] + testbed.antenna_positions(
+        tuple(eve_extra_cells), rng
+    )
+    return terminal_positions, list(terminal_positions) + antenna_positions
+
+
 def placement_schedule_specs(
     testbed: Testbed,
     placement: Placement,
     rng: np.random.Generator,
     payload_bytes: int = 100,
     eve_extra_cells: tuple = (),
+    prefetched: Optional[Callable[[], tuple]] = None,
 ) -> list:
     """Per-leader :class:`~repro.sim.spec.ScheduleLossSpec`s for a placement.
 
@@ -144,27 +175,37 @@ def placement_schedule_specs(
     ``AdversarySpec(antennas=1 + len(eve_extra_cells))`` so the
     engine's reception sampler unions across all antenna columns.
 
-    ``rng`` draws the position jitter only — the same stream
+    ``rng`` draws the position jitter only (:func:`draw_positions`) —
+    the same stream
     :meth:`~repro.testbed.deployment.Testbed.build_medium` would
     consume (terminals, Eve, then extra antennas), so packet- and
     batched-engine experiments with a shared seed see the same
     geometry.
+
+    ``prefetched``, when given, returns ``(positions, table)``: a
+    :func:`schedule_loss_table` built elsewhere (the campaign runner's
+    helper process) for the ``(tx_positions, rx_positions)`` pair of
+    :func:`draw_positions`.  The jitter is still drawn here, so the
+    generator is consumed exactly as without it, and the table is used
+    only if it was built for exactly the drawn positions.
+
+    Raises:
+        ValueError: an extra antenna cell holds a terminal.
+        RuntimeError: the prefetched table was built for other positions.
     """
-    for cell in eve_extra_cells:
-        if cell in placement.terminal_cells:
-            raise ValueError("Eve's extra antennas cannot share terminal cells")
-    terminal_positions, eve_position = testbed.node_positions(placement, rng)
-    antenna_positions = [eve_position] + testbed.antenna_positions(
-        tuple(eve_extra_cells), rng
-    )
-    table = schedule_loss_table(
-        testbed,
-        tx_positions=terminal_positions,
-        rx_positions=list(terminal_positions) + antenna_positions,
-        payload_bytes=payload_bytes,
-    )
+    positions = draw_positions(testbed, placement, rng, eve_extra_cells)
+    if prefetched is None:
+        table = schedule_loss_table(
+            testbed, *positions, payload_bytes=payload_bytes
+        )
+    else:
+        built_for, table = prefetched()
+        if built_for != positions:
+            raise RuntimeError(
+                "the prefetched PER table was built for other positions"
+            )
     n = placement.n_terminals
-    n_antennas = len(antenna_positions)
+    n_antennas = len(positions[1]) - n
     specs = []
     for leader in range(n):
         # Fellow terminals first, then every Eve antenna column.

@@ -4,25 +4,20 @@ The golden tables of ``tests/sim/test_accounting_golden.py`` pin the
 values on campaign-shaped inputs; this module pins the shapes and the
 sharing contract around them: scalars stay scalars, empty inputs keep
 their shape, block boundaries leave no seam, and the cached quadrature
-nodes cannot be written through.  It also pins the saturated fill and
-the thread split against the plain chain ``per_from_sinr_db_array(sinr
-+ offsets) @ weights``: the same bits at every shape and configuration,
-NaN and infinities included, fill thresholds that only cover nodes the
-chain itself maps to the fill constants, no thread left running, and
-no split inside a sharded campaign's workers.
+nodes cannot be written through.  It also pins the saturated fill
+against the plain chain ``per_from_sinr_db_array(sinr + offsets) @
+weights``: the same bits at every shape and configuration, NaN and
+infinities included, and fill thresholds that only cover nodes the
+chain itself maps to the fill constants.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.net import radio
 from repro.net.radio import (
     RadioConfig,
     _quadrature_nodes,
@@ -154,22 +149,6 @@ def test_nan_and_infinities_inside_a_table():
     assert np.isnan(table).sum() == 2
 
 
-@pytest.mark.parametrize("workers", [2, 3, 64])
-def test_serial_path_equals_threaded_path(monkeypatch, workers):
-    sinr = np.random.default_rng(workers).uniform(-60.0, 80.0, (9, 8, 9))
-    monkeypatch.setattr(radio, "_quadrature_workers", lambda n_blocks: min(workers, n_blocks))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the chunks as finely as possible
-    try:
-        threaded = expected_packet_loss(sinr, BITS, RadioConfig())
-    finally:
-        sys.setswitchinterval(interval)
-    monkeypatch.setattr(radio, "_quadrature_workers", lambda n_blocks: 1)
-    serial = expected_packet_loss(sinr, BITS, RadioConfig())
-    assert_same_bits(threaded, serial)
-    assert_same_bits(serial, plain_chain(sinr, BITS, RadioConfig()))
-
-
 @pytest.mark.parametrize("bits,gain", SATURATION_KEYS)
 def test_fill_thresholds_are_sound(bits, gain):
     low, low_value, high, high_value = _saturation(bits, gain)
@@ -203,35 +182,3 @@ def test_no_saturation_means_no_fill():
         assert_same_bits(
             expected_packet_loss(sinr, BITS, config), plain_chain(sinr, BITS, config)
         )
-
-
-@pytest.mark.parametrize("workers", [None, 2, 3])
-def test_no_thread_outlives_a_call(monkeypatch, workers):
-    if workers is not None:
-        monkeypatch.setattr(
-            radio, "_quadrature_workers", lambda n_blocks: min(workers, n_blocks)
-        )
-    before = threading.active_count()
-    expected_packet_loss(np.zeros((9, 8, 9)), BITS, RadioConfig())
-    assert threading.active_count() == before
-
-
-def test_workers_follow_cpu_affinity(monkeypatch):
-    monkeypatch.setattr(radio.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert radio._quadrature_workers(1) == 1
-    assert radio._quadrature_workers(2) == 2
-    assert radio._quadrature_workers(21) == 3
-    monkeypatch.delattr(radio.os, "sched_getaffinity")
-    monkeypatch.setattr(radio.os, "cpu_count", lambda: None)
-    assert radio._quadrature_workers(21) == 1
-
-
-def test_only_the_main_thread_of_a_top_level_process_splits(monkeypatch):
-    monkeypatch.setattr(radio.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert radio._quadrature_workers(21) == 3
-    with ThreadPoolExecutor(1) as pool:  # a thread-sharded campaign worker
-        assert pool.submit(radio._quadrature_workers, 21).result() == 1
-    with ProcessPoolExecutor(1) as pool:  # a process-sharded one
-        assert pool.submit(radio._quadrature_workers, 21).result() == 1
-    monkeypatch.setattr(radio.multiprocessing, "parent_process", lambda: object())
-    assert radio._quadrature_workers(21) == 1
