@@ -491,27 +491,25 @@ def campaign_sweep_manifest(
     )
 
 
-#: Pending placements whose PER tables the helper process of a serial
-#: batched campaign keeps queued ahead of the running experiment.
-_TABLES_AHEAD = 2
-
-
 def _table_helper_selected(n_pending: int) -> bool:
     """Whether a serial batched campaign builds PER tables on a helper.
 
     Decided from observable facts only.  The caller must be the main
-    thread of a process multiprocessing did not start: any other caller
-    is a worker of a sharded campaign (a thread or process pool, or a
-    queue worker of ``--workers-per-host``) whose peers already keep
-    the CPUs busy.  At least two CPUs must be usable, ``fork`` must be
-    the default start method (the helper inherits the loaded program
-    instead of importing it again), and at least two experiments must
-    be pending (the first table is always built in-line).
+    thread of a process multiprocessing did not start, with no live
+    multiprocessing children: any other caller is a worker of a
+    sharded campaign (a thread or process pool, or a queue worker of
+    ``--workers-per-host``), or the parent of such workers, whose peers
+    already keep the CPUs busy.  At least two CPUs must be usable,
+    ``fork`` must be the default start method (the helper inherits the
+    loaded program instead of importing it again), and at least two
+    experiments must be pending (the first table is always built
+    in-line).
     """
     if (
         n_pending < 2
         or threading.current_thread() is not threading.main_thread()
         or multiprocessing.parent_process() is not None
+        or multiprocessing.active_children()
     ):
         return False
     start_method = multiprocessing.get_start_method(allow_none=True)
@@ -546,10 +544,13 @@ def _prefetch_table(
 class _TablePrefetcher:
     """PER tables of a serial batched campaign's upcoming placements.
 
-    One helper process, forked at the first :meth:`table_for` call,
-    builds the tables of the next :data:`_TABLES_AHEAD` placements
-    while the running experiment's rounds use this process's core.
-    :meth:`close` ends it.
+    ``placements`` is the order the experiments are expected to run in:
+    the pending work list, or a manifest's pending keys in sweep order
+    (the order the work queue hands them out).  One helper process,
+    forked at the first :meth:`table_for` call, is handed every table
+    after that placement's at once and builds them in order while the
+    running experiments' rounds use this process's core.  :meth:`close`
+    ends it.
     """
 
     def __init__(
@@ -560,31 +561,35 @@ class _TablePrefetcher:
         self._futures: dict = {}
         self._pool: Optional[ProcessPoolExecutor] = None
 
-    def table_for(self, index: int) -> Optional[Callable[[], tuple]]:
-        """The ``prefetched`` source of placement ``index``'s table.
+    def table_for(self, placement: Placement) -> Optional[Callable[[], tuple]]:
+        """The ``prefetched`` source of ``placement``'s table.
 
-        Queues the tables of the placements after it first.  Returns
-        None when the table was not queued (placement 0: build it
-        in-line).  A dead helper raises :class:`ShardWorkerError`
-        naming placement ``index``, here or from the source.
+        Returns None when the helper was not handed the table (the
+        first placement, or one run out of order): build it in-line.
+        Tables queued before it are cancelled: in a manifest sweep,
+        peers ran those placements.  The source raises
+        :class:`ShardWorkerError` naming ``placement`` if the helper
+        died before building its table.
         """
-        label = placement_label(self._placements[index])
-        try:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    1, mp_context=multiprocessing.get_context("fork")
-                )
-            last = min(index + _TABLES_AHEAD, len(self._placements) - 1)
-            for ahead in range(index + 1, last + 1):
-                if ahead not in self._futures:
-                    self._futures[ahead] = self._pool.submit(
-                        self._job, self._placements[ahead]
-                    )
-        except BrokenProcessPool as exc:
-            raise _helper_failed(label, exc) from exc
-        future = self._futures.pop(index, None)
-        if future is None:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                1, mp_context=multiprocessing.get_context("fork")
+            )
+            start = self._placements.index(placement) + 1
+            for ahead in self._placements[start:]:
+                try:
+                    self._futures[ahead] = self._pool.submit(self._job, ahead)
+                except BrokenProcessPool:
+                    break  # the tables already handed out raise in fetch
             return None
+        if placement not in self._futures:
+            return None
+        for queued in list(self._futures):
+            future = self._futures.pop(queued)
+            if queued == placement:
+                break
+            future.cancel()
+        label = placement_label(placement)
 
         def fetch() -> tuple:
             try:
@@ -598,6 +603,21 @@ class _TablePrefetcher:
         """Cancel the queued tables and wait for the helper to exit."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _start_table_helper(
+    testbed: Testbed,
+    config: CampaignConfig,
+    engine: str,
+    max_workers: Optional[int],
+    upcoming: list,
+) -> Optional[_TablePrefetcher]:
+    """The PER-table helper of a serial batched campaign, if selected."""
+    if engine != "batched" or (max_workers or 1) > 1:
+        return None
+    if not _table_helper_selected(len(upcoming)):
+        return None
+    return _TablePrefetcher(testbed, config, upcoming)
 
 
 def _helper_failed(label: str, exc: BaseException) -> ShardWorkerError:
@@ -629,15 +649,16 @@ def run_campaign(
     to the serial run at a fixed seed — for the per-packet oracle too,
     whose 9·C(8,n)-experiment campaigns are the expensive ones.
 
-    The serial batched path may build the PER tables of the next
-    placements on one helper process while the running placement's
-    rounds use this one's core.  It does so only in the main thread of
-    a process multiprocessing did not start, with at least two usable
-    CPUs, ``fork`` as the default start method and at least two pending
-    experiments (:func:`_table_helper_selected`); never in manifest
-    mode.  The helper starts inside the first experiment and is shut
-    down, its queued tables cancelled, before this call returns or
-    raises.  Records and stored bytes are identical either way; a
+    A serial batched campaign (``max_workers`` None or 1, manifest mode
+    included) may build the PER tables of the upcoming placements on
+    one helper process while the running placement's rounds use this
+    one's core.  It does so only in the main thread of a process
+    multiprocessing did not start and that has no live multiprocessing
+    children, with at least two usable CPUs, ``fork`` as the default
+    start method and at least two pending experiments
+    (:func:`_table_helper_selected`).  The helper starts inside the
+    first experiment and is shut down, its queued tables cancelled,
+    before this call returns or raises.  Records and stored bytes are identical either way; a
     helper that dies raises
     :class:`~repro.sim.campaign.ShardWorkerError` naming the placement
     whose table it owed.
@@ -727,6 +748,13 @@ def run_campaign(
             rounds_per_leader,
         )
 
+    prefetch: Optional[_TablePrefetcher] = None
+
+    def run_item(placement: Placement) -> ExperimentRecord:
+        if prefetch is None:
+            return run_one(placement)
+        return run_one(placement, prefetched=prefetch.table_for(placement))
+
     if manifest is not None:
         # Multi-host sweep mode: this call is one worker of a named
         # sweep.  Claim pending experiments through the lease queue,
@@ -793,7 +821,7 @@ def run_campaign(
                 for n, placement in batch:
                     progress(n, placement)
             shard_map(
-                run_one,
+                run_item,
                 [placement for _, placement in batch],
                 max_workers=max_workers,
                 executor=executor,
@@ -810,12 +838,22 @@ def run_campaign(
                 DEFAULT_LEASE_TIMEOUT if lease_timeout is None else lease_timeout
             ),
         )
-        drain_manifest(
-            queue,
-            run_keys,
-            batch_size=max(1, max_workers or 1),
-            poll_interval=poll_interval,
+        # A single worker's queue hands out the pending keys in sweep
+        # order, so the helper builds their tables in that order.
+        prefetch = _start_table_helper(
+            testbed, config, engine, max_workers,
+            [by_key[key][1] for key in queue.pending()],
         )
+        try:
+            drain_manifest(
+                queue,
+                run_keys,
+                batch_size=max(1, max_workers or 1),
+                poll_interval=poll_interval,
+            )
+        finally:
+            if prefetch is not None:
+                prefetch.close()
         return CampaignResult(
             records=[
                 experiment_record_from_json(store.load(key))
@@ -853,32 +891,29 @@ def run_campaign(
             )
 
     if max_workers is None or max_workers <= 1:
-        prefetch = (
-            _TablePrefetcher(testbed, config, [p for _, p in pending_work])
-            if engine == "batched" and _table_helper_selected(len(pending_work))
-            else None
+        prefetch = _start_table_helper(
+            testbed, config, engine, max_workers,
+            [placement for _, placement in pending_work],
         )
 
         # Serial: fire progress just before each experiment, as before.
         def run_with_progress(item):
-            index, (n, placement) = item
+            n, placement = item
             if progress is not None:
                 progress(n, placement)
-            if prefetch is None:
-                return run_one(placement)
-            return run_one(placement, prefetched=prefetch.table_for(index))
+            return run_item(placement)
 
         try:
             results = shard_map(
                 run_with_progress,
-                list(enumerate(pending_work)),
+                pending_work,
                 max_workers=max_workers,
                 executor=executor,
-                label=lambda item: placement_label(item[1][1]),
+                label=lambda item: placement_label(item[1]),
                 on_result=(
                     None
                     if persist is None
-                    else lambda item, record: persist(item[1][1], record)
+                    else lambda item, record: persist(item[1], record)
                 ),
             )
         finally:

@@ -1,22 +1,24 @@
 """The PER-table helper process of a serial batched campaign.
 
-``run_campaign``'s serial batched path may build the next placements'
-PER tables on one forked helper process while the running experiment's
-rounds use the caller's core.  This module pins that the helper changes
-wall-clock only:
+``run_campaign``'s serial batched path (a single-worker manifest drain
+included) may build the upcoming placements' PER tables on one forked
+helper process while the running experiment's rounds use the caller's
+core.  This module pins that the helper changes wall-clock only:
 
 * equivalence: both Figure-2 estimator variants with an extra Eve
   antenna give the same records and the same stored shard lines on
   ``file:``, ``sqlite:`` and ``mem:`` stores with the helper selected
-  and deselected, and an interrupted-then-resumed campaign equals an
-  uninterrupted one;
+  and deselected, an interrupted-then-resumed campaign equals an
+  uninterrupted one, and so does a manifest drain of a partly finished
+  campaign; tables the caller passes over are cancelled;
 * lifecycle: no helper process and no thread outlives the call, on
   success, when an experiment raises, and when the helper dies; a dead
   helper surfaces as a ``ShardWorkerError`` naming the placement, with
   exactly the earlier experiments stored; invalid extra-antenna cells
   raise the in-line path's ``ValueError`` at the same experiment;
-* the selection rule: no helper in pool threads, pool processes,
-  manifest mode, the packet engine, with one usable CPU or with one
+* the selection rule: no helper in pool threads, pool processes, a
+  process with live multiprocessing children, sharded (manifest or
+  not) campaigns, the packet engine, with one usable CPU or with one
   pending experiment.
 
 Every test forces the side of the selection it needs, so the module
@@ -28,7 +30,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import re
+import sys
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
@@ -204,6 +208,69 @@ def test_resumed_campaign_equals_uninterrupted(scheme, k, tmp_path, monkeypatch)
     assert shard_lines(store) == shard_lines(whole_store)
 
 
+@pytest.mark.parametrize("scheme", ["file", "sqlite", "mem"])
+def test_manifest_drain_with_helper_equals_uninterrupted(
+    scheme, tmp_path, monkeypatch, prefetched_calls, no_leftovers
+):
+    """A single-worker drain of a partly finished campaign: the helper
+    builds the pending keys' tables in the order the queue hands them
+    out."""
+    select_helper(monkeypatch, False)
+    whole_store = open_store(store_uri(scheme, tmp_path, "whole"))
+    whole = run(whole_store, resume=False)
+
+    def stop_after_two(n, placement):
+        if len(prefetched_calls) == 2:
+            raise Interrupt
+
+    store = open_store(store_uri(scheme, tmp_path, "drained"))
+    prefetched_calls.clear()
+    with pytest.raises(Interrupt):
+        run(store, progress=stop_after_two)
+    select_helper(monkeypatch, True)
+    prefetched_calls.clear()
+    drained = run(store, manifest="sweep")
+    assert prefetched_calls == [False] + [True] * (len(WORK) - 3)
+    assert encoded(drained) == encoded(whole)
+    assert shard_lines(store) == shard_lines(whole_store)
+
+
+#: Set by a test before the helper forks: the file the gated job waits
+#: for, and the file it logs each placement it builds to.
+GATE = LOG = None
+
+
+def gated_job(testbed, placement, config):
+    """Hold the helper on placement 1's table until the gate opens."""
+    while placement == WORK[1] and not GATE.exists():
+        time.sleep(0.005)
+    with open(LOG, "a") as log:
+        log.write(f"{WORK.index(placement)}\n")
+    return BUILD_TABLE(testbed, placement, config)
+
+
+def test_tables_passed_over_are_cancelled(monkeypatch, tmp_path, no_leftovers):
+    """A drain whose peers ran placements 1-7: while the helper is held
+    on 1, at most the two tables queued behind it are built."""
+    monkeypatch.setattr(sys.modules[__name__], "GATE", tmp_path / "gate")
+    monkeypatch.setattr(sys.modules[__name__], "LOG", tmp_path / "log")
+    monkeypatch.setattr(experiments, "_prefetch_table", gated_job)
+    prefetch = experiments._TablePrefetcher(TESTBED, CONFIG, WORK)
+    try:
+        assert prefetch.table_for(WORK[0]) is None  # built in-line
+        fetch = prefetch.table_for(WORK[-1])
+        GATE.touch()
+        (tx, rx), table = fetch()
+        assert prefetch.table_for(WORK[2]) is None  # out of order: in-line
+    finally:
+        prefetch.close()
+    (tx0, rx0), table0 = BUILD_TABLE(TESTBED, WORK[-1], CONFIG)
+    assert (tx, rx) == (tx0, rx0) and (table == table0).all()
+    built = [int(line) for line in LOG.read_text().split()]
+    assert built[0] == 1 and built[-1] == len(WORK) - 1
+    assert set(built) <= {1, 2, 3, len(WORK) - 1}
+
+
 def test_a_table_for_other_positions_is_refused():
     placement = WORK[0]
     (tx, rx), table = BUILD_TABLE(TESTBED, placement, CONFIG)
@@ -258,10 +325,10 @@ def die_on_last(testbed, placement, config):
 
 @pytest.mark.parametrize(
     "job,dead",
-    # The first table is built in-line, so the first job is placement
-    # 1's.  It dies while placement 0 runs: the next submit or the
-    # wait for its table sees it.  The last job dies after every
-    # submit, so only the wait for its table sees it.
+    # The first table is built in-line and every later one is handed
+    # to the helper then, so the first job is placement 1's: it dies
+    # while placement 0 runs, and the wait for its table sees it.  The
+    # last job dies after every other table was built.
     [(die_on_first, 1), (die_on_last, len(WORK) - 1)],
 )
 def test_dead_helper_names_the_placement(
@@ -336,6 +403,20 @@ def test_not_selected_without_fork(two_cpus_and_fork, monkeypatch, method):
     assert not experiments._table_helper_selected(5)
 
 
+def test_not_selected_with_live_children(two_cpus_and_fork):
+    """The parent of ``--workers-per-host`` drain processes shares the
+    CPUs with them."""
+    done = multiprocessing.get_context("fork").Event()
+    child = multiprocessing.get_context("fork").Process(target=done.wait)
+    child.start()
+    try:
+        assert not experiments._table_helper_selected(5)
+    finally:
+        done.set()
+        child.join()
+    assert experiments._table_helper_selected(5)
+
+
 def test_not_selected_in_pool_workers(two_cpus_and_fork):
     with ThreadPoolExecutor(1) as pool:  # a thread-sharded campaign worker
         assert not pool.submit(experiments._table_helper_selected, 5).result()
@@ -369,12 +450,15 @@ def test_selection_starts_one_helper(monkeypatch, helper_starts):
     assert helper_starts == [1]
 
 
-def test_no_helper_in_sharded_manifest_or_packet_campaigns(
+def test_no_helper_in_sharded_or_packet_campaigns(
     monkeypatch, helper_starts, tmp_path
 ):
     select_helper(monkeypatch, True)
     run(max_workers=2, executor="thread")
-    run(store=open_store(f"file:{tmp_path}"), manifest="sweep")
+    run(
+        store=open_store(f"file:{tmp_path}"), manifest="sweep",
+        max_workers=2, executor="thread",
+    )
     run_campaign(
         TESTBED,
         oracle_factory,
