@@ -26,14 +26,12 @@ sys.path.insert(0, os.path.join(REPO, "scripts"))
 
 from run_benchmarks import BENCHMARKS  # noqa: E402
 
-#: The hot paths worth a call tree: the campaign engine pair whose
-#: ratio is the cross-cell speedup claim, and the store round-trips.
+#: The hot paths worth a call tree: the batched and cross-cell
+#: campaigns, and the store round-trip.
 DEFAULT_PROFILED = (
     "batched_campaign",
     "campaign_cross_cell",
-    "campaign_cross_cell_percell",
     "store_roundtrip",
-    "store_roundtrip_binary",
 )
 
 

@@ -61,7 +61,6 @@ from repro.sim import (  # noqa: E402
     OracleEstimatorSpec,
     ScenarioGrid,
 )
-from repro.store import open_store  # noqa: E402
 from repro.store.store import CampaignStore  # noqa: E402
 from repro.testbed.deployment import Testbed, TestbedConfig  # noqa: E402
 from repro.testbed.pertable import placement_schedule_specs  # noqa: E402
@@ -111,8 +110,7 @@ def bench_batched_campaign() -> None:
 
 #: Many cells per loss model: one stack signature (same n, loss,
 #: adversary, N) spanning the estimator-policy axis, the shape the
-#: cross-cell kernels amortise over.  Shared by the stacked/per-cell
-#: benchmark pair so their ratio isolates the kernel batching itself.
+#: cross-cell kernels amortise over.
 _CROSS_CELL_GRID = ScenarioGrid(
     group_sizes=(4,),
     loss_models=(IIDLossSpec(0.4),),
@@ -138,12 +136,6 @@ _CROSS_CELL_GRID = ScenarioGrid(
 def bench_campaign_cross_cell() -> None:
     """Seven same-signature cells through one stacked kernel pass."""
     CampaignRunner(seed=7).run(_CROSS_CELL_GRID)
-
-
-def bench_campaign_cross_cell_percell() -> None:
-    """The same grid on the historical one-engine-per-cell path: the
-    denominator of the cross-cell speedup claim."""
-    CampaignRunner(seed=7, cell_batching=False).run(_CROSS_CELL_GRID)
 
 
 def bench_pertable_bridge() -> None:
@@ -192,16 +184,6 @@ _STORE_RECORD = {
 _STORE_FLUSH = 75
 
 
-def _store_roundtrip(store: CampaignStore) -> None:
-    for start in range(0, 300, _STORE_FLUSH):
-        store.append_batch(
-            (f"{i:020x}", dict(_STORE_RECORD, secret_bits=i))
-            for i in range(start, start + _STORE_FLUSH)
-        )
-    total = sum(1 for _ in store.stream())
-    assert total == 300
-
-
 def bench_store_roundtrip():
     """Append + dedupe-read 300 records in batched durable flushes.
 
@@ -209,14 +191,14 @@ def bench_store_roundtrip():
     is not the store's work, so it is returned as an untimed cleanup.
     """
     root = tempfile.mkdtemp(prefix="bench-store-")
-    _store_roundtrip(CampaignStore(root))
-    return lambda: shutil.rmtree(root, ignore_errors=True)
-
-
-def bench_store_roundtrip_binary():
-    """The same round-trip under the length-prefixed binary codec."""
-    root = tempfile.mkdtemp(prefix="bench-store-rbin-")
-    _store_roundtrip(open_store(f"file:{root}?codec=binary"))
+    store = CampaignStore(root)
+    for start in range(0, 300, _STORE_FLUSH):
+        store.append_batch(
+            (f"{i:020x}", dict(_STORE_RECORD, secret_bits=i))
+            for i in range(start, start + _STORE_FLUSH)
+        )
+    total = sum(1 for _ in store.stream())
+    assert total == 300
     return lambda: shutil.rmtree(root, ignore_errors=True)
 
 
@@ -271,12 +253,10 @@ BENCHMARKS = {
     "calibration": bench_calibration,
     "batched_campaign": bench_batched_campaign,
     "campaign_cross_cell": bench_campaign_cross_cell,
-    "campaign_cross_cell_percell": bench_campaign_cross_cell_percell,
     "pertable_bridge": bench_pertable_bridge,
     "allocation_lp": bench_allocation_lp,
     "realised_flow": bench_realised_flow,
     "store_roundtrip": bench_store_roundtrip,
-    "store_roundtrip_binary": bench_store_roundtrip_binary,
     "service_handshake": bench_service_handshake,
     "service_concurrent": bench_service_concurrent,
     "leakage_accounting": bench_leakage_accounting,
@@ -289,7 +269,6 @@ BENCHMARKS = {
 #: (an accidental O(n^2) rescan, a lost batching).
 THRESHOLD_OVERRIDES = {
     "store_roundtrip": 3.0,
-    "store_roundtrip_binary": 3.0,
 }
 
 

@@ -22,10 +22,11 @@ sweeping one grid stays valid when the grid later grows.
 
 Checkpoint/resume: pass ``store=`` (a
 :class:`repro.store.CampaignStore` or a directory path) and every
-completed cell is durably appended to its content-keyed JSONL shard
-the moment its worker finishes; a re-run with ``resume=True`` (the
-default) loads finished cells instead of recomputing them and ends
-bit-identical to an uninterrupted run.
+completed group of stacked cells is durably appended, one record per
+cell to its content-keyed JSONL shard, the moment its worker finishes;
+a re-run with ``resume=True`` (the default) loads finished cells
+instead of recomputing them and ends bit-identical to an
+uninterrupted run.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from concurrent.futures import (
     as_completed,
 )
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.sim.engine import BatchedRoundEngine, BatchResult
+from repro.sim.engine import BatchResult
 from repro.sim.stack import group_cells, run_stacked_batch
 from repro.sim.spec import (
     AdversarySpec,
@@ -319,30 +320,15 @@ class SimCampaignResult:
         return sum(o.result.rounds for o in self.outcomes)
 
 
-def _run_scenario_cell(item) -> ScenarioOutcome:
-    """Module-level cell worker (process pools must pickle it).
-
-    ``item`` is ``(scenario, campaign_seed, spawn_key)``: the generator
-    is rebuilt from raw entropy on the worker side, so the same item
-    produces the same batch in any process.
-    """
-    scenario, entropy, spawn_key = item
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
-    )
-    return ScenarioOutcome(
-        scenario=scenario, result=BatchedRoundEngine(scenario, rng=rng).run()
-    )
-
-
 def _run_scenario_group(group) -> List[ScenarioOutcome]:
     """Module-level group worker: one stacked pass over a tuple of
     same-signature cell items (process pools must pickle it).
 
-    Each item is the :func:`_run_scenario_cell` triple; generators are
-    rebuilt from raw entropy exactly as the per-cell worker rebuilds
-    them, so grouping changes kernel batching only — every cell's
-    result is bit-identical to its per-cell run.
+    Each item is ``(scenario, campaign_seed, spawn_key)``: the cell's
+    generator is rebuilt from raw entropy on the worker side, so the
+    same item produces the same batch in any process, and every cell's
+    result is bit-identical to a :class:`~repro.sim.engine.BatchedRoundEngine`
+    run of that cell alone (``tests/sim/test_stack.py``).
     """
     scenarios = [item[0] for item in group]
     rngs = [
@@ -385,13 +371,10 @@ class CampaignRunner:
         resume: with a store, load already-completed cells instead of
             recomputing them (default).  ``False`` recomputes every
             cell and supersedes the stored records.
-        cell_batching: stack cells sharing a
-            :func:`~repro.sim.stack.stack_signature` into one kernel
-            pass (default), persisting each group with one durable
-            batched append.  ``False`` runs the historical
-            one-engine-per-cell path.  Results are bit-identical
-            either way — per-cell generators stay content-keyed — so
-            this is a throughput knob, not a semantics knob.
+
+    Cells sharing a :func:`~repro.sim.stack.stack_signature` run as one
+    stacked kernel pass, and each group is persisted with one durable
+    batched append.
     """
 
     def __init__(
@@ -401,14 +384,12 @@ class CampaignRunner:
         executor: str = "auto",
         store=None,
         resume: bool = True,
-        cell_batching: bool = True,
     ) -> None:
         self.seed = seed
         self.max_workers = max_workers
         self.executor = executor
         self.store = _as_store(store)
         self.resume = resume
-        self.cell_batching = cell_batching
 
     def cell_key(self, scenario: Scenario) -> str:
         """The cell's store shard key: a content hash of (seed, spec)."""
@@ -488,9 +469,10 @@ class CampaignRunner:
 
         The worker loop: claim up to ``max_workers`` pending cells via
         the :class:`~repro.store.WorkQueue` (``O_EXCL`` leases; expired
-        leases of dead workers are reclaimed), run them through
-        :func:`shard_map`, persist each outcome the moment its worker
-        finishes (the ``on_result`` hook), release the leases, repeat.
+        leases of dead workers are reclaimed), run them in stacked
+        groups through :func:`shard_map`, persist each group the moment
+        its worker finishes (the ``on_result`` hook), release the
+        leases, repeat.
         Cells claimed by live peers are awaited — their records appear
         in the store — so every concurrent caller returns the complete
         :class:`SimCampaignResult`, assembled in manifest order and
@@ -519,11 +501,7 @@ class CampaignRunner:
             WorkQueue,
             drain_manifest,
         )
-        from repro.store.records import (
-            decode_spec,
-            scenario_outcome_from_json,
-            scenario_outcome_to_json,
-        )
+        from repro.store.records import decode_spec, scenario_outcome_from_json
 
         if isinstance(manifest, str):
             manifest = SweepManifest.load(self.store, manifest)
@@ -546,43 +524,12 @@ class CampaignRunner:
         # shard key; never recompute a fingerprint past this point.
         key_of = {scenario: key for key, scenario in scenarios.items()}
 
-        def persist(item, outcome: ScenarioOutcome) -> None:
-            self.store.append(
-                key_of[outcome.scenario], scenario_outcome_to_json(outcome)
-            )
-
-        def persist_group(item, group_outcomes) -> None:
-            # One durable flush per stacked group, not one per cell.
-            self.store.append_batch(
-                (key_of[outcome.scenario], scenario_outcome_to_json(outcome))
-                for outcome in group_outcomes
-            )
-
         def run_keys(keys) -> None:
-            items = []
-            for key in keys:
-                if progress is not None:
+            if progress is not None:
+                for key in keys:
                     progress(scenarios[key])
-                seq = self.cell_seed_sequence(scenarios[key])
-                items.append((scenarios[key], seq.entropy, seq.spawn_key))
-            if self.cell_batching:
-                group_indices = group_cells([item[0] for item in items])
-                shard_map(
-                    _run_scenario_group,
-                    [tuple(items[i] for i in idxs) for idxs in group_indices],
-                    max_workers=self.max_workers,
-                    executor=self.executor,
-                    label=_group_label,
-                    on_result=persist_group,
-                )
-                return
-            shard_map(
-                _run_scenario_cell,
-                items,
-                max_workers=self.max_workers,
-                executor=self.executor,
-                label=lambda item: item[0].label(),
-                on_result=persist,
+            self._run_cells(
+                [scenarios[key] for key in keys], key_of.__getitem__
             )
 
         queue = WorkQueue(
@@ -664,65 +611,58 @@ class CampaignRunner:
             for index in pending:
                 progress(cells[index])
 
+        results = self._run_cells(
+            [cells[index] for index in pending], self.cell_key
+        )
+        for index, outcome in zip(pending, results):
+            outcomes[index] = outcome
+        return SimCampaignResult(outcomes=outcomes)
+
+    def _run_cells(
+        self, cells: Sequence[Scenario], key: Callable[[Scenario], str]
+    ) -> List[ScenarioOutcome]:
+        """Run ``cells`` in stacked groups; outcomes in cell order.
+
+        Cells are grouped by :func:`~repro.sim.stack.group_cells`, each
+        group runs as one :func:`_run_scenario_group` pass through
+        :func:`shard_map`, and with a store each finished group is
+        persisted under ``key(scenario)`` with one durable
+        ``append_batch``.
+        """
         # One seeding recipe: cell_seed_sequence is the authority, and
         # the worker rebuilds the identical sequence from its raw
         # (entropy, spawn_key) parts — the picklable form process pools
         # need.
         items = []
-        for index in pending:
-            seq = self.cell_seed_sequence(cells[index])
-            items.append((cells[index], seq.entropy, seq.spawn_key))
+        for scenario in cells:
+            seq = self.cell_seed_sequence(scenario)
+            items.append((scenario, seq.entropy, seq.spawn_key))
 
-        if self.cell_batching:
-            on_group = None
-            if self.store is not None:
-                from repro.store.records import scenario_outcome_to_json
+        on_group = None
+        if self.store is not None:
+            from repro.store.records import scenario_outcome_to_json
 
-                def on_group(item, group_outcomes) -> None:
-                    # One durable flush per stacked group.
-                    self.store.append_batch(
-                        (
-                            self.cell_key(outcome.scenario),
-                            scenario_outcome_to_json(outcome),
-                        )
-                        for outcome in group_outcomes
-                    )
+            def on_group(group, group_outcomes) -> None:
+                self.store.append_batch(
+                    (key(outcome.scenario), scenario_outcome_to_json(outcome))
+                    for outcome in group_outcomes
+                )
 
-            group_indices = group_cells([item[0] for item in items])
-            group_results = shard_map(
-                _run_scenario_group,
-                [tuple(items[i] for i in idxs) for idxs in group_indices],
-                max_workers=self.max_workers,
-                executor=self.executor,
-                label=_group_label,
-                on_result=on_group,
-            )
-            results: List[Optional[ScenarioOutcome]] = [None] * len(items)
-            for idxs, group_outcomes in zip(group_indices, group_results):
-                for i, outcome in zip(idxs, group_outcomes):
-                    results[i] = outcome
-        else:
-            on_result = None
-            if self.store is not None:
-                from repro.store.records import scenario_outcome_to_json
-
-                def on_result(item, outcome) -> None:
-                    self.store.append(
-                        self.cell_key(outcome.scenario),
-                        scenario_outcome_to_json(outcome),
-                    )
-
-            results = shard_map(
-                _run_scenario_cell,
-                items,
-                max_workers=self.max_workers,
-                executor=self.executor,
-                label=lambda item: item[0].label(),
-                on_result=on_result,
-            )
-        for index, outcome in zip(pending, results):
-            outcomes[index] = outcome
-        return SimCampaignResult(outcomes=outcomes)
+        group_indices = group_cells(list(cells))
+        group_results = shard_map(
+            _run_scenario_group,
+            [tuple(items[i] for i in idxs) for idxs in group_indices],
+            max_workers=self.max_workers,
+            executor=self.executor,
+            label=_group_label,
+            on_result=on_group,
+        )
+        by_index = {
+            i: outcome
+            for idxs, group_outcomes in zip(group_indices, group_results)
+            for i, outcome in zip(idxs, group_outcomes)
+        }
+        return [by_index[i] for i in range(len(items))]
 
 
 def _as_store(store):
@@ -751,7 +691,6 @@ def run_sim_campaign(
     store=None,
     resume: bool = True,
     manifest: Optional[str] = None,
-    cell_batching: bool = True,
 ) -> SimCampaignResult:
     """Convenience wrapper: ``CampaignRunner(...).run(grid)``."""
     return CampaignRunner(
@@ -760,5 +699,4 @@ def run_sim_campaign(
         executor=executor,
         store=store,
         resume=resume,
-        cell_batching=cell_batching,
     ).run(grid, progress=progress, manifest=manifest)

@@ -12,8 +12,9 @@ transforms **once per group** instead of once per cell.
 
 Seed discipline (the bit-identity contract):
 
-* Every cell keeps its private generator, derived exactly as the
-  per-cell path derives it (``SeedSequence(entropy=campaign_seed,
+* Every cell keeps its private generator, content-keyed as
+  :meth:`~repro.sim.campaign.CampaignRunner.cell_seed_sequence`
+  derives it (``SeedSequence(entropy=campaign_seed,
   spawn_key=content-hash(cell))``).  The stacked reception tensor is
   **shared storage, not shared randomness**: each cell's block is
   filled by the very same :func:`~repro.sim.reception.sample_receptions`
@@ -23,10 +24,11 @@ Seed discipline (the bit-identity contract):
   cell) pair per round — and the stacked path preserves that order
   per cell exactly.
 
-Consequently every stored shard, resumed campaign, and aggregate is
-bit-identical between the stacked and per-cell paths; the equivalence
-suite (``tests/sim/test_stack.py``) and
-``scripts/check_sweep_equivalence.py`` pin this byte-for-byte.
+Consequently every cell's result is bit-identical to a
+:class:`~repro.sim.engine.BatchedRoundEngine` run of that cell alone
+(``tests/sim/test_stack.py``), and the stored lines of a stacked
+campaign are pinned on every backend by
+``tests/store/test_store_golden.py``.
 
 There is one accounting kernel, and it lives in :mod:`repro.sim.engine`:
 the pattern histogram and zeta transforms

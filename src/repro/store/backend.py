@@ -48,8 +48,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.store.codec import check_codec
-
 if TYPE_CHECKING:
     from repro.store.store import CampaignStore
 
@@ -247,32 +245,9 @@ class StoreBackend(ABC):
         """The lease backend sharing this storage (and its clock domain)."""
 
 
-def _parse_codec_query(spec: str, rest: str) -> Tuple[str, Optional[str]]:
-    """Split a ``?codec=NAME`` query off a URI's scheme-specific part.
-
-    Only ``codec`` is a known query key; anything else is an error so a
-    typo (``?codek=binary``) cannot silently open a default-codec
-    store.  Bare paths never reach here — a literal ``?`` in a
-    directory name stays a path character when no scheme was given.
-    """
-    if "?" not in rest:
-        return rest, None
-    rest, query = rest.split("?", 1)
-    codec: Optional[str] = None
-    for pair in query.split("&"):
-        if not pair:
-            continue
-        name, _, value = pair.partition("=")
-        if name != "codec":
-            raise ValueError(f"unknown store URI query {name!r} in {spec!r}")
-        codec = check_codec(value)
-    return rest, codec
-
-
 def open_backend(
     target: Union[str, "os.PathLike[str]", StoreBackend],
     create: bool = True,
-    codec: Optional[str] = None,
 ) -> StoreBackend:
     """Resolve a store URI (or bare path, or backend) to a backend.
 
@@ -283,12 +258,11 @@ def open_backend(
     not create stores as a side effect) — :class:`FileNotFoundError`
     otherwise.
 
-    ``codec`` selects the record codec new shards are written with
-    (``jsonl``, the default, or the length-prefixed ``binary`` framing
-    of :mod:`repro.store.codec`); a ``?codec=NAME`` query on the URI
-    means the same and wins over the keyword.  Reads understand both
-    layouts regardless, so a store written under one codec reopens
-    under any.
+    Store URIs take no query: a ``?`` after a scheme raises
+    :class:`ValueError` rather than silently becoming part of a path
+    or store name.  A bare path never reaches that check — a literal
+    ``?`` in a directory name stays a path character when no scheme
+    was given.
     """
     if isinstance(target, StoreBackend):
         return target
@@ -303,11 +277,8 @@ def open_backend(
                 f"unknown store scheme {scheme!r} in {spec!r} "
                 "(known: file:, sqlite:, mem:)"
             )
-        rest, uri_codec = _parse_codec_query(spec, rest)
-        if uri_codec is not None:
-            codec = uri_codec
-    if codec is not None:
-        check_codec(codec)
+        if "?" in rest:
+            raise ValueError(f"store URIs take no query: {spec!r}")
     # file://host/path is out of scope; strip the empty-authority form.
     if rest.startswith("//"):
         rest = rest[2:]
@@ -316,32 +287,28 @@ def open_backend(
     if scheme == "file":
         from repro.store.backend_fs import FilesystemStoreBackend
 
-        return FilesystemStoreBackend(
-            rest, create=create, codec=codec or "jsonl"
-        )
+        return FilesystemStoreBackend(rest, create=create)
     if scheme == "sqlite":
         from repro.store.backend_sqlite import SqliteStoreBackend
 
-        return SqliteStoreBackend(rest, create=create, codec=codec or "jsonl")
+        return SqliteStoreBackend(rest, create=create)
     from repro.store.backend_mem import MemoryStoreBackend
 
-    return MemoryStoreBackend.named(rest, create=create, codec=codec)
+    return MemoryStoreBackend.named(rest, create=create)
 
 
 def open_store(
     target: Union[str, "os.PathLike[str]", StoreBackend],
     create: bool = True,
-    codec: Optional[str] = None,
 ) -> "CampaignStore":
     """Open a :class:`~repro.store.store.CampaignStore` by URI.
 
     The one entry point runners and scripts route ``--store URI``
-    through; see :func:`open_backend` for the scheme table and the
-    ``?codec=binary`` record-layout query.
+    through; see :func:`open_backend` for the scheme table.
     """
     from repro.store.store import CampaignStore
 
-    return CampaignStore(open_backend(target, create=create, codec=codec))
+    return CampaignStore(open_backend(target, create=create))
 
 
 def copy_store(
@@ -358,11 +325,10 @@ def copy_store(
     store is exported to a durable one at the end of a drill, and the
     seed of the cross-store fleet aggregation the roadmap names.
 
-    Records cross the interface as complete lines — the codec-neutral
-    form — so copying between stores of different record codecs
-    (``file:A`` → ``file:B?codec=binary`` and back) is a lossless
-    transcode: the destination's backend lays the same lines out in
-    its own codec.  Each shard lands in one batched append.
+    Records cross the interface as complete lines, so copying between
+    backends (``mem:`` → ``file:``, ``file:`` → ``sqlite:``) is
+    lossless: the destination lays the same lines out its own way.
+    Each shard lands in one batched append.
     """
     copied = 0
     for key in src.backend.record_keys() if keys is None else keys:

@@ -7,7 +7,6 @@ wrote before backends existed — existing stores open unchanged):
 
     store-root/
         3f9c2a41d0b8e7665f21.jsonl     # one shard per record key
-        9b01d4c7aa35e2f08c44.rbin      # ...binary-codec shards (?codec=binary)
         nightly-ref.manifest.json      # documents (sweep manifests)
         leases/
             .clock.<worker-token>      # clock-domain probe files
@@ -35,7 +34,7 @@ import socket
 import time
 import uuid
 from pathlib import Path
-from typing import IO, Dict, List, Optional, Sequence, Union
+from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.store.backend import (
     LeaseBackend,
@@ -43,13 +42,6 @@ from repro.store.backend import (
     StoreBackend,
     check_key,
     check_name,
-)
-from repro.store.codec import (
-    BINARY_EXTENSION,
-    check_codec,
-    decode_frames,
-    encode_frames,
-    scan_frames,
 )
 
 __all__ = ["FilesystemLeaseBackend", "FilesystemStoreBackend"]
@@ -286,15 +278,11 @@ class FilesystemLeaseBackend(LeaseBackend):
 class FilesystemStoreBackend(StoreBackend):
     """One directory of record shards, manifest documents, and leases.
 
-    ``codec`` selects the layout *new* shards are written with:
-    ``jsonl`` (the historical fsynced-lines format, byte-identical to
-    what PR 4/5 wrote) or ``binary`` (the length-prefixed CRC frames
-    of :mod:`repro.store.codec`, as ``.rbin`` files).  Reads dispatch
-    on each shard file's extension, and appends stick to an existing
-    shard's on-disk layout — so a store written under one codec
-    reopens, resumes, and appends correctly under any, and a single
-    directory may hold both layouts side by side (e.g. after a
-    partial transcode).
+    Every shard is a ``<key>.jsonl`` file of fsynced lines.  A directory
+    holding binary-framed ``*.rbin`` shards (a record layout older
+    versions could write) is refused at open with a
+    :class:`ValueError` naming one of them, rather than reading as
+    partly empty.
     """
 
     scheme = "file"
@@ -303,57 +291,37 @@ class FilesystemStoreBackend(StoreBackend):
         self,
         root: Union[str, "os.PathLike[str]"],
         create: bool = True,
-        codec: str = "jsonl",
     ) -> None:
         self.root = Path(root)
-        self.codec = check_codec(codec)
         if create:
             # Eagerly, so ``--store DIR`` fails fast on an unwritable
             # path rather than mid-campaign.
             self.root.mkdir(parents=True, exist_ok=True)
         elif not self.root.is_dir():
             raise FileNotFoundError(f"no store directory at {self.root}")
+        legacy = next(self.root.glob("*.rbin"), None)
+        if legacy is not None:
+            raise ValueError(
+                f"store {self.root} holds binary-framed shards ({legacy.name}"
+                " and maybe more), a layout this version no longer reads; "
+                "transcode the store to JSONL with repro.store.copy_store "
+                "at commit 713d5a7, then reopen the copy"
+            )
         self._leases = FilesystemLeaseBackend(self.root / "leases")
 
     @property
     def uri(self) -> str:
-        if self.codec != "jsonl":
-            return f"file:{self.root}?codec={self.codec}"
         return f"file:{self.root}"
 
     # -- records -----------------------------------------------------------
 
     def shard_path(self, key: str) -> Path:
-        """The key's shard file: the existing *non-empty* one, else the
-        codec's.
-
-        An existing shard keeps its layout whatever codec the store was
-        opened with (appends must extend what is on disk); a fresh key
-        gets the store codec's extension.  ``.jsonl`` wins the
-        pathological both-non-empty case deterministically.
-
-        Only a shard that actually holds bytes is layout-sticky: a
-        zero-length file commits to no layout (no line, no frame), and
-        letting it pin one would shadow a populated sibling — an empty
-        ``key.jsonl`` left by a crashed writer would hide every record
-        in ``key.rbin`` from reads and route appends to the wrong
-        layout.  Empty debris is simply ignored; the codec's extension
-        decides, exactly as for a fresh key.
-        """
-        check_key(key)
-        for ext in (".jsonl", BINARY_EXTENSION):
-            path = self.root / f"{key}{ext}"
-            try:
-                if path.stat().st_size > 0:
-                    return path
-            except OSError:
-                continue
-        ext = BINARY_EXTENSION if self.codec == "binary" else ".jsonl"
-        return self.root / f"{key}{ext}"
+        """The key's shard file, ``root/<key>.jsonl``."""
+        return self.root / f"{check_key(key)}.jsonl"
 
     @staticmethod
-    def _seal_jsonl(f: IO[bytes]) -> None:
-        """Terminate a torn JSONL trailer so the next record starts clean.
+    def _write_lines(f: IO[bytes], lines: Sequence[str]) -> None:
+        """Seal a torn trailer, then buffer ``lines`` newline-terminated.
 
         A previous crash may have left an unterminated fragment; sealed
         with ``\\n`` it parses as one dead line instead of swallowing
@@ -363,31 +331,7 @@ class FilesystemStoreBackend(StoreBackend):
             f.seek(-1, os.SEEK_END)
             if f.read(1) != b"\n":
                 f.write(b"\n")
-
-    @staticmethod
-    def _seal_binary(f: IO[bytes]) -> None:
-        """Truncate crash debris after the last complete binary frame.
-
-        Frames carry no terminator, so a torn trailer would otherwise
-        hide every frame appended after it from the scan.  Binary
-        shards are small (a handful of records), so re-scanning the
-        file on append is cheap certainty.
-        """
-        if f.tell() > 0:
-            f.seek(0)
-            _, consumed = scan_frames(f.read())
-            f.truncate(consumed)
-
-    def _write_records(self, f: IO[bytes], path: Path, lines: Sequence[str]) -> None:
-        """Seal the shard and buffer ``lines`` in its on-disk layout."""
-        if path.suffix == BINARY_EXTENSION:
-            self._seal_binary(f)
-            f.write(encode_frames(lines))
-        else:
-            self._seal_jsonl(f)
-            f.write(
-                b"".join(line.encode("utf-8") + b"\n" for line in lines)
-            )
+        f.write(b"".join(line.encode("utf-8") + b"\n" for line in lines))
 
     def append_record(self, key: str, line: str) -> None:
         path = self.shard_path(key)
@@ -401,7 +345,7 @@ class FilesystemStoreBackend(StoreBackend):
             self.root.mkdir(parents=True, exist_ok=True)
             f = open(path, "a+b")
         with f:
-            self._write_records(f, path, [line])
+            self._write_lines(f, [line])
             f.flush()
             os.fsync(f.fileno())
 
@@ -423,30 +367,22 @@ class FilesystemStoreBackend(StoreBackend):
             return
         self.root.mkdir(parents=True, exist_ok=True)
         for key, lines in grouped.items():
-            path = self.shard_path(key)
-            with open(path, "a+b") as f:
-                self._write_records(f, path, lines)
+            with open(self.shard_path(key), "a+b") as f:
+                self._write_lines(f, lines)
                 f.flush()
         os.sync()
 
     def read_records(self, key: str) -> List[str]:
         """The shard's complete record lines, torn trailer excluded.
 
-        A record only counts once its write completed — the crash
-        signature (an unterminated JSONL line; a short or CRC-failing
-        binary frame) ends the scan, so a torn write surfaces as *no*
-        line, never a mangled one.
+        A record only counts once its write completed — an
+        unterminated trailing line (the crash signature) ends the
+        scan, so a torn write surfaces as *no* line, never a mangled
+        one.
         """
-        path = self.shard_path(key)
         lines: List[str] = []
-        if path.suffix == BINARY_EXTENSION:
-            try:
-                data = path.read_bytes()
-            except FileNotFoundError:
-                return lines
-            return [line for line in decode_frames(data) if line.strip()]
         try:
-            f = open(path, "r", encoding="utf-8")
+            f = open(self.shard_path(key), "r", encoding="utf-8")
         except FileNotFoundError:
             return lines
         with f:
@@ -459,13 +395,7 @@ class FilesystemStoreBackend(StoreBackend):
         return lines
 
     def record_keys(self) -> List[str]:
-        return sorted(
-            {p.stem for p in self.root.glob("*.jsonl")}
-            | {p.stem for p in self.root.glob(f"*{BINARY_EXTENSION}")}
-        )
-
-    def count_keys(self) -> int:
-        return len(self.record_keys())
+        return sorted(p.stem for p in self.root.glob("*.jsonl"))
 
     # -- documents ---------------------------------------------------------
 
@@ -499,7 +429,6 @@ class FilesystemStoreBackend(StoreBackend):
             if p.is_file()
             and not p.name.startswith(".")
             and not p.name.endswith(".jsonl")
-            and not p.name.endswith(BINARY_EXTENSION)
         )
 
     # -- leases ------------------------------------------------------------

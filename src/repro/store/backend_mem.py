@@ -54,7 +54,6 @@ from repro.store.backend import (
     check_key,
     check_name,
 )
-from repro.store.codec import check_codec, decode_frames, encode_frames, scan_frames
 
 __all__ = ["MemoryLeaseBackend", "MemoryObjectStore", "MemoryStoreBackend"]
 
@@ -176,41 +175,24 @@ class MemoryObjectStore:
 class MemoryStoreBackend(StoreBackend):
     """Records, documents, and leases over a :class:`MemoryObjectStore`.
 
-    ``codec`` picks the record layout of *new* shard objects: ``jsonl``
-    (newline-terminated lines, the historical form) or ``binary`` (the
-    length-prefixed CRC frames of :mod:`repro.store.codec`).  Object
-    bodies here are strings, so a binary shard's frame bytes ride as
-    their latin-1 text — the lossless bytes↔str carrier — emulating
-    the byte bodies a real object store holds.  Reads sniff each
-    shard's layout from its leading magic (a JSON record line can
-    never start with the frame magic), so shards of both layouts
-    coexist and reopen under any codec.
+    Each shard is one object holding newline-terminated record lines.
     """
 
     scheme = "mem"
 
-    def __init__(self, name: str = "default", codec: str = "jsonl") -> None:
+    def __init__(self, name: str = "default") -> None:
         self.name = check_name(name)
-        self.codec = check_codec(codec)
         self.objects = MemoryObjectStore()
         self._leases = MemoryLeaseBackend(self.objects)
 
     @classmethod
-    def named(
-        cls,
-        name: str,
-        create: bool = True,
-        codec: Optional[str] = None,
-    ) -> "MemoryStoreBackend":
+    def named(cls, name: str, create: bool = True) -> "MemoryStoreBackend":
         """The process-global store registered under ``name``.
 
         ``mem:`` URIs resolve here, so every component of a drill that
         opens ``mem:ci`` shares one object graph.  ``create=False``
         requires the name to be registered already (read-only status
-        views must not conjure empty stores).  An explicit ``codec``
-        on an already-registered name must agree with the registered
-        store's — the name denotes *one* store, and silently handing
-        back a different write layout would make ``?codec=`` a no-op.
+        views must not conjure empty stores).
         """
         name = check_name(name or "default")
         with _REGISTRY_LOCK:
@@ -218,14 +200,8 @@ class MemoryStoreBackend(StoreBackend):
             if backend is None:
                 if not create:
                     raise FileNotFoundError(f"no mem: store named {name!r}")
-                backend = cls(name, codec=codec or "jsonl")
+                backend = cls(name)
                 _REGISTRY[name] = backend
-            elif codec is not None and codec != backend.codec:
-                raise ValueError(
-                    f"mem: store {name!r} is registered with codec "
-                    f"{backend.codec!r}; reopen without ?codec= or "
-                    "discard it first"
-                )
             return backend
 
     @classmethod
@@ -236,36 +212,19 @@ class MemoryStoreBackend(StoreBackend):
 
     @property
     def uri(self) -> str:
-        if self.codec != "jsonl":
-            return f"mem:{self.name}?codec={self.codec}"
         return f"mem:{self.name}"
 
     # -- records -----------------------------------------------------------
 
-    #: Binary shards are sniffed by the frame magic riding as latin-1
-    #: text; a JSONL shard's first byte is always ``{`` (strict-JSON
-    #: object records), so the prefix is unambiguous.
-    _BINARY_PREFIX = "RB"
-
     def _shard(self, key: str) -> str:
         return f"records/{check_key(key)}"
 
-    def _extended(self, payload: Optional[str], lines: Sequence[str]) -> str:
-        """The shard body with ``lines`` appended in its own layout.
-
-        An existing shard keeps its layout (sealing any torn trailer
-        first — an injected fault may have left a partial line or a
-        half frame); a fresh shard uses the store codec.
-        """
-        if payload is None:
-            binary = self.codec == "binary"
-            payload = ""
-        else:
-            binary = payload.startswith(self._BINARY_PREFIX)
-        if binary:
-            buf = payload.encode("latin-1")
-            _, good = scan_frames(buf)
-            return (buf[:good] + encode_frames(lines)).decode("latin-1")
+    @staticmethod
+    def _extended(payload: Optional[str], lines: Sequence[str]) -> str:
+        """The shard body with ``lines`` appended, sealing any torn
+        trailer first (an injected fault may have left a partial
+        line)."""
+        payload = payload or ""
         if payload and not payload.endswith("\n"):
             payload += "\n"
         return payload + "".join(line + "\n" for line in lines)
@@ -311,12 +270,6 @@ class MemoryStoreBackend(StoreBackend):
         if found is None:
             return []
         _, payload = found
-        if payload.startswith(self._BINARY_PREFIX):
-            return [
-                line
-                for line in decode_frames(payload.encode("latin-1"))
-                if line.strip()
-            ]
         lines: List[str] = []
         for raw in payload.splitlines(keepends=True):
             if not raw.endswith("\n"):

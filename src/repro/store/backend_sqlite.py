@@ -49,7 +49,6 @@ from repro.store.backend import (
     check_key,
     check_name,
 )
-from repro.store.codec import check_codec
 
 __all__ = ["SqliteLeaseBackend", "SqliteStoreBackend"]
 
@@ -82,14 +81,9 @@ CREATE TABLE IF NOT EXISTS leases (
 class SqliteStoreBackend(StoreBackend):
     """Records, documents, and leases in one sqlite database file.
 
-    ``codec`` picks how record lines rest in the ``records`` table:
-    ``jsonl`` stores them as TEXT (the historical layout), ``binary``
-    as raw UTF-8 BLOBs.  Rows are already length-delimited and
-    transactional, so sqlite needs no framing; the BLOB form is the
-    codec's meaning here — binary-safe storage with no text-affinity
-    coercion.  Reads dispatch per row (sqlite is dynamically typed),
-    so databases written under either codec — or a mix — reopen under
-    any.
+    Record lines rest as TEXT in the ``records`` table.  Older versions
+    could also store them as UTF-8 BLOBs; sqlite is dynamically typed,
+    so reads decode such rows per row and those databases still open.
     """
 
     scheme = "sqlite"
@@ -98,10 +92,8 @@ class SqliteStoreBackend(StoreBackend):
         self,
         path: Union[str, "os.PathLike[str]"],
         create: bool = True,
-        codec: str = "jsonl",
     ) -> None:
         self.path = Path(path)
-        self.codec = check_codec(codec)
         if not create and not self.path.is_file():
             raise FileNotFoundError(f"no store database at {self.path}")
         if create:
@@ -114,8 +106,6 @@ class SqliteStoreBackend(StoreBackend):
 
     @property
     def uri(self) -> str:
-        if self.codec != "jsonl":
-            return f"sqlite:{self.path}?codec={self.codec}"
         return f"sqlite:{self.path}"
 
     # -- connections -------------------------------------------------------
@@ -152,16 +142,10 @@ class SqliteStoreBackend(StoreBackend):
 
     # -- records -----------------------------------------------------------
 
-    def _stored_line(self, line: str) -> Union[str, bytes]:
-        """The line as it rests in the row: TEXT, or a BLOB when binary."""
-        if self.codec == "binary":
-            return line.encode("utf-8")
-        return line
-
     def append_record(self, key: str, line: str) -> None:
         self._conn().execute(
             "INSERT INTO records (key, line) VALUES (?, ?)",
-            (check_key(key), self._stored_line(line)),
+            (check_key(key), line),
         )
 
     def append_batch(self, items: Sequence[Tuple[str, str]]) -> None:
@@ -179,10 +163,7 @@ class SqliteStoreBackend(StoreBackend):
         try:
             conn.executemany(
                 "INSERT INTO records (key, line) VALUES (?, ?)",
-                [
-                    (check_key(key), self._stored_line(line))
-                    for key, line in items
-                ],
+                [(check_key(key), line) for key, line in items],
             )
         except BaseException:
             conn.execute("ROLLBACK")

@@ -2,14 +2,17 @@
 
 The contract of :mod:`repro.sim.stack`: grouping cells that share a
 stack signature into one kernel pass is a pure throughput
-optimisation.  Both paths run the engine's single accounting kernel,
-so every array of every cell's :class:`BatchResult` — and therefore
-every stored shard, resumed campaign, and streamed aggregate — must be
-*bit-identical* to running each cell through its own
-:class:`BatchedRoundEngine`: per-cell generators stay content-keyed,
-and the stacked tensor only changes where each cell's draws are
-stored.
+optimisation.  The stacked pass and :class:`BatchedRoundEngine` run
+the engine's single accounting kernel, so every array of every cell's
+:class:`BatchResult` must be *bit-identical* to running each cell
+through its own engine: per-cell generators stay content-keyed, and
+the stacked tensor only changes where each cell's draws are stored.
+:class:`CampaignRunner` always stacks; its results are checked here
+against per-cell engines, and its stored shards are pinned on every
+backend by ``tests/store/test_store_golden.py``.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -32,7 +35,9 @@ from repro.sim import (
     sample_receptions_stacked,
     stack_signature,
 )
+from repro.sim.campaign import ScenarioOutcome
 from repro.store import CampaignStore
+from repro.store.records import scenario_outcome_to_json
 
 RESULT_FIELDS = (
     "secret_packets",
@@ -238,11 +243,48 @@ def assert_outcomes_identical(a, b):
             ), name
 
 
+def per_cell_engine_outcomes(runner, cells):
+    """Each cell through its own engine, seeded as the runner seeds it."""
+    return [
+        ScenarioOutcome(
+            scenario=cell,
+            result=BatchedRoundEngine(
+                cell, rng=np.random.default_rng(runner.cell_seed_sequence(cell))
+            ).run(),
+        )
+        for cell in cells
+    ]
+
+
 class TestCampaignCellBatching:
-    def test_batched_campaign_equals_per_cell_campaign(self):
-        batched = CampaignRunner(seed=9).run(GRID)
-        percell = CampaignRunner(seed=9, cell_batching=False).run(GRID)
-        assert_outcomes_identical(batched, percell)
+    def test_campaign_equals_per_cell_engines(self):
+        runner = CampaignRunner(seed=9)
+        campaign = runner.run(GRID)
+        reference = per_cell_engine_outcomes(runner, GRID.scenarios())
+        assert_results_identical(
+            [o.result for o in campaign.outcomes],
+            [o.result for o in reference],
+        )
+
+    def test_per_cell_engine_shards_match_store_golden(self, tmp_path):
+        """Per-cell engine records, appended one by one, leave the raw
+        shard bytes the golden pins for the stacked campaign."""
+        from tests.store.test_store_golden import (
+            GOLDEN,
+            SEED,
+            file_digests,
+            golden_cells,
+        )
+
+        runner = CampaignRunner(seed=SEED)
+        store = CampaignStore(tmp_path)
+        for outcome in per_cell_engine_outcomes(runner, golden_cells()):
+            store.append(
+                runner.cell_key(outcome.scenario),
+                scenario_outcome_to_json(outcome),
+            )
+        golden = json.loads(GOLDEN.read_text())
+        assert file_digests(tmp_path) == golden["file_bytes"]
 
     def test_sharded_batched_equals_serial(self):
         serial = CampaignRunner(seed=9, max_workers=1).run(GRID)
@@ -256,42 +298,6 @@ class TestCampaignCellBatching:
             seed=4, max_workers=2, executor="process"
         ).run(cells)
         assert_outcomes_identical(serial, pooled)
-
-    def test_stores_byte_identical_across_paths(self, tmp_path):
-        """The acceptance clause: stacked and per-cell campaigns leave
-        byte-for-byte identical shards on disk."""
-        batched_store = CampaignStore(tmp_path / "batched")
-        percell_store = CampaignStore(tmp_path / "percell")
-        CampaignRunner(seed=9, store=batched_store).run(GRID)
-        CampaignRunner(
-            seed=9, store=percell_store, cell_batching=False
-        ).run(GRID)
-        keys = batched_store.keys()
-        assert keys == percell_store.keys()
-        for key in keys:
-            assert (
-                batched_store.shard_path(key).read_bytes()
-                == percell_store.shard_path(key).read_bytes()
-            )
-
-    def test_resume_mid_grid_crosses_paths(self, tmp_path):
-        """A campaign checkpointed by the per-cell path resumes under
-        the stacked path (and vice versa) bit-identically: the store
-        format and the cell keys are path-independent."""
-        reference = CampaignRunner(seed=9).run(GRID)
-        cells = GRID.scenarios()
-
-        for first_batched in (True, False):
-            store = CampaignStore(tmp_path / f"cross-{first_batched}")
-            CampaignRunner(
-                seed=9, store=store, cell_batching=first_batched
-            ).run(cells[:3])
-            computed = []
-            resumed = CampaignRunner(
-                seed=9, store=store, cell_batching=not first_batched
-            ).run(cells, progress=computed.append)
-            assert len(computed) == len(cells) - 3
-            assert_outcomes_identical(reference, resumed)
 
     def test_group_persistence_is_batched(self, tmp_path):
         """The stacked path persists whole groups through append_batch,

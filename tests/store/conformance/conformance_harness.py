@@ -2,18 +2,18 @@
 
 The fixtures live in ``conftest.py`` next door; this module holds the
 importable parts — the per-backend :class:`BackendHarness` table, the
-recovery sweep grid, and the bit-identity assertion — so test modules
-can import them without touching ``conftest`` machinery.
+recovery sweep grid, and the bit-identity assertion (re-exported from
+``tests/sim/test_stack.py``) — so test modules can import them without
+touching ``conftest`` machinery.
 """
 
 import os
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 from repro.sim import IIDLossSpec, OracleEstimatorSpec, ScenarioGrid
 from repro.store import ManifestEntry, SweepManifest
-from repro.store.codec import check_codec, encode_frames, scan_frames
+from tests.sim.test_stack import assert_outcomes_identical  # noqa: F401
 
 #: The sweep used by the recovery scenarios: four cells, small enough
 #: to drain in seconds, large enough that a killed worker leaves real
@@ -26,25 +26,6 @@ GRID = ScenarioGrid(
     n_x_packets=24,
 )
 
-
-def assert_outcomes_identical(a, b):
-    """Bit-identical sim campaign results — arrays via array_equal."""
-    assert len(a.outcomes) == len(b.outcomes)
-    for oa, ob in zip(a.outcomes, b.outcomes):
-        assert oa.scenario == ob.scenario
-        for name in (
-            "secret_packets",
-            "public_packets",
-            "total_rows",
-            "efficiency",
-            "reliability",
-            "eve_missed",
-            "terminal_receptions",
-            "delivery_rates",
-        ):
-            assert np.array_equal(
-                getattr(oa.result, name), getattr(ob.result, name)
-            ), name
 
 
 def toy_manifest(name="toy", n=3):
@@ -59,9 +40,8 @@ def toy_manifest(name="toy", n=3):
 #
 # "Tear" = make the shard look exactly as it would after a crash killed
 # the *last* record's write mid-flight, using the backend's own failure
-# vocabulary: a truncated unterminated line (jsonl) or half a frame
-# (binary) on the filesystem and the object store, an uncommitted
-# (absent) row on sqlite.
+# vocabulary: a truncated unterminated line on the filesystem and the
+# object store, an uncommitted (absent) row on sqlite.
 
 
 def _tear_jsonl_lines(lines):
@@ -71,25 +51,9 @@ def _tear_jsonl_lines(lines):
     ]
 
 
-def _tear_binary_frames(data):
-    # Framing is canonical (one line -> one byte string), so the prefix
-    # of all-but-the-last record re-encodes to the shard's own bytes;
-    # half of the final frame lands on top, exactly a mid-write kill.
-    lines, consumed = scan_frames(data)
-    assert lines and consumed == len(data), "cannot tear an empty shard"
-    prefix = encode_frames(lines[:-1])
-    last = data[len(prefix):consumed]
-    return prefix + last[: max(1, len(last) // 2)]
-
-
 def _tear_file(store, key):
     path = store.shard_path(key)
-    data = path.read_bytes()
-    if path.suffix == ".rbin":
-        torn = _tear_binary_frames(data)
-    else:
-        torn = _tear_jsonl_lines(data.splitlines(keepends=True))
-    path.write_bytes(torn)
+    path.write_bytes(_tear_jsonl_lines(path.read_bytes().splitlines(True)))
 
 
 def _tear_sqlite(store, key):
@@ -106,15 +70,8 @@ def _tear_mem(store, key):
     found = objects.get(f"records/{key}")
     assert found is not None, "cannot tear an empty shard"
     etag, payload = found
-    if payload.startswith("RB"):
-        torn = _tear_binary_frames(payload.encode("latin-1")).decode("latin-1")
-    else:
-        lines = payload.splitlines(keepends=True)
-        assert lines, "cannot tear an empty shard"
-        torn = "".join(lines[:-1]) + lines[-1].rstrip("\n")[
-            : max(1, len(lines[-1]) // 2)
-        ]
-    objects.put(f"records/{key}", torn, if_match=etag)
+    torn = _tear_jsonl_lines(payload.encode("utf-8").splitlines(True))
+    objects.put(f"records/{key}", torn.decode("utf-8"), if_match=etag)
 
 
 @dataclass(frozen=True)
@@ -166,16 +123,3 @@ def selected_backends():
         )
     return names
 
-
-def selected_codec():
-    """The at-rest record codec CI selected for this conformance run.
-
-    ``REPRO_CONFORMANCE_CODEC=binary`` reruns the whole suite with
-    every store opened under the length-prefixed binary codec (the
-    ``store_uri`` fixture appends ``?codec=binary``); unset or
-    ``jsonl`` keeps the historical text layout.
-    """
-    raw = os.environ.get("REPRO_CONFORMANCE_CODEC", "").strip()
-    if not raw:
-        return "jsonl"
-    return check_codec(raw)

@@ -15,7 +15,7 @@ subset of ``file,sqlite,mem``); unset means all of them.
 
 import pytest
 
-from conformance_harness import HARNESSES, selected_backends, selected_codec
+from conformance_harness import HARNESSES, selected_backends
 from repro.store import open_store
 from repro.store.backend_mem import MemoryStoreBackend
 
@@ -34,13 +34,9 @@ def backend(request):
 @pytest.fixture
 def store_uri(backend, tmp_path):
     uri = backend.make_uri(tmp_path)
-    codec = selected_codec()
-    if codec != "jsonl":
-        uri = f"{uri}?codec={codec}"
     yield uri
     if backend.scheme == "mem":
-        name = uri.split(":", 1)[1].split("?", 1)[0]
-        MemoryStoreBackend.discard(name)
+        MemoryStoreBackend.discard(uri.split(":", 1)[1])
 
 
 @pytest.fixture

@@ -61,6 +61,21 @@ class TestOpenStore:
         with pytest.raises(ValueError, match="unknown store scheme"):
             open_store("s3:bucket/prefix")
 
+    @pytest.mark.parametrize("query", ["codec=binary", "codec=msgpack",
+                                       "codek=binary", ""])
+    @pytest.mark.parametrize("scheme", ["file", "sqlite", "mem"])
+    def test_scheme_uri_query_rejected(self, tmp_path, scheme, query):
+        """A ``?`` after a scheme is an error, never part of the path
+        or store name, and nothing is created on the way."""
+        with pytest.raises(ValueError, match="take no query"):
+            open_store(f"{scheme}:{tmp_path}/d?{query}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bare_path_question_mark_is_a_path(self, tmp_path):
+        store = open_store(f"{tmp_path}/d?codec=binary")
+        assert store.root == tmp_path / "d?codec=binary"
+        assert store.root.is_dir()
+
     def test_campaign_store_passthrough(self, tmp_path):
         backend = open_backend(tmp_path / "s")
         assert open_backend(backend) is backend
@@ -77,6 +92,38 @@ class TestOpenStore:
         # ...and nothing was created as a side effect.
         assert not (tmp_path / "absent").exists()
         assert not (tmp_path / "absent.db").exists()
+
+
+class TestLegacyBinaryShards:
+    def test_store_with_rbin_shards_is_refused(self, tmp_path):
+        """A directory of binary-framed ``.rbin`` shards must not open
+        as a partly empty JSONL store."""
+        (tmp_path / "s").mkdir()
+        (tmp_path / "s" / f"{KEY}.jsonl").write_text("{}\n")
+        (tmp_path / "s" / f"{'cd' * 10}.rbin").write_bytes(b"RB\0\0")
+        for opener in (
+            lambda: open_store(f"file:{tmp_path}/s"),
+            lambda: open_store(tmp_path / "s", create=False),
+            lambda: CampaignStore(tmp_path / "s"),
+        ):
+            with pytest.raises(ValueError) as info:
+                opener()
+            assert f"{'cd' * 10}.rbin" in str(info.value)
+            assert "copy_store" in str(info.value)
+
+    def test_sqlite_blob_rows_still_read(self, tmp_path):
+        """Older versions could store record lines as UTF-8 BLOBs;
+        reads decode them per row, next to TEXT rows."""
+        store = open_store(f"sqlite:{tmp_path}/s.db")
+        store.append(KEY, {"kind": "sim-cell", "v": 1})
+        store.backend._conn().execute(
+            "INSERT INTO records (key, line) VALUES (?, ?)",
+            (KEY, b'{"kind":"sim-cell","v":2}'),
+        )
+        assert store.records(KEY) == [
+            {"kind": "sim-cell", "v": 1},
+            {"kind": "sim-cell", "v": 2},
+        ]
 
 
 class TestShardDirRecreation:
@@ -123,6 +170,7 @@ class TestCopyStore:
         copy_store(src, dst)
         assert dst.keys() == src.keys()
         for key in src.keys():
-            assert dst.backend.read_records(key) == (
-                src.backend.read_records(key)
+            assert (
+                dst.shard_path(key).read_bytes()
+                == src.shard_path(key).read_bytes()
             )

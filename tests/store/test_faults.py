@@ -21,7 +21,6 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import SessionConfig, Testbed, TestbedConfig
@@ -41,6 +40,7 @@ from repro.sim import (
 )
 from repro.store import CampaignStore, SweepManifest, WorkQueue
 from repro.store.aggregate import stream_aggregates
+from tests.sim.test_stack import assert_outcomes_identical
 
 pytestmark = pytest.mark.queue
 
@@ -78,24 +78,6 @@ def engine_kwargs(engine):
         rounds_per_leader=4,
     )
 
-
-def assert_outcomes_identical(a, b):
-    assert len(a.outcomes) == len(b.outcomes)
-    for oa, ob in zip(a.outcomes, b.outcomes):
-        assert oa.scenario == ob.scenario
-        for name in (
-            "secret_packets",
-            "public_packets",
-            "total_rows",
-            "efficiency",
-            "reliability",
-            "eve_missed",
-            "terminal_receptions",
-            "delivery_rates",
-        ):
-            assert np.array_equal(
-                getattr(oa.result, name), getattr(ob.result, name)
-            ), name
 
 
 # -- worker process targets (module level: they outlive fork cleanly) ------

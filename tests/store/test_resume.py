@@ -10,7 +10,6 @@ between (and even during) shard appends.
 
 import math
 
-import numpy as np
 import pytest
 
 from repro import SessionConfig, Testbed, TestbedConfig
@@ -31,6 +30,7 @@ from repro.sim.campaign import (
 )
 from repro.store import CampaignStore
 from repro.store.aggregate import stream_aggregates
+from tests.sim.test_stack import assert_outcomes_identical
 
 GRID = ScenarioGrid(
     group_sizes=(3, 4),
@@ -69,24 +69,6 @@ class DyingStore(CampaignStore):
         for key, record in items:
             self.append(key, record)
 
-
-def assert_outcomes_identical(a, b):
-    assert len(a.outcomes) == len(b.outcomes)
-    for oa, ob in zip(a.outcomes, b.outcomes):
-        assert oa.scenario == ob.scenario
-        for name in (
-            "secret_packets",
-            "public_packets",
-            "total_rows",
-            "efficiency",
-            "reliability",
-            "eve_missed",
-            "terminal_receptions",
-            "delivery_rates",
-        ):
-            assert np.array_equal(
-                getattr(oa.result, name), getattr(ob.result, name)
-            ), name
 
 
 class TestSimCampaignResume:

@@ -183,6 +183,22 @@ class TestCampaignStore:
         scoped = list(store.stream([f"{i:020x}" for i in (2, 0)]))
         assert [r["v"] for r in scoped] == [2, 0]
 
+    def test_append_batch_writes_per_record_bytes(self, tmp_path):
+        """One batched flush leaves the same shard bytes as a sequence
+        of durable per-record appends."""
+        one = CampaignStore(tmp_path / "one")
+        batch = CampaignStore(tmp_path / "batch")
+        items = [(f"{i % 2:020x}", {"i": i, "x": 0.25 * i}) for i in range(5)]
+        for key, record in items:
+            one.append(key, record)
+        batch.append_batch(items)
+        assert one.keys() == batch.keys() == [f"{0:020x}", f"{1:020x}"]
+        for key in one.keys():
+            assert (
+                one.shard_path(key).read_bytes()
+                == batch.shard_path(key).read_bytes()
+            )
+
     def test_records_are_strict_json(self, tmp_path):
         """allow_nan=False end to end: a stored shard must parse with a
         strict JSON reader (no Python-only NaN literals)."""
@@ -289,6 +305,8 @@ class TestRecordCodecs:
             "eve_missed",
             "terminal_receptions",
             "delivery_rates",
+            "hidden_dims",
+            "eve_equations",
         ):
             a = getattr(outcome.result, name)
             b = getattr(back.result, name)
