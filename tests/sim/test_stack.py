@@ -243,14 +243,12 @@ def assert_outcomes_identical(a, b):
             ), name
 
 
-def per_cell_engine_outcomes(runner, cells):
-    """Each cell through its own engine, seeded as the runner seeds it."""
+def per_cell_engine_outcomes(seed, cells):
+    """Each cell through its own engine, seeded as a campaign seeds it."""
     return [
         ScenarioOutcome(
             scenario=cell,
-            result=BatchedRoundEngine(
-                cell, rng=np.random.default_rng(runner.cell_seed_sequence(cell))
-            ).run(),
+            result=BatchedRoundEngine(cell, rng=_rng_for(cell, seed)).run(),
         )
         for cell in cells
     ]
@@ -258,9 +256,8 @@ def per_cell_engine_outcomes(runner, cells):
 
 class TestCampaignCellBatching:
     def test_campaign_equals_per_cell_engines(self):
-        runner = CampaignRunner(seed=9)
-        campaign = runner.run(GRID)
-        reference = per_cell_engine_outcomes(runner, GRID.scenarios())
+        campaign = CampaignRunner(seed=9).run(GRID)
+        reference = per_cell_engine_outcomes(9, GRID.scenarios())
         assert_results_identical(
             [o.result for o in campaign.outcomes],
             [o.result for o in reference],
@@ -278,7 +275,7 @@ class TestCampaignCellBatching:
 
         runner = CampaignRunner(seed=SEED)
         store = CampaignStore(tmp_path)
-        for outcome in per_cell_engine_outcomes(runner, golden_cells()):
+        for outcome in per_cell_engine_outcomes(SEED, golden_cells()):
             store.append(
                 runner.cell_key(outcome.scenario),
                 scenario_outcome_to_json(outcome),
