@@ -126,6 +126,24 @@ class TestLegacyBinaryShards:
         ]
 
 
+    def test_sqlite_blob_rows_copy_out_as_jsonl(self, tmp_path):
+        """The migration path for such a database: ``copy_store`` to
+        ``file:`` leaves the shard a text store writes."""
+        legacy = open_store(f"sqlite:{tmp_path}/legacy.db")
+        legacy.backend._conn().execute(
+            "INSERT INTO records (key, line) VALUES (?, ?)",
+            (KEY, b'{"kind":"sim-cell","v":1}'),
+        )
+        text = open_store(f"file:{tmp_path}/text")
+        text.append(KEY, {"kind": "sim-cell", "v": 1})
+        copied = open_store(f"file:{tmp_path}/copied")
+        assert copy_store(legacy, copied) == 1
+        assert (
+            copied.shard_path(KEY).read_bytes()
+            == text.shard_path(KEY).read_bytes()
+        )
+
+
 class TestShardDirRecreation:
     def test_append_recreates_a_deleted_store_directory(self, tmp_path):
         """Satellite regression: a shard directory pruned between
@@ -168,6 +186,22 @@ class TestCopyStore:
         self._populate(src)
         dst = open_store(f"{tmp_path}/dst")
         copy_store(src, dst)
+        assert dst.keys() == src.keys()
+        for key in src.keys():
+            assert (
+                dst.shard_path(key).read_bytes()
+                == src.shard_path(key).read_bytes()
+            )
+
+    def test_file_through_sqlite_restores_shard_bytes(self, tmp_path):
+        """file: -> sqlite: -> file: gives back the original shards
+        byte for byte: no backend re-encodes a stored line."""
+        src = open_store(f"{tmp_path}/src")
+        self._populate(src)
+        via = open_store(f"sqlite:{tmp_path}/via.db")
+        dst = open_store(f"{tmp_path}/dst")
+        assert copy_store(src, via) == 2
+        assert copy_store(via, dst) == 2
         assert dst.keys() == src.keys()
         for key in src.keys():
             assert (

@@ -28,7 +28,8 @@ from repro.sim.campaign import (
     ShardWorkerError,
     _resolve_executor,
 )
-from repro.store import CampaignStore
+from repro.store import CampaignStore, open_store
+from repro.store.backend_mem import MemoryStoreBackend
 from repro.store.aggregate import stream_aggregates
 from tests.sim.test_stack import assert_outcomes_identical
 
@@ -105,6 +106,26 @@ class TestSimCampaignResume:
         # The loaded shards kept their single record — nothing was
         # recomputed and superseded behind the resume's back.
         assert all(len(store.records(key)) == 1 for key in store.keys())
+
+    @pytest.mark.parametrize("scheme", ["sqlite", "mem"])
+    def test_resume_mid_grid_on_other_backends(self, tmp_path, scheme):
+        """A grid stopped after 3 cells resumes from a ``sqlite:`` or
+        ``mem:`` store as it does from ``file:``."""
+        cells = GRID.scenarios()
+        reference = CampaignRunner(seed=9).run(cells)
+        name = f"{tmp_path}/s.db" if scheme == "sqlite" else "resume-mid-grid"
+        try:
+            store = open_store(f"{scheme}:{name}")
+            CampaignRunner(seed=9, store=store).run(cells[:3])
+            computed = []
+            resumed = CampaignRunner(seed=9, store=store).run(
+                cells, progress=computed.append
+            )
+            assert len(computed) == len(cells) - 3
+            assert_outcomes_identical(reference, resumed)
+            assert all(len(store.records(key)) == 1 for key in store.keys())
+        finally:
+            MemoryStoreBackend.discard("resume-mid-grid")
 
     def test_torn_final_line_recomputes_that_cell(self, tmp_path):
         """Kill *during* the checkpoint write: the torn shard reads as

@@ -24,7 +24,9 @@ from repro.store import (
     canonical_json,
     fingerprint,
     fingerprint_spawn_key,
+    open_store,
 )
+from repro.store.backend_mem import MemoryStoreBackend
 from repro.store.records import (
     decode_spec,
     encode_spec,
@@ -198,6 +200,28 @@ class TestCampaignStore:
                 one.shard_path(key).read_bytes()
                 == batch.shard_path(key).read_bytes()
             )
+
+    @pytest.mark.parametrize("scheme", ["sqlite", "mem"])
+    def test_append_batch_writes_per_record_lines(self, tmp_path, scheme):
+        """The same holds for the stored lines of the other backends."""
+        name = f"{tmp_path}/batch-lines" if scheme == "sqlite" else "batch-lines"
+        try:
+            one = open_store(f"{scheme}:{name}-one")
+            batch = open_store(f"{scheme}:{name}-batch")
+            items = [(f"{i % 2:020x}", {"i": i, "x": 0.25 * i})
+                     for i in range(5)]
+            for key, record in items:
+                one.append(key, record)
+            batch.append_batch(items)
+            assert one.keys() == batch.keys() == [f"{0:020x}", f"{1:020x}"]
+            for key in one.keys():
+                assert (
+                    batch.backend.read_records(key)
+                    == one.backend.read_records(key)
+                )
+        finally:
+            for tag in ("one", "batch"):
+                MemoryStoreBackend.discard(f"batch-lines-{tag}")
 
     def test_records_are_strict_json(self, tmp_path):
         """allow_nan=False end to end: a stored shard must parse with a
