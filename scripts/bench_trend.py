@@ -133,11 +133,14 @@ def render(entries: List[dict], baseline: Optional[dict]) -> str:
 
 
 def _delta(newest: dict, name: str, baseline: dict) -> str:
+    """The delta cell of row ``name``: ``new`` when only the newest run
+    has it, ``retired`` when older runs had it but neither the newest
+    run nor the baseline does."""
     if name == "calibration":
         return "—"
     base_row = baseline.get(name)
     if base_row is None or "best_s" not in base_row:
-        return "new"
+        return "new" if name in newest["results"] else "retired"
     now = _normalised(newest, name)
     if now is None:
         row = newest["results"].get(name)

@@ -47,7 +47,7 @@ from repro.core.estimator import EveErasureEstimator
 from repro.core.rotation import ExperimentResult, run_experiment
 from repro.core.session import SessionConfig
 from repro.sim.campaign import ShardWorkerError, _as_store, shard_map
-from repro.sim.engine import BatchedRoundEngine
+from repro.sim.engine import BatchedRoundEngine, planning_profile
 from repro.store.fingerprint import fingerprint
 from repro.sim.spec import (
     AdversarySpec,
@@ -58,6 +58,7 @@ from repro.sim.spec import (
 from repro.testbed.deployment import Testbed
 from repro.testbed.pertable import (
     draw_positions,
+    leader_schedule_specs,
     placement_schedule_specs,
     schedule_loss_table,
 )
@@ -66,6 +67,7 @@ from repro.testbed.placements import (
     enumerate_placements,
     sample_placements,
 )
+from repro.theory.efficiency import adopt_allocation_profile
 
 __all__ = [
     "CampaignConfig",
@@ -323,24 +325,13 @@ def run_placement_experiment_batched(
         eve_extra_cells=config.eve_extra_cells,
         prefetched=prefetched,
     )
-    adversary = AdversarySpec(antennas=1 + len(config.eve_extra_cells))
     total_secret = 0.0
     total_hidden = 0.0
     total_secret_bits = 0
     total_transmitted = 0.0
-    for loss_spec in specs:
-        scenario = Scenario(
-            n_terminals=placement.n_terminals,
-            loss=loss_spec,
-            adversary=adversary,
-            estimator=estimator_spec,
-            n_x_packets=session.n_x_packets,
-            rounds=rounds_per_leader,
-            payload_bytes=session.payload_bytes,
-            z_cost_factor=session.z_cost_factor,
-            secrecy_slack=session.secrecy_slack,
-            max_subset_size=session.max_subset_size,
-        )
+    for scenario in _leader_scenarios(
+        placement, specs, estimator_spec, config, rounds_per_leader
+    ):
         batch = BatchedRoundEngine(scenario, rng=rng).run()
         total_secret += float(batch.secret_packets.sum())
         total_hidden += float(batch.hidden_dims.sum())
@@ -364,6 +355,33 @@ def run_placement_experiment_batched(
         min_entropy_bits=min_entropy_bits,
         leaked_bits=max(float(total_secret_bits) - min_entropy_bits, 0.0),
     )
+
+
+def _leader_scenarios(
+    placement: Placement,
+    specs: list,
+    estimator_spec: EstimatorSpec,
+    config: CampaignConfig,
+    rounds_per_leader: int,
+) -> list:
+    """One :class:`~repro.sim.spec.Scenario` per leader's loss spec."""
+    session = config.session
+    adversary = AdversarySpec(antennas=1 + len(config.eve_extra_cells))
+    return [
+        Scenario(
+            n_terminals=placement.n_terminals,
+            loss=loss_spec,
+            adversary=adversary,
+            estimator=estimator_spec,
+            n_x_packets=session.n_x_packets,
+            rounds=rounds_per_leader,
+            payload_bytes=session.payload_bytes,
+            z_cost_factor=session.z_cost_factor,
+            secrecy_slack=session.secrecy_slack,
+            max_subset_size=session.max_subset_size,
+        )
+        for loss_spec in specs
+    ]
 
 
 def experiment_store_key(
@@ -499,11 +517,13 @@ def _table_helper_selected(n_pending: int) -> bool:
     multiprocessing children: any other caller is a worker of a
     sharded campaign (a thread or process pool, or a queue worker of
     ``--workers-per-host``), or the parent of such workers, whose peers
-    already keep the CPUs busy.  At least two CPUs must be usable,
-    ``fork`` must be the default start method (the helper inherits the
-    loaded program instead of importing it again), and at least two
-    experiments must be pending (the first table is always built
-    in-line).
+    already keep the CPUs busy.  At least two CPUs must be usable, the
+    helper must be able to fork (it inherits the loaded program instead
+    of importing it again): ``fork`` is the start method set for the
+    process or, when none was set, ``fork`` is available (whatever the
+    platform's default, which is ``forkserver`` on Linux from Python
+    3.14).  At least two experiments must be pending (the first table
+    is always built in-line).
     """
     if (
         n_pending < 2
@@ -513,7 +533,9 @@ def _table_helper_selected(n_pending: int) -> bool:
     ):
         return False
     start_method = multiprocessing.get_start_method(allow_none=True)
-    if (start_method or multiprocessing.get_all_start_methods()[0]) != "fork":
+    if start_method is None and "fork" in multiprocessing.get_all_start_methods():
+        start_method = "fork"
+    if start_method != "fork":
         return False
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -523,40 +545,70 @@ def _table_helper_selected(n_pending: int) -> bool:
 
 
 def _prefetch_table(
-    testbed: Testbed, placement: Placement, config: CampaignConfig
+    testbed: Testbed,
+    placement: Placement,
+    config: CampaignConfig,
+    estimator_spec: Optional[EstimatorSpec] = None,
+    rounds_per_leader: int = 8,
 ) -> tuple:
-    """The helper's job: ``(positions, table)`` for one placement.
+    """The helper's job: ``(positions, table, profiles)`` for a placement.
 
     The jitter comes from a twin of the generator
     :func:`run_placement_experiment_batched` makes for the placement,
     through the same :func:`~repro.testbed.pertable.draw_positions`,
     so the experiment's own draw lands on exactly these positions.
+    With an ``estimator_spec``, ``profiles`` holds every leader's
+    planning LP as :func:`~repro.sim.engine.planning_profile` returns
+    it, ``(arguments, profile)``, on the scenarios the experiment will
+    build from this table; without one it is empty.
     """
     positions = draw_positions(
         testbed, placement, _experiment_rng(config, placement),
         config.eve_extra_cells,
     )
-    return positions, schedule_loss_table(
+    table = schedule_loss_table(
         testbed, *positions, payload_bytes=config.session.payload_bytes
     )
+    if estimator_spec is None:
+        return positions, table, ()
+    scenarios = _leader_scenarios(
+        placement,
+        leader_schedule_specs(testbed, placement, table),
+        estimator_spec,
+        config,
+        rounds_per_leader,
+    )
+    return positions, table, tuple(planning_profile(s) for s in scenarios)
 
 
 class _TablePrefetcher:
-    """PER tables of a serial batched campaign's upcoming placements.
+    """PER tables and planning LPs of a serial batched campaign's
+    upcoming placements.
 
     ``placements`` is the order the experiments are expected to run in:
     the pending work list, or a manifest's pending keys in sweep order
     (the order the work queue hands them out).  One helper process,
-    forked at the first :meth:`table_for` call, is handed every table
-    after that placement's at once and builds them in order while the
-    running experiments' rounds use this process's core.  :meth:`close`
-    ends it.
+    forked at the first :meth:`table_for` call, is handed every
+    placement after that one at once and runs :func:`_prefetch_table`
+    on each in order while the running experiments' rounds use this
+    process's core: it builds the PER table and, given the ``job``
+    keywords ``estimator_spec`` and ``rounds_per_leader``, solves each
+    leader's planning LP.  A fetched table's profiles are adopted into
+    this process's level-LP memo under the arguments they were solved
+    for, so the leaders' accounting finds them there.  :meth:`close`
+    ends the helper.
     """
 
     def __init__(
-        self, testbed: Testbed, config: CampaignConfig, placements: list
+        self,
+        testbed: Testbed,
+        config: CampaignConfig,
+        placements: list,
+        **job,
     ) -> None:
-        self._job = functools.partial(_prefetch_table, testbed, config=config)
+        self._job = functools.partial(
+            _prefetch_table, testbed, config=config, **job
+        )
         self._placements = placements
         self._futures: dict = {}
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -567,9 +619,10 @@ class _TablePrefetcher:
         Returns None when the helper was not handed the table (the
         first placement, or one run out of order): build it in-line.
         Tables queued before it are cancelled: in a manifest sweep,
-        peers ran those placements.  The source raises
-        :class:`ShardWorkerError` naming ``placement`` if the helper
-        died before building its table.
+        peers ran those placements.  The source returns
+        ``(positions, table)`` after adopting the placement's planning
+        profiles; it raises :class:`ShardWorkerError` naming
+        ``placement`` if the helper died before building its table.
         """
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
@@ -593,9 +646,12 @@ class _TablePrefetcher:
 
         def fetch() -> tuple:
             try:
-                return future.result()
+                positions, table, profiles = future.result()
             except BrokenProcessPool as exc:
                 raise _helper_failed(label, exc) from exc
+            for arguments, profile in profiles:
+                adopt_allocation_profile(profile, **arguments)
+            return positions, table
 
         return fetch
 
@@ -611,13 +667,18 @@ def _start_table_helper(
     engine: str,
     max_workers: Optional[int],
     upcoming: list,
+    estimator_spec: Optional[EstimatorSpec],
+    rounds_per_leader: int,
 ) -> Optional[_TablePrefetcher]:
     """The PER-table helper of a serial batched campaign, if selected."""
     if engine != "batched" or (max_workers or 1) > 1:
         return None
     if not _table_helper_selected(len(upcoming)):
         return None
-    return _TablePrefetcher(testbed, config, upcoming)
+    return _TablePrefetcher(
+        testbed, config, upcoming,
+        estimator_spec=estimator_spec, rounds_per_leader=rounds_per_leader,
+    )
 
 
 def _helper_failed(label: str, exc: BaseException) -> ShardWorkerError:
@@ -650,16 +711,17 @@ def run_campaign(
     whose 9·C(8,n)-experiment campaigns are the expensive ones.
 
     A serial batched campaign (``max_workers`` None or 1, manifest mode
-    included) may build the PER tables of the upcoming placements on
-    one helper process while the running placement's rounds use this
-    one's core.  It does so only in the main thread of a process
-    multiprocessing did not start and that has no live multiprocessing
-    children, with at least two usable CPUs, ``fork`` as the default
-    start method and at least two pending experiments
+    included) may build the PER tables of the upcoming placements, and
+    solve their leaders' planning LPs, on one helper process while the
+    running placement's rounds use this one's core.  It does so only in
+    the main thread of a process multiprocessing did not start and that
+    has no live multiprocessing children, with at least two usable
+    CPUs, ``fork`` as the start method (set, or available when none was
+    set) and at least two pending experiments
     (:func:`_table_helper_selected`).  The helper starts inside the
     first experiment and is shut down, its queued tables cancelled,
-    before this call returns or raises.  Records and stored bytes are identical either way; a
-    helper that dies raises
+    before this call returns or raises.  Records and stored bytes are
+    identical either way; a helper that dies raises
     :class:`~repro.sim.campaign.ShardWorkerError` naming the placement
     whose table it owed.
 
@@ -843,6 +905,7 @@ def run_campaign(
         prefetch = _start_table_helper(
             testbed, config, engine, max_workers,
             [by_key[key][1] for key in queue.pending()],
+            estimator_spec, rounds_per_leader,
         )
         try:
             drain_manifest(
@@ -894,6 +957,7 @@ def run_campaign(
         prefetch = _start_table_helper(
             testbed, config, engine, max_workers,
             [placement for _, placement in pending_work],
+            estimator_spec, rounds_per_leader,
         )
 
         # Serial: fire progress just before each experiment, as before.

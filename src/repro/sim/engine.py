@@ -19,9 +19,10 @@ for B independent rounds simultaneously:
    of ``T``, and the same transform over Eve-missed packets yields the
    oracle budgets, all as ``(B, 2^r)`` arrays.
 4. **Planning** — the symmetric allocation LP is solved once per
-   scenario (memoized in :mod:`repro.theory.efficiency`); its
-   per-level row targets, clamped by each round's certified budgets,
-   set the *demand* side of the realised assignment.
+   scenario (:func:`planning_profile`, memoized in
+   :mod:`repro.theory.efficiency`); its per-level row targets, clamped
+   by each round's certified budgets, set the *demand* side of the
+   realised assignment.
 5. **Realised assignment** — each round's demand is realised by an
    *integral* transportation max-flow on the round's observed pattern
    histogram (:func:`repro.theory.allocation.realised_support_flow`,
@@ -90,9 +91,9 @@ from repro.sim.spec import (
     Scenario,
 )
 from repro.theory.allocation import realised_support_flow
-from repro.theory.efficiency import group_allocation_profile
+from repro.theory.efficiency import AllocationProfile, group_allocation_profile
 
-__all__ = ["BatchResult", "BatchedRoundEngine", "run_batch"]
+__all__ = ["BatchResult", "BatchedRoundEngine", "run_batch", "planning_profile"]
 
 _INF = float("inf")
 
@@ -254,54 +255,6 @@ class BatchedRoundEngine:
 
     # -- budgets ---------------------------------------------------------
 
-    def _certifiable_level_cap(self, spec: EstimatorSpec) -> int:
-        """Largest decodable-subset size the estimator can fund at all.
-
-        Leave-one-out needs at least one witness terminal outside the
-        subset; k-collusion needs k.  Blocks above the cap would clamp
-        to zero rows anyway, so the planning LP must not allocate there
-        (mirrors the per-round planner, whose LP sees the zero budgets).
-        """
-        r = self.scenario.n_receivers
-        if isinstance(spec, (OracleEstimatorSpec, FixedFractionEstimatorSpec)):
-            cap = r
-        elif isinstance(spec, LeaveOneOutEstimatorSpec):
-            cap = r - 1
-        elif isinstance(spec, CollusionEstimatorSpec):
-            cap = r - spec.k
-        elif isinstance(spec, CombinedEstimatorSpec):
-            cap = min(self._certifiable_level_cap(c) for c in spec.children)
-        else:
-            raise TypeError(f"unknown estimator spec {spec!r}")
-        if self.scenario.max_subset_size is not None:
-            cap = min(cap, self.scenario.max_subset_size)
-        return cap
-
-    def _planning_certified_rate(self, spec: EstimatorSpec, p: float) -> float:
-        """Expected certified Eve-miss rate per support packet, used to
-        size the planning LP's support-feasibility rows.
-
-        The oracle certifies Eve's true rate ``p``; leave-one-out
-        certifies a witness's rate minus its margin (~``p - margin``
-        under symmetric channels); k-collusion certifies the union-miss
-        rate ``p**k`` minus the margin; a fixed-fraction guarantee
-        certifies its fraction.  Weaker rates mean each planned row
-        needs proportionally more support packets.
-        """
-        if isinstance(spec, OracleEstimatorSpec):
-            return p
-        if isinstance(spec, FixedFractionEstimatorSpec):
-            return spec.fraction
-        if isinstance(spec, LeaveOneOutEstimatorSpec):
-            return max(p - spec.rate_margin, 0.0)
-        if isinstance(spec, CollusionEstimatorSpec):
-            return max(p**spec.k - spec.rate_margin, 0.0)
-        if isinstance(spec, CombinedEstimatorSpec):
-            return min(
-                self._planning_certified_rate(child, p) for child in spec.children
-            )
-        raise TypeError(f"unknown estimator spec {spec!r}")
-
     def _certified_rates(
         self, spec: EstimatorSpec, counts: np.ndarray, miss_rates: np.ndarray
     ) -> Tuple[Optional[np.ndarray], bool]:
@@ -402,6 +355,81 @@ class BatchedRoundEngine:
         return _account_cell(
             self, *_pattern_lattice(batch), batch.terminals, batch.eve
         )
+
+
+def _certifiable_level_cap(scenario: Scenario, spec: EstimatorSpec) -> int:
+    """Largest decodable-subset size the estimator can fund at all.
+
+    Leave-one-out needs at least one witness terminal outside the
+    subset; k-collusion needs k.  Blocks above the cap would clamp
+    to zero rows anyway, so the planning LP must not allocate there
+    (mirrors the per-round planner, whose LP sees the zero budgets).
+    """
+    r = scenario.n_receivers
+    if isinstance(spec, (OracleEstimatorSpec, FixedFractionEstimatorSpec)):
+        cap = r
+    elif isinstance(spec, LeaveOneOutEstimatorSpec):
+        cap = r - 1
+    elif isinstance(spec, CollusionEstimatorSpec):
+        cap = r - spec.k
+    elif isinstance(spec, CombinedEstimatorSpec):
+        cap = min(_certifiable_level_cap(scenario, c) for c in spec.children)
+    else:
+        raise TypeError(f"unknown estimator spec {spec!r}")
+    if scenario.max_subset_size is not None:
+        cap = min(cap, scenario.max_subset_size)
+    return cap
+
+
+def _planning_certified_rate(spec: EstimatorSpec, p: float) -> float:
+    """Expected certified Eve-miss rate per support packet, used to
+    size the planning LP's support-feasibility rows.
+
+    The oracle certifies Eve's true rate ``p``; leave-one-out
+    certifies a witness's rate minus its margin (~``p - margin``
+    under symmetric channels); k-collusion certifies the union-miss
+    rate ``p**k`` minus the margin; a fixed-fraction guarantee
+    certifies its fraction.  Weaker rates mean each planned row
+    needs proportionally more support packets.
+    """
+    if isinstance(spec, OracleEstimatorSpec):
+        return p
+    if isinstance(spec, FixedFractionEstimatorSpec):
+        return spec.fraction
+    if isinstance(spec, LeaveOneOutEstimatorSpec):
+        return max(p - spec.rate_margin, 0.0)
+    if isinstance(spec, CollusionEstimatorSpec):
+        return max(p**spec.k - spec.rate_margin, 0.0)
+    if isinstance(spec, CombinedEstimatorSpec):
+        return min(_planning_certified_rate(child, p) for child in spec.children)
+    raise TypeError(f"unknown estimator spec {spec!r}")
+
+
+def planning_profile(scenario: Scenario) -> Tuple[dict, AllocationProfile]:
+    """A scenario's planning LP: its arguments and its memoized solve.
+
+    Returns ``(arguments, profile)``: the keyword arguments of
+    :func:`~repro.theory.efficiency.group_allocation_profile` for the
+    scenario (its planning loss, z-cost, the estimator's certifiable
+    level cap and certified rate, support-feasible) and the profile
+    that call returns.  The accounting kernel plans every cell with
+    it, and a serial batched testbed campaign's table helper calls it
+    for each leader of an upcoming placement in a forked twin of the
+    caller (:func:`repro.analysis.experiments._prefetch_table`); the
+    caller adopts each profile under its arguments
+    (:func:`~repro.theory.efficiency.adopt_allocation_profile`), so
+    the leader's own call here is a memo hit.
+    """
+    planning_loss = scenario.loss.planning_loss(scenario.n_receivers)
+    arguments = dict(
+        n=scenario.n_terminals,
+        p=planning_loss,
+        z_cost_factor=scenario.z_cost_factor,
+        max_level=_certifiable_level_cap(scenario, scenario.estimator),
+        support_feasible=True,
+        support_rate=_planning_certified_rate(scenario.estimator, planning_loss),
+    )
+    return arguments, group_allocation_profile(**arguments)
 
 
 def run_batch(
@@ -510,17 +538,7 @@ def _account_cell(
     # Planning: one memoized LP per scenario sets the per-level row
     # targets; each round's demand is the target clamped by its
     # certified budget and realised pool.
-    planning_loss = scenario.loss.planning_loss(r)
-    profile = group_allocation_profile(
-        scenario.n_terminals,
-        planning_loss,
-        z_cost_factor=scenario.z_cost_factor,
-        max_level=engine._certifiable_level_cap(scenario.estimator),
-        support_feasible=True,
-        support_rate=engine._planning_certified_rate(
-            scenario.estimator, planning_loss
-        ),
-    )
+    _, profile = planning_profile(scenario)
     level_rows = np.concatenate(([0.0], np.asarray(profile.level_rows)))
     targets = level_rows[engine._subset_sizes] * n  # (2^r,)
     demand_rows = np.minimum(targets[None, :], np.minimum(budgets, pools))

@@ -50,6 +50,7 @@ __all__ = [
     "pattern_mean_sinr_db",
     "schedule_loss_table",
     "draw_positions",
+    "leader_schedule_specs",
     "placement_schedule_specs",
 ]
 
@@ -184,10 +185,12 @@ def placement_schedule_specs(
 
     ``prefetched``, when given, returns ``(positions, table)``: a
     :func:`schedule_loss_table` built elsewhere (the campaign runner's
-    helper process) for the ``(tx_positions, rx_positions)`` pair of
+    helper process, which also solves the leaders' planning LPs from
+    it) for the ``(tx_positions, rx_positions)`` pair of
     :func:`draw_positions`.  The jitter is still drawn here, so the
     generator is consumed exactly as without it, and the table is used
-    only if it was built for exactly the drawn positions.
+    only if it was built for exactly the drawn positions.  Either way
+    the specs are cut by :func:`leader_schedule_specs`.
 
     Raises:
         ValueError: an extra antenna cell holds a terminal.
@@ -204,8 +207,21 @@ def placement_schedule_specs(
             raise RuntimeError(
                 "the prefetched PER table was built for other positions"
             )
+    return leader_schedule_specs(testbed, placement, table)
+
+
+def leader_schedule_specs(
+    testbed: Testbed, placement: Placement, table: np.ndarray
+) -> list:
+    """One :class:`~repro.sim.spec.ScheduleLossSpec` per leader of a
+    placement, cut from its :func:`schedule_loss_table`.
+
+    Leader ``i``'s links are the other terminals in placement order,
+    then every Eve antenna column of ``table`` (see
+    :func:`placement_schedule_specs`).
+    """
     n = placement.n_terminals
-    n_antennas = len(positions[1]) - n
+    n_antennas = table.shape[2] - n
     specs = []
     for leader in range(n):
         # Fellow terminals first, then every Eve antenna column.

@@ -39,8 +39,10 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,6 +55,7 @@ __all__ = [
     "group_efficiency",
     "AllocationProfile",
     "group_allocation_profile",
+    "adopt_allocation_profile",
     "efficiency_cache_info",
     "clear_efficiency_cache",
 ]
@@ -109,22 +112,81 @@ class AllocationProfile:
     efficiency: float
 
 
-@functools.lru_cache(maxsize=4096)
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+class _LevelLPMemo:
+    """LRU memo of :func:`_solve_group_lp`, keyed on its argument tuple.
+
+    Bounded, counted and thread-safe like a ``functools.lru_cache``
+    (``cache_info``, ``cache_clear``), it can also :meth:`adopt` a
+    profile solved elsewhere: the campaign runner's table helper solves
+    a placement's planning LPs in a forked twin of this process and
+    hands back each profile with the arguments it was solved for.  An
+    adopted entry sits under exactly those arguments, so only a call
+    asking for them reads it.  Adopting counts as neither a hit nor a
+    miss.
+    """
+
+    def __init__(self, solve: Callable[..., AllocationProfile], maxsize: int):
+        functools.update_wrapper(self, solve)  # __wrapped__: the bare solve
+        self._maxsize = maxsize
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
+
+    def __call__(self, *key) -> AllocationProfile:
+        with self._lock:
+            profile = self._entries.get(key)
+            if profile is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return profile
+            self._misses += 1
+        profile = self.__wrapped__(*key)
+        self.adopt(key, profile)
+        return profile
+
+    def adopt(self, key: tuple, profile: AllocationProfile) -> None:
+        """Store ``profile`` as the solve of ``key``, evicting the
+        least recently used entry past the bound."""
+        with self._lock:
+            self._entries[key] = profile
+            self._entries.move_to_end(key)
+            if len(self._entries) > self._maxsize:
+                self._entries.popitem(last=False)
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(
+                self._hits, self._misses, self._maxsize, len(self._entries)
+            )
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._hits = 0
+            self._misses = 0
+
+
+@functools.partial(_LevelLPMemo, maxsize=4096)
 def _solve_group_lp(
     n: int,
     p: float,
     z_cost_factor: float,
     max_iterations: int,
     tol: float,
-    max_level: Optional[int] = None,
-    support_feasible: bool = False,
-    support_rate: Optional[float] = None,
+    max_level: Optional[int],
+    support_feasible: bool,
+    support_rate: Optional[float],
 ) -> AllocationProfile:
-    """Dinkelbach iteration over the level-variable LP (memoized).
+    """Dinkelbach iteration over the level-variable LP.
 
     Campaigns evaluate the same ``(n, p)`` grid cells thousands of
     times (allocation planning, figure regeneration, batched scenario
-    sweeps), so the solve is cached on its full argument tuple.
+    sweeps), so the solve is memoized on its full argument tuple (one
+    :class:`_LevelLPMemo`, which every entry point goes through).
 
     ``max_level`` restricts the allocation to subsets of at most that
     size: estimators with structural blind spots (leave-one-out needs a
@@ -240,6 +302,40 @@ def _solve_group_lp(
     )
 
 
+def _profile_key(
+    n: int,
+    p: float,
+    z_cost_factor: float,
+    max_level: Optional[int],
+    support_feasible: bool,
+    support_rate: Optional[float],
+) -> Optional[tuple]:
+    """The memo key :func:`group_allocation_profile` normalises its
+    arguments to, after validating them; None when no LP is solved
+    (the all-zero profile is exact)."""
+    _validate(n, p)
+    if not z_cost_factor > 0:
+        raise ValueError("z_cost_factor must be positive")
+    if support_rate is not None and not 0.0 <= support_rate <= 1.0:
+        raise ValueError("support_rate must be in [0, 1]")
+    degenerate = (
+        p in (0.0, 1.0)
+        or (max_level is not None and max_level < 1)
+        or (support_feasible and support_rate is not None and support_rate <= 0.0)
+    )
+    if degenerate:
+        return None
+    if max_level is not None and max_level >= n - 1:
+        max_level = None  # unrestricted: share the cache entry
+    if not support_feasible or (support_rate is not None and support_rate >= p):
+        support_rate = None  # oracle-rate planning: share the cache entry
+    return (
+        n, float(p), float(z_cost_factor), 25, 1e-10, max_level,
+        bool(support_feasible),
+        None if support_rate is None else float(support_rate),
+    )
+
+
 def group_allocation_profile(
     n: int,
     p: float,
@@ -265,17 +361,10 @@ def group_allocation_profile(
     profile would demand more high-level support than realised rounds
     hold and starve the max-flow).
     """
-    _validate(n, p)
-    if not z_cost_factor > 0:
-        raise ValueError("z_cost_factor must be positive")
-    if support_rate is not None and not 0.0 <= support_rate <= 1.0:
-        raise ValueError("support_rate must be in [0, 1]")
-    degenerate = (
-        p in (0.0, 1.0)
-        or (max_level is not None and max_level < 1)
-        or (support_feasible and support_rate is not None and support_rate <= 0.0)
+    key = _profile_key(
+        n, p, z_cost_factor, max_level, support_feasible, support_rate
     )
-    if degenerate:
+    if key is None:
         return AllocationProfile(
             n=n,
             p=p,
@@ -285,15 +374,32 @@ def group_allocation_profile(
             m_per_packet=0.0,
             efficiency=0.0,
         )
-    if max_level is not None and max_level >= n - 1:
-        max_level = None  # unrestricted: share the cache entry
-    if not support_feasible or (support_rate is not None and support_rate >= p):
-        support_rate = None  # oracle-rate planning: share the cache entry
-    return _solve_group_lp(
-        n, float(p), float(z_cost_factor), 25, 1e-10, max_level,
-        bool(support_feasible),
-        None if support_rate is None else float(support_rate),
+    return _solve_group_lp(*key)
+
+
+def adopt_allocation_profile(
+    profile: AllocationProfile,
+    n: int,
+    p: float,
+    z_cost_factor: float = 1.0,
+    max_level: Optional[int] = None,
+    support_feasible: bool = False,
+    support_rate: Optional[float] = None,
+) -> None:
+    """Memoize ``profile`` as the answer to these arguments.
+
+    ``profile`` must be what :func:`group_allocation_profile` returned
+    for exactly these arguments in another process (a forked twin of
+    this one, so the solve is bit-identical).  It is stored under the
+    key they normalise to, so a later :func:`group_allocation_profile`
+    call with them returns it without solving, and no other call can
+    read it.  Arguments that need no LP store nothing.
+    """
+    key = _profile_key(
+        n, p, z_cost_factor, max_level, support_feasible, support_rate
     )
+    if key is not None:
+        _solve_group_lp.adopt(key, profile)
 
 
 def group_efficiency_lp(
@@ -309,12 +415,14 @@ def group_efficiency_lp(
     _validate(n, p)
     if p in (0.0, 1.0):
         return 0.0
-    # Pass max_level positionally: lru_cache keys distinguish omitted
-    # defaults from explicit ones, and both entry points must share hits.
-    return _solve_group_lp(n, float(p), 1.0, max_iterations, tol, None).efficiency
+    # The full key, so the default settings share the entry of an
+    # unrestricted group_allocation_profile(n, p).
+    return _solve_group_lp(
+        n, float(p), 1.0, max_iterations, tol, None, False, None
+    ).efficiency
 
 
-def efficiency_cache_info():
+def efficiency_cache_info() -> _CacheInfo:
     """Hit/miss statistics of the memoized efficiency LP solver."""
     return _solve_group_lp.cache_info()
 

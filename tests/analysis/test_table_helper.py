@@ -1,9 +1,10 @@
 """The PER-table helper process of a serial batched campaign.
 
 ``run_campaign``'s serial batched path (a single-worker manifest drain
-included) may build the upcoming placements' PER tables on one forked
-helper process while the running experiment's rounds use the caller's
-core.  This module pins that the helper changes wall-clock only:
+included) may build the upcoming placements' PER tables, and solve
+their leaders' planning LPs, on one forked helper process while the
+running experiment's rounds use the caller's core.  This module pins
+that the helper changes wall-clock only:
 
 * equivalence: both Figure-2 estimator variants with an extra Eve
   antenna give the same records and the same stored shard lines on
@@ -11,6 +12,11 @@ core.  This module pins that the helper changes wall-clock only:
   and deselected, an interrupted-then-resumed campaign equals an
   uninterrupted one, and so does a manifest drain of a partly finished
   campaign; tables the caller passes over are cancelled;
+* the planning LPs: the helper's profiles are ``float.hex``-equal to
+  the in-line ``group_allocation_profile`` calls, under exactly their
+  arguments; a profile adopted under other arguments is never read;
+  one-CPU, sharded (thread and process pools) and manifest-drain
+  campaigns, which solve in-line, store the golden testbed shards;
 * lifecycle: no helper process and no thread outlives the call, on
   success, when an experiment raises, and when the helper dies; a dead
   helper surfaces as a ``ShardWorkerError`` naming the placement, with
@@ -19,7 +25,10 @@ core.  This module pins that the helper changes wall-clock only:
 * the selection rule: no helper in pool threads, pool processes, a
   process with live multiprocessing children, sharded (manifest or
   not) campaigns, the packet engine, with one usable CPU or with one
-  pending experiment.
+  pending experiment; an explicit start method other than ``fork``
+  deselects it, and with none set it is selected whenever ``fork`` is
+  available, whatever the default (``forkserver`` on Linux from
+  Python 3.14).
 
 Every test forces the side of the selection it needs, so the module
 also passes pinned to one CPU (``taskset -c 0``).
@@ -27,7 +36,11 @@ also passes pinned to one CPU (``taskset -c 0``).
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
 import multiprocessing
+import multiprocessing.context
 import os
 import re
 import sys
@@ -51,11 +64,19 @@ from repro.sim import (
     LeaveOneOutEstimatorSpec,
     OracleEstimatorSpec,
 )
+from repro.sim import engine
 from repro.sim.campaign import ShardWorkerError
 from repro.store import open_store
 from repro.store.records import experiment_record_to_json
 from repro.testbed import Placement
 from repro.testbed.pertable import placement_schedule_specs
+from repro.theory import (
+    clear_efficiency_cache,
+    efficiency_cache_info,
+    group_allocation_profile,
+)
+from repro.theory.efficiency import adopt_allocation_profile
+from tests.sim.test_accounting_golden import GOLDEN, campaign_shard_digest
 
 pytestmark = pytest.mark.accounting
 
@@ -264,7 +285,7 @@ def test_tables_passed_over_are_cancelled(monkeypatch, tmp_path, no_leftovers):
         assert prefetch.table_for(WORK[2]) is None  # out of order: in-line
     finally:
         prefetch.close()
-    (tx0, rx0), table0 = BUILD_TABLE(TESTBED, WORK[-1], CONFIG)
+    (tx0, rx0), table0, _ = BUILD_TABLE(TESTBED, WORK[-1], CONFIG)
     assert (tx, rx) == (tx0, rx0) and (table == table0).all()
     built = [int(line) for line in LOG.read_text().split()]
     assert built[0] == 1 and built[-1] == len(WORK) - 1
@@ -273,7 +294,7 @@ def test_tables_passed_over_are_cancelled(monkeypatch, tmp_path, no_leftovers):
 
 def test_a_table_for_other_positions_is_refused():
     placement = WORK[0]
-    (tx, rx), table = BUILD_TABLE(TESTBED, placement, CONFIG)
+    (tx, rx), table, _ = BUILD_TABLE(TESTBED, placement, CONFIG)
     moved = [(x + 1e-9, y) for x, y in tx], rx
 
     def specs(prefetched):
@@ -286,6 +307,155 @@ def test_a_table_for_other_positions_is_refused():
     assert specs(lambda: ((tx, rx), table)) == specs(None)
     with pytest.raises(RuntimeError, match="built for other positions"):
         specs(lambda: (moved, table))
+
+
+# -- the planning LPs the helper solves ----------------------------------
+
+
+def hexed(profile) -> tuple:
+    """Every field of an allocation profile, each float as ``float.hex``."""
+    return (
+        profile.n,
+        float(profile.p).hex(),
+        float(profile.z_cost_factor).hex(),
+        tuple(v.hex() for v in profile.level_rows),
+        profile.l_per_packet.hex(),
+        profile.m_per_packet.hex(),
+        profile.efficiency.hex(),
+    )
+
+
+@pytest.mark.parametrize("spec", VARIANTS)
+def test_helper_profiles_equal_the_inline_solves(spec, monkeypatch):
+    """Each leader's profile, solved in a forked helper, against the
+    ``group_allocation_profile`` call its accounting makes in-line:
+    same arguments, same bits (an extra Eve antenna included)."""
+    inline: list = []
+    original = engine.group_allocation_profile
+
+    def spy(**arguments):
+        profile = original(**arguments)
+        inline.append((arguments, hexed(profile)))
+        return profile
+
+    monkeypatch.setattr(engine, "group_allocation_profile", spy)
+    select_helper(monkeypatch, False)
+    clear_efficiency_cache()
+    run(spec=spec)
+    monkeypatch.setattr(engine, "group_allocation_profile", original)
+    clear_efficiency_cache()
+    with ProcessPoolExecutor(
+        1, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        jobs = [
+            pool.submit(
+                BUILD_TABLE, TESTBED, placement, CONFIG,
+                estimator_spec=spec, rounds_per_leader=ROUNDS,
+            )
+            for placement in WORK
+        ]
+        helper = [
+            (arguments, hexed(profile))
+            for job in jobs
+            for arguments, profile in job.result()[2]
+        ]
+    assert efficiency_cache_info().misses == 0  # all solved in the helper
+    assert len(inline) == sum(p.n_terminals for p in WORK)
+    assert helper == inline
+
+
+def test_leaders_read_the_adopted_profiles(monkeypatch):
+    """With the helper, only the in-line first placement's leaders
+    solve; every later leader reads the profile its table brought."""
+    select_helper(monkeypatch, True)
+    clear_efficiency_cache()
+    run()
+    info = efficiency_cache_info()
+    assert 1 <= info.misses <= WORK[0].n_terminals
+    assert info.hits == sum(p.n_terminals for p in WORK) - info.misses
+
+
+def zeroed(profile):
+    return dataclasses.replace(
+        profile,
+        level_rows=tuple(0.0 for _ in profile.level_rows),
+        l_per_packet=0.0,
+        m_per_packet=0.0,
+        efficiency=0.0,
+    )
+
+
+def misfiled_job(testbed, placement, config, **job):
+    """The real job, its profiles zeroed and filed under a nudged loss."""
+    positions, table, profiles = BUILD_TABLE(testbed, placement, config, **job)
+    return positions, table, tuple(
+        (dict(arguments, p=math.nextafter(arguments["p"], 1.0)), zeroed(profile))
+        for arguments, profile in profiles
+    )
+
+
+def test_a_profile_adopted_under_other_arguments_is_never_read():
+    arguments = dict(
+        n=5, p=0.3, z_cost_factor=2.5, max_level=3,
+        support_feasible=True, support_rate=0.2,
+    )
+    clear_efficiency_cache()
+    solved = group_allocation_profile(**arguments)
+    clear_efficiency_cache()
+    bogus = zeroed(solved)
+    for other in (
+        dict(arguments, n=6),
+        dict(arguments, p=math.nextafter(0.3, 1.0)),
+        dict(arguments, z_cost_factor=2.0),
+        dict(arguments, max_level=2),
+        dict(arguments, support_rate=0.19),
+        dict(arguments, support_feasible=False),
+    ):
+        adopt_allocation_profile(bogus, **other)
+    assert efficiency_cache_info().misses == 0  # adopting is no solve
+    assert hexed(group_allocation_profile(**arguments)) == hexed(solved)
+    assert efficiency_cache_info().misses == 1
+    # Under exactly its arguments, an adopted profile is read.
+    clear_efficiency_cache()
+    adopt_allocation_profile(bogus, **arguments)
+    assert group_allocation_profile(**arguments) is bogus
+    assert efficiency_cache_info()[:2] == (1, 0)
+
+
+def test_misfiled_profiles_leave_the_records_unchanged(monkeypatch, tmp_path):
+    """A helper whose profiles sit under other arguments: every leader
+    solves in-line, as with no helper, and stores the same records."""
+    select_helper(monkeypatch, False)
+    clear_efficiency_cache()
+    inline = encoded(run(open_store(f"file:{tmp_path / 'off'}")))
+    inline_solves = efficiency_cache_info().misses
+    select_helper(monkeypatch, True)
+    monkeypatch.setattr(experiments, "_prefetch_table", misfiled_job)
+    clear_efficiency_cache()
+    assert encoded(run(open_store(f"file:{tmp_path / 'on'}"))) == inline
+    assert efficiency_cache_info().misses == inline_solves
+
+
+@pytest.mark.parametrize(
+    "campaign",
+    [
+        dict(),  # the host's rule, pinned to one usable CPU below
+        dict(max_workers=2, executor="thread"),
+        dict(max_workers=2, executor="process"),
+        dict(manifest="sweep", resume=True),
+        dict(manifest="sweep", resume=True, max_workers=2, executor="thread"),
+    ],
+    ids=["one-cpu", "threads", "processes", "manifest", "manifest-threads"],
+)
+def test_inline_campaigns_store_the_golden_shards(
+    campaign, monkeypatch, tmp_path, helper_starts, no_leftovers
+):
+    """Where no helper runs, every leader's LP is solved in-line: the
+    stored shards are the golden ones, which the helper also stores."""
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
+    digest = campaign_shard_digest(tmp_path / "store", **campaign)
+    assert digest == json.loads(GOLDEN.read_text())["testbed_campaign"]
+    assert helper_starts == []
 
 
 # -- lifecycle and failures ----------------------------------------------
@@ -313,14 +483,14 @@ def test_no_helper_outlives_a_raising_experiment(monkeypatch, no_leftovers):
         run()
 
 
-def die_on_first(testbed, placement, config):
+def die_on_first(testbed, placement, config, **job):
     os._exit(3)
 
 
-def die_on_last(testbed, placement, config):
+def die_on_last(testbed, placement, config, **job):
     if placement == WORK[-1]:
         os._exit(3)
-    return BUILD_TABLE(testbed, placement, config)
+    return BUILD_TABLE(testbed, placement, config, **job)
 
 
 @pytest.mark.parametrize(
@@ -364,11 +534,15 @@ def test_invalid_antenna_cells_fail_at_the_same_experiment(
 
 
 @pytest.fixture
-def two_cpus_and_fork(monkeypatch):
-    """The facts under which the helper is selected, whatever the host."""
+def two_cpus(monkeypatch):
     monkeypatch.setattr(
         experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
     )
+
+
+@pytest.fixture
+def two_cpus_and_fork(two_cpus, monkeypatch):
+    """The facts under which the helper is selected, whatever the host."""
     monkeypatch.setattr(
         experiments.multiprocessing,
         "get_start_method",
@@ -399,6 +573,45 @@ def test_not_selected_without_fork(two_cpus_and_fork, monkeypatch, method):
         experiments.multiprocessing,
         "get_start_method",
         lambda allow_none=False: method,
+    )
+    assert not experiments._table_helper_selected(5)
+
+
+class UnsetContext(multiprocessing.context.DefaultContext):
+    """The multiprocessing module of a process that set no start method,
+    on a platform whose default is ``default``: it lists that method
+    first, as Python 3.14 does."""
+
+    def __init__(self, default: str, available=None) -> None:
+        super().__init__(multiprocessing.get_context(default))
+        self._available = available
+
+    def get_all_start_methods(self):
+        methods = self._available or super().get_all_start_methods()
+        default = self._default_context.get_start_method()
+        return [default] + [m for m in methods if m != default]
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_an_explicit_start_method_is_respected(two_cpus, monkeypatch, method):
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(experiments, "multiprocessing", context)
+    assert experiments._table_helper_selected(5) == (method == "fork")
+
+
+@pytest.mark.parametrize("default", multiprocessing.get_all_start_methods())
+def test_selected_with_no_start_method_set_if_fork_is_available(
+    two_cpus, monkeypatch, default
+):
+    context = UnsetContext(default)
+    assert context.get_start_method(allow_none=True) is None
+    assert context.get_all_start_methods()[0] == default
+    monkeypatch.setattr(experiments, "multiprocessing", context)
+    assert experiments._table_helper_selected(5) == (
+        "fork" in multiprocessing.get_all_start_methods()
+    )
+    monkeypatch.setattr(
+        experiments, "multiprocessing", UnsetContext("spawn", ["spawn"])
     )
     assert not experiments._table_helper_selected(5)
 

@@ -197,27 +197,34 @@ def _shard_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-def campaign_shard_digest(root: Path) -> str:
-    """Shard bytes of a tiny batched testbed campaign: combined
-    estimator, an extra Eve antenna in cell 4, n = 3 and 5."""
+#: ``run_campaign`` arguments of the tiny batched testbed campaign whose
+#: shard bytes are pinned: combined estimator, an extra Eve antenna in
+#: cell 4, n = 3 and 5.
+TESTBED_CAMPAIGN = dict(
+    testbed=repro.Testbed(repro.TestbedConfig(interferer_power_dbm=10.0)),
+    config=CampaignConfig(
+        session=repro.SessionConfig(
+            n_x_packets=120, payload_bytes=40, secrecy_slack=1, z_cost_factor=2.5
+        ),
+        seed=2012,
+        max_placements_per_n=2,
+        group_sizes=(3, 5),
+        eve_extra_cells=(4,),
+    ),
+    engine="batched",
+    estimator_spec=ESTIMATORS[-1][1],
+    resume=False,
+    rounds_per_leader=4,
+)
+
+
+def campaign_shard_digest(root: Path, **overrides) -> str:
+    """Shard bytes of the :data:`TESTBED_CAMPAIGN` stored under
+    ``root``, run with ``overrides`` of its arguments."""
     clear_realised_flow_cache()
     clear_efficiency_cache()
     run_campaign(
-        repro.Testbed(repro.TestbedConfig(interferer_power_dbm=10.0)),
-        config=CampaignConfig(
-            session=repro.SessionConfig(
-                n_x_packets=120, payload_bytes=40, secrecy_slack=1, z_cost_factor=2.5
-            ),
-            seed=2012,
-            max_placements_per_n=2,
-            group_sizes=(3, 5),
-            eve_extra_cells=(4,),
-        ),
-        engine="batched",
-        estimator_spec=ESTIMATORS[-1][1],
-        store=open_store(f"file:{root}"),
-        resume=False,
-        rounds_per_leader=4,
+        **{**TESTBED_CAMPAIGN, "store": open_store(f"file:{root}"), **overrides}
     )
     return _shard_digest(root)
 

@@ -1,6 +1,8 @@
 """Figure-1 theory: closed forms, LP behaviour, capacity bounds."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.theory.bounds import group_secret_upper_bound, pairwise_secrecy_capacity
 from repro.theory.efficiency import (
+    _LevelLPMemo,
     clear_efficiency_cache,
     efficiency_cache_info,
     group_allocation_profile,
@@ -151,6 +154,67 @@ class TestEfficiencyCache:
         b = group_efficiency_lp(5, 0.4)
         c = group_efficiency_lp(6, 0.3)
         assert len({round(v, 12) for v in (a, b, c)}) == 3
+
+
+    def test_group_efficiency_lp_shares_the_profile_entry(self):
+        clear_efficiency_cache()
+        profile = group_allocation_profile(6, 0.35)
+        assert group_efficiency_lp(6, 0.35) == profile.efficiency
+        assert efficiency_cache_info()[:2] == (1, 1)
+
+
+def _keyed(*key):
+    return ("solved", key)
+
+
+class TestLevelLPMemo:
+    def test_least_recently_used_entry_is_evicted(self):
+        memo = _LevelLPMemo(_keyed, maxsize=3)
+        for k in (1, 2, 3):
+            memo(k)
+        memo(1)  # now the most recent
+        memo.adopt((4,), ("adopted", 4))
+        assert memo.cache_info() == (1, 3, 3, 3)
+        assert memo(4) == ("adopted", 4) and memo(1) == _keyed(1)
+        memo(2)  # evicted by the adoption: solved again
+        assert memo.cache_info()[:2] == (3, 4)
+        assert memo.__wrapped__ is _keyed
+
+    def test_threads_lose_no_count_and_no_bound(self):
+        """Eight threads on two cores, switching every few bytecodes,
+        solve and adopt over one small key set."""
+        memo = _LevelLPMemo(_keyed, maxsize=8)
+        calls, wrong = 2000, []
+
+        def worker(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            for key in rng.integers(0, 24, size=calls):
+                key = int(key)
+                if key % 5 == 0:
+                    memo.adopt((key,), _keyed(key))
+                elif memo(key) != _keyed(key):
+                    wrong.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        adopted = sum(
+            int(k) % 5 == 0
+            for s in range(8)
+            for k in np.random.default_rng(s).integers(0, 24, size=calls)
+        )
+        info = memo.cache_info()
+        assert wrong == []
+        assert info.hits + info.misses == 8 * calls - adopted
+        assert info.currsize <= 8
 
 
 class TestAllocationProfile:
