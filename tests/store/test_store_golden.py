@@ -11,6 +11,11 @@ through :class:`repro.sim.CampaignRunner`:
 * the same two for one campaign interrupted after its first 3 cells
   and then resumed on the same ``file:`` store.
 
+The same grid drained as a named sweep (``run(cells, manifest=...)``)
+must store the very lines of the plain run on every backend, so the
+manifest inputs are checked against the ``file``, ``sqlite`` and
+``mem`` sections rather than sections of their own.
+
 The grid is 2 group sizes x 2 losses x 2 estimators; its last cell
 faces a 2-antenna Eve, so it stacks alone.  The digests in
 ``golden/store_lines.json`` must never be regenerated to make a change
@@ -83,10 +88,13 @@ def file_digests(root: Path) -> dict:
     }
 
 
-def campaign_digests(uri: str, **runner_kwargs) -> dict:
-    """Run the golden cells into the store at ``uri``; its line digests."""
+def campaign_digests(uri: str, manifest=None, **runner_kwargs) -> dict:
+    """Run the golden cells into the store at ``uri`` (as the named
+    sweep ``manifest``, if given); its line digests."""
     store = open_store(uri)
-    CampaignRunner(seed=SEED, store=store, **runner_kwargs).run(golden_cells())
+    CampaignRunner(seed=SEED, store=store, **runner_kwargs).run(
+        golden_cells(), manifest=manifest
+    )
     return line_digests(store)
 
 
@@ -103,17 +111,25 @@ def resumed_digests(root: Path, **runner_kwargs) -> dict:
     return {"lines": line_digests(store), "files": file_digests(root)}
 
 
-def all_digests(tmp: Path, mem_name: str, **runner_kwargs) -> dict:
-    """Every pinned section, with stores under ``tmp`` and ``mem:``."""
+def backend_digests(tmp: Path, mem_name: str, **kwargs) -> dict:
+    """The ``file``, ``sqlite`` and ``mem`` sections, stores under
+    ``tmp`` and ``mem:``."""
     try:
-        mem = campaign_digests(f"mem:{mem_name}", **runner_kwargs)
+        mem = campaign_digests(f"mem:{mem_name}", **kwargs)
     finally:
         MemoryStoreBackend.discard(mem_name)
     return {
-        "file": campaign_digests(f"file:{tmp}/file", **runner_kwargs),
-        "file_bytes": file_digests(tmp / "file"),
-        "sqlite": campaign_digests(f"sqlite:{tmp}/s.sqlite", **runner_kwargs),
+        "file": campaign_digests(f"file:{tmp}/file", **kwargs),
+        "sqlite": campaign_digests(f"sqlite:{tmp}/s.sqlite", **kwargs),
         "mem": mem,
+    }
+
+
+def all_digests(tmp: Path, mem_name: str, **runner_kwargs) -> dict:
+    """Every pinned section, with stores under ``tmp`` and ``mem:``."""
+    return {
+        **backend_digests(tmp, mem_name, **runner_kwargs),
+        "file_bytes": file_digests(tmp / "file"),
         "resumed": resumed_digests(tmp / "resumed", **runner_kwargs),
     }
 
@@ -128,6 +144,15 @@ def got(tmp_path_factory) -> dict:
     return all_digests(tmp_path_factory.mktemp("golden"), "store-golden")
 
 
+@pytest.fixture(scope="module")
+def got_manifest(tmp_path_factory) -> dict:
+    return backend_digests(
+        tmp_path_factory.mktemp("golden-manifest"),
+        "store-golden-manifest",
+        manifest="golden",
+    )
+
+
 def test_one_shard_per_cell(golden):
     keys = {CampaignRunner(seed=SEED).cell_key(c) for c in golden_cells()}
     assert len(keys) == len(golden_cells())
@@ -137,6 +162,12 @@ def test_one_shard_per_cell(golden):
 @pytest.mark.parametrize("section", ["file", "file_bytes", "sqlite", "mem"])
 def test_campaign_store_unchanged(golden, got, section):
     assert got[section] == golden[section]
+
+
+@pytest.mark.parametrize("section", ["file", "sqlite", "mem"])
+def test_manifest_campaign_stores_the_same_lines(golden, got_manifest, section):
+    """A named-sweep drain stores the plain run's lines, key for key."""
+    assert got_manifest[section] == golden[section]
 
 
 def test_backends_store_the_same_lines(golden):
