@@ -8,7 +8,13 @@ Scans ``README.md`` and ``docs/*.md`` for
 * dotted ``repro.*`` references — the module must import and any
   trailing attribute chain must resolve;
 * ``path.py`` (`TestClass`) pairs — the named test class/function must
-  actually appear in that file.
+  actually appear in that file;
+
+and scans the docstrings and comments of ``src/repro/**/*.py`` for
+fully qualified Sphinx cross-references (``:func:``, ``:meth:``,
+``:class:``, ``:mod:``, ``:data:``, ``:attr:`` and ``:exc:`` roles
+naming ``repro.*``, with or without a leading ``~``) — each must
+resolve like a dotted reference in the docs.
 
 Run from the repo root with ``PYTHONPATH=src python scripts/check_docs.py``.
 Exits non-zero listing every stale reference, so the paper map cannot
@@ -31,6 +37,9 @@ PATH_RE = re.compile(
 )
 MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 ANCHOR_RE = re.compile(r"`([\w./-]+\.py)`\s*\(`([A-Za-z_]\w*)`\)")
+ROLE_RE = re.compile(
+    r":(?:func|meth|class|mod|data|attr|exc):`~?(repro(?:\.[A-Za-z_]\w*)+)`"
+)
 
 
 def _resolve_dotted(name: str) -> str | None:
@@ -92,14 +101,38 @@ def check_file(doc: Path) -> list[str]:
     return errors
 
 
+def check_source(path: Path) -> tuple[int, list[str]]:
+    """Resolve the Sphinx cross-references in one source file.
+
+    Returns the number of references found and the stale ones.
+    """
+    names = ROLE_RE.findall(path.read_text(encoding="utf-8"))
+    where = path.relative_to(REPO)
+    errors = [
+        f"{where}: {error}"
+        for error in map(_resolve_dotted, sorted(set(names)))
+        if error is not None
+    ]
+    return len(names), errors
+
+
 def main() -> int:
     docs = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
     errors: list[str] = []
     for doc in docs:
         errors.extend(check_file(doc))
+    sources = sorted((REPO / "src" / "repro").rglob("*.py"))
+    n_roles = 0
+    for source in sources:
+        found, stale = check_source(source)
+        n_roles += found
+        errors.extend(stale)
     for error in errors:
         print(f"ERROR: {error}", file=sys.stderr)
-    print(f"checked {len(docs)} docs: {len(errors)} stale reference(s)")
+    print(
+        f"checked {len(docs)} docs and {n_roles} cross-reference(s) in "
+        f"{len(sources)} source files: {len(errors)} stale reference(s)"
+    )
     return 1 if errors else 0
 
 

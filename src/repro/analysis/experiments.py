@@ -87,6 +87,9 @@ __all__ = [
 #: candidate-cell geometry, so they are placement-specific).
 EstimatorFactory = Callable[[Testbed, Placement], EveErasureEstimator]
 
+#: The manifest kind of a testbed campaign sweep.
+_TESTBED_KIND = "testbed-campaign"
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -471,42 +474,88 @@ def campaign_sweep_manifest(
     Built, not saved; ``manifest.save(store)`` persists it atomically
     next to the shards.
     """
-    from repro.store.manifest import ManifestEntry, SweepManifest
+    from repro.store.queue import sweep_manifest
+
+    _, work, meta = _campaign_sweep(
+        testbed,
+        config if config is not None else CampaignConfig(),
+        engine,
+        estimator_factory,
+        estimator_spec,
+        rounds_per_leader,
+    )
+    return sweep_manifest(name, work, _TESTBED_KIND, meta)
+
+
+def _campaign_sweep(
+    testbed: Testbed,
+    config: CampaignConfig,
+    engine: str,
+    estimator_factory: Optional[EstimatorFactory],
+    estimator_spec: Optional[EstimatorSpec],
+    rounds_per_leader: int,
+) -> tuple:
+    """The campaign as :func:`repro.store.queue.run_sweep` takes it.
+
+    Returns the per-placement experiment of ``engine`` (refusing a
+    missing estimator, or one the engine would silently ignore), the
+    work list (one ``(key, placement, spec, label)`` per experiment, in
+    campaign order), and the provenance its manifest records.
+    """
     from repro.store.records import encode_spec
 
-    if engine not in ("packet", "batched"):
-        raise ValueError(f"unknown engine {engine!r}")
-    config = config if config is not None else CampaignConfig()
-    identity = estimator_spec if engine == "batched" else estimator_factory
-    if identity is None:
-        raise ValueError(
-            "the packet engine needs an estimator_factory"
-            if engine == "packet"
-            else "the batched engine needs an estimator_spec"
+    if engine == "packet":
+        if estimator_factory is None:
+            raise ValueError("the packet engine needs an estimator_factory")
+        if estimator_spec is not None:
+            raise ValueError(
+                "estimator_spec belongs to the batched engine; the packet "
+                "engine would silently ignore it"
+            )
+        identity = estimator_factory
+        run_one = functools.partial(
+            run_placement_experiment,
+            testbed,
+            estimator_factory=estimator_factory,
+            config=config,
         )
-    entries = tuple(
-        ManifestEntry(
-            key=experiment_store_key(
-                testbed, config, engine, identity, placement, rounds_per_leader
+    elif engine == "batched":
+        if estimator_spec is None:
+            raise ValueError("the batched engine needs an estimator_spec")
+        if estimator_factory is not None:
+            raise ValueError(
+                "estimator_factory belongs to the packet engine; the batched "
+                "engine would silently ignore it"
+            )
+        identity = estimator_spec
+        run_one = functools.partial(
+            run_placement_experiment_batched,
+            testbed,
+            estimator_spec=estimator_spec,
+            config=config,
+            rounds_per_leader=rounds_per_leader,
+        )
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    work = [
+        (
+            experiment_store_key(
+                testbed, config, engine, identity, placement,
+                rounds_per_leader,
             ),
-            spec=encode_spec(placement),
-            label=placement_label(placement),
+            placement,
+            encode_spec(placement),
+            placement_label(placement),
         )
         for _, placement in campaign_work_items(config)
-    )
-    return SweepManifest(
-        name=name,
-        entries=entries,
-        kind="testbed-campaign",
-        meta={
-            "engine": engine,
-            "seed": config.seed,
-            "group_sizes": list(config.group_sizes),
-            "rounds_per_leader": (
-                rounds_per_leader if engine == "batched" else None
-            ),
-        },
-    )
+    ]
+    meta = {
+        "engine": engine,
+        "seed": config.seed,
+        "group_sizes": list(config.group_sizes),
+        "rounds_per_leader": rounds_per_leader if engine == "batched" else None,
+    }
+    return run_one, work, meta
 
 
 def _table_helper_selected(n_pending: int) -> bool:
@@ -710,6 +759,14 @@ def run_campaign(
     to the serial run at a fixed seed — for the per-packet oracle too,
     whose 9·C(8,n)-experiment campaigns are the expensive ones.
 
+    The work list runs through the store's sweep driver,
+    :func:`repro.store.queue.run_sweep` (resume scan, manifest
+    define-and-drain, assembly in work order); this function brings
+    the placements, a runner that persists each record with one
+    ``store.append`` as it finishes, and the record decoder.  A
+    campaign that lists one placement twice (a repeated group size) is
+    refused before anything runs.
+
     A serial batched campaign (``max_workers`` None or 1, manifest mode
     included) may build the PER tables of the upcoming placements, and
     solve their leaders' planning LPs, on one helper process while the
@@ -753,9 +810,10 @@ def run_campaign(
             supersedes the stored records.
         manifest: a sweep name (or a :class:`~repro.store.SweepManifest`)
             to drain through the crash-safe work queue instead of the
-            private resume path — requires a store.  The campaign's
-            work list is saved as the named manifest (or validated
-            against the existing one), and this call becomes one
+            resume scan — requires a store.  The campaign's work list
+            is saved as the named manifest (refused when a saved one,
+            or the object passed, has other content), and this call
+            becomes one
             *worker* of the sweep: any number of concurrent callers on
             one host or a shared filesystem drain it together, dead
             workers' leases expire and are reclaimed, and every caller
@@ -765,236 +823,77 @@ def run_campaign(
         lease_timeout / poll_interval: work-queue tuning for manifest
             mode (see :class:`repro.store.WorkQueue`).
     """
-    if engine not in ("packet", "batched"):
-        raise ValueError(f"unknown engine {engine!r}")
-    config = config if config is not None else CampaignConfig()
-    store = _as_store(store)
-    if engine == "packet":
-        if estimator_factory is None:
-            raise ValueError("the packet engine needs an estimator_factory")
-        if estimator_spec is not None:
-            raise ValueError(
-                "estimator_spec belongs to the batched engine; the packet "
-                "engine would silently ignore it"
-            )
-        run_one = functools.partial(
-            run_placement_experiment,
-            testbed,
-            estimator_factory=estimator_factory,
-            config=config,
-        )
-    else:
-        if estimator_spec is None:
-            raise ValueError("the batched engine needs an estimator_spec")
-        if estimator_factory is not None:
-            raise ValueError(
-                "estimator_factory belongs to the packet engine; the batched "
-                "engine would silently ignore it"
-            )
-        run_one = functools.partial(
-            run_placement_experiment_batched,
-            testbed,
-            estimator_spec=estimator_spec,
-            config=config,
-            rounds_per_leader=rounds_per_leader,
-        )
-    work = campaign_work_items(config)
-
-    estimator_identity = (
-        estimator_spec if engine == "batched" else estimator_factory
+    from repro.store.queue import run_sweep
+    from repro.store.records import (
+        experiment_record_from_json,
+        experiment_record_to_json,
     )
 
-    def key_for(placement: Placement) -> str:
-        return experiment_store_key(
-            testbed, config, engine, estimator_identity, placement,
-            rounds_per_leader,
-        )
-
+    config = config if config is not None else CampaignConfig()
+    run_one, work, meta = _campaign_sweep(
+        testbed, config, engine, estimator_factory, estimator_spec,
+        rounds_per_leader,
+    )
+    store = _as_store(store)
     prefetch: Optional[_TablePrefetcher] = None
 
-    def run_item(placement: Placement) -> ExperimentRecord:
+    def start_helper(pending: list) -> None:
+        nonlocal prefetch
+        prefetch = _start_table_helper(
+            testbed, config, engine, max_workers,
+            [placement for _, placement, _, _ in pending],
+            estimator_spec, rounds_per_leader,
+        )
+
+    def run_serial(placement: Placement) -> ExperimentRecord:
+        # Serial: fire progress just before each experiment.
+        if progress is not None:
+            progress(placement.n_terminals, placement)
         if prefetch is None:
             return run_one(placement)
         return run_one(placement, prefetched=prefetch.table_for(placement))
 
-    if manifest is not None:
-        # Multi-host sweep mode: this call is one worker of a named
-        # sweep.  Claim pending experiments through the lease queue,
-        # run each claimed batch through shard_map (persisting via the
-        # on_result hook the moment each worker finishes), release,
-        # and poll until every manifest key has a complete record —
-        # peers' records arrive through the store, dead peers' leases
-        # come back through expiry.
-        if store is None:
-            raise ValueError("manifest mode needs a store")
-        if not resume:
-            raise ValueError(
-                "manifest mode judges completion by the store's shards and "
-                "cannot re-run finished work; resume=False is incompatible "
-                "(re-run a changed campaign under a new manifest name, or "
-                "delete the shards)"
-            )
-        from repro.store.manifest import SweepManifest
-        from repro.store.queue import (
-            DEFAULT_LEASE_TIMEOUT,
-            WorkQueue,
-            drain_manifest,
-        )
-        from repro.store.records import experiment_record_from_json
+    def run_pending(pending: list) -> list:
+        placements = [placement for _, placement, _, _ in pending]
+        persist = None
+        if store is not None:
+            key_of = {placement: key for key, placement, _, _ in pending}
 
-        built = campaign_sweep_manifest(
-            testbed,
-            manifest if isinstance(manifest, str) else manifest.name,
-            config=config,
-            engine=engine,
-            estimator_factory=estimator_factory,
-            estimator_spec=estimator_spec,
-            rounds_per_leader=rounds_per_leader,
-        )
-        if isinstance(manifest, SweepManifest) and manifest.keys() != built.keys():
-            raise ValueError(
-                f"manifest {manifest.name!r} does not describe this "
-                "campaign's work (different testbed/config/engine/"
-                "estimator?)"
-            )
-        existing = SweepManifest.load(store, built.name, missing_ok=True)
-        if existing is not None and existing.keys() != built.keys():
-            raise ValueError(
-                f"manifest {built.name!r} already describes a different "
-                "sweep; use a new name"
-            )
-        sweep = existing if existing is not None else built.save(store)
+            def persist(placement: Placement, record: ExperimentRecord) -> None:
+                store.append(key_of[placement], experiment_record_to_json(record))
 
-        from repro.store.records import experiment_record_to_json
-
-        # The manifest already carries every shard key in work order —
-        # reuse it everywhere below instead of recomputing a single
-        # content hash.
-        work_keys = sweep.keys()
-        by_key = dict(zip(work_keys, work))
-        key_of = {placement: key for key, (_, placement) in by_key.items()}
-
-        def persist_record(placement: Placement, record: ExperimentRecord) -> None:
-            store.append(key_of[placement], experiment_record_to_json(record))
-
-        def run_keys(keys) -> None:
-            batch = [by_key[key] for key in keys]
+        if max_workers is None or max_workers <= 1:
+            run = run_serial
+        else:  # sharded: fire progress at submission
             if progress is not None:
-                for n, placement in batch:
-                    progress(n, placement)
-            shard_map(
-                run_item,
-                [placement for _, placement in batch],
-                max_workers=max_workers,
-                executor=executor,
-                label=placement_label,
-                on_result=lambda placement, record: persist_record(
-                    placement, record
-                ),
-            )
-
-        queue = WorkQueue(
-            store,
-            sweep,
-            lease_timeout=(
-                DEFAULT_LEASE_TIMEOUT if lease_timeout is None else lease_timeout
-            ),
-        )
-        # A single worker's queue hands out the pending keys in sweep
-        # order, so the helper builds their tables in that order.
-        prefetch = _start_table_helper(
-            testbed, config, engine, max_workers,
-            [by_key[key][1] for key in queue.pending()],
-            estimator_spec, rounds_per_leader,
-        )
-        try:
-            drain_manifest(
-                queue,
-                run_keys,
-                batch_size=max(1, max_workers or 1),
-                poll_interval=poll_interval,
-            )
-        finally:
-            if prefetch is not None:
-                prefetch.close()
-        return CampaignResult(
-            records=[
-                experiment_record_from_json(store.load(key))
-                for key in work_keys
-            ]
-        )
-
-    # Checkpoint/resume: load finished experiments from the store, run
-    # only the rest, and persist each fresh record the moment its
-    # worker completes.  Records are assembled in work order from both
-    # sources, so a resumed campaign is bit-identical to an
-    # uninterrupted one.
-    records: list = [None] * len(work)
-    pending: list = []
-    if store is not None and resume:
-        from repro.store.records import experiment_record_from_json
-
-        for index, (_, placement) in enumerate(work):
-            stored = store.load(key_for(placement))
-            if stored is not None:
-                records[index] = experiment_record_from_json(stored)
-            else:
-                pending.append(index)
-    else:
-        pending = list(range(len(work)))
-    pending_work = [work[index] for index in pending]
-
-    persist = None
-    if store is not None:
-        from repro.store.records import experiment_record_to_json
-
-        def persist(placement: Placement, record: ExperimentRecord) -> None:
-            store.append(
-                key_for(placement), experiment_record_to_json(record)
-            )
-
-    if max_workers is None or max_workers <= 1:
-        prefetch = _start_table_helper(
-            testbed, config, engine, max_workers,
-            [placement for _, placement in pending_work],
-            estimator_spec, rounds_per_leader,
-        )
-
-        # Serial: fire progress just before each experiment, as before.
-        def run_with_progress(item):
-            n, placement = item
-            if progress is not None:
-                progress(n, placement)
-            return run_item(placement)
-
-        try:
-            results = shard_map(
-                run_with_progress,
-                pending_work,
-                max_workers=max_workers,
-                executor=executor,
-                label=lambda item: placement_label(item[1]),
-                on_result=(
-                    None
-                    if persist is None
-                    else lambda item, record: persist(item[1], record)
-                ),
-            )
-        finally:
-            if prefetch is not None:
-                prefetch.close()
-    else:
-        if progress is not None:
-            for n, placement in pending_work:
-                progress(n, placement)
-        results = shard_map(
-            run_one,
-            [placement for _, placement in pending_work],
+                for placement in placements:
+                    progress(placement.n_terminals, placement)
+            run = run_one
+        return shard_map(
+            run,
+            placements,
             max_workers=max_workers,
             executor=executor,
             label=placement_label,
             on_result=persist,
         )
-    for index, record in zip(pending, results):
-        records[index] = record
+
+    try:
+        records = run_sweep(
+            store,
+            work,
+            run_pending,
+            experiment_record_from_json,
+            kind=_TESTBED_KIND,
+            meta=meta,
+            resume=resume,
+            manifest=manifest,
+            batch_size=max(1, max_workers or 1),
+            lease_timeout=lease_timeout,
+            poll_interval=poll_interval,
+            prepare=start_helper,
+        )
+    finally:
+        if prefetch is not None:
+            prefetch.close()
     return CampaignResult(records=records)

@@ -26,7 +26,9 @@ completed group of stacked cells is durably appended, one record per
 cell to its content-keyed JSONL shard, the moment its worker finishes;
 a re-run with ``resume=True`` (the default) loads finished cells
 instead of recomputing them and ends bit-identical to an
-uninterrupted run.
+uninterrupted run.  The store side of every run — resume scan,
+manifest define-and-drain, assembly in cell order — is the store's
+sweep driver, :func:`repro.store.queue.run_sweep`.
 """
 
 from __future__ import annotations
@@ -70,6 +72,9 @@ __all__ = [
 #: GIL-releasing numpy kernels make threads faster; above it the
 #: per-item pure-Python accounting dominates and processes win.
 PROCESS_POOL_ITEM_THRESHOLD = 64
+
+#: The manifest kind of a scenario-grid sweep.
+_SIM_KIND = "sim-grid"
 
 
 class ShardWorkerError(RuntimeError):
@@ -403,7 +408,19 @@ class CampaignRunner:
             entropy=self.seed, spawn_key=fingerprint_spawn_key(scenario)
         )
 
-    # -- manifests and the multi-host worker loop -------------------------
+    # -- manifests, runs and the multi-host worker loop -----------------
+
+    def _work(self, grid) -> list:
+        """The grid's sweep work list: ``(key, cell, spec, label)`` per
+        cell (see :data:`repro.store.queue.SweepItem`), in grid order."""
+        from repro.store.records import encode_spec
+
+        cells = grid.scenarios() if isinstance(grid, ScenarioGrid) else grid
+        return [
+            (self.cell_key(scenario), scenario, encode_spec(scenario),
+             scenario.label())
+            for scenario in cells
+        ]
 
     def build_manifest(self, grid, name: str):
         """Describe ``grid`` as a :class:`~repro.store.SweepManifest`.
@@ -414,48 +431,23 @@ class CampaignRunner:
         label.  The manifest is built, not saved — use
         :meth:`write_manifest` to persist it next to the shards.
         """
-        from repro.store.manifest import ManifestEntry, SweepManifest
-        from repro.store.records import encode_spec
+        from repro.store.queue import sweep_manifest
 
-        if isinstance(grid, ScenarioGrid):
-            cells: Sequence[Scenario] = grid.scenarios()
-        else:
-            cells = list(grid)
-        entries = tuple(
-            ManifestEntry(
-                key=self.cell_key(scenario),
-                spec=encode_spec(scenario),
-                label=scenario.label(),
-            )
-            for scenario in cells
-        )
-        return SweepManifest(
-            name=name,
-            entries=entries,
-            kind="sim-grid",
-            meta={"seed": self.seed},
+        return sweep_manifest(
+            name, self._work(grid), _SIM_KIND, {"seed": self.seed}
         )
 
     def write_manifest(self, grid, name: str):
         """Build the grid's manifest and atomically save it to the store.
 
         Refuses to redefine an existing manifest of the same name with
-        different work — concurrent workers must agree on what the
-        sweep *is*; pick a new name when the grid genuinely changes.
+        different work (:func:`repro.store.queue.define_manifest`).
         """
         if self.store is None:
             raise ValueError("write_manifest needs a store")
-        from repro.store.manifest import SweepManifest
+        from repro.store.queue import define_manifest
 
-        built = self.build_manifest(grid, name)
-        existing = SweepManifest.load(self.store, name, missing_ok=True)
-        if existing is not None and not existing.content_equal(built):
-            raise ValueError(
-                f"manifest {name!r} already describes a different sweep "
-                f"({len(existing)} item(s), seed "
-                f"{existing.meta.get('seed')!r}); use a new name"
-            )
-        return built.save(self.store)
+        return define_manifest(self.store, self.build_manifest(grid, name))
 
     def run_worker(
         self,
@@ -467,92 +459,46 @@ class CampaignRunner:
     ) -> SimCampaignResult:
         """Drain a manifest as one worker of a (possibly multi-host) sweep.
 
-        The worker loop: claim up to ``max_workers`` pending cells via
-        the :class:`~repro.store.WorkQueue` (``O_EXCL`` leases; expired
-        leases of dead workers are reclaimed), run them in stacked
-        groups through :func:`shard_map`, persist each group the moment
-        its worker finishes (the ``on_result`` hook), release the
-        leases, repeat.
-        Cells claimed by live peers are awaited — their records appear
-        in the store — so every concurrent caller returns the complete
-        :class:`SimCampaignResult`, assembled in manifest order and
-        bit-identical to a serial :meth:`run` of the same grid.
+        The cells are decoded from the manifest entries, so a worker
+        needs nothing but the store, the manifest name and the campaign
+        seed, and drained through :func:`repro.store.queue.run_sweep`,
+        up to ``max_workers`` cells a claim.  Every concurrent caller
+        returns the complete :class:`SimCampaignResult`, in manifest
+        order and bit-identical to a serial :meth:`run` of the same
+        grid.  Completion is judged by the shards, so a runner built
+        with ``resume=False`` is refused.
 
         Args:
             manifest: a :class:`~repro.store.SweepManifest` or the name
-                of one saved in the store.  Cells are decoded from the
-                manifest entries, so a worker process needs nothing but
-                the store directory, the manifest name, and the
-                campaign seed.
+                of one saved in the store.
             progress: invoked with each Scenario this worker claims.
-            lease_timeout: seconds after which a silent peer's lease is
-                reclaimed (default
-                :data:`repro.store.queue.DEFAULT_LEASE_TIMEOUT`).
-            poll_interval: sleep between drain passes while awaiting
-                peers.
-            owner: worker identity for lease files (defaults to a
-                unique host:pid:nonce id).
+            lease_timeout / poll_interval / owner: work-queue tuning
+                (see :class:`repro.store.WorkQueue`).
         """
         if self.store is None:
             raise ValueError("run_worker needs a store")
-        from repro.store.manifest import SweepManifest
-        from repro.store.queue import (
-            DEFAULT_LEASE_TIMEOUT,
-            WorkQueue,
-            drain_manifest,
-        )
-        from repro.store.records import decode_spec, scenario_outcome_from_json
+        from repro.store.queue import load_manifest
+        from repro.store.records import decode_spec
 
-        if isinstance(manifest, str):
-            manifest = SweepManifest.load(self.store, manifest)
-        if manifest.kind != "sim-grid":
-            raise ValueError(
-                f"manifest {manifest.name!r} holds {manifest.kind!r} work, "
-                "not sim-grid cells"
-            )
-        scenarios: dict = {}
-        for entry in manifest:
+        sweep = load_manifest(self.store, manifest, _SIM_KIND)
+        work = []
+        for entry in sweep:
             scenario = decode_spec(entry.spec)
             if self.cell_key(scenario) != entry.key:
                 raise ValueError(
-                    f"manifest {manifest.name!r} was built with a different "
+                    f"manifest {sweep.name!r} was built with a different "
                     f"campaign seed or fingerprint scheme (entry "
                     f"{entry.label or entry.key} does not re-key)"
                 )
-            scenarios[entry.key] = scenario
-        # The manifest (validated above) already maps every cell to its
-        # shard key; never recompute a fingerprint past this point.
-        key_of = {scenario: key for key, scenario in scenarios.items()}
-
-        def run_keys(keys) -> None:
-            if progress is not None:
-                for key in keys:
-                    progress(scenarios[key])
-            self._run_cells(
-                [scenarios[key] for key in keys], key_of.__getitem__
-            )
-
-        queue = WorkQueue(
-            self.store,
-            manifest,
-            owner=owner,
-            lease_timeout=(
-                DEFAULT_LEASE_TIMEOUT if lease_timeout is None else lease_timeout
-            ),
-        )
-        drain_manifest(
-            queue,
-            run_keys,
-            batch_size=max(1, self.max_workers or 1),
+            work.append((entry.key, scenario, entry.spec, entry.label))
+        return self._sweep(
+            work,
+            progress,
+            manifest=sweep,
+            lease_timeout=lease_timeout,
             poll_interval=poll_interval,
+            owner=owner,
         )
-        outcomes = []
-        for entry in manifest:
-            record = self.store.load(entry.key)
-            if record is None:  # pragma: no cover - drain guarantees done
-                raise RuntimeError(f"drained sweep missing shard {entry.key}")
-            outcomes.append(scenario_outcome_from_json(record))
-        return SimCampaignResult(outcomes=outcomes)
 
     def run(
         self,
@@ -563,72 +509,49 @@ class CampaignRunner:
         """Execute every cell of ``grid`` (a ScenarioGrid or an iterable
         of Scenarios); returns outcomes in cell order.
 
+        The cells run through :func:`repro.store.queue.run_sweep`.
         With a store, cells already persisted are loaded (when
         ``resume``) and the rest are computed and appended as they
-        complete; the outcome list is assembled in cell order from
-        both, so an interrupted-then-resumed campaign is bit-identical
-        to an uninterrupted one.
-
-        With ``manifest=`` (a name; requires a store), the grid is
-        first described as a saved :class:`~repro.store.SweepManifest`
-        and then drained through the work queue — any number of
-        concurrent callers (other processes, other hosts on a shared
-        filesystem) may drain the same manifest, and each returns the
-        same result a serial run would.
+        complete, so an interrupted-then-resumed campaign is
+        bit-identical to an uninterrupted one.  A cell listed twice is
+        refused.  With ``manifest=`` (a name; requires a store), the
+        grid is saved as that :class:`~repro.store.SweepManifest` and
+        drained through the work queue, which any number of concurrent
+        callers may drain together; each returns the serial result.
         """
-        if manifest is not None:
-            if not self.resume:
-                raise ValueError(
-                    "manifest mode judges completion by the store's shards "
-                    "and cannot re-run finished work; resume=False is "
-                    "incompatible (use a new manifest name or delete the "
-                    "shards)"
-                )
-            saved = self.write_manifest(grid, manifest)
-            return self.run_worker(saved, progress=progress)
-        if isinstance(grid, ScenarioGrid):
-            cells: Sequence[Scenario] = grid.scenarios()
-        else:
-            cells = list(grid)
-        if not cells:
-            return SimCampaignResult(outcomes=[])
+        return self._sweep(self._work(grid), progress, manifest=manifest)
 
-        outcomes: List[Optional[ScenarioOutcome]] = [None] * len(cells)
-        pending: List[int] = []
-        if self.store is not None and self.resume:
-            from repro.store.records import scenario_outcome_from_json
+    def _sweep(self, work: list, progress, **drain) -> SimCampaignResult:
+        """Run a work list through the store's sweep driver."""
+        from repro.store.queue import run_sweep
+        from repro.store.records import scenario_outcome_from_json
 
-            for index, scenario in enumerate(cells):
-                record = self.store.load(self.cell_key(scenario))
-                if record is not None:
-                    outcomes[index] = scenario_outcome_from_json(record)
-                else:
-                    pending.append(index)
-        else:
-            pending = list(range(len(cells)))
-
-        if progress is not None:
-            for index in pending:
-                progress(cells[index])
-
-        results = self._run_cells(
-            [cells[index] for index in pending], self.cell_key
+        outcomes = run_sweep(
+            self.store,
+            work,
+            lambda pending: self._run_cells(pending, progress),
+            scenario_outcome_from_json,
+            kind=_SIM_KIND,
+            meta={"seed": self.seed},
+            resume=self.resume,
+            batch_size=max(1, self.max_workers or 1),
+            **drain,
         )
-        for index, outcome in zip(pending, results):
-            outcomes[index] = outcome
         return SimCampaignResult(outcomes=outcomes)
 
-    def _run_cells(
-        self, cells: Sequence[Scenario], key: Callable[[Scenario], str]
-    ) -> List[ScenarioOutcome]:
-        """Run ``cells`` in stacked groups; outcomes in cell order.
+    def _run_cells(self, work: list, progress) -> List[ScenarioOutcome]:
+        """Run work items' cells in stacked groups; outcomes in item order.
 
-        Cells are grouped by :func:`~repro.sim.stack.group_cells`, each
-        group runs as one :func:`_run_scenario_group` pass through
-        :func:`shard_map`, and with a store each finished group is
-        persisted under ``key(scenario)`` with one durable
-        ``append_batch``.
+        ``progress`` sees every cell before any runs.  Cells are grouped
+        by :func:`~repro.sim.stack.group_cells`, each group runs as one
+        :func:`_run_scenario_group` pass through :func:`shard_map`, and
+        with a store each finished group is persisted under its cells'
+        keys with one durable ``append_batch``.
         """
+        cells = [scenario for _, scenario, _, _ in work]
+        if progress is not None:
+            for scenario in cells:
+                progress(scenario)
         # One seeding recipe: cell_seed_sequence is the authority, and
         # the worker rebuilds the identical sequence from its raw
         # (entropy, spawn_key) parts — the picklable form process pools
@@ -642,13 +565,15 @@ class CampaignRunner:
         if self.store is not None:
             from repro.store.records import scenario_outcome_to_json
 
+            key_of = {scenario: key for key, scenario, _, _ in work}
+
             def on_group(group, group_outcomes) -> None:
                 self.store.append_batch(
-                    (key(outcome.scenario), scenario_outcome_to_json(outcome))
+                    (key_of[outcome.scenario], scenario_outcome_to_json(outcome))
                     for outcome in group_outcomes
                 )
 
-        group_indices = group_cells(list(cells))
+        group_indices = group_cells(cells)
         group_results = shard_map(
             _run_scenario_group,
             [tuple(items[i] for i in idxs) for idxs in group_indices],

@@ -32,7 +32,8 @@ package removes that ceiling with three small pieces:
   conformance suite (``tests/store/conformance``) pins the contract
   every implementation must satisfy.
 
-Checkpoint/resume contract: runners compute each work item's
+Checkpoint/resume contract, kept by the one sweep driver both runners
+call (:func:`repro.store.queue.run_sweep`): compute each work item's
 fingerprint up front, skip items whose shard already holds a complete
 record, persist each new result the moment its worker completes, and
 assemble the final result in grid order from loaded + fresh records —

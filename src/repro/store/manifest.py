@@ -9,7 +9,11 @@ two questions a multi-host sweep keeps asking:
   sweep was defined load the manifest and drain it — they never need
   the grid-expansion code path that produced it
   (:meth:`repro.sim.campaign.CampaignRunner.run_worker` decodes the
-  scenarios straight from the manifest entries).
+  scenarios straight from the manifest entries).  Both campaign
+  runners define and drain manifests through one driver,
+  :func:`repro.store.queue.run_sweep`, which refuses to redefine a
+  saved manifest with different content
+  (:func:`repro.store.queue.define_manifest`).
 * *Which shards belong to this sweep?*  Aggregation scopes a shared
   store to one sweep by the manifest's key list
   (:func:`repro.store.aggregate.stream_aggregates` accepts a manifest

@@ -55,6 +55,8 @@ Workers poll :meth:`WorkQueue.claim_pending` until
 :meth:`WorkQueue.pending` is empty; items claimed by live peers are
 simply awaited (their records appear in the store), and items leased by
 dead peers come back via expiry.
+
+Both campaign runners sweep through one driver, :func:`run_sweep`.
 """
 
 from __future__ import annotations
@@ -66,18 +68,33 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    TypeVar, Union,
+)
 
-from repro.store.manifest import SweepManifest
+from repro.store.manifest import ManifestEntry, SweepManifest
 from repro.store.store import CampaignStore
 
 __all__ = [
     "LeaseInfo",
     "QueueStatus",
+    "SweepItem",
     "WorkQueue",
     "default_owner",
+    "define_manifest",
     "drain_manifest",
+    "load_manifest",
+    "run_sweep",
+    "sweep_manifest",
 ]
+
+ItemT = TypeVar("ItemT")
+ResultT = TypeVar("ResultT")
+
+#: One work item of a sweep: its shard key, the runner's own item (a
+#: scenario cell, a placement), the item's encoded spec, and its label.
+SweepItem = Tuple[str, ItemT, Any, str]
 
 #: Default lease expiry. Generous on purpose: expiry only matters after
 #: a worker *dies*, and a too-short timeout makes two live workers
@@ -403,3 +420,142 @@ def drain_manifest(
             time.sleep(poll_interval)
     finally:
         queue.cleanup()
+
+
+def sweep_manifest(
+    name: str, work: Sequence[SweepItem[Any]], kind: str, meta: Dict[str, Any]
+) -> SweepManifest:
+    """Describe a work list as a manifest: one entry per item, in order."""
+    entries = (ManifestEntry(key, spec, label) for key, _, spec, label in work)
+    return SweepManifest(name, tuple(entries), kind=kind, meta=meta)
+
+
+def define_manifest(
+    store: CampaignStore, manifest: SweepManifest
+) -> SweepManifest:
+    """Save ``manifest``, or return the saved one if it has the same
+    content; a saved one with other content (another sweep under this
+    name) is refused."""
+    existing = SweepManifest.load(store, manifest.name, missing_ok=True)
+    if existing is not None and not existing.content_equal(manifest):
+        raise ValueError(
+            f"manifest {manifest.name!r} already describes a different "
+            f"sweep ({len(existing)} item(s), meta {existing.meta!r}); "
+            "use a new name"
+        )
+    return manifest.save(store)
+
+
+def load_manifest(
+    store: CampaignStore, manifest: Union[str, SweepManifest], kind: str
+) -> SweepManifest:
+    """The manifest saved under a name (or the one given), if it holds
+    ``kind`` work."""
+    if isinstance(manifest, str):
+        loaded = SweepManifest.load(store, manifest)
+        assert loaded is not None  # load without missing_ok raises
+        manifest = loaded
+    if manifest.kind != kind:
+        raise ValueError(
+            f"manifest {manifest.name!r} holds {manifest.kind!r} work, "
+            f"not {kind!r} work"
+        )
+    return manifest
+
+
+def run_sweep(
+    store: Optional[CampaignStore],
+    work: Sequence[SweepItem[ItemT]],
+    run_pending: Callable[[List[SweepItem[ItemT]]], Sequence[ResultT]],
+    decode: Callable[[Dict[str, Any]], ResultT],
+    *,
+    kind: str,
+    meta: Dict[str, Any],
+    resume: bool = True,
+    manifest: Union[None, str, SweepManifest] = None,
+    batch_size: int = 1,
+    lease_timeout: Optional[float] = None,
+    poll_interval: float = 0.05,
+    owner: Optional[str] = None,
+    prepare: Optional[Callable[[List[SweepItem[ItemT]]], None]] = None,
+) -> List[ResultT]:
+    """Run a campaign's work list against a store; results in work order.
+
+    The one sweep driver of both campaign runners.  ``run_pending``
+    runs a list of work items, persists each into ``store`` as it
+    finishes, and returns their results in order; ``decode`` turns a
+    stored record into a result.  ``prepare``, if given, first sees the
+    pending items in the order they are expected to run.  A shard key
+    listed twice is refused before anything runs or is written.
+
+    Without ``manifest``, items with a stored record are loaded (when
+    ``resume``) and the rest run in one ``run_pending`` call, so a
+    resumed sweep ends bit-identical to an uninterrupted one.
+
+    With ``manifest`` (a name, or a :class:`SweepManifest` that must
+    equal the one built here), the work is saved as a ``kind`` manifest
+    carrying ``meta`` (:func:`define_manifest`) and drained as one
+    worker of the sweep (:func:`drain_manifest`, ``batch_size`` items a
+    claim; ``lease_timeout``, ``poll_interval`` and ``owner`` tune the
+    :class:`WorkQueue`); the result, peers' items included, is then
+    loaded from the store.  Completion is judged by the shards, so
+    ``resume=False`` is refused.
+    """
+    seen: Set[str] = set()
+    for key, _, _, label in work:
+        if key in seen:
+            raise ValueError(f"work item {label} repeats shard key {key!r}")
+        seen.add(key)
+    if manifest is None:
+        done: Dict[int, ResultT] = {}
+        pending: List[int] = []
+        for index, (key, _, _, _) in enumerate(work):
+            record = store.load(key) if store is not None and resume else None
+            if record is None:
+                pending.append(index)
+            else:
+                done[index] = decode(record)
+        todo = [work[index] for index in pending]
+        if prepare is not None:
+            prepare(todo)
+        done.update(zip(pending, run_pending(todo)))
+        return [done[index] for index in range(len(work))]
+
+    if store is None:
+        raise ValueError("manifest mode needs a store")
+    if not resume:
+        raise ValueError(
+            "manifest mode judges completion by the store's shards and "
+            "cannot re-run finished work; resume=False is incompatible "
+            "(use a new manifest name or delete the shards)"
+        )
+    name = manifest if isinstance(manifest, str) else manifest.name
+    built = sweep_manifest(name, work, kind, meta)
+    if isinstance(manifest, SweepManifest) and not manifest.content_equal(built):
+        raise ValueError(
+            f"manifest {name!r} does not describe this campaign's work"
+        )
+    queue = WorkQueue(
+        store,
+        define_manifest(store, built),
+        owner=owner,
+        lease_timeout=(
+            DEFAULT_LEASE_TIMEOUT if lease_timeout is None else lease_timeout
+        ),
+    )
+    by_key = {item[0]: item for item in work}
+    if prepare is not None:
+        prepare([by_key[key] for key in queue.pending()])
+    drain_manifest(
+        queue,
+        lambda keys: run_pending([by_key[key] for key in keys]),
+        batch_size=batch_size,
+        poll_interval=poll_interval,
+    )
+    results: List[ResultT] = []
+    for key in by_key:
+        record = store.load(key)
+        if record is None:  # pragma: no cover - drain guarantees done
+            raise RuntimeError(f"drained sweep missing shard {key}")
+        results.append(decode(record))
+    return results

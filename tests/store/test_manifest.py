@@ -6,6 +6,7 @@ lease claim/heartbeat/release semantics, status bucketing, and the
 manifest-scoped runner/aggregation entry points.
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -13,6 +14,12 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import (
+    CampaignConfig,
+    campaign_sweep_manifest,
+    run_campaign,
+)
+from repro.core.session import SessionConfig
 from repro.sim import (
     CampaignRunner,
     IIDLossSpec,
@@ -27,6 +34,7 @@ from repro.store import (
     list_manifests,
 )
 from repro.store.aggregate import stream_aggregates
+from repro.testbed.deployment import Testbed, TestbedConfig
 
 GRID = ScenarioGrid(
     group_sizes=(3, 4),
@@ -35,6 +43,43 @@ GRID = ScenarioGrid(
     rounds=10,
     n_x_packets=30,
 )
+
+
+#: A two-experiment batched testbed campaign, and one of other work.
+TESTBED = Testbed(TestbedConfig(interferer_power_dbm=10.0))
+TESTBED_CONFIG = CampaignConfig(
+    session=SessionConfig(n_x_packets=30, payload_bytes=20),
+    max_placements_per_n=2,
+    group_sizes=(3,),
+)
+TESTBED_OTHER = dataclasses.replace(TESTBED_CONFIG, seed=2013)
+TESTBED_KWARGS = dict(
+    engine="batched", estimator_spec=OracleEstimatorSpec(), rounds_per_leader=1
+)
+
+OTHER_GRID = ScenarioGrid(
+    group_sizes=(5,),
+    loss_models=(IIDLossSpec(0.4),),
+    estimators=(OracleEstimatorSpec(),),
+    rounds=10,
+    n_x_packets=30,
+)
+
+
+def define_sim_sweep(store, other=False):
+    CampaignRunner(seed=5, store=store).write_manifest(
+        OTHER_GRID if other else GRID, "sweep"
+    )
+
+
+def define_testbed_sweep(store, other=False):
+    run_campaign(
+        TESTBED,
+        config=TESTBED_OTHER if other else TESTBED_CONFIG,
+        store=store,
+        manifest="sweep",
+        **TESTBED_KWARGS,
+    )
 
 
 def toy_manifest(name="toy", n=3):
@@ -175,20 +220,65 @@ class TestWorkQueue:
 
 
 class TestManifestRunnerEntryPoints:
-    def test_write_manifest_refuses_redefinition(self, tmp_path):
+    @pytest.mark.parametrize(
+        "define",
+        [define_sim_sweep, define_testbed_sweep],
+        ids=["sim", "testbed"],
+    )
+    def test_write_manifest_refuses_redefinition(self, tmp_path, define):
         store = CampaignStore(tmp_path)
-        runner = CampaignRunner(seed=5, store=store)
-        runner.write_manifest(GRID, "sweep")
-        runner.write_manifest(GRID, "sweep")  # same content: fine
-        other = ScenarioGrid(
-            group_sizes=(5,),
-            loss_models=(IIDLossSpec(0.4),),
-            estimators=(OracleEstimatorSpec(),),
-            rounds=10,
-            n_x_packets=30,
-        )
+        define(store)
+        define(store)  # same content: fine
         with pytest.raises(ValueError, match="different sweep"):
-            runner.write_manifest(other, "sweep")
+            define(store, other=True)
+        assert SweepManifest.load(store, "sweep").version == 1
+
+    def test_run_campaign_compares_the_whole_manifest(self, tmp_path):
+        """A saved manifest with the campaign's keys but other content
+        (here its provenance) is a different sweep, not the same one."""
+        store = CampaignStore(tmp_path)
+        built = campaign_sweep_manifest(
+            TESTBED, "sweep", config=TESTBED_CONFIG, **TESTBED_KWARGS
+        )
+        dataclasses.replace(built, meta={**built.meta, "seed": 1}).save(store)
+        with pytest.raises(ValueError, match="different sweep"):
+            define_testbed_sweep(store)
+        assert store.keys() == []
+
+    def test_run_campaign_refuses_a_foreign_manifest_object(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        foreign = campaign_sweep_manifest(
+            TESTBED, "sweep", config=TESTBED_OTHER, **TESTBED_KWARGS
+        )
+        with pytest.raises(
+            ValueError, match="does not describe this campaign's work"
+        ):
+            run_campaign(
+                TESTBED,
+                config=TESTBED_CONFIG,
+                store=store,
+                manifest=foreign,
+                **TESTBED_KWARGS,
+            )
+        assert list_manifests(store) == []
+        # The matching object is accepted, saved and drained.
+        own = campaign_sweep_manifest(
+            TESTBED, "sweep", config=TESTBED_CONFIG, **TESTBED_KWARGS
+        )
+        result = run_campaign(
+            TESTBED, config=TESTBED_CONFIG, store=store, manifest=own,
+            **TESTBED_KWARGS,
+        )
+        assert len(result.records) == 2
+        assert sorted(store.keys()) == sorted(own.keys())
+
+    def test_run_worker_refuses_resume_false(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        CampaignRunner(seed=5, store=store).write_manifest(GRID, "sweep")
+        runner = CampaignRunner(seed=5, store=store, resume=False)
+        with pytest.raises(ValueError, match="resume=False is incompatible"):
+            runner.run_worker("sweep")
+        assert store.keys() == []
 
     def test_run_worker_rejects_foreign_seed(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -229,3 +319,49 @@ class TestManifestRunnerEntryPoints:
             assert a.scenario == b.scenario
             assert np.array_equal(a.result.reliability, b.result.reliability)
             assert np.array_equal(a.result.efficiency, b.result.efficiency)
+
+
+class TestRepeatedWork:
+    """A work list naming one shard key twice is refused, in plain and
+    manifest mode alike, before anything runs or is written."""
+
+    @pytest.mark.parametrize("manifest", [None, "sweep"])
+    def test_sim_runner_refuses_a_repeated_cell(self, tmp_path, manifest):
+        store = CampaignStore(tmp_path)
+        cell = GRID.scenarios()[0]
+        runner = CampaignRunner(seed=5, store=store)
+        ran = []
+        with pytest.raises(ValueError, match=runner.cell_key(cell)):
+            runner.run([cell, cell], progress=ran.append, manifest=manifest)
+        assert ran == []
+        assert store.keys() == []
+        assert list_manifests(store) == []
+
+    @pytest.mark.parametrize("manifest", [None, "sweep"])
+    def test_run_campaign_refuses_a_repeated_placement(
+        self, tmp_path, manifest
+    ):
+        store = CampaignStore(tmp_path)
+        twice = dataclasses.replace(
+            TESTBED_CONFIG, group_sizes=(8, 8), max_placements_per_n=None
+        )
+        ran = []
+        with pytest.raises(ValueError, match="repeats shard key"):
+            run_campaign(
+                TESTBED,
+                config=twice,
+                store=store,
+                manifest=manifest,
+                progress=lambda n, placement: ran.append(placement),
+                **TESTBED_KWARGS,
+            )
+        assert ran == []
+        assert store.keys() == []
+        assert list_manifests(store) == []
+
+    def test_without_a_store_a_repeated_placement_is_refused_too(self):
+        twice = dataclasses.replace(
+            TESTBED_CONFIG, group_sizes=(8, 8), max_placements_per_n=None
+        )
+        with pytest.raises(ValueError, match="repeats shard key"):
+            run_campaign(TESTBED, config=twice, **TESTBED_KWARGS)
