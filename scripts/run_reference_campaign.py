@@ -14,11 +14,10 @@ Engines (``--engine``):
   ground truth (the original reference path; slow).
 * ``both`` — run both and write both snapshots (cross-validation).
 
-Sharding (``--workers N``, ``--executor thread|process|auto``):
-placements are independent experiments with private
-SeedSequence-derived RNG streams, so sharded runs are bit-identical to
-serial ones at the same seed.  ``auto`` (the default) picks a process
-pool for large placement grids and threads for small ones.
+Sharding (``--workers N``): placements are independent experiments
+with private SeedSequence-derived RNG streams, so running them on a
+pool of N worker processes is bit-identical to the serial run at the
+same seed.
 
 Persistence (``--store URI``, ``--resume``): every completed
 experiment is appended to a content-keyed record shard the moment it
@@ -270,14 +269,8 @@ def main():
         "--workers",
         type=int,
         default=None,
-        help="shard placements across N workers (bit-identical to serial)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("thread", "process", "auto"),
-        default="auto",
-        help="worker pool kind (auto: process pool for large grids; "
-        "process sidesteps the GIL for --engine packet)",
+        help="shard placements across N worker processes "
+        "(bit-identical to serial)",
     )
     parser.add_argument(
         "--store",
@@ -407,7 +400,6 @@ def main():
                     progress=lambda n, pl: None,
                     engine=engine,
                     max_workers=args.workers,
-                    executor=args.executor,
                     store=store,
                     # Manifest mode always resumes: completion is the
                     # store's shards, which is what lets concurrent

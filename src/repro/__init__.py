@@ -86,7 +86,6 @@ from repro.sim import (
     OracleEstimatorSpec,
     Scenario,
     ScenarioGrid,
-    run_sim_campaign,
 )
 from repro.store import CampaignStore
 from repro.testbed import (
@@ -141,7 +140,6 @@ __all__ = [
     "BatchedRoundEngine",
     "BatchResult",
     "CampaignRunner",
-    "run_sim_campaign",
     "CampaignStore",
     "IIDLossSpec",
     "MatrixLossSpec",

@@ -564,15 +564,17 @@ def _table_helper_selected(n_pending: int) -> bool:
     Decided from observable facts only.  The caller must be the main
     thread of a process multiprocessing did not start, with no live
     multiprocessing children: any other caller is a worker of a
-    sharded campaign (a thread or process pool, or a queue worker of
+    sharded campaign (a process-pool worker, or a queue worker of
     ``--workers-per-host``), or the parent of such workers, whose peers
-    already keep the CPUs busy.  At least two CPUs must be usable, the
-    helper must be able to fork (it inherits the loaded program instead
-    of importing it again): ``fork`` is the start method set for the
-    process or, when none was set, ``fork`` is available (whatever the
-    platform's default, which is ``forkserver`` on Linux from Python
-    3.14).  At least two experiments must be pending (the first table
-    is always built in-line).
+    already keep the CPUs busy, or a thread the caller started itself,
+    whose fork would copy locks that the process's other threads may
+    hold.  At least two CPUs must be usable, the helper must be able to
+    fork (it inherits the loaded program instead of importing it
+    again): ``fork`` is the start method set for the process or, when
+    none was set, ``fork`` is available (whatever the platform's
+    default, which is ``forkserver`` on Linux from Python 3.14).  At
+    least two experiments must be pending (the first table is always
+    built in-line).
     """
     if (
         n_pending < 2
@@ -745,7 +747,6 @@ def run_campaign(
     estimator_spec: Optional[EstimatorSpec] = None,
     rounds_per_leader: int = 8,
     max_workers: Optional[int] = None,
-    executor: str = "auto",
     store=None,
     resume: bool = True,
     manifest=None,
@@ -793,13 +794,14 @@ def run_campaign(
             (the :mod:`repro.sim` engine).
         estimator_spec: declarative estimator policy (batched engine).
         rounds_per_leader: batch size per leader (batched engine).
-        max_workers: shard placements across this many workers; None or
-            1 runs serially (identical records either way).
-        executor: ``"thread"``, ``"process"``, or ``"auto"`` (default:
-            process pool at or above
-            :data:`~repro.sim.campaign.PROCESS_POOL_ITEM_THRESHOLD`
-            pending experiments — everything shipped to the pool must
-            then pickle, which the reference factories do).
+        max_workers: shard placements across a process pool of this
+            many workers (:func:`~repro.sim.campaign.shard_map`); None
+            or 1 runs serially (identical records either way).  Sharded,
+            everything shipped to the pool must pickle — the testbed,
+            the config and the estimator (``estimator_spec``, or an
+            ``estimator_factory`` defined at module level, as the
+            reference factories are) — while ``progress`` and every
+            store call stay in this process.
         store: optional :class:`repro.store.CampaignStore` (or a
             directory path): every completed experiment is durably
             appended to its content-keyed shard as it finishes.
@@ -873,7 +875,6 @@ def run_campaign(
             run,
             placements,
             max_workers=max_workers,
-            executor=executor,
             label=placement_label,
             on_result=persist,
         )

@@ -25,11 +25,11 @@ Design (see :mod:`repro.sim.engine` for the full derivation):
   against each round's realised pools; no per-round LP or max-flow.
 * **Declarative campaigns** — :class:`~repro.sim.campaign.ScenarioGrid`
   expands the scenario matrix, and
-  :class:`~repro.sim.campaign.CampaignRunner` shards cells across
-  thread or process pools (``executor="auto"`` picks by grid size)
-  with content-keyed per-cell ``SeedSequence`` determinism, optionally
-  checkpointing every completed cell to a
-  :class:`repro.store.CampaignStore` for crash-safe resume.
+  :class:`~repro.sim.campaign.CampaignRunner` shards cells across a
+  process pool (``max_workers``) with content-keyed per-cell
+  ``SeedSequence`` determinism, optionally checkpointing every
+  completed cell to a :class:`repro.store.CampaignStore` for
+  crash-safe resume.
 
 Running a campaign::
 
@@ -58,7 +58,6 @@ from repro.sim.campaign import (
     ScenarioGrid,
     ScenarioOutcome,
     SimCampaignResult,
-    run_sim_campaign,
     shard_map,
 )
 from repro.sim.engine import BatchedRoundEngine, BatchResult, run_batch
@@ -116,5 +115,4 @@ __all__ = [
     "ScenarioOutcome",
     "SimCampaignResult",
     "CampaignRunner",
-    "run_sim_campaign",
 ]

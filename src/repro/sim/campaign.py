@@ -4,21 +4,18 @@ A :class:`ScenarioGrid` is the cartesian product of the axes the paper
 sweeps — group size, loss model, adversary shape, estimator policy —
 expanded into concrete :class:`~repro.sim.spec.Scenario` cells.  The
 :class:`CampaignRunner` executes every cell on the batched engine,
-optionally sharding cells across a :class:`concurrent.futures` pool.
-Small grids default to threads (the allocation LP and the numpy
-kernels release the GIL for most of their runtime, and the memoized LP
-cache is shared process-wide); grids of
-:data:`PROCESS_POOL_ITEM_THRESHOLD` cells or more default to a process
-pool, which sidesteps the GIL on the pure-Python realised-assignment
-loop at the cost of per-worker LP caches.
+optionally sharding groups of cells across a process pool
+(:func:`shard_map`); the planner's hot loops are pure Python, so only
+separate processes run them in parallel, each with its own LP and
+flow memos.
 
 Determinism: each cell's generator derives from
 ``SeedSequence(entropy=campaign_seed, spawn_key=content-hash(cell))``
 (:func:`repro.store.fingerprint.fingerprint_spawn_key`), so a cell's
 results depend only on the campaign seed and the cell's own spec — not
-on grid order, worker count, or executor kind.  That content keying is
-also what makes the persistent store resumable: a shard written while
-sweeping one grid stays valid when the grid later grows.
+on grid order or worker count.  That content keying is also what
+makes the persistent store resumable: a shard written while sweeping
+one grid stays valid when the grid later grows.
 
 Checkpoint/resume: pass ``store=`` (a
 :class:`repro.store.CampaignStore` or a directory path) and every
@@ -34,11 +31,7 @@ sweep driver, :func:`repro.store.queue.run_sweep`.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -59,19 +52,11 @@ from repro.store.fingerprint import fingerprint, fingerprint_spawn_key
 __all__ = [
     "shard_map",
     "ShardWorkerError",
-    "PROCESS_POOL_ITEM_THRESHOLD",
     "ScenarioGrid",
     "ScenarioOutcome",
     "SimCampaignResult",
     "CampaignRunner",
-    "run_sim_campaign",
 ]
-
-#: Work-list size at which ``executor="auto"`` switches from a thread
-#: pool to a process pool.  Below it the shared LP/flow caches and the
-#: GIL-releasing numpy kernels make threads faster; above it the
-#: per-item pure-Python accounting dominates and processes win.
-PROCESS_POOL_ITEM_THRESHOLD = 64
 
 #: The manifest kind of a scenario-grid sweep.
 _SIM_KIND = "sim-grid"
@@ -80,11 +65,12 @@ _SIM_KIND = "sim-grid"
 class ShardWorkerError(RuntimeError):
     """A sharded worker failed; the message names the failing item.
 
-    Raised by :func:`shard_map`'s pooled paths so a campaign abort says
-    *which* placement or scenario died — a process-pool worker's
-    exception otherwise surfaces as a bare pickled traceback with no
-    clue about the cell that produced it.  The original exception is
-    chained as ``__cause__``.
+    Raised by :func:`shard_map`'s process-pool path so a campaign abort
+    says *which* placement or scenario died — a pool worker's exception
+    otherwise surfaces as a bare pickled traceback with no clue about
+    the cell that produced it.  A ``fn`` or item that cannot be pickled
+    fails the same way.  The original exception is chained as
+    ``__cause__``.
 
     Checkpoint-hook failures get the same treatment on every path
     (serial included): an ``on_result`` callback that raises — a full
@@ -93,6 +79,10 @@ class ShardWorkerError(RuntimeError):
     being written.  ``BaseException`` kills (``KeyboardInterrupt``)
     still propagate raw.
     """
+
+
+def _item_name(item, label) -> str:
+    return label(item) if label is not None else repr(item)
 
 
 def _checkpoint(on_result, item, result, label) -> None:
@@ -108,68 +98,57 @@ def _checkpoint(on_result, item, result, label) -> None:
     try:
         on_result(item, result)
     except Exception as exc:
-        name = label(item) if label is not None else repr(item)
         raise ShardWorkerError(
-            f"shard_map on_result hook failed on {name}: "
+            f"shard_map on_result hook failed on {_item_name(item, label)}: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
 
 
-def _resolve_executor(executor: str, n_items: int) -> str:
-    """Map ``"auto"`` onto a pool kind by work-list size."""
-    if executor == "auto":
-        return (
-            "process" if n_items >= PROCESS_POOL_ITEM_THRESHOLD else "thread"
-        )
-    if executor not in ("thread", "process"):
-        raise ValueError(f"unknown executor {executor!r}")
-    return executor
+def _failed(future) -> bool:
+    return future.done() and isinstance(future.exception(), Exception)
 
 
 def shard_map(
     fn: Callable,
     items: Sequence,
     max_workers: Optional[int] = None,
-    executor: str = "thread",
     label: Optional[Callable] = None,
     on_result: Optional[Callable] = None,
 ) -> list:
-    """Order-preserving map with optional thread/process sharding.
+    """Order-preserving map, serial or sharded across a process pool.
 
     The shared sharding primitive of every campaign runner: work items
     must be independent (each owning its private RNG stream), so the
     result list is identical to ``[fn(x) for x in items]`` whatever the
-    worker count or executor — sharding changes wall-clock only.
+    worker count — sharding changes wall-clock only.
 
     Args:
-        fn: the per-item worker.  With ``executor="process"`` it must be
-            picklable (a module-level function or :func:`functools.partial`
-            over one), as must the items and results.
+        fn: the per-item worker.  When sharded it must be picklable (a
+            module-level function or :func:`functools.partial` over
+            one), as must the items and results.
         items: the work list; results come back in the same order.
-        max_workers: None or 1 runs serially in the caller's thread
-            (exceptions propagate raw, exactly like a list
-            comprehension).
-        executor: ``"thread"`` (shared memory, fine for GIL-releasing
-            numpy/LP work), ``"process"`` (sidesteps the GIL for pure
-            Python work, at pickling cost), or ``"auto"`` (process at or
-            above :data:`PROCESS_POOL_ITEM_THRESHOLD` items, thread
-            below — callers passing closures must pick explicitly).
+        max_workers: None or 1 (or a work list of at most one item)
+            runs serially in the caller's thread (exceptions propagate
+            raw, exactly like a list comprehension); more shards the
+            items across a :class:`~concurrent.futures.ProcessPoolExecutor`
+            of at most that many processes, on the platform's default
+            start method.
         label: optional ``item -> str`` naming items in error messages;
             pooled-path worker failures raise :class:`ShardWorkerError`
             carrying that name (campaign runners pass the placement's
             scenario key), with the worker's exception as the cause.
+            When several items have failed, the earliest in work order
+            is named, so an unpicklable ``fn`` names the first item.
         on_result: optional ``(item, result) -> None`` checkpoint hook,
             always invoked in the *caller's* process as each item
-            completes — in completion order on pooled paths, item order
-            serially.  Campaign runners persist results through it, so
-            a kill mid-map loses only unfinished items.  A hook that
-            raises an :class:`Exception` re-raises as
-            :class:`ShardWorkerError` naming the item (on the serial
-            path and both pool kinds alike); ``BaseException`` kills
-            propagate raw.
+            completes — in completion order on the pooled path, item
+            order serially.  Campaign runners persist results through
+            it, so a kill mid-map loses only unfinished items.  A hook
+            that raises an :class:`Exception` re-raises as
+            :class:`ShardWorkerError` naming the item (on both paths
+            alike); ``BaseException`` kills propagate raw.
     """
     items = list(items)
-    executor = _resolve_executor(executor, len(items))
     if max_workers is None or max_workers <= 1 or len(items) <= 1:
         results = []
         for item in items:
@@ -178,8 +157,7 @@ def shard_map(
                 _checkpoint(on_result, item, result, label)
             results.append(result)
         return results
-    pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-    with pool_cls(max_workers=max_workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(max_workers, len(items))) as pool:
         futures = {
             pool.submit(fn, item): index
             for index, item in enumerate(items)
@@ -187,19 +165,16 @@ def shard_map(
         results: list = [None] * len(items)
         try:
             for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    results[index] = future.result()
-                except Exception as exc:
-                    name = (
-                        label(items[index])
-                        if label is not None
-                        else repr(items[index])
-                    )
+                if _failed(future):
+                    failed = min(filter(_failed, futures), key=futures.get)
+                    exc = failed.exception()
                     raise ShardWorkerError(
-                        f"shard_map worker failed on {name}: "
+                        f"shard_map worker failed on "
+                        f"{_item_name(items[futures[failed]], label)}: "
                         f"{type(exc).__name__}: {exc}"
                     ) from exc
+                index = futures[future]
+                results[index] = future.result()
                 if on_result is not None:
                     _checkpoint(on_result, items[index], results[index], label)
         except BaseException:
@@ -365,11 +340,10 @@ class CampaignRunner:
             content-keyed ``SeedSequence`` spawns, so a cell's draws
             depend only on (seed, cell spec) — never on grid order or
             sharding.
-        max_workers: > 1 shards cells across a worker pool; None or 1
-            runs serially (identical results either way).
-        executor: ``"thread"``, ``"process"``, or ``"auto"`` (default:
-            process pool at or above
-            :data:`PROCESS_POOL_ITEM_THRESHOLD` pending cells).
+        max_workers: > 1 shards groups of stacked cells across a
+            process pool (:func:`shard_map`); None or 1 runs serially
+            (identical results either way).  ``progress`` and every
+            store call stay in the caller's process.
         store: optional :class:`repro.store.CampaignStore` (or a
             directory path) persisting every completed cell as it
             finishes.
@@ -386,13 +360,11 @@ class CampaignRunner:
         self,
         seed: int = 2012,
         max_workers: Optional[int] = None,
-        executor: str = "auto",
         store=None,
         resume: bool = True,
     ) -> None:
         self.seed = seed
         self.max_workers = max_workers
-        self.executor = executor
         self.store = _as_store(store)
         self.resume = resume
 
@@ -578,7 +550,6 @@ class CampaignRunner:
             _run_scenario_group,
             [tuple(items[i] for i in idxs) for idxs in group_indices],
             max_workers=self.max_workers,
-            executor=self.executor,
             label=_group_label,
             on_result=on_group,
         )
@@ -605,23 +576,3 @@ def _as_store(store):
     if isinstance(store, CampaignStore):
         return store
     return open_store(store)
-
-
-def run_sim_campaign(
-    grid,
-    seed: int = 2012,
-    max_workers: Optional[int] = None,
-    progress: Optional[Callable[[Scenario], None]] = None,
-    executor: str = "auto",
-    store=None,
-    resume: bool = True,
-    manifest: Optional[str] = None,
-) -> SimCampaignResult:
-    """Convenience wrapper: ``CampaignRunner(...).run(grid)``."""
-    return CampaignRunner(
-        seed=seed,
-        max_workers=max_workers,
-        executor=executor,
-        store=store,
-        resume=resume,
-    ).run(grid, progress=progress, manifest=manifest)

@@ -4,7 +4,7 @@ A :class:`Scenario` is pure data: group size, loss process, adversary
 shape, estimator policy and protocol sizing.  Scenarios are frozen
 dataclasses so they can serve as cache keys, be expanded from a
 :class:`~repro.sim.campaign.ScenarioGrid` cartesian product, and be
-shipped to worker threads without copying simulator state.
+pickled to pool worker processes without carrying simulator state.
 
 Loss specs own their *sampling law*: each knows how to draw the full
 ``(rounds, links, packets)`` loss tensor in vectorised numpy and what

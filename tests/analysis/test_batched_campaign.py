@@ -8,6 +8,7 @@ SeedSequence experiment-seed derivation, and placement sharding.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,9 +20,14 @@ from repro.analysis import (
     run_campaign,
     run_placement_experiment_batched,
 )
-from repro.analysis.experiments import _experiment_seed_sequence
+from repro.analysis.experiments import (
+    _experiment_seed_sequence,
+    campaign_work_items,
+    placement_label,
+)
 from repro.core import LeaveOneOutEstimator, OracleEstimator
 from repro.sim import LeaveOneOutEstimatorSpec, OracleEstimatorSpec
+from repro.sim.campaign import ShardWorkerError
 from repro.testbed import Placement
 from repro.testbed.pertable import placement_schedule_specs
 
@@ -42,6 +48,9 @@ CONFIG = CampaignConfig(
 
 def loo_factory(testbed, placement):
     return LeaveOneOutEstimator(rate_margin=0.05)
+
+
+LAMBDA_FACTORY = lambda testbed, placement: OracleEstimator()  # noqa: E731
 
 
 class TestExperimentSeedDerivation:
@@ -196,17 +205,6 @@ class TestEngineDispatch:
                 config=CONFIG,
             )
 
-    def test_unknown_executor_rejected(self, testbed):
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_campaign(
-                testbed,
-                engine="batched",
-                estimator_spec=OracleEstimatorSpec(),
-                config=CONFIG,
-                max_workers=2,
-                executor="fiber",
-            )
-
 
 class TestShardedCampaigns:
     """Placements are independent: sharding must be bit-identical."""
@@ -234,21 +232,45 @@ class TestShardedCampaigns:
         sharded = run_campaign(testbed, max_workers=3, **kwargs)
         assert serial.records == sharded.records
 
-    def test_process_executor_sharded_equals_serial(self, testbed):
-        # The reference script's --executor process path: everything it
-        # ships to the pool (testbed, factory, config) must pickle and
-        # reproduce the serial records exactly.
-        serial = run_campaign(
-            testbed, estimator_factory=loo_factory, config=CONFIG
+    def test_sharded_progress_and_store_stay_in_the_caller(
+        self, testbed, tmp_path
+    ):
+        # The reference script's --workers path: the testbed, factory
+        # and config travel to the pool; the progress closure and every
+        # store append run here, and store the serial run's bytes.
+        def shards(root):
+            return {p.name: p.read_bytes() for p in root.glob("*.jsonl")}
+
+        run_campaign(
+            testbed, estimator_factory=loo_factory, config=CONFIG,
+            store=f"file:{tmp_path / 'serial'}",
         )
-        sharded = run_campaign(
+        seen = []
+        run_campaign(
             testbed,
             estimator_factory=loo_factory,
             config=CONFIG,
             max_workers=2,
-            executor="process",
+            store=f"file:{tmp_path / 'sharded'}",
+            progress=lambda n, placement: seen.append(placement),
         )
-        assert serial.records == sharded.records
+        assert len(seen) == 2
+        assert shards(tmp_path / "sharded") == shards(tmp_path / "serial")
+        assert len(shards(tmp_path / "serial")) == 2
+
+    def test_unpicklable_factory_names_the_first_placement(self, testbed):
+        # A lambda factory cannot reach a worker process.
+        first = placement_label(campaign_work_items(CONFIG)[0][1])
+        with pytest.raises(
+            ShardWorkerError,
+            match=re.escape(f"worker failed on {first}: PicklingError"),
+        ):
+            run_campaign(
+                testbed,
+                estimator_factory=LAMBDA_FACTORY,
+                config=CONFIG,
+                max_workers=2,
+            )
 
 
 class TestMultiAntennaEveBridge:

@@ -15,16 +15,16 @@ that the helper changes wall-clock only:
 * the planning LPs: the helper's profiles are ``float.hex``-equal to
   the in-line ``group_allocation_profile`` calls, under exactly their
   arguments; a profile adopted under other arguments is never read;
-  one-CPU, sharded (thread and process pools) and manifest-drain
-  campaigns, which solve in-line, store the golden testbed shards;
+  one-CPU, sharded (process pools) and manifest-drain campaigns,
+  which solve in-line, store the golden testbed shards;
 * lifecycle: no helper process and no thread outlives the call, on
   success, when an experiment raises, and when the helper dies; a dead
   helper surfaces as a ``ShardWorkerError`` naming the placement, with
   exactly the earlier experiments stored; invalid extra-antenna cells
   raise the in-line path's ``ValueError`` at the same experiment;
-* the selection rule: no helper in pool threads, pool processes, a
-  process with live multiprocessing children, sharded (manifest or
-  not) campaigns, the packet engine, with one usable CPU or with one
+* the selection rule: no helper in a caller's own threads, pool
+  processes, a process with live multiprocessing children, sharded
+  (manifest or not) campaigns, the packet engine, with one usable CPU or with one
   pending experiment; an explicit start method other than ``fork``
   deselects it, and with none set it is selected whenever ``fork`` is
   available, whatever the default (``forkserver`` on Linux from
@@ -440,12 +440,11 @@ def test_misfiled_profiles_leave_the_records_unchanged(monkeypatch, tmp_path):
     "campaign",
     [
         dict(),  # the host's rule, pinned to one usable CPU below
-        dict(max_workers=2, executor="thread"),
-        dict(max_workers=2, executor="process"),
+        dict(max_workers=2),
         dict(manifest="sweep", resume=True),
-        dict(manifest="sweep", resume=True, max_workers=2, executor="thread"),
+        dict(manifest="sweep", resume=True, max_workers=2),
     ],
-    ids=["one-cpu", "threads", "processes", "manifest", "manifest-threads"],
+    ids=["one-cpu", "processes", "manifest", "manifest-processes"],
 )
 def test_inline_campaigns_store_the_golden_shards(
     campaign, monkeypatch, tmp_path, helper_starts, no_leftovers
@@ -631,7 +630,7 @@ def test_not_selected_with_live_children(two_cpus_and_fork):
 
 
 def test_not_selected_in_pool_workers(two_cpus_and_fork):
-    with ThreadPoolExecutor(1) as pool:  # a thread-sharded campaign worker
+    with ThreadPoolExecutor(1) as pool:  # a caller's own worker thread
         assert not pool.submit(experiments._table_helper_selected, 5).result()
     with ProcessPoolExecutor(
         1, mp_context=multiprocessing.get_context("fork")
@@ -667,11 +666,8 @@ def test_no_helper_in_sharded_or_packet_campaigns(
     monkeypatch, helper_starts, tmp_path
 ):
     select_helper(monkeypatch, True)
-    run(max_workers=2, executor="thread")
-    run(
-        store=open_store(f"file:{tmp_path}"), manifest="sweep",
-        max_workers=2, executor="thread",
-    )
+    run(max_workers=2)
+    run(store=open_store(f"file:{tmp_path}"), manifest="sweep", max_workers=2)
     run_campaign(
         TESTBED,
         oracle_factory,

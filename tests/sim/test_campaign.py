@@ -1,5 +1,8 @@
 """Campaign runner: grid expansion, determinism, sharding, memoization."""
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,10 @@ from repro.sim import (
     OracleEstimatorSpec,
     Scenario,
     ScenarioGrid,
-    run_sim_campaign,
 )
+from repro.sim import campaign
 from repro.sim.campaign import ShardWorkerError, shard_map
+from repro.store import open_store
 from repro.theory import clear_efficiency_cache, efficiency_cache_info
 
 GRID = ScenarioGrid(
@@ -78,6 +82,26 @@ class TestCampaignRunner:
             assert np.array_equal(a.result.efficiency, b.result.efficiency)
             assert np.array_equal(a.result.reliability, b.result.reliability)
 
+    def test_sharded_progress_and_store_stay_in_the_caller(self, tmp_path):
+        """Only the stacked groups travel to the pool: a closure as the
+        progress callback works, and the stored lines are the serial
+        run's."""
+
+        def lines(store):
+            return {
+                key: store.shard_path(key).read_bytes() for key in store.keys()
+            }
+
+        serial = open_store(f"file:{tmp_path / 'serial'}")
+        CampaignRunner(seed=7, store=serial).run(GRID)
+        sharded = open_store(f"file:{tmp_path / 'sharded'}")
+        seen = []
+        CampaignRunner(seed=7, max_workers=2, store=sharded).run(
+            GRID, progress=lambda scenario: seen.append(scenario)
+        )
+        assert seen == GRID.scenarios()
+        assert lines(sharded) == lines(serial)
+
     def test_accepts_explicit_scenario_list(self):
         cells = [
             Scenario(n_terminals=3, loss=IIDLossSpec(0.4), rounds=30,
@@ -86,11 +110,11 @@ class TestCampaignRunner:
                      n_x_packets=50,
                      adversary=AdversarySpec(antennas=2)),
         ]
-        result = run_sim_campaign(cells, seed=3)
+        result = CampaignRunner(seed=3).run(cells)
         assert [o.n_terminals for o in result.outcomes] == [3, 5]
 
     def test_empty_grid(self):
-        assert run_sim_campaign([]).outcomes == []
+        assert CampaignRunner().run([]).outcomes == []
 
     def test_progress_callback(self):
         seen = []
@@ -126,11 +150,24 @@ class TestAllocationMemoization:
         assert after.hits >= info.hits + 2
 
 
+#: Pickle finds no ``<lambda>`` attribute on the module: a PicklingError.
+_LAMBDA = lambda x: x * 2  # noqa: E731
+
+
 def _double_or_explode(item):
     """Module-level worker (process pools must pickle it)."""
     if item == 3:
         raise ValueError("boom")
     return item * 2
+
+
+def _double(item):
+    """Module-level worker (process pools must pickle it)."""
+    return item * 2
+
+
+def _worker_pid(item):
+    return os.getpid()
 
 
 class TestShardMapErrors:
@@ -142,7 +179,13 @@ class TestShardMapErrors:
         with pytest.raises(ValueError, match="boom"):
             shard_map(_double_or_explode, [1, 3])
 
-    def test_thread_pool_error_names_item(self):
+    def test_pool_default_label_is_repr(self):
+        with pytest.raises(ShardWorkerError, match=r"failed on 3:"):
+            shard_map(_double_or_explode, [1, 3], max_workers=2)
+
+    def test_process_pool_error_names_item(self):
+        # The regression this guards: a process worker's death used to
+        # surface as an opaque pickle traceback with no scenario key.
         with pytest.raises(
             ShardWorkerError, match=r"cell-3.*ValueError: boom"
         ) as excinfo:
@@ -154,34 +197,55 @@ class TestShardMapErrors:
             )
         assert isinstance(excinfo.value.__cause__, ValueError)
 
-    def test_thread_pool_default_label_is_repr(self):
-        with pytest.raises(ShardWorkerError, match=r"failed on 3:"):
-            shard_map(_double_or_explode, [1, 3], max_workers=2)
-
-    def test_process_pool_error_names_item(self):
-        # The regression this guards: a process worker's death used to
-        # surface as an opaque pickle traceback with no scenario key.
+    def test_unpicklable_fn_names_the_first_item(self):
+        # Every item fails to pickle with the lambda; the earliest in
+        # work order is named, whichever failure the pool reports first.
         with pytest.raises(
-            ShardWorkerError, match=r"cell-3.*ValueError: boom"
-        ):
+            ShardWorkerError, match=r"worker failed on cell-1: PicklingError"
+        ) as excinfo:
             shard_map(
-                _double_or_explode,
+                _LAMBDA,
                 [1, 2, 3, 4],
                 max_workers=2,
-                executor="process",
                 label=lambda item: f"cell-{item}",
             )
+        assert isinstance(excinfo.value.__cause__, pickle.PicklingError)
+
+    def test_unpicklable_item_is_named(self):
+        with pytest.raises(
+            ShardWorkerError, match=r"failed on <function <lambda>"
+        ) as excinfo:
+            shard_map(_double, [1, _LAMBDA, 3], max_workers=2)
+        assert isinstance(excinfo.value.__cause__, pickle.PicklingError)
 
     def test_successful_map_preserves_order(self):
         items = list(range(8))
         assert shard_map(
-            lambda x: x * 2, items, max_workers=3
+            _double, items, max_workers=3
         ) == [x * 2 for x in items]
 
+    def test_pool_has_at_most_one_process_per_item(self, monkeypatch):
+        sizes = []
 
-def _double(item):
-    """Module-level worker (process pools must pickle it)."""
-    return item * 2
+        class Recording(campaign.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", Recording)
+        assert shard_map(_double, [1, 2, 3], max_workers=8) == [2, 4, 6]
+        assert sizes == [3]
+
+    def test_workers_are_processes_and_hooks_run_in_the_caller(self):
+        hooked = []
+        pids = shard_map(
+            _worker_pid,
+            [1, 2, 3],
+            max_workers=2,
+            on_result=lambda item, pid: hooked.append(os.getpid()),
+        )
+        assert os.getpid() not in pids
+        assert hooked == [os.getpid()] * 3
 
 
 def _exploding_hook(item, result):
@@ -192,17 +256,16 @@ def _exploding_hook(item, result):
 class TestOnResultHookErrors:
     """Satellite regression: a raising checkpoint hook must re-raise
     tagged with the failing item's label — like worker failures — on
-    the serial path and both pool kinds.  (Before the fix, the hook's
+    the serial path and the process pool.  (Before the fix, the hook's
     exception surfaced bare, with no clue which item's persist died.)"""
 
     @pytest.mark.parametrize(
         "pool_kwargs",
         [
             dict(max_workers=None),  # serial path
-            dict(max_workers=2, executor="thread"),
-            dict(max_workers=2, executor="process"),
+            dict(max_workers=2),
         ],
-        ids=["serial", "thread", "process"],
+        ids=["serial", "process"],
     )
     def test_hook_failure_names_item_on_every_path(self, pool_kwargs):
         with pytest.raises(

@@ -291,9 +291,7 @@ class TestCampaignCellBatching:
     def test_process_pool_batched_equals_serial(self):
         cells = GRID.scenarios()[:4]
         serial = CampaignRunner(seed=4).run(cells)
-        pooled = CampaignRunner(
-            seed=4, max_workers=2, executor="process"
-        ).run(cells)
+        pooled = CampaignRunner(seed=4, max_workers=2).run(cells)
         assert_outcomes_identical(serial, pooled)
 
     def test_group_persistence_is_batched(self, tmp_path):

@@ -23,11 +23,7 @@ from repro.sim import (
     Scenario,
     ScenarioGrid,
 )
-from repro.sim.campaign import (
-    PROCESS_POOL_ITEM_THRESHOLD,
-    ShardWorkerError,
-    _resolve_executor,
-)
+from repro.sim.campaign import ShardWorkerError
 from repro.store import CampaignStore, open_store
 from repro.store.backend_mem import MemoryStoreBackend
 from repro.store.aggregate import stream_aggregates
@@ -299,18 +295,9 @@ class TestZeroSecretNaNThroughStore:
         assert live.n_excluded == len(first.records)
 
 
-class TestAutoExecutor:
-    def test_threshold(self):
-        assert _resolve_executor("auto", PROCESS_POOL_ITEM_THRESHOLD - 1) == "thread"
-        assert _resolve_executor("auto", PROCESS_POOL_ITEM_THRESHOLD) == "process"
-        assert _resolve_executor("thread", 10**6) == "thread"
-        with pytest.raises(ValueError, match="unknown executor"):
-            _resolve_executor("fiber", 1)
-
+class TestProcessPoolRunner:
     def test_process_pool_campaign_runner_matches_serial(self):
         cells = GRID.scenarios()[:3]
         serial = CampaignRunner(seed=4).run(cells)
-        pooled = CampaignRunner(
-            seed=4, max_workers=2, executor="process"
-        ).run(cells)
+        pooled = CampaignRunner(seed=4, max_workers=2).run(cells)
         assert_outcomes_identical(serial, pooled)
