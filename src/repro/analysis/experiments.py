@@ -46,7 +46,7 @@ import numpy as np
 from repro.core.estimator import EveErasureEstimator
 from repro.core.rotation import ExperimentResult, run_experiment
 from repro.core.session import SessionConfig
-from repro.sim.campaign import ShardWorkerError, _as_store, shard_map
+from repro.sim.campaign import ShardPool, ShardWorkerError, _as_store
 from repro.sim.engine import BatchedRoundEngine, planning_profile
 from repro.store.fingerprint import fingerprint
 from repro.sim.spec import (
@@ -795,8 +795,9 @@ def run_campaign(
         estimator_spec: declarative estimator policy (batched engine).
         rounds_per_leader: batch size per leader (batched engine).
         max_workers: shard placements across a process pool of this
-            many workers (:func:`~repro.sim.campaign.shard_map`); None
-            or 1 runs serially (identical records either way).  Sharded,
+            many workers, one pool per call
+            (:class:`~repro.sim.campaign.ShardPool`); None or 1 runs
+            serially (identical records either way).  Sharded,
             everything shipped to the pool must pickle — the testbed,
             the config and the estimator (``estimator_spec``, or an
             ``estimator_factory`` defined at module level, as the
@@ -837,10 +838,12 @@ def run_campaign(
         rounds_per_leader,
     )
     store = _as_store(store)
+    shards = ShardPool(max_workers)
     prefetch: Optional[_TablePrefetcher] = None
 
-    def start_helper(pending: list) -> None:
+    def start_workers(pending: list) -> None:
         nonlocal prefetch
+        shards.start(len(pending))
         prefetch = _start_table_helper(
             testbed, config, engine, max_workers,
             [placement for _, placement, _, _ in pending],
@@ -871,10 +874,9 @@ def run_campaign(
                 for placement in placements:
                     progress(placement.n_terminals, placement)
             run = run_one
-        return shard_map(
+        return shards.map(
             run,
             placements,
-            max_workers=max_workers,
             label=placement_label,
             on_result=persist,
         )
@@ -892,9 +894,10 @@ def run_campaign(
             batch_size=max(1, max_workers or 1),
             lease_timeout=lease_timeout,
             poll_interval=poll_interval,
-            prepare=start_helper,
+            prepare=start_workers,
         )
     finally:
+        shards.close()
         if prefetch is not None:
             prefetch.close()
     return CampaignResult(records=records)

@@ -4,8 +4,8 @@ A :class:`ScenarioGrid` is the cartesian product of the axes the paper
 sweeps — group size, loss model, adversary shape, estimator policy —
 expanded into concrete :class:`~repro.sim.spec.Scenario` cells.  The
 :class:`CampaignRunner` executes every cell on the batched engine,
-optionally sharding groups of cells across a process pool
-(:func:`shard_map`); the planner's hot loops are pure Python, so only
+optionally sharding groups of cells across one process pool per run
+(:class:`ShardPool`); the planner's hot loops are pure Python, so only
 separate processes run them in parallel, each with its own LP and
 flow memos.
 
@@ -51,6 +51,7 @@ from repro.store.fingerprint import fingerprint, fingerprint_spawn_key
 
 __all__ = [
     "shard_map",
+    "ShardPool",
     "ShardWorkerError",
     "ScenarioGrid",
     "ScenarioOutcome",
@@ -120,7 +121,9 @@ def shard_map(
     The shared sharding primitive of every campaign runner: work items
     must be independent (each owning its private RNG stream), so the
     result list is identical to ``[fn(x) for x in items]`` whatever the
-    worker count — sharding changes wall-clock only.
+    worker count — sharding changes wall-clock only.  This is one
+    :meth:`ShardPool.map` on a pool of its own; a sweep that maps
+    batch after batch keeps one :class:`ShardPool` instead.
 
     Args:
         fn: the per-item worker.  When sharded it must be picklable (a
@@ -137,8 +140,9 @@ def shard_map(
             pooled-path worker failures raise :class:`ShardWorkerError`
             carrying that name (campaign runners pass the placement's
             scenario key), with the worker's exception as the cause.
-            When several items have failed, the earliest in work order
-            is named, so an unpicklable ``fn`` names the first item.
+            The item named is the earliest in work order among the
+            failures seen when the first one is reported (for an
+            unpicklable ``fn``, the first item).
         on_result: optional ``(item, result) -> None`` checkpoint hook,
             always invoked in the *caller's* process as each item
             completes — in completion order on the pooled path, item
@@ -148,18 +152,89 @@ def shard_map(
             :class:`ShardWorkerError` naming the item (on both paths
             alike); ``BaseException`` kills propagate raw.
     """
-    items = list(items)
-    if max_workers is None or max_workers <= 1 or len(items) <= 1:
-        results = []
-        for item in items:
-            result = fn(item)
-            if on_result is not None:
-                _checkpoint(on_result, item, result, label)
-            results.append(result)
-        return results
-    with ProcessPoolExecutor(max_workers=min(max_workers, len(items))) as pool:
+    with ShardPool(max_workers) as shards:
+        return shards.map(fn, items, label=label, on_result=on_result)
+
+
+class ShardPool:
+    """The process pool of one sweep, shared by every map it runs.
+
+    A manifest drain runs one map per claimed batch of ``max_workers``
+    items.  A pool per map would start new workers for every batch,
+    each with empty LP and flow memos and, on ``forkserver`` or
+    ``spawn``, its own imports of numpy, scipy and :mod:`repro`.  Both
+    runners therefore open one ``ShardPool`` per sweep, :meth:`start`
+    it from :func:`repro.store.queue.run_sweep`'s ``prepare`` hook,
+    and :meth:`map` each batch on it.
+
+    :meth:`start` launches every worker before ``run_sweep`` drains a
+    manifest, so no worker is forked while the drain's heartbeat
+    thread runs (``fork`` launches all of them at the first submit).
+    The workers never touch the store or the queue: ``on_result`` and
+    every store call run in the caller's process.
+
+    Args:
+        max_workers: None or 1 maps serially and starts no process;
+            more shards maps across at most that many processes, on
+            the platform's default start method.
+    """
+
+    def __init__(self, max_workers: Optional[int] = None) -> None:
+        self.max_workers = max_workers
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def __enter__(self) -> "ShardPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _serial(self, n_items: int) -> bool:
+        return (self.max_workers or 1) <= 1 or n_items <= 1
+
+    def start(self, n_items: int) -> None:
+        """Launch the workers for a sweep whose largest map has
+        ``n_items`` items.
+
+        Starts ``min(max_workers, n_items)`` processes, or none when
+        the pool is serial, ``n_items`` is at most one, or it already
+        runs.
+        """
+        if self._pool is not None or self._serial(n_items):
+            return
+        self._pool = ProcessPoolExecutor(
+            max_workers=min(self.max_workers or 1, n_items)
+        )
+        # The first submit launches the workers (all of them on fork).
+        self._pool.submit(int).result()
+
+    def map(
+        self,
+        fn: Callable,
+        items: Sequence,
+        label: Optional[Callable] = None,
+        on_result: Optional[Callable] = None,
+    ) -> list:
+        """:func:`shard_map` on this pool.
+
+        At most one item, or a serial pool, runs in the caller's
+        thread.  A larger map than :meth:`start` was sized for (or
+        none) starts the pool here.  On a failure the map's queued
+        items are cancelled; the pool stays open for :meth:`close`.
+        """
+        items = list(items)
+        if self._serial(len(items)):
+            results = []
+            for item in items:
+                result = fn(item)
+                if on_result is not None:
+                    _checkpoint(on_result, item, result, label)
+                results.append(result)
+            return results
+        self.start(len(items))
+        assert self._pool is not None
         futures = {
-            pool.submit(fn, item): index
+            self._pool.submit(fn, item): index
             for index, item in enumerate(items)
         }
         results: list = [None] * len(items)
@@ -182,6 +257,14 @@ def shard_map(
                 pending.cancel()
             raise
         return results
+
+    def close(self) -> None:
+        """Wait for the running items and for the workers to exit."""
+        if self._pool is not None:
+            # Not cancel_futures=True: on Python 3.11 that shutdown can
+            # wait forever for an item whose pickling failed.
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
 
 @dataclass(frozen=True)
@@ -341,7 +424,8 @@ class CampaignRunner:
             depend only on (seed, cell spec) — never on grid order or
             sharding.
         max_workers: > 1 shards groups of stacked cells across a
-            process pool (:func:`shard_map`); None or 1 runs serially
+            process pool, one per :meth:`run` or :meth:`run_worker`
+            call (:class:`ShardPool`); None or 1 runs serially
             (identical results either way).  ``progress`` and every
             store call stay in the caller's process.
         store: optional :class:`repro.store.CampaignStore` (or a
@@ -498,27 +582,47 @@ class CampaignRunner:
         from repro.store.queue import run_sweep
         from repro.store.records import scenario_outcome_from_json
 
-        outcomes = run_sweep(
-            self.store,
-            work,
-            lambda pending: self._run_cells(pending, progress),
-            scenario_outcome_from_json,
-            kind=_SIM_KIND,
-            meta={"seed": self.seed},
-            resume=self.resume,
-            batch_size=max(1, self.max_workers or 1),
-            **drain,
-        )
+        batch_size = max(1, self.max_workers or 1)
+
+        def start(pending: list) -> None:
+            # Size the pool for the largest map: every pending stacked
+            # group at once, or in a manifest drain one claim's groups
+            # (a claim of cells that all stack is a one-item map).
+            cells = [item[1] for item in pending]
+            manifest = drain.get("manifest") is not None
+            step = batch_size if manifest else len(cells)
+            shards.start(max(
+                (len(group_cells(cells[i:i + step]))
+                 for i in range(0, len(cells), max(step, 1))),
+                default=0,
+            ))
+
+        with ShardPool(self.max_workers) as shards:
+            outcomes = run_sweep(
+                self.store,
+                work,
+                lambda pending: self._run_cells(pending, progress, shards),
+                scenario_outcome_from_json,
+                kind=_SIM_KIND,
+                meta={"seed": self.seed},
+                resume=self.resume,
+                batch_size=batch_size,
+                prepare=start,
+                **drain,
+            )
         return SimCampaignResult(outcomes=outcomes)
 
-    def _run_cells(self, work: list, progress) -> List[ScenarioOutcome]:
+    def _run_cells(
+        self, work: list, progress, shards: ShardPool
+    ) -> List[ScenarioOutcome]:
         """Run work items' cells in stacked groups; outcomes in item order.
 
         ``progress`` sees every cell before any runs.  Cells are grouped
         by :func:`~repro.sim.stack.group_cells`, each group runs as one
-        :func:`_run_scenario_group` pass through :func:`shard_map`, and
-        with a store each finished group is persisted under its cells'
-        keys with one durable ``append_batch``.
+        :func:`_run_scenario_group` pass through the sweep's
+        :class:`ShardPool`, and with a store each finished group is
+        persisted under its cells' keys with one durable
+        ``append_batch``.
         """
         cells = [scenario for _, scenario, _, _ in work]
         if progress is not None:
@@ -546,10 +650,9 @@ class CampaignRunner:
                 )
 
         group_indices = group_cells(cells)
-        group_results = shard_map(
+        group_results = shards.map(
             _run_scenario_group,
             [tuple(items[i] for i in idxs) for idxs in group_indices],
-            max_workers=self.max_workers,
             label=_group_label,
             on_result=on_group,
         )

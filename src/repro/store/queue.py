@@ -369,12 +369,16 @@ def drain_manifest(
 
     Repeatedly claims up to ``batch_size`` keys and hands them to
     ``run_keys(keys)``, which must *persist* each finished item into
-    the queue's store (the runners route this through ``shard_map``'s
-    ``on_result`` hook, so each record lands the moment its worker
-    finishes).  While a batch runs, a background thread refreshes the
-    claimed leases' heartbeats every ``lease_timeout / 3`` seconds, so
-    a *live* worker's leases never expire however long its items take —
-    expiry reclaims stay reserved for workers that actually died.
+    the queue's store (the runners route this through the ``on_result``
+    hook of :meth:`repro.sim.campaign.ShardPool.map`, so each record
+    lands the moment its worker finishes).  While a batch runs, a
+    background thread refreshes the claimed leases' heartbeats every
+    ``lease_timeout / 3`` seconds, so a *live* worker's leases never
+    expire however long its items take — expiry reclaims stay reserved
+    for workers that actually died.  A ``run_keys`` that forks must
+    have forked before this loop (the runners start their pools in
+    :func:`run_sweep`'s ``prepare``): a fork while the heartbeat
+    thread runs copies locks that thread may hold.
     Leases are released after every batch whatever happened —
     completion is judged by the shards, so releasing an unfinished
     item just returns it to the pool.
@@ -485,8 +489,10 @@ def run_sweep(
     runs a list of work items, persists each into ``store`` as it
     finishes, and returns their results in order; ``decode`` turns a
     stored record into a result.  ``prepare``, if given, first sees the
-    pending items in the order they are expected to run.  A shard key
-    listed twice is refused before anything runs or is written.
+    pending items in the order they are expected to run, before any
+    runs or a manifest drain starts (the runners start their worker
+    processes there).  A shard key listed twice is refused before
+    anything runs or is written.
 
     Without ``manifest``, items with a stored record are loaded (when
     ``resume``) and the rest run in one ``run_pending`` call, so a

@@ -7,7 +7,9 @@ per-placement batched experiment, run_campaign's engine dispatch, the
 SeedSequence experiment-seed derivation, and placement sharding.
 """
 
+import dataclasses
 import math
+import multiprocessing
 import re
 
 import numpy as np
@@ -28,8 +30,10 @@ from repro.analysis.experiments import (
 from repro.core import LeaveOneOutEstimator, OracleEstimator
 from repro.sim import LeaveOneOutEstimatorSpec, OracleEstimatorSpec
 from repro.sim.campaign import ShardWorkerError
+from repro.store import queue
 from repro.testbed import Placement
 from repro.testbed.pertable import placement_schedule_specs
+from tests.sim.test_campaign import _recording_pools
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +261,37 @@ class TestShardedCampaigns:
         assert len(seen) == 2
         assert shards(tmp_path / "sharded") == shards(tmp_path / "serial")
         assert len(shards(tmp_path / "serial")) == 2
+
+    def test_a_manifest_drain_starts_one_pool_before_draining(
+        self, testbed, monkeypatch, tmp_path
+    ):
+        # Four placements drained two a claim: one pool serves both
+        # batches, and its workers run before the heartbeat thread.
+        kwargs = dict(
+            config=dataclasses.replace(CONFIG, max_placements_per_n=4),
+            engine="batched",
+            estimator_spec=LeaveOneOutEstimatorSpec(rate_margin=0.05),
+            rounds_per_leader=4,
+        )
+        serial = run_campaign(testbed, **kwargs)
+        sizes = _recording_pools(monkeypatch)
+        children: list = []
+        drain = queue.drain_manifest
+
+        def recording_drain(*args, **drain_kwargs):
+            children.append(len(multiprocessing.active_children()))
+            return drain(*args, **drain_kwargs)
+
+        monkeypatch.setattr(queue, "drain_manifest", recording_drain)
+        drained = run_campaign(
+            testbed, max_workers=2, store=tmp_path, manifest="sweep",
+            **kwargs,
+        )
+        assert len(serial.records) == 4
+        assert drained.records == serial.records
+        assert sizes == [2]
+        fork = multiprocessing.get_start_method() == "fork"
+        assert children == [2 if fork else 1]
 
     def test_unpicklable_factory_names_the_first_placement(self, testbed):
         # A lambda factory cannot reach a worker process.

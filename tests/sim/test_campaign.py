@@ -1,5 +1,6 @@
 """Campaign runner: grid expansion, determinism, sharding, memoization."""
 
+import multiprocessing
 import os
 import pickle
 
@@ -16,8 +17,8 @@ from repro.sim import (
     ScenarioGrid,
 )
 from repro.sim import campaign
-from repro.sim.campaign import ShardWorkerError, shard_map
-from repro.store import open_store
+from repro.sim.campaign import ShardPool, ShardWorkerError, shard_map
+from repro.store import open_store, queue
 from repro.theory import clear_efficiency_cache, efficiency_cache_info
 
 GRID = ScenarioGrid(
@@ -198,8 +199,8 @@ class TestShardMapErrors:
         assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_unpicklable_fn_names_the_first_item(self):
-        # Every item fails to pickle with the lambda; the earliest in
-        # work order is named, whichever failure the pool reports first.
+        # Every item fails to pickle with the lambda, in work order:
+        # the first item's failure is the first one reported.
         with pytest.raises(
             ShardWorkerError, match=r"worker failed on cell-1: PicklingError"
         ) as excinfo:
@@ -225,14 +226,7 @@ class TestShardMapErrors:
         ) == [x * 2 for x in items]
 
     def test_pool_has_at_most_one_process_per_item(self, monkeypatch):
-        sizes = []
-
-        class Recording(campaign.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(campaign, "ProcessPoolExecutor", Recording)
+        sizes = _recording_pools(monkeypatch)
         assert shard_map(_double, [1, 2, 3], max_workers=8) == [2, 4, 6]
         assert sizes == [3]
 
@@ -246,6 +240,100 @@ class TestShardMapErrors:
         )
         assert os.getpid() not in pids
         assert hooked == [os.getpid()] * 3
+
+
+def _recording_pools(monkeypatch) -> list:
+    """Record the size of every process pool the campaign module starts."""
+    sizes: list = []
+
+    class Recording(campaign.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+class TestShardPool:
+    """A sweep maps batch after batch on one pool: a manifest drain
+    claims ``max_workers`` items at a time, and a pool per batch would
+    start new workers, with empty memos, for every batch."""
+
+    def test_one_pool_serves_every_map(self, monkeypatch):
+        sizes = _recording_pools(monkeypatch)
+        with ShardPool(2) as shards:
+            first = shards.map(_worker_pid, [1, 2, 3])
+            second = shards.map(_worker_pid, [4, 5])
+            assert shards.map(_double, [6, 7]) == [12, 14]
+        assert sizes == [2]
+        assert len(set(first) | set(second)) <= 2
+        assert os.getpid() not in first + second
+        assert multiprocessing.active_children() == []
+
+    def test_start_sizes_the_pool_for_the_sweep(self, monkeypatch):
+        sizes = _recording_pools(monkeypatch)
+        with ShardPool(8) as shards:
+            shards.start(3)
+            shards.start(5)  # already running
+            assert shards.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
+        assert sizes == [3]
+
+    @pytest.mark.parametrize(
+        "max_workers, n_items", [(None, 4), (1, 4), (2, 1)]
+    )
+    def test_serial_pools_start_no_process(
+        self, monkeypatch, max_workers, n_items
+    ):
+        sizes = _recording_pools(monkeypatch)
+        with ShardPool(max_workers) as shards:
+            shards.start(n_items)
+            assert shards.map(_worker_pid, [1]) == [os.getpid()]
+        assert sizes == []
+
+    def test_a_manifest_drain_starts_one_pool_before_draining(
+        self, monkeypatch, tmp_path
+    ):
+        # Six cells, none stacking with another: every claimed batch of
+        # two is a two-item map.
+        cells = [
+            Scenario(n_terminals=n, loss=IIDLossSpec(p), rounds=30,
+                     n_x_packets=50)
+            for p in (0.3, 0.5)
+            for n in (3, 4, 5)
+        ]
+        serial = CampaignRunner(seed=7).run(cells)
+        sizes = _recording_pools(monkeypatch)
+        children: list = []
+        drain = queue.drain_manifest
+
+        def recording_drain(*args, **kwargs):
+            children.append(len(multiprocessing.active_children()))
+            return drain(*args, **kwargs)
+
+        monkeypatch.setattr(queue, "drain_manifest", recording_drain)
+        runner = CampaignRunner(seed=7, max_workers=2, store=tmp_path)
+        drained = runner.run(cells, manifest="sweep")
+        assert sizes == [2]
+        # fork launches every worker at the first submit, the other
+        # start methods one per submit while none is idle.
+        fork = multiprocessing.get_start_method() == "fork"
+        assert children == [2 if fork else 1]
+        for a, b in zip(serial.outcomes, drained.outcomes):
+            assert a.scenario == b.scenario
+            assert np.array_equal(a.result.efficiency, b.result.efficiency)
+            assert np.array_equal(a.result.reliability, b.result.reliability)
+
+
+    def test_a_drain_whose_claims_all_stack_starts_no_pool(
+        self, monkeypatch, tmp_path
+    ):
+        # GRID's two estimators are its last axis: each claim of two
+        # cells is one stacked group, a one-item map.
+        sizes = _recording_pools(monkeypatch)
+        runner = CampaignRunner(seed=7, max_workers=2, store=tmp_path)
+        assert len(runner.run(GRID, manifest="sweep").outcomes) == 8
+        assert sizes == []
 
 
 def _exploding_hook(item, result):
