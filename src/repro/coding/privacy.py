@@ -66,6 +66,8 @@ __all__ = [
     "solve_lp",
     "build_phase2_matrices",
     "solve_transport_counts",
+    "route_direct",
+    "flow_matrix",
     "TransportGraph",
     "MAX_BLOCK_POINTS",
     "MAX_PHASE2_ROWS",
@@ -674,11 +676,64 @@ def plan_y_allocation(
     return YAllocation(blocks=blocks, receivers=receivers)
 
 
+def route_direct(
+    demands: Sequence[int], capacities: Sequence[int], arcs: Sequence[Sequence[int]]
+) -> Tuple[list, int]:
+    """Dinic's first phase on plain lists, before any graph exists.
+
+    Demand node ``j`` may draw from the supply nodes ``arcs[j]``
+    (ascending).  While a direct path source -> ``j`` -> ``k`` -> sink
+    has residual left, the sink sits at BFS level 3 and Dinic's first
+    phase pushes exactly those paths: demand nodes in order, each
+    through its arcs in order, every path as far as it goes.  This is
+    that phase without the layering or the edge arrays.  (A
+    demand-to-supply edge carries its row's demand, so it never limits
+    a direct path.)
+
+    Returns ``(pushes, routed)``: one ``(arc, j, k, units)`` per path
+    that carried flow, ``arc`` counting every row's arcs row-major (the
+    graph's link order), and the total.  When ``routed`` is the whole
+    demand the pushes are a maximum flow (:func:`flow_matrix`), and no
+    graph is needed; otherwise :meth:`TransportGraph.residual` loads
+    them and :meth:`TransportGraph.augment` runs the later phases.
+    """
+    room = [int(c) for c in capacities]
+    pushes = []
+    routed = 0
+    arc = 0
+    for j, row_arcs in enumerate(arcs):
+        left = start = int(demands[j])
+        if left:
+            i = arc
+            for k in row_arcs:
+                free = room[k]
+                if free:
+                    pushed = left if left < free else free
+                    room[k] = free - pushed
+                    pushes.append((i, j, k, pushed))
+                    left -= pushed
+                    if not left:
+                        break
+                i += 1
+            routed += start - left
+        arc += len(row_arcs)
+    return pushes, routed
+
+
+def flow_matrix(pushes: Sequence[tuple], n_demands: int, n_supplies: int) -> np.ndarray:
+    """The ``(J, K)`` flow matrix of :func:`route_direct`'s pushes."""
+    out = np.zeros((n_demands, n_supplies), dtype=np.int64)
+    if pushes:
+        _, rows, cols, units = zip(*pushes)
+        out[rows, cols] = units
+    return out
+
+
 class TransportGraph:
     """The bipartite transportation network of one plan, built once.
 
-    Demand node ``j`` may draw from supply node ``k`` where
-    ``allowed[j][k]`` is true.  The graph holds only that structure, as
+    Demand node ``j`` may draw from the supply nodes listed in
+    ``arcs[j]``, ascending.  The graph holds only that structure, as
     edge arrays; demands and capacities arrive per solve, so one plan
     builds its graph once however many flows it solves on it.
 
@@ -686,27 +741,27 @@ class TransportGraph:
     ``J+1..J+K``, sink ``J+K+1``.  Edges come in pairs (edge ``e ^ 1``
     is the reverse of ``e``), added in a fixed order — source to every
     demand node, every supply node to the sink, then demand to supply
-    where allowed, row-major — so node and arc order follow the input
+    along the arcs, row-major — so node and arc order follow the input
     order alone.  A *residual* is the list of per-edge residual
     capacities; the flow on a forward edge is its reverse's residual.
 
-    A solve builds a zero-flow residual (:meth:`residual`), runs Dinic
-    on it (:meth:`augment`) and reads the flow matrix off it
-    (:meth:`flow`).  When the demand does not route in full, the same
-    residual yields a Hall certificate (:meth:`hall_cut`).
+    A solve starts from :func:`route_direct`'s flow (Dinic's first
+    phase, run without the graph), loads it into a residual
+    (:meth:`residual`), runs Dinic's later phases on it (:meth:`augment`)
+    and reads the flow matrix off it (:meth:`flow`).  When the demand
+    does not route in full, the same residual yields a Hall certificate
+    (:meth:`hall_cut`).
     """
 
-    def __init__(self, allowed: Sequence[Sequence[bool]], n_supplies: int) -> None:
-        n_demands = len(allowed)
+    def __init__(self, arcs: Sequence[Sequence[int]], n_supplies: int) -> None:
+        n_demands = len(arcs)
         self.n_demands = n_demands
         self.n_supplies = n_supplies
         sink = self.sink = n_demands + n_supplies + 1
         first_link = 2 * (n_demands + n_supplies)
         #: ``(j, k)`` per demand-to-supply edge; link ``i`` is edge
         #: ``first_link + 2 * i``.
-        links = [
-            (j, k) for j, row in enumerate(allowed) for k in range(n_supplies) if row[k]
-        ]
+        links = [(j, k) for j, row_arcs in enumerate(arcs) for k in row_arcs]
         edge_to = [0] * (first_link + 2 * len(links))
         edge_to[0 : 2 * n_demands : 2] = range(1, n_demands + 1)
         edge_to[2 * n_demands : first_link : 2] = [sink] * n_supplies
@@ -717,28 +772,31 @@ class TransportGraph:
             + [[2 * (n_demands + k)] for k in range(n_supplies)]
             + [list(range(2 * n_demands + 1, first_link, 2))]
         )
-        #: Per demand node, ``(edge, sink edge)`` for each supply it may
-        #: draw from: its demand-to-supply edge, and that supply's edge
-        #: to the sink.
-        row_arcs: list = [[] for _ in range(n_demands)]
         e = first_link
         for j, k in links:
             edge_to[e] = n_demands + 1 + k
             edge_to[e + 1] = j + 1
             adjacency[j + 1].append(e)
             adjacency[n_demands + 1 + k].append(e + 1)
-            row_arcs[j].append((e, 2 * (n_demands + k)))
             e += 2
         self.links = links
-        self.row_arcs = row_arcs
         self.edge_to = edge_to
         self.adjacency = adjacency
 
-    def residual(self, demands: Sequence[int], capacities: Sequence[int]) -> list:
-        """The zero flow's residual: every forward edge at full capacity.
+    def residual(
+        self,
+        demands: Sequence[int],
+        capacities: Sequence[int],
+        pushes: Sequence[tuple] = (),
+    ) -> list:
+        """The residual of :func:`route_direct`'s ``pushes`` (none: the
+        zero flow).
 
-        Source edges carry the demands, sink edges the capacities, and
-        each demand-to-supply edge its row's demand.
+        At zero flow every forward edge is at full capacity: source
+        edges carry the demands, sink edges the capacities, and each
+        demand-to-supply edge its row's demand.  Each pushed unit moves
+        from a forward edge's residual to its reverse's along its path
+        source -> ``j`` -> ``k`` -> sink.
         """
         demands = [int(d) for d in demands]
         n_demands = self.n_demands
@@ -747,19 +805,31 @@ class TransportGraph:
         cap[0 : 2 * n_demands : 2] = demands
         cap[2 * n_demands : first_link : 2] = [int(c) for c in capacities]
         cap[first_link::2] = [demands[j] for j, _ in self.links]
+        for arc, j, k, pushed in pushes:
+            link = first_link + 2 * arc
+            to_sink = 2 * (n_demands + k)
+            cap[2 * j] -= pushed
+            cap[2 * j + 1] += pushed
+            cap[link] -= pushed
+            cap[link + 1] += pushed
+            cap[to_sink] -= pushed
+            cap[to_sink + 1] += pushed
         return cap
 
     def augment(self, cap: list) -> int:
-        """Dinic to a maximum flow on residual ``cap``, in place.
+        """Dinic's phases after the first, to a maximum flow, in place.
 
-        Returns the flow added.  Each phase layers the residual graph by
-        BFS distance from the source, then pushes one augmenting path at
-        a time along the first usable arc of each node, arcs taken in
-        adjacency order — the same paths, in the same order, on every
-        run.  A path visits source, demand and supply nodes alternately
-        (a supply node reaches another demand node only back through a
-        reverse edge), so it holds at most ``2 * min(J, K) + 2`` nodes:
-        the first phase's paths have 4, later ones run longer.
+        ``cap`` is a residual with no direct path source -> ``j`` ->
+        ``k`` -> sink left, as :func:`route_direct`'s flow leaves it
+        (on any other residual this is still Dinic, to the same maximum
+        flow value).  Returns the flow added.  Each phase layers the
+        residual graph by BFS distance from the source, then pushes one
+        augmenting path at a time along the first usable arc of each
+        node, arcs taken in adjacency order — the same paths, in the
+        same order, on every run.  A path visits source, demand and
+        supply nodes alternately (a supply node reaches another demand
+        node only back through a reverse edge), so it holds at most
+        ``2 * min(J, K) + 2`` nodes.
         """
         edge_to = self.edge_to
         adjacency = self.adjacency
@@ -769,31 +839,6 @@ class TransportGraph:
         # source, so stop there instead of proving it with another BFS.
         want = sum(cap[0 : 2 * self.n_demands : 2])
         total = 0
-        # While any direct path source -> j -> k -> sink has residual
-        # left, the sink sits at BFS level 3 and the first phase pushes
-        # exactly those paths: demand nodes in order, each through its
-        # supplies in arc order, every path as far as it goes.  This loop
-        # is that phase without the layering.  (A demand-to-supply edge
-        # never has less residual than its source edge, so it never
-        # limits a direct path.)
-        for j, arcs in enumerate(self.row_arcs):
-            left = start = cap[2 * j]
-            if not left:
-                continue
-            for e, s in arcs:
-                room = cap[s]
-                if room:
-                    pushed = left if left < room else room
-                    cap[s] = room - pushed
-                    cap[s ^ 1] += pushed
-                    cap[e] -= pushed
-                    cap[e ^ 1] += pushed
-                    left -= pushed
-                    if not left:
-                        break
-            cap[2 * j] = left
-            cap[2 * j + 1] += start - left
-            total += start - left
         while total < want:
             # BFS layering.  ``forward[u]`` keeps u's arcs that lead one
             # level deeper with residual left, in adjacency order: within
@@ -864,12 +909,6 @@ class TransportGraph:
             e += 2
         return out
 
-    def solve(self, demands: Sequence[int], capacities: Sequence[int]) -> np.ndarray:
-        """Cold-start maximum flow: from the zero flow, to a flow matrix."""
-        cap = self.residual(demands, capacities)
-        self.augment(cap)
-        return self.flow(cap)
-
     def hall_cut(self, cap: list) -> Tuple[list, int]:
         """Hall certificate read from the minimum cut of a maximum flow.
 
@@ -911,7 +950,6 @@ def solve_transport_counts(
     demands: Sequence[int],
     capacities: Sequence[int],
     allowed: Sequence[Sequence[bool]],
-    graph: Optional[TransportGraph] = None,
 ) -> np.ndarray:
     """Integral transportation max-flow on counts (no ids involved).
 
@@ -920,29 +958,34 @@ def solve_transport_counts(
     where ``allowed[j][k]`` is true.  Returns the ``(J, K)`` integer
     flow matrix of a maximum flow.
 
-    A thin cold-start call on a :class:`TransportGraph`: every call
-    starts from the zero flow.  ``graph``, when given, must have been
-    built from ``allowed``; a caller solving several flows on one
-    network builds it once and passes it to each call.
+    Every call starts from the zero flow.  :func:`route_direct` runs
+    Dinic's first phase on the lists; only when it leaves demand
+    unrouted is a :class:`TransportGraph` built for the later phases.
 
     This is the shared max-flow core of the protocol's support
     assignment: :func:`_assign_ids_by_flow` routes concrete x-ids
     through it for the per-packet session, and the batched engine's
     per-round realised planner
-    (:func:`repro.theory.allocation.realised_support_flow`) runs it on
-    reception-pattern histograms, one graph per plan — thousands of
-    plans per campaign, which is why this is a dependency-free Dinic on
-    edge arrays rather than a graph library call (per-call overhead
-    dominates at these sizes).
+    (:func:`repro.theory.allocation.realised_support_flow`) runs the
+    same :func:`route_direct` and :class:`TransportGraph` on
+    reception-pattern histograms, at most one graph per plan —
+    thousands of plans per campaign, which is why this is a
+    dependency-free Dinic on lists and edge arrays rather than a graph
+    library call (per-call overhead dominates at these sizes).
 
     Determinism matters as much as speed: node and arc order are fixed
     by the input order alone (no hashing of arbitrary keys), so the same
     inputs always yield the same — not merely equally optimal — flow
     matrix, keeping campaigns reproducible across processes.
     """
-    if graph is None:
-        graph = TransportGraph(allowed, len(capacities))
-    return graph.solve(demands, capacities)
+    arcs = [[k for k, ok in enumerate(row) if ok] for row in allowed]
+    pushes, routed = route_direct(demands, capacities, arcs)
+    if routed < sum(int(d) for d in demands):
+        graph = TransportGraph(arcs, len(capacities))
+        cap = graph.residual(demands, capacities, pushes)
+        graph.augment(cap)
+        return graph.flow(cap)
+    return flow_matrix(pushes, len(arcs), len(capacities))
 
 
 def _assign_ids_by_flow(cells: Mapping, id_demand: Mapping) -> dict:

@@ -20,9 +20,13 @@ Design (see :mod:`repro.sim.engine` for the full derivation):
 * **Subset-lattice accounting** — reception patterns become bitmasks,
   pattern counts become one ``bincount``, and a zeta transform yields
   every terminal-subset's support pool and Eve-miss count at once.
-* **Allocation reuse** — the symmetric allocation LP is solved once per
-  scenario (memoized in :mod:`repro.theory.efficiency`) and clamped
-  against each round's realised pools; no per-round LP or max-flow.
+* **Allocation reuse, realised per round** — the symmetric allocation
+  LP is solved once per scenario (memoized in
+  :mod:`repro.theory.efficiency`); its row targets, clamped against each
+  round's realised pools, become whole-packet demands, and each round
+  realises them with an integral transportation max-flow on its
+  pattern histogram (:func:`repro.theory.allocation.realised_support_flow`,
+  memoized by histogram and demand).
 * **Declarative campaigns** — :class:`~repro.sim.campaign.ScenarioGrid`
   expands the scenario matrix, and
   :class:`~repro.sim.campaign.CampaignRunner` shards cells across a

@@ -518,7 +518,8 @@ class CampaignRunner:
         The cells are decoded from the manifest entries, so a worker
         needs nothing but the store, the manifest name and the campaign
         seed, and drained through :func:`repro.store.queue.run_sweep`,
-        up to ``max_workers`` cells a claim.  Every concurrent caller
+        up to ``max_workers`` cells a claim (serially, as many as the
+        largest stack group holds).  Every concurrent caller
         returns the complete :class:`SimCampaignResult`, in manifest
         order and bit-identical to a serial :meth:`run` of the same
         grid.  Completion is judged by the shards, so a runner built
@@ -582,7 +583,15 @@ class CampaignRunner:
         from repro.store.queue import run_sweep
         from repro.store.records import scenario_outcome_from_json
 
-        batch_size = max(1, self.max_workers or 1)
+        if (self.max_workers or 1) > 1:
+            batch_size = self.max_workers
+        else:
+            # A serial drain claims a whole stack group at a time, so
+            # each claim runs as one stacked pass with one flush, as in
+            # a plain run, instead of one pass and flush per cell.
+            batch_size = max(
+                map(len, group_cells([item[1] for item in work])), default=1
+            )
 
         def start(pending: list) -> None:
             # Size the pool for the largest map: every pending stacked

@@ -44,12 +44,13 @@ for B independent rounds simultaneously:
 (:meth:`BatchedRoundEngine.account`) and a group of cells stacked into
 one reception tensor (:func:`repro.sim.stack.run_stacked_batch`, which
 slices the lattice arrays per cell — every step is row-wise, so a
-slice is indistinguishable from a per-cell array).  The per-round loop
-(integerise demand, memoized max-flow, hypergeometric sampling,
-certification, excess-row trim) runs on plain Python scalars and
-lists (:func:`_integerise_fast`, :func:`_realise_fast`): numpy's
-per-op dispatch dominates at subset-lattice sizes.  Golden digests
-recorded from the earlier array form of that loop
+slice is indistinguishable from a per-cell array).  Demand
+integerisation uses no randomness and runs once over all of a cell's
+rounds (:func:`_integerise_rows`); the per-round loop (memoized
+max-flow, hypergeometric sampling, certification, excess-row trim)
+runs on plain Python scalars and lists (:func:`_realise_fast`):
+numpy's per-op dispatch dominates at subset-lattice sizes.  Golden
+digests recorded from the earlier array form of that loop
 (``tests/sim/test_accounting_golden.py``) pin its results.
 
 The engine remains a statistical model, not a bit-exact replay: it
@@ -576,9 +577,10 @@ def _account_cell(
     id_need[:, 0] = 0.0
 
     # Scalar form for the per-round loop: exact conversions only.
-    counts_list = np.rint(counts).astype(np.int64).tolist()
+    counts_int = np.rint(counts).astype(np.int64)
+    counts_list = counts_int.tolist()
     miss_list = np.rint(miss_counts).astype(np.int64).tolist()
-    id_need_list = id_need.tolist()
+    id_demands = _integerise_rows(id_need, counts_int, r)
     demand_list = demand_rows.tolist()
     rates_list = rates.tolist() if rates is not None else None
     rng = engine.rng
@@ -587,12 +589,11 @@ def _account_cell(
     rows_out = np.zeros((b, n_sub))
     deficit = np.zeros(b)
     for bi in range(b):
-        id_demand = _integerise_fast(id_need_list[bi], counts_list[bi], sizes, r)
         row, d = _realise_fast(
             counts_list[bi],
             miss_list[bi],
             demand_list[bi],
-            id_demand,
+            id_demands[bi],
             rates_list[bi] if rates_list is not None else None,
             uses_oracle,
             rng,
@@ -650,14 +651,13 @@ def _account_cell(
     )
 
 
-def _integerise_fast(
-    id_need: List[float],
-    counts_int: List[int],
-    sizes: Tuple[int, ...],
-    r: int,
-) -> List[int]:
-    """Round one round's fractional support demand to whole packets.
+def _integerise_rows(
+    id_need: np.ndarray, counts_int: np.ndarray, r: int
+) -> List[List[int]]:
+    """Round every round's fractional support demand to whole packets.
 
+    ``id_need`` and ``counts_int`` are ``(B, 2^r)``: per round, the
+    demand and the pattern histogram, indexed by subset bitmask.
     Largest-remainder rounding, capped by the nested size-family
     capacities: a unit granted to subset ``T`` counts against every
     family ``s <= |T|`` (blocks decodable by >= s receivers draw from
@@ -666,52 +666,41 @@ def _integerise_fast(
     starving whole subsets — never happens.  Rounds whose demand is
     family-feasible after this step almost always get their full
     assignment from a single flow solve.  Grants go biggest remainder
-    first, ties to the lower mask; the family totals are integers.
+    first, ties to the lower mask; the empty subset gets none.
+
+    The floors, remainders, family sums and grant order are computed
+    for all rounds at once; the grants themselves change the family
+    totals as they go, so they run per round, over the remainders above
+    ``1e-9`` only.
     """
-    n_sub = len(id_need)
-    # Integral state stays in ints: Python float-vs-int arithmetic and
-    # comparison convert the int to an exactly-equal double, so every
-    # operation below sees the same values the all-float form saw.
-    base = [0] * n_sub
-    rem = [0.0] * n_sub
-    size_need = [0] * (r + 1)
-    size_cap = [0] * (r + 1)
-    for i in range(n_sub):
-        x = id_need[i]
-        floored = _floor(x + 1e-9)
-        base[i] = floored
-        rem[i] = x - floored
-        level = sizes[i]
-        size_need[level] += floored
-        size_cap[level] += counts_int[i]
-    # fam_*[s] = total over subsets of size >= s (nested families).
-    fam_need = [0] * (r + 1)
-    fam_cap = [0] * (r + 1)
-    acc_need = 0
-    acc_cap = 0
-    for s in range(r, -1, -1):
-        acc_need += size_need[s]
-        acc_cap += size_cap[s]
-        fam_need[s] = acc_need
-        fam_cap[s] = acc_cap
-    order = sorted(range(n_sub), key=lambda i: (-rem[i], i))
-    demand = base
-    for i in order:
-        if rem[i] <= 1e-9:
-            break
-        level = sizes[i]
-        if level == 0:
-            continue
-        feasible = True
-        for t in range(1, level + 1):
-            if fam_need[t] + 1 > fam_cap[t]:
-                feasible = False
-                break
-        if feasible:
-            demand[i] += 1
+    _, sizes, size_of, _ = _lattice_geometry(r)
+    base = np.floor(id_need + 1e-9)
+    rem = id_need - base
+    demand = base.astype(np.int64)
+    # room[b, s]: how many more units family s (subsets of size >= s)
+    # can take, capacity minus floored demand; integers throughout.
+    by_size = sizes[:, None] == np.arange(r + 1)
+    room = np.cumsum(((counts_int - demand) @ by_size)[:, ::-1], axis=1)[:, ::-1]
+    rows = demand.tolist()
+    live = rem > 1e-9
+    live[:, 0] = False
+    if not live.any():
+        return rows
+    # Each round's live subsets in grant order: a stable sort on the
+    # negated remainder keeps ties in mask order, dead entries last.
+    order = np.argsort(np.where(live, -rem, np.inf), axis=1, kind="stable")
+    round_of, rank = np.nonzero(np.take_along_axis(live, order, axis=1))
+    room_rows = room.tolist()
+    current = -1
+    for b, i in zip(round_of.tolist(), order[round_of, rank].tolist()):
+        if b != current:
+            current, row, left = b, rows[b], room_rows[b]
+        level = size_of[i]
+        if min(left[1 : level + 1]) > 0:
+            row[i] += 1
             for t in range(1, level + 1):
-                fam_need[t] += 1
-    return demand
+                left[t] -= 1
+    return rows
 
 
 def _realise_fast(

@@ -218,7 +218,12 @@ def scenario_outcome_to_json(outcome: "ScenarioOutcome") -> Dict[str, Any]:
         "scenario": encode_spec(outcome.scenario),
     }
     for name in _BATCH_ARRAYS:
-        payload[name] = encode_value(getattr(result, name).tolist())
+        values = getattr(result, name)
+        # Only NaN and +-inf need tagging; a finite array's list is
+        # already strict JSON, so it skips the per-element walk.
+        payload[name] = (
+            values.tolist() if np.isfinite(values).all() else encode_value(values.tolist())
+        )
     return payload
 
 

@@ -16,8 +16,10 @@ planner's id demands per terminal subset come from the memoized
 scenario LP.  :func:`realised_support_flow` solves the integral
 transportation max-flow between the two — subset ``T`` may only draw
 support packets from pattern cells ``P >= T`` — reusing the exact flow
-core the session uses (:class:`repro.coding.privacy.TransportGraph`,
-built once per plan and solved on several times).  When the round
+core the session uses: Dinic's first phase on plain lists
+(:func:`repro.coding.privacy.route_direct`), and only when that leaves
+demand unrouted a :class:`repro.coding.privacy.TransportGraph`, built
+once per plan and solved on several times.  When the round
 cannot meet its full demand, the demand is scaled down to the largest
 routable grid point ``k / SCALE_STEPS``, found by jumping between the
 Hall certificates that each failed solve's minimum cut provides
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.coding.privacy import TransportGraph, solve_transport_counts
+from repro.coding.privacy import TransportGraph, flow_matrix, route_direct
 
 __all__ = [
     "RealisedPlan",
@@ -116,11 +118,26 @@ def realised_support_flow(
     subsets = tuple(s for s, _ in subset_demands)
     demands = [int(d) for _, d in subset_demands]
     capacities = [int(c) for _, c in cell_counts]
-    allowed = [[(s & p) == s for p in cells] for s in subsets]
-    graph = TransportGraph(allowed, len(cells))
-    cap = graph.residual(demands, capacities)
-    scale = 1.0
-    if graph.augment(cap) < sum(demands):
+    # Subset s may draw from the cells that contain it.
+    arcs = [[k for k, p in enumerate(cells) if s & p == s] for s in subsets]
+    graph = None
+    step = SCALE_STEPS
+    met = demands
+    while True:
+        # Dinic's first phase needs no graph; a round it routes in full
+        # is planned without one.  Otherwise the graph is built once and
+        # the later phases run from the first phase's flow.
+        pushes, routed = route_direct(met, capacities, arcs)
+        want = sum(met)
+        if routed == want:
+            flow = flow_matrix(pushes, len(subsets), len(cells))
+            break
+        if graph is None:
+            graph = TransportGraph(arcs, len(cells))
+        cap = graph.residual(met, capacities, pushes)
+        if routed + graph.augment(cap) == want:
+            flow = graph.flow(cap)
+            break
         # Infeasible round: a maximum flow meets the total but may
         # starve individual subsets entirely (max-flow optimises the
         # sum, not the spread), and a starved subset drags the secret
@@ -141,40 +158,29 @@ def realised_support_flow(
         # Routability is monotone in the step, so this stops on the
         # largest routable grid point, and the plan is the cold solve at
         # its demands.
-        step = SCALE_STEPS
-        while True:
-            rows, room = graph.hall_cut(cap)
-            lo, hi = 0, step  # the certificate holds at lo, fails at hi
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                wanted = sum(math.floor(mid / SCALE_STEPS * demands[j]) for j in rows)
-                if wanted <= room:
-                    lo = mid
-                else:
-                    hi = mid
-            step = lo
-            met = [math.floor(step / SCALE_STEPS * d) for d in demands]
-            cap = graph.residual(met, capacities)
-            if graph.augment(cap) == sum(met):
-                break
-        best = graph.flow(cap)
+        rows, room = graph.hall_cut(cap)
+        lo, hi = 0, step  # the certificate holds at lo, fails at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            wanted = sum(math.floor(mid / SCALE_STEPS * demands[j]) for j in rows)
+            if wanted <= room:
+                lo = mid
+            else:
+                hi = mid
+        step = lo
+        met = [math.floor(step / SCALE_STEPS * d) for d in demands]
+    scale = 1.0
+    if step < SCALE_STEPS:
         if top_up:
-            residual_demands = [
-                d - int(best[j].sum()) for j, d in enumerate(demands)
-            ]
-            residual_caps = [
-                c - int(best[:, k].sum()) for k, c in enumerate(capacities)
-            ]
-            extra = solve_transport_counts(
-                residual_demands, residual_caps, allowed, graph=graph
-            )
-            flow = best + extra
-            scale = 1.0  # demand caps stay unscaled; exact budgets bind instead
+            # Grant the leftover capacity on top of the balanced plan;
+            # demand caps stay unscaled, exact budgets bind instead.
+            left = [d - f for d, f in zip(demands, flow.sum(axis=1).tolist())]
+            room = [c - f for c, f in zip(capacities, flow.sum(axis=0).tolist())]
+            cap = graph.residual(left, room, route_direct(left, room, arcs)[0])
+            graph.augment(cap)
+            flow = flow + graph.flow(cap)
         else:
-            flow = best
             scale = step / SCALE_STEPS
-    else:
-        flow = graph.flow(cap)
     flow.setflags(write=False)
     return RealisedPlan(subsets=subsets, cells=cells, flow=flow, scale=scale)
 

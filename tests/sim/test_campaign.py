@@ -18,7 +18,7 @@ from repro.sim import (
 )
 from repro.sim import campaign
 from repro.sim.campaign import ShardPool, ShardWorkerError, shard_map
-from repro.store import open_store, queue
+from repro.store import CampaignStore, open_store, queue
 from repro.theory import clear_efficiency_cache, efficiency_cache_info
 
 GRID = ScenarioGrid(
@@ -102,6 +102,37 @@ class TestCampaignRunner:
         )
         assert seen == GRID.scenarios()
         assert lines(sharded) == lines(serial)
+
+    @pytest.mark.parametrize("max_workers", [None, 1])
+    def test_a_serial_drain_flushes_once_per_stacked_group(
+        self, monkeypatch, tmp_path, max_workers
+    ):
+        """A serial manifest drain claims a whole stack group at a time:
+        GRID's four groups of two cells make four flushes, drained or
+        not, and the stored lines are the plain run's."""
+        flushes: list = []
+        append_batch = CampaignStore.append_batch
+
+        def counting(store, items):
+            flushes.append(store.root.name)
+            return append_batch(store, items)
+
+        monkeypatch.setattr(CampaignStore, "append_batch", counting)
+
+        def lines(store):
+            return {
+                key: store.shard_path(key).read_bytes() for key in store.keys()
+            }
+
+        plain = open_store(f"file:{tmp_path / 'plain'}")
+        CampaignRunner(seed=7, max_workers=max_workers, store=plain).run(GRID)
+        drained = open_store(f"file:{tmp_path / 'drained'}")
+        CampaignRunner(seed=7, max_workers=max_workers, store=drained).run(
+            GRID, manifest="sweep"
+        )
+        assert flushes.count("plain") == 4
+        assert flushes.count("drained") == 4
+        assert lines(drained) == lines(plain)
 
     def test_accepts_explicit_scenario_list(self):
         cells = [

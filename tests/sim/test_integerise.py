@@ -19,17 +19,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim.engine import _integerise_fast, _lattice_geometry
+from repro.sim.engine import _integerise_rows
 
 pytestmark = pytest.mark.accounting
 
 
 def integerise(id_need, counts, r):
-    sizes = _lattice_geometry(r)[2]
-    return [
-        _integerise_fast([float(x) for x in row], [int(c) for c in crow], sizes, r)
-        for row, crow in zip(id_need, counts)
-    ]
+    n_sub = 1 << r
+    return _integerise_rows(
+        np.asarray(id_need, dtype=float).reshape(-1, n_sub),
+        np.asarray(counts, dtype=np.int64).reshape(-1, n_sub),
+        r,
+    )
 
 
 # r = 2: masks 0 (empty), 1 and 2 (size 1), 3 (size 2).

@@ -1,5 +1,6 @@
 """The campaign store: fingerprints, shards, crash-safety, codecs."""
 
+import dataclasses
 import json
 import math
 
@@ -30,6 +31,7 @@ from repro.store.backend_mem import MemoryStoreBackend
 from repro.store.records import (
     decode_spec,
     encode_spec,
+    encode_value,
     experiment_record_from_json,
     experiment_record_to_json,
     scenario_outcome_from_json,
@@ -337,6 +339,29 @@ class TestRecordCodecs:
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
         assert back.result.secret_bits == outcome.result.secret_bits
+
+    def test_scenario_outcome_non_finite_arrays_tagged(self):
+        """Arrays holding NaN or +-inf are tagged element by element,
+        exactly as :func:`encode_value` tags them; finite arrays are
+        stored as their plain lists."""
+        result = BatchedRoundEngine(SCENARIO, seed=3).run()
+        reliability = result.reliability.copy()
+        reliability[:3] = [np.nan, np.inf, -np.inf]
+        result = dataclasses.replace(result, reliability=reliability)
+        payload = scenario_outcome_to_json(
+            ScenarioOutcome(scenario=SCENARIO, result=result)
+        )
+        assert payload["reliability"] == encode_value(reliability.tolist())
+        assert payload["reliability"][:3] == [
+            {"__float__": "nan"},
+            {"__float__": "inf"},
+            {"__float__": "-inf"},
+        ]
+        assert payload["efficiency"] == result.efficiency.tolist()
+        line = json.dumps(payload, allow_nan=False)
+        back = scenario_outcome_from_json(json.loads(line)).result.reliability
+        assert np.isnan(back[0]) and back[1] == np.inf and back[2] == -np.inf
+        assert np.array_equal(back[3:], reliability[3:])
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError, match="not an experiment record"):

@@ -150,7 +150,8 @@ class TestHallCut:
     @given(lattice_rounds(max_cells=16, max_subsets=16, receivers=(2, 7)))
     def test_cut_rows_want_more_than_their_cells_hold(self, key):
         demands, capacities, allowed = lattice_network(*key)
-        graph = TransportGraph(allowed, len(capacities))
+        arcs = [[k for k, ok in enumerate(row) if ok] for row in allowed]
+        graph = TransportGraph(arcs, len(capacities))
         cap = graph.residual(demands, capacities)
         routed = graph.augment(cap)
         assume(routed < sum(demands))
