@@ -11,10 +11,14 @@ most the packets of patterns of size ``>= s``).  The empty subset
 
 Every expected row below was worked out by hand from that rule; the
 comments show the arithmetic.  Each case is one row of a multi-row
-call, so rows must not share state.
+call, so rows must not share state.  Seeded random rounds, 1-7
+receivers, are then checked against the rule written one round at a
+time on Python scalars.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -122,3 +126,44 @@ def test_larger_sets_win_when_family_1_has_room():
 
 def test_empty_batch():
     assert integerise(np.zeros((0, 4)), np.zeros((0, 4)), 2) == []
+
+
+def reference_integerise(id_need, counts, r):
+    """The rule above, one round at a time, on Python scalars."""
+    n_sub = 1 << r
+    sizes = [bin(mask).count("1") for mask in range(n_sub)]
+    demand = [math.floor(x + 1e-9) for x in id_need]
+    rem = [x - d for x, d in zip(id_need, demand)]
+    # room[s]: units family s (subsets of size >= s) can still take.
+    room = [
+        sum(counts[m] - demand[m] for m in range(n_sub) if sizes[m] >= s)
+        for s in range(r + 1)
+    ]
+    for i in sorted(range(n_sub), key=lambda i: (-rem[i], i)):
+        if rem[i] <= 1e-9:
+            break
+        level = sizes[i]
+        if level and all(room[t] >= 1 for t in range(1, level + 1)):
+            demand[i] += 1
+            for t in range(1, level + 1):
+                room[t] -= 1
+    return demand
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_matches_the_scalar_reference(r):
+    rng = np.random.default_rng(2012 + r)
+    n_sub = 1 << r
+    for _ in range(40):
+        rounds = int(rng.integers(1, 6))
+        counts = rng.integers(0, 6, (rounds, n_sub))
+        counts[rng.random((rounds, n_sub)) < 0.4] = 0
+        id_need = rng.integers(0, 4, (rounds, n_sub)) + rng.choice(
+            [0.0, 0.25, 0.5, 0.75, 1e-9, 2e-9, -5e-10], (rounds, n_sub)
+        )
+        id_need[rng.random((rounds, n_sub)) < 0.3] = 0.0
+        id_need = np.maximum(id_need, 0.0)
+        assert integerise(id_need, counts, r) == [
+            reference_integerise(row, crow, r)
+            for row, crow in zip(id_need.tolist(), counts.tolist())
+        ]
