@@ -745,12 +745,12 @@ class TransportGraph:
     order alone.  A *residual* is the list of per-edge residual
     capacities; the flow on a forward edge is its reverse's residual.
 
-    A solve starts from :func:`route_direct`'s flow (Dinic's first
-    phase, run without the graph), loads it into a residual
-    (:meth:`residual`), runs Dinic's later phases on it (:meth:`augment`)
-    and reads the flow matrix off it (:meth:`flow`).  When the demand
-    does not route in full, the same residual yields a Hall certificate
-    (:meth:`hall_cut`).
+    A solve (:meth:`solve`) starts from :func:`route_direct`'s flow
+    (Dinic's first phase, run without the graph), loads it into a
+    residual (:meth:`residual`), runs Dinic's later phases on it
+    (:meth:`augment`) and reads the flow matrix off it (:meth:`flow`).
+    When the demand does not route in full, the same residual yields a
+    Hall certificate (:meth:`hall_cut`).
     """
 
     def __init__(self, arcs: Sequence[Sequence[int]], n_supplies: int) -> None:
@@ -909,6 +909,18 @@ class TransportGraph:
             e += 2
         return out
 
+    def solve(
+        self,
+        demands: Sequence[int],
+        capacities: Sequence[int],
+        pushes: Sequence[tuple] = (),
+    ) -> np.ndarray:
+        """A maximum flow from :func:`route_direct`'s ``pushes``, as a
+        flow matrix."""
+        cap = self.residual(demands, capacities, pushes)
+        self.augment(cap)
+        return self.flow(cap)
+
     def hall_cut(self, cap: list) -> Tuple[list, int]:
         """Hall certificate read from the minimum cut of a maximum flow.
 
@@ -981,10 +993,7 @@ def solve_transport_counts(
     arcs = [[k for k, ok in enumerate(row) if ok] for row in allowed]
     pushes, routed = route_direct(demands, capacities, arcs)
     if routed < sum(int(d) for d in demands):
-        graph = TransportGraph(arcs, len(capacities))
-        cap = graph.residual(demands, capacities, pushes)
-        graph.augment(cap)
-        return graph.flow(cap)
+        return TransportGraph(arcs, len(capacities)).solve(demands, capacities, pushes)
     return flow_matrix(pushes, len(arcs), len(capacities))
 
 

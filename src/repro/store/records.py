@@ -222,7 +222,9 @@ def scenario_outcome_to_json(outcome: "ScenarioOutcome") -> Dict[str, Any]:
         # Only NaN and +-inf need tagging; a finite array's list is
         # already strict JSON, so it skips the per-element walk.
         payload[name] = (
-            values.tolist() if np.isfinite(values).all() else encode_value(values.tolist())
+            values.tolist()
+            if np.isfinite(values).all()
+            else encode_value(values.tolist())
         )
     return payload
 

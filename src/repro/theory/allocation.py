@@ -176,9 +176,8 @@ def realised_support_flow(
             # demand caps stay unscaled, exact budgets bind instead.
             left = [d - f for d, f in zip(demands, flow.sum(axis=1).tolist())]
             room = [c - f for c, f in zip(capacities, flow.sum(axis=0).tolist())]
-            cap = graph.residual(left, room, route_direct(left, room, arcs)[0])
-            graph.augment(cap)
-            flow = flow + graph.flow(cap)
+            extra, _ = route_direct(left, room, arcs)
+            flow = flow + graph.solve(left, room, extra)
         else:
             scale = step / SCALE_STEPS
     flow.setflags(write=False)
