@@ -22,7 +22,7 @@ setup(
     python_requires=">=3.11",
     install_requires=[
         "numpy",
-        # repro.coding.privacy.solve_lp calls scipy's bundled HiGHS
+        # repro.solvers.solve_lp calls scipy's bundled HiGHS
         # binding (scipy.optimize._highspy._core), a private module;
         # re-check it against the lp tests before moving this pin.
         "scipy>=1.17,<1.18",

@@ -28,6 +28,8 @@ Quickstart::
 Package map (see DESIGN.md for the full inventory):
 
 - :mod:`repro.gf` — GF(2^8) arithmetic and linear algebra.
+- :mod:`repro.solvers` — the LP driver and max-flow core under the
+  planners.
 - :mod:`repro.coding` — MDS secrecy codes: y/z/s constructions.
 - :mod:`repro.net` — broadcast medium, channels, PHY, bit accounting.
 - :mod:`repro.testbed` — the paper's 14 m² interference testbed.

@@ -187,6 +187,10 @@ class NoNondeterminism(Rule):
     patrols = (
         "src/repro/sim/*",
         "src/repro/coding/*",
+        "src/repro/solvers.py",
+        "src/repro/theory/*",
+        "src/repro/net/*",
+        "src/repro/testbed/*",
         "src/repro/store/fingerprint.py",
         "src/repro/service/*",
     )

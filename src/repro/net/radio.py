@@ -95,7 +95,11 @@ def sinr_db(
 ) -> float:
     """Signal over (noise + sum of interference powers), in dB."""
     noise_mw = 10.0 ** (noise_floor_dbm / 10.0)
-    interference_mw = sum(10.0 ** (p / 10.0) for p in interference_dbm_values)
+    # Left to right in an explicit loop: from Python 3.12, sum()
+    # compensates float rounding and would move the PER tables' bits.
+    interference_mw = 0.0
+    for p in interference_dbm_values:
+        interference_mw += 10.0 ** (p / 10.0)
     return signal_dbm - 10.0 * math.log10(noise_mw + interference_mw)
 
 

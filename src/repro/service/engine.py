@@ -657,10 +657,10 @@ class LeaderEngine(_EngineBase):
 
     Drives the group: one engine instance serves every follower of the
     session; outputs are ``(follower_name, frame)`` pairs so drivers can
-    route them to per-peer transports.  Insertion order of reports
-    mirrors :class:`~repro.core.session.ProtocolSession` (follower
-    construction order), which is what makes live runs bit-identical to
-    the simulator on the same traces.
+    route them to per-peer transports.  Reports are kept in arrival
+    order; the plan does not depend on it, so live runs are
+    bit-identical to :class:`~repro.core.session.ProtocolSession` on the
+    same traces.
     """
 
     def __init__(
@@ -812,9 +812,7 @@ class LeaderEngine(_EngineBase):
         """Plan y/z/s, emit the control frames, accumulate our secret."""
         cfg = self.config
         assert self._payloads is not None
-        # Report insertion order must match ProtocolSession._collect_reports
-        # (terminal order) for bit-identical planning.
-        reports = {f: self._reports[f] for f in self.followers}
+        reports = self._reports
         eve_received = (
             frozenset(
                 i

@@ -86,9 +86,8 @@ def build_reference_session(
 ) -> ProtocolSession:
     """The simulator session equivalent to a live service session.
 
-    Terminal order is ``[leader, *followers]`` — the same report
-    insertion order :class:`~repro.service.engine.LeaderEngine` uses, so
-    allocation planning sees identical inputs.
+    Terminal order is ``[leader, *followers]``, the order the live
+    session names its parties in.
     """
     traces = {name: config.erasure_trace(name) for name in followers}
     nodes: List[Node] = [Terminal(name) for name in (leader, *followers)]

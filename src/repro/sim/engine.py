@@ -27,14 +27,14 @@ for B independent rounds simultaneously:
    *integral* transportation max-flow on the round's observed pattern
    histogram (:func:`repro.theory.allocation.realised_support_flow`,
    memoized by observed-pattern key, sharing the flow core of
-   :class:`repro.coding.privacy.TransportGraph` with the
-   per-packet session).  Supports are disjoint, rows are whole
-   numbers, and shortfalls land exactly where the session's flow
-   assignment would put them — no fractional-LP optimism at small N.
+   :mod:`repro.solvers` with the per-packet session).  Supports are
+   disjoint, rows are whole numbers, and shortfalls land exactly where
+   the session's flow assignment would put them — no fractional-LP
+   optimism at small N.
 6. **Accounting** — Eve's misses *inside each realised support* are
    drawn from the exact multivariate hypergeometric law of the cell
    composition; per-round ``M_i``, ``L = min_i M_i`` (after the
-   session-mirroring excess-row trim), z-overhead, the Figure-1
+   session's excess-row trim), z-overhead, the Figure-1
    efficiency ``L / (N + z)`` and the reliability of the resulting
    secret (estimator over-promises convert into rank deficit exactly
    as in :mod:`repro.core.eve`, block by disjoint block).
@@ -80,7 +80,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.coding.privacy import MAX_PHASE2_ROWS
+from repro.coding.privacy import MAX_PHASE2_ROWS, trim_excess_rows
 from repro.sim.reception import ReceptionBatch, sample_receptions
 from repro.sim.spec import (
     CollusionEstimatorSpec,
@@ -724,7 +724,7 @@ def _realise_fast(
     cell composition: one draw per (subset j, cell k) with flow,
     ascending), certifies rows per estimator on the realised support,
     trims rows that cannot raise ``L`` (the session's
-    :func:`repro.coding.privacy._trim_excess_rows`), and sums the rank
+    :func:`repro.coding.privacy.trim_excess_rows`), and sums the rank
     deficit Eve's actual misses leave behind.  Rows are integral
     doubles throughout, so the membership sums and the trim's slack
     arithmetic are exact in any order.  ``plan_memo`` caches each flow
@@ -812,37 +812,9 @@ def _realise_fast(
         rows[s] = value if value > 0.0 else 0.0
 
     # Trim rows that cannot raise L = min_i M_i (every extra z-packet
-    # hands Eve a free equation), mirroring the session's greedy
-    # small-subsets-first trim.
-    m_i = [0.0] * r
-    has_rows = False
-    for j in range(n_plan):
-        value = rows[subsets[j]]
-        if value > 0.0:
-            has_rows = True
-            for i in members_of[subsets[j]]:
-                m_i[i] += value
-    if has_rows:
-        floor_val = min(m_i)
-        order = sorted(
-            (s for s in subsets if rows[s] > 0),
-            key=lambda s: (sizes[s], s),
-        )
-        for s in order:
-            mem = members_of[s]
-            slack = m_i[mem[0]] - floor_val
-            for i in mem:
-                diff = m_i[i] - floor_val
-                if diff < slack:
-                    slack = diff
-            if slack <= 0.0:
-                continue
-            cut = rows[s]
-            if slack < cut:
-                cut = slack
-            rows[s] = rows[s] - cut
-            for i in mem:
-                m_i[i] -= cut
+    # hands Eve a free equation), small subsets first.
+    order = sorted((s for s in subsets if rows[s] > 0), key=lambda s: (sizes[s], s))
+    trim_excess_rows(rows, order, members_of, r)
 
     deficit = 0.0
     for j in range(n_plan):

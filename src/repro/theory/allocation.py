@@ -17,13 +17,13 @@ scenario LP.  :func:`realised_support_flow` solves the integral
 transportation max-flow between the two — subset ``T`` may only draw
 support packets from pattern cells ``P >= T`` — reusing the exact flow
 core the session uses: Dinic's first phase on plain lists
-(:func:`repro.coding.privacy.route_direct`), and only when that leaves
-demand unrouted a :class:`repro.coding.privacy.TransportGraph`, built
+(:func:`repro.solvers.route_direct`), and only when that leaves
+demand unrouted a :class:`repro.solvers.TransportGraph`, built
 once per plan and solved on several times.  When the round
 cannot meet its full demand, the demand is scaled down to the largest
 routable grid point ``k / SCALE_STEPS``, found by jumping between the
 Hall certificates that each failed solve's minimum cut provides
-(:meth:`~repro.coding.privacy.TransportGraph.hall_cut`); the plan is
+(:meth:`~repro.solvers.TransportGraph.hall_cut`); the plan is
 the cold solve at that point.
 
 Solves are memoized on the observed ``(histogram, demands)`` key:
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.coding.privacy import TransportGraph, flow_matrix, route_direct
+from repro.solvers import TransportGraph, flow_matrix, route_direct
 
 __all__ = [
     "RealisedPlan",

@@ -46,7 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.coding.privacy import solve_lp
+from repro.solvers import solve_lp
 
 __all__ = [
     "unicast_efficiency",
@@ -244,10 +244,11 @@ def _solve_group_lp(
                     hit = True
             if not hit:
                 continue
-            mass = sum(
-                math.comb(r, k) * (1.0 - p) ** k * p ** (r - k)
-                for k in range(s, r + 1)
-            )
+            # Left to right in an explicit loop: from Python 3.12,
+            # sum() compensates float rounding and moves these bits.
+            mass = 0.0
+            for k in range(s, r + 1):
+                mass += math.comb(r, k) * (1.0 - p) ** k * p ** (r - k)
             a_ub.append(row)
             b_ub.append(rate * mass)
     # Coverage: L <= M_i (symmetric, one row suffices).
@@ -261,9 +262,10 @@ def _solve_group_lp(
     b_ub = np.array(b_ub)
 
     def m_total(a_values: np.ndarray) -> float:
-        return float(
-            sum(math.comb(r, t) * a_values[j] for j, t in enumerate(levels))
-        )
+        total = 0.0  # an explicit loop, like ``mass`` above
+        for j, t in enumerate(levels):
+            total += math.comb(r, t) * a_values[j]
+        return float(total)
 
     zc = z_cost_factor
     theta = 0.0

@@ -1,20 +1,16 @@
-"""White-box tests for the allocation machinery: flow assignment, support
-growth, trimming, and the allocation LP."""
+"""White-box tests for the allocation machinery: pattern cells, flow
+assignment, trimming, and the allocation LP."""
 
-import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.coding.privacy import (
-    CombinationBlock,
     _assign_ids_by_flow,
     _candidate_subsets,
-    _grow_support,
-    _interleaved_pool,
     _pattern_cells,
-    _trim_excess_rows,
     plan_y_allocation,
+    trim_excess_rows,
 )
-from repro.gf.matrices import cauchy_matrix
 
 
 class TestPatternCells:
@@ -136,68 +132,100 @@ class TestFlowAssignment:
         assert len(outputs) == 1
 
 
-class TestGrowSupport:
-    def budget(self, ids, exclude=frozenset()):
-        return 0.5 * len(ids)
+def _old_trim(rows, members, n_receivers):
+    """The session's trim before the closed form: shed one row at a
+    time while every member stays strictly above the minimum."""
+    m_i = [
+        sum(v for v, mem in zip(rows, members) if t in mem) for t in range(n_receivers)
+    ]
+    floor_val = min(m_i)
+    kept = []
+    for value, mem in zip(rows, members):
+        removable = 0
+        while removable < value and all(m_i[t] - removable > floor_val for t in mem):
+            removable += 1
+        for t in mem:
+            m_i[t] -= removable
+        kept.append(value - removable)
+    return kept
 
-    def test_minimal_prefix(self):
-        pool = list(range(20))
-        support, rows = _grow_support(pool, 3, frozenset(), self.budget)
-        # 0.5 rate: 6 ids certify exactly 3.
-        assert rows == 3
-        assert len(support) == 6
 
-    def test_insufficient_pool_returns_what_it_can(self):
-        pool = list(range(4))
-        support, rows = _grow_support(pool, 10, frozenset(), self.budget)
-        assert rows == 2
-        assert support == pool
-
-    def test_zero_target(self):
-        assert _grow_support([1, 2], 0, frozenset(), self.budget) == ([], 0)
-
-    def test_empty_pool(self):
-        assert _grow_support([], 3, frozenset(), self.budget) == ([], 0)
+def trimmed(rows, members, n_receivers):
+    """Trim a copy of ``rows``, every entry visited in list order."""
+    kept = list(rows)
+    trim_excess_rows(kept, range(len(kept)), members, n_receivers)
+    return kept
 
 
 class TestTrimming:
-    def _block(self, subset, rows, offset=0):
-        support = tuple(range(offset, offset + rows + 2))
-        return CombinationBlock(
-            subset=frozenset(subset),
-            support=support,
-            matrix=cauchy_matrix(rows, len(support)),
-            certified_budget=rows,
-        )
-
-    def budget(self, ids, exclude=frozenset()):
-        return float(len(ids))
-
     def test_trims_rows_above_group_minimum(self):
-        blocks = [self._block({1}, 10, 0), self._block({2}, 3, 20)]
-        trimmed = _trim_excess_rows(blocks, (1, 2), self.budget)
-        m1 = sum(b.rows for b in trimmed if 1 in b.subset)
-        m2 = sum(b.rows for b in trimmed if 2 in b.subset)
-        assert m2 == 3
-        assert m1 == 3  # excess rows served nobody
+        assert trimmed([10, 3], [[0], [1]], 2) == [3, 3]  # excess served nobody
 
     def test_shared_blocks_not_overtrimmed(self):
-        blocks = [self._block({1, 2}, 4, 0), self._block({1}, 2, 20)]
-        trimmed = _trim_excess_rows(blocks, (1, 2), self.budget)
-        m1 = sum(b.rows for b in trimmed if 1 in b.subset)
-        m2 = sum(b.rows for b in trimmed if 2 in b.subset)
-        assert m2 == 4  # the shared block is the minimum holder
-        assert m1 == 4  # the singleton surplus got trimmed
+        # Small subsets first: the singleton is visited before the pair.
+        kept = trimmed([2, 4], [[0], [0, 1]], 2)
+        assert kept == [0, 4]  # the shared block is the minimum holder
 
     def test_balanced_input_untouched(self):
-        blocks = [self._block({1}, 3, 0), self._block({2}, 3, 20)]
-        trimmed = _trim_excess_rows(blocks, (1, 2), self.budget)
-        assert sum(b.rows for b in trimmed) == 6
+        assert trimmed([3, 3], [[0], [1]], 2) == [3, 3]
 
     def test_empty_inputs(self):
-        assert _trim_excess_rows([], (1,), self.budget) == []
-        blocks = [self._block({1}, 2, 0)]
-        assert _trim_excess_rows(blocks, (), self.budget) == blocks
+        assert trimmed([], [], 1) == []
+
+    def test_receiver_without_rows_sheds_everything(self):
+        # L = 0 when a receiver decodes nothing: no row can raise it.
+        assert trimmed([2, 1], [[0], [0, 2]], 3) == [0, 0]
+
+    def test_visit_order_decides_who_sheds(self):
+        # Either singleton can give up the surplus row of terminal 0.
+        assert trimmed([1, 1, 1], [[0], [0], [1]], 2) == [0, 1, 1]
+
+    def test_keys_outside_order_are_left_alone(self):
+        # Rows indexed by subset bitmask, as the batched engine keeps
+        # them: only the listed keys count and shed.
+        rows = [9.0, 5.0, 2.0, 0.0]
+        members = [(), (0,), (1,), (0, 1)]
+        trim_excess_rows(rows, [1, 2], members, 2)
+        assert rows == [9.0, 2.0, 2.0, 0.0]
+        assert all(type(v) is float for v in rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda r: st.lists(
+                st.tuples(
+                    st.integers(0, 6),
+                    st.sets(st.integers(0, r - 1), min_size=1),
+                ),
+                max_size=8,
+            ).map(lambda entries: (r, entries))
+        )
+    )
+    def test_closed_form_equals_the_per_row_loop(self, case):
+        r, entries = case
+        entries = sorted(entries, key=lambda e: (len(e[1]), sorted(e[1])))
+        rows = [v for v, _ in entries]
+        members = [sorted(mem) for _, mem in entries]
+        want = _old_trim(rows, members, r)
+        assert trimmed(rows, members, r) == want
+        floats = trimmed([float(v) for v in rows], members, r)
+        assert floats == [float(v) for v in want]
+
+    def test_planned_blocks_have_nothing_left_to_trim(self):
+        """After the trim every block has a member at L, so trimming a
+        plan again, in any order, sheds nothing."""
+        for seed in range(20):
+            reports = {
+                name: {i for i in range(40) if (i * (seed + 3) + t) % 5 > 1}
+                for t, name in enumerate(("a", "b", "c"))
+            }
+            alloc = plan_y_allocation(
+                reports, lambda ids, e=frozenset(): 0.3 * len(ids), 40
+            )
+            index = {t: i for i, t in enumerate(alloc.receivers)}
+            rows = [b.rows for b in alloc.blocks][::-1]
+            members = [[index[t] for t in b.subset] for b in alloc.blocks][::-1]
+            assert trimmed(rows, members, len(index)) == rows
 
 
 class TestZCostFactor:
@@ -218,17 +246,3 @@ class TestZCostFactor:
             return (alloc.total_rows - alloc.min_m_i()) / alloc.total_rows
 
         assert z_share(dear) <= z_share(cheap) + 0.15
-
-
-class TestInterleavedPool:
-    def test_consumed_ids_excluded(self):
-        cells = {frozenset({1}): [0, 1, 2]}
-        remaining = {frozenset({1}): [1, 2]}
-        pool = _interleaved_pool(cells, remaining, frozenset({1}))
-        assert set(pool) == {1, 2}
-
-    def test_only_superset_patterns(self):
-        cells = {frozenset({1}): [0], frozenset({2}): [1]}
-        remaining = {k: list(v) for k, v in cells.items()}
-        pool = _interleaved_pool(cells, remaining, frozenset({1}))
-        assert pool == [0]

@@ -3,7 +3,7 @@
 Both Dinkelbach loops (the allocation LP of
 :func:`repro.coding.privacy.plan_y_allocation` and the level LP of
 :func:`repro.theory.efficiency.group_allocation_profile`) solve through
-:func:`repro.coding.privacy.solve_lp`, which builds the HiGHS model
+:func:`repro.solvers.solve_lp`, which builds the HiGHS model
 itself and calls scipy's bundled binding directly.
 ``linprog(method="highs")`` reaches the same solver through scipy's
 public wrapper; on every LP the loops pose, both must return the same
@@ -28,7 +28,7 @@ from scipy.optimize import linprog
 
 import repro.coding.privacy as privacy
 import repro.theory.efficiency as efficiency
-from repro.coding.privacy import solve_lp
+from repro.solvers import solve_lp
 
 pytestmark = pytest.mark.lp
 

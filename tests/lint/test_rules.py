@@ -81,7 +81,20 @@ class TestR1NoNondeterminism:
 
     def test_unpatrolled_path_is_ignored(self):
         bad = "seed = hash((n, p))\n"
-        assert violations(bad, "src/repro/theory/example.py", "R1") == []
+        assert violations(bad, "src/repro/analysis/example.py", "R1") == []
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "src/repro/solvers.py",
+            "src/repro/theory/allocation.py",
+            "src/repro/net/radio.py",
+            "src/repro/testbed/pertable.py",
+        ],
+    )
+    def test_solver_theory_and_physics_layers_are_patrolled(self, path):
+        bad = "seed = hash((n, p))\n"
+        assert len(violations(bad, path, "R1")) == 1
 
 
 class TestR2SansIo:

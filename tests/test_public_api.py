@@ -14,6 +14,7 @@ PACKAGES = [
     "repro.testbed",
     "repro.core",
     "repro.theory",
+    "repro.solvers",
     "repro.analysis",
     "repro.sim",
     "repro.auth",
@@ -34,8 +35,8 @@ class TestImports:
     @pytest.mark.parametrize(
         "name",
         ["repro.gf", "repro.coding", "repro.net", "repro.testbed",
-         "repro.core", "repro.theory", "repro.analysis", "repro.sim",
-         "repro.auth"],
+         "repro.core", "repro.theory", "repro.solvers", "repro.analysis",
+         "repro.sim", "repro.auth"],
     )
     def test_subpackage_all_resolves(self, name):
         module = importlib.import_module(name)

@@ -11,7 +11,7 @@ share one solve.
 import numpy as np
 import pytest
 
-from repro.coding.privacy import solve_transport_counts
+from repro.solvers import solve_transport_counts
 from repro.theory import (
     clear_realised_flow_cache,
     realised_flow_cache_info,

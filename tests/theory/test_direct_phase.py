@@ -1,9 +1,9 @@
 """Dinic's first phase runs before any transport graph exists.
 
-:func:`repro.coding.privacy.route_direct` pushes every direct path
+:func:`repro.solvers.route_direct` pushes every direct path
 source -> subset -> cell -> sink on plain lists.  A round whose demand
 it routes in full is planned without a
-:class:`~repro.coding.privacy.TransportGraph`; otherwise the graph is
+:class:`~repro.solvers.TransportGraph`; otherwise the graph is
 built once, loaded with the pushes, and only the later BFS phases run.
 The plans themselves are pinned by ``test_flow_golden.py``; this module
 pins when a graph is built and what the first phase leaves behind.
@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-import repro.coding.privacy as privacy
+import repro.solvers as solvers
 import repro.theory.allocation as allocation
-from repro.coding.privacy import flow_matrix, route_direct, solve_transport_counts
+from repro.solvers import flow_matrix, route_direct, solve_transport_counts
 from repro.theory import clear_realised_flow_cache
 from repro.theory.allocation import realised_support_flow
 from tests.theory.test_flow_properties import lattice_network, lattice_rounds
@@ -39,13 +39,13 @@ def graphs_built(monkeypatch) -> list:
     """Record every TransportGraph the planner or the solver builds."""
     built: list = []
 
-    class Counting(privacy.TransportGraph):
+    class Counting(solvers.TransportGraph):
         def __init__(self, arcs, n_supplies):
             built.append(len(arcs))
             super().__init__(arcs, n_supplies)
 
     monkeypatch.setattr(allocation, "TransportGraph", Counting)
-    monkeypatch.setattr(privacy, "TransportGraph", Counting)
+    monkeypatch.setattr(solvers, "TransportGraph", Counting)
     clear_realised_flow_cache()
     yield built
     clear_realised_flow_cache()

@@ -1,10 +1,10 @@
 """Property tests for the realised max-flow, against scipy as an oracle.
 
-:func:`repro.coding.privacy.solve_transport_counts` must return a
+:func:`repro.solvers.solve_transport_counts` must return a
 *maximum* flow (its value equals the max-flow/min-cut value scipy's
 ``maximum_flow`` finds on the same network), a *feasible* one (demands,
 capacities and the ``allowed`` mask respected) and the *same* one on
-every call.  :meth:`repro.coding.privacy.TransportGraph.hall_cut` must
+every call.  :meth:`repro.solvers.TransportGraph.hall_cut` must
 read a Hall certificate off every maximum flow that leaves demand
 unrouted: rows that want more than the summed capacity of the cells
 they may draw from.  :func:`repro.theory.allocation.realised_support_flow`'s
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from repro.coding.privacy import TransportGraph, solve_transport_counts
+from repro.solvers import TransportGraph, solve_transport_counts
 from repro.theory import clear_realised_flow_cache
 from repro.theory.allocation import SCALE_STEPS, realised_support_flow
 
