@@ -19,17 +19,17 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _module_name(path: Path) -> str:
-    parts = list(path.relative_to(SRC).with_suffix("").parts)
+def _module_name(path: Path, root: Path = SRC) -> str:
+    parts = list(path.relative_to(root).with_suffix("").parts)
     if parts[-1] == "__init__":
         parts.pop()
     return ".".join(parts)
 
 
-def imported_modules(path: Path) -> set:
+def imported_modules(path: Path, root: Path = SRC) -> set:
     """Every module an ``import`` or ``from ... import`` in ``path`` names,
-    relative imports resolved against the module's package."""
-    name = _module_name(path)
+    relative imports resolved against the module's package under ``root``."""
+    name = _module_name(path, root)
     package = name if path.name == "__init__.py" else name.rpartition(".")[0]
     found = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -79,7 +79,7 @@ def test_solvers_import_only_numpy_scipy_and_the_stdlib():
     assert foreign == {"numpy", "scipy"}
 
 
-def test_the_checker_sees_relative_and_nested_imports(tmp_path, monkeypatch):
+def test_the_checker_sees_relative_and_nested_imports(tmp_path):
     package = tmp_path / "repro" / "theory"
     package.mkdir(parents=True)
     module = package / "example.py"
@@ -88,6 +88,5 @@ def test_the_checker_sees_relative_and_nested_imports(tmp_path, monkeypatch):
         "def f():\n"
         "    import repro.coding.mds\n"
     )
-    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
-    found = imported_modules(module)
+    found = imported_modules(module, tmp_path)
     assert {"repro.coding", "repro.coding.privacy", "repro.coding.mds"} <= found
