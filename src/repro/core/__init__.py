@@ -9,6 +9,8 @@ Modules:
   oracle (ground truth), fixed-fraction (the interference guarantee),
   leave-one-out ("pretend each terminal is Eve") and its k-collusion
   generalisation.
+* :mod:`repro.core.round` — the round core: what a round computes, on
+  the leader's side and on a receiver's, with no I/O.
 * :mod:`repro.core.session` — one protocol round: phase 1 (x-packets,
   feedback, y-construction) and phase 2 (z-redistribution, s-extraction).
 * :mod:`repro.core.rotation` — terminals take turns as leader, the

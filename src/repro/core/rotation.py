@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.estimator import EveErasureEstimator
 from repro.core.metrics import ExperimentMetrics
+from repro.core.round import stack_secrets
 from repro.core.session import ProtocolSession, RoundResult, SessionConfig
 from repro.net.medium import BroadcastMedium
 
@@ -34,10 +35,7 @@ class ExperimentResult:
     @property
     def group_secret(self) -> np.ndarray:
         """Concatenated secret packets across rounds (K, payload_bytes)."""
-        pieces = [r.secret for r in self.rounds if r.secret.size]
-        if not pieces:
-            return np.zeros((0, 0), dtype=np.uint8)
-        return np.vstack(pieces)
+        return stack_secrets([r.secret for r in self.rounds])
 
     @property
     def secret_bits(self) -> int:

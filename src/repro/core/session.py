@@ -18,6 +18,13 @@ Phase 2 (group secret)
        applies the s-map.
     4. All terminals now hold the same L s-packets: the group secret.
 
+What each step computes comes from the round core
+(:mod:`repro.core.round`): :func:`~repro.core.round.plan_round` is the
+leader's side and :func:`~repro.core.round.terminal_secret` each
+receiver's, the same functions the live service engines call.  This
+module moves the packets: it broadcasts over the medium, in protocol
+order, what the core computed.
+
 The session runs all parties honestly but keeps their information sets
 separate: terminals decode exclusively from their own receptions plus
 broadcast identities, and a defensive check verifies every terminal
@@ -29,31 +36,21 @@ by the medium, feeding :func:`repro.core.eve.round_leakage`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.coding.privacy import (
-    GroupCodingPlan,
-    YAllocation,
-    build_phase2_matrices,
-    plan_y_allocation,
-)
-from repro.coding.reconcile import (
-    assemble_secret,
-    decode_y_from_x,
-    recover_missing_y,
-)
-from repro.core.estimator import EveErasureEstimator, RoundContext
-from repro.core.eve import LeakageReport, round_leakage
+from repro.coding.privacy import GroupCodingPlan, YAllocation
+from repro.core.estimator import EveErasureEstimator
+from repro.core.eve import LeakageReport
 from repro.core.messages import (
     BlockDescriptorSet,
     Phase2Descriptor,
     ReceptionReport,
     z_content_overhead_bytes,
 )
-from repro.gf.linalg import GFMatrix
+from repro.core.round import SessionConfig, plan_round, terminal_secret
 from repro.net.medium import BroadcastMedium
 from repro.net.node import Eavesdropper, Terminal
 from repro.net.packet import Packet, PacketKind
@@ -64,41 +61,6 @@ __all__ = ["SessionConfig", "RoundResult", "ProtocolSession", "ProtocolError"]
 
 class ProtocolError(RuntimeError):
     """An invariant the protocol guarantees was violated."""
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """Per-session protocol parameters.
-
-    Attributes:
-        n_x_packets: N, x-packets per round (paper example: tens to
-            hundreds; default chosen so one round rotates through all 9
-            interference patterns at the testbed's default dwell).
-        payload_bytes: symbols per packet (paper: 100 bytes = 800 bits).
-        max_attempts: reliable-broadcast retry bound.
-    """
-
-    n_x_packets: int = 90
-    payload_bytes: int = 100
-    max_attempts: int = 400
-    #: Cap on combination-block decodable-set size; None = unrestricted.
-    #: Empirical estimators prefer small caps (see the estimator
-    #: granularity ablation), schedule-based ones handle any order.
-    max_subset_size: Optional[int] = None
-    #: Secret dimensions withheld per phase-2 chunk to absorb estimator
-    #: error (see repro.coding.privacy.build_phase2_matrices).
-    secrecy_slack: int = 0
-    #: Idle slots before each reliable-broadcast retry, letting rotating
-    #: interference dwells pass (free in the bit-count metric).
-    control_backoff_slots: int = 5
-    #: Relative airtime cost of one z-packet in the allocation objective.
-    z_cost_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.n_x_packets < 1:
-            raise ValueError("need at least one x-packet")
-        if self.payload_bytes < 1:
-            raise ValueError("payloads must be non-empty")
 
 
 @dataclass
@@ -214,86 +176,17 @@ class ProtocolSession:
                 control_bytes=report.body_bytes(),
                 meta={"round": round_id},
             )
-            targets = [t for t in self.terminal_names if t != name]
-            reliable_broadcast(
-                self.medium,
-                name,
-                packet,
-                targets,
-                round_id=round_id,
-                max_attempts=cfg.max_attempts,
-                backoff_slots=cfg.control_backoff_slots,
-            )
+            self._reliable(packet, round_id)
             reports[name] = set(received)
         return reports
 
-    # -- phase 2 -------------------------------------------------------
-
-    def _leader_y_values(
-        self, allocation: YAllocation, payloads: np.ndarray
-    ) -> np.ndarray:
-        """The leader knows every payload, so it computes y directly."""
-        if allocation.total_rows == 0:
-            return np.zeros((0, payloads.shape[1]), dtype=np.uint8)
-        rows = []
-        for block in allocation.blocks:
-            block_payloads = payloads[list(block.support)]
-            rows.append((block.matrix @ GFMatrix(block_payloads)).data)
-        return np.vstack(rows)
-
-    def _broadcast_z_contents(
-        self,
-        leader: str,
-        round_id: int,
-        plan: GroupCodingPlan,
-        y_values: np.ndarray,
-    ) -> Dict[int, np.ndarray]:
-        cfg = self.config
-        receivers = [t for t in self.terminal_names if t != leader]
-        z_by_chunk: Dict[int, np.ndarray] = {}
-        for chunk_idx, chunk in enumerate(plan.chunks):
-            if chunk.n_public == 0:
-                z_by_chunk[chunk_idx] = np.zeros(
-                    (0, y_values.shape[1] if y_values.size else cfg.payload_bytes),
-                    dtype=np.uint8,
-                )
-                continue
-            z_vals = (chunk.z_matrix @ GFMatrix(y_values[list(chunk.y_rows)])).data
-            z_by_chunk[chunk_idx] = z_vals
-            for row in range(z_vals.shape[0]):
-                packet = Packet(
-                    kind=PacketKind.Z_CONTENT,
-                    src=leader,
-                    payload=z_vals[row],
-                    control_bytes=z_content_overhead_bytes(),
-                    meta={"round": round_id, "chunk": chunk_idx, "z_row": row},
-                )
-                reliable_broadcast(
-                    self.medium,
-                    leader,
-                    packet,
-                    receivers,
-                    round_id=round_id,
-                    max_attempts=cfg.max_attempts,
-                    backoff_slots=cfg.control_backoff_slots,
-                )
-        return z_by_chunk
-
-    def _broadcast_descriptor(
-        self, leader: str, round_id: int, body_bytes: int
-    ) -> None:
-        receivers = [t for t in self.terminal_names if t != leader]
-        packet = Packet(
-            kind=PacketKind.DESCRIPTOR,
-            src=leader,
-            control_bytes=body_bytes,
-            meta={"round": round_id},
-        )
+    def _reliable(self, packet: Packet, round_id: int) -> None:
+        """Reliably broadcast ``packet`` to the group's other terminals."""
         reliable_broadcast(
             self.medium,
-            leader,
+            packet.src,
             packet,
-            receivers,
+            [t for t in self.terminal_names if t != packet.src],
             round_id=round_id,
             max_attempts=self.config.max_attempts,
             backoff_slots=self.config.control_backoff_slots,
@@ -324,69 +217,59 @@ class ProtocolSession:
         payloads, x_slots = self._broadcast_x_packets(leader, round_id)
         # Phase 1, step 2: reception reports (reliable).
         reports = self._collect_reports(leader, round_id)
-        # Phase 1, step 3: plan and announce the y-identities.
+        # Phase 1, step 3 to phase 2, step 4: the round core plans the
+        # y-identities, the phase-2 maps and the z-contents; the
+        # broadcasts follow in protocol order.
         eve_received = (
             frozenset(self.medium.node(self.eve_name).received_ids(round_id))
             if self.eve_name
             else frozenset()
         )
-        self.estimator.begin_round(
-            RoundContext(
-                leader=leader,
-                reports=reports,
-                n_packets=cfg.n_x_packets,
-                eve_received=eve_received,
-                x_slots=x_slots,
+        planned = plan_round(
+            leader, reports, self.estimator, eve_received, x_slots, payloads, cfg
+        )
+        for descriptor in (
+            BlockDescriptorSet.from_allocation(round_id, planned.allocation),
+            Phase2Descriptor.from_plan(round_id, planned.plan),
+        ):
+            packet = Packet(
+                kind=PacketKind.DESCRIPTOR,
+                src=leader,
+                control_bytes=descriptor.body_bytes(),
+                meta={"round": round_id},
             )
-        )
-        allocation = plan_y_allocation(
-            reports,
-            self.estimator.budget,
-            overhead_packets=cfg.n_x_packets,
-            max_subset_size=cfg.max_subset_size,
-            z_cost_factor=cfg.z_cost_factor,
-        )
-        descriptor = BlockDescriptorSet.from_allocation(round_id, allocation)
-        self._broadcast_descriptor(leader, round_id, descriptor.body_bytes())
-
-        # Phase 2: redistribute and extract.
-        plan = build_phase2_matrices(allocation, secrecy_slack=cfg.secrecy_slack)
-        phase2_descriptor = Phase2Descriptor.from_plan(round_id, plan)
-        self._broadcast_descriptor(leader, round_id, phase2_descriptor.body_bytes())
-        y_values = self._leader_y_values(allocation, payloads)
-        z_by_chunk = self._broadcast_z_contents(leader, round_id, plan, y_values)
-
-        # Terminal-side reconstruction (leader's copy computed directly).
-        leader_secret = assemble_secret(
-            plan, {g: y_values[g] for g in range(allocation.total_rows)}
-        )
-        for name in reports:
-            node = self.medium.node(name)
-            known = decode_y_from_x(
-                allocation, name, node.received_payloads(round_id)
-            )
-            full: Dict[int, np.ndarray] = {}
-            for chunk_idx, chunk in enumerate(plan.chunks):
-                full.update(
-                    recover_missing_y(chunk, known, z_by_chunk[chunk_idx])
+            self._reliable(packet, round_id)
+        for chunk_idx, z_vals in enumerate(planned.z_values):
+            for row, z in enumerate(z_vals):
+                packet = Packet(
+                    kind=PacketKind.Z_CONTENT,
+                    src=leader,
+                    payload=z,
+                    control_bytes=z_content_overhead_bytes(),
+                    meta={"round": round_id, "chunk": chunk_idx, "z_row": row},
                 )
-            terminal_secret = assemble_secret(plan, full)
-            if not np.array_equal(terminal_secret, leader_secret):
+                self._reliable(packet, round_id)
+
+        # Every receiver decodes from its own receptions and the
+        # broadcasts alone, and must reach the leader's secret.
+        for name in reports:
+            received = self.medium.node(name).received_payloads(round_id)
+            secret = terminal_secret(
+                planned.allocation, planned.plan, name, received, planned.z_values
+            )
+            if not np.array_equal(secret, planned.secret):
                 raise ProtocolError(
                     f"terminal {name} derived a different secret than the leader"
                 )
 
-        leakage = round_leakage(
-            allocation, plan, eve_received, list(range(cfg.n_x_packets))
-        )
         return RoundResult(
             leader=leader,
             round_id=round_id,
             n_x_packets=cfg.n_x_packets,
             reports=reports,
-            allocation=allocation,
-            plan=plan,
-            secret=leader_secret,
-            leakage=leakage,
+            allocation=planned.allocation,
+            plan=planned.plan,
+            secret=planned.secret,
+            leakage=planned.leakage,
             eve_received_ids=eve_received,
         )

@@ -303,11 +303,13 @@ class SansIo(Rule):
     id = "R2"
     name = "sans-io"
     rationale = (
-        "The live service asserts its keys bit-identical to "
-        "core.ProtocolSession by replaying the same traces through "
-        "both; that only holds while the engines and core/ are pure "
-        "functions of their inputs — no event loop, sockets, clocks, "
-        "filesystem, or ambient entropy."
+        "The live engines and core.ProtocolSession compute every round "
+        "with one round core (core/round.py), and the service asserts "
+        "its keys bit-identical to the session's by replaying the same "
+        "traces through both; that only holds while the core, the "
+        "engines and the rest of core/ are pure functions of their "
+        "inputs — no event loop, sockets, clocks, filesystem, or "
+        "ambient entropy."
     )
     patrols = (
         "src/repro/core/*",

@@ -2,7 +2,7 @@
 
 One :class:`ServiceConfig` object is the single source of truth both
 peers of a session must agree on: the protocol sizing (mirroring
-:class:`repro.core.session.SessionConfig`), the bootstrap secret, the
+:class:`repro.core.round.SessionConfig`), the bootstrap secret, the
 estimator, and — for deterministic testing — the seeded erasure traces
 standing in for a lossy radio link.
 
@@ -18,8 +18,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from repro.core.estimator import (
     FixedFractionEstimator,
     OracleEstimator,
 )
+from repro.core.round import SessionConfig
 from repro.service.derive import HKDF_MAX_BYTES, hkdf_expand, hkdf_extract
 
 __all__ = ["ServiceConfig", "LEADER_ROLE", "FOLLOWER_ROLE"]
@@ -215,8 +216,30 @@ class ServiceConfig:
         rng = self._trace_rng("@eve")
         return rng.random((self.n_rounds, self.n_x_packets)) < self.eve_loss_prob
 
+    def eve_received(self, round_id: int) -> FrozenSet[int]:
+        """The x-ids Eve captured in ``round_id``, read off
+        :meth:`eve_trace` in oracle mode.
+
+        Fraction mode accounts against an Eve who captured no
+        x-packets but hears every public broadcast, so this is empty.
+        """
+        if self.estimator_kind != "oracle":
+            return frozenset()
+        lost = self.eve_trace()[round_id]
+        return frozenset(i for i in range(self.n_x_packets) if not lost[i])
+
     def build_estimator(self) -> EveErasureEstimator:
         """The configured Eve-erasure estimator (leader side)."""
         if self.estimator_kind == "oracle":
             return OracleEstimator()
         return FixedFractionEstimator(self.estimator_fraction)
+
+    def session_config(self) -> SessionConfig:
+        """The round core's parameters for this session."""
+        return SessionConfig(
+            n_x_packets=self.n_x_packets,
+            payload_bytes=self.payload_bytes,
+            max_subset_size=self.max_subset_size,
+            secrecy_slack=self.secrecy_slack,
+            z_cost_factor=self.z_cost_factor,
+        )

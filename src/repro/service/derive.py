@@ -37,10 +37,11 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.eve import LeakageReport
 from repro.service.errors import InsufficientEntropyError, NoSecretError
 
 __all__ = [
@@ -95,6 +96,21 @@ class LeakageBudget:
                 f"leaked_bits ({self.leaked_bits}) cannot exceed "
                 f"secret_bits ({self.secret_bits})"
             )
+
+    @classmethod
+    def from_rounds(
+        cls,
+        rounds: Sequence[LeakageReport],
+        payload_bytes: int,
+        safety_margin_bits: int = 0,
+    ) -> "LeakageBudget":
+        """Sum per-round leakage reports into a session budget in bits."""
+        bits = payload_bytes * 8
+        return cls(
+            sum(r.secret_dims for r in rounds) * bits,
+            sum(r.leaked_dims for r in rounds) * bits,
+            safety_margin_bits,
+        )
 
     @property
     def min_entropy_bits(self) -> int:

@@ -31,18 +31,21 @@ channel model.  No engine ever exposes key material unless it reached
 ``ESTABLISHED``; every failure path raises a typed
 :class:`~repro.service.errors.ServiceError` and clears the keys.
 
-Decoding on the follower side reuses the simulator's pure functions
-(:mod:`repro.coding.reconcile`) on plans rebuilt from wire descriptors —
-the Cauchy coefficients are deterministic given block shapes, which is
-exactly the paper's identities-only broadcast.
+What a round computes comes from the round core (:mod:`repro.core.round`),
+the code :class:`~repro.core.session.ProtocolSession` runs too: the
+leader packs :func:`~repro.core.round.plan_round`'s output into frames,
+and the follower runs :func:`~repro.core.round.terminal_secret` on plans
+rebuilt from wire descriptors — the Cauchy coefficients are
+deterministic given block shapes, which is exactly the paper's
+identities-only broadcast.
 """
 
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, TypeVar
 
 import numpy as np
 
@@ -53,17 +56,10 @@ from repro.coding.privacy import (
     GroupCodingPlan,
     Phase2Chunk,
     YAllocation,
-    build_phase2_matrices,
-    plan_y_allocation,
 )
-from repro.coding.reconcile import (
-    assemble_secret,
-    decode_y_from_x,
-    recover_missing_y,
-)
-from repro.core.estimator import RoundContext
 from repro.core.eve import LeakageReport, round_leakage
 from repro.core.messages import ReceptionReport
+from repro.core.round import plan_round, stack_secrets, terminal_secret
 from repro.gf.linalg import GFMatrix
 from repro.gf.matrices import cauchy_matrix
 from repro.service.config import FOLLOWER_ROLE, LEADER_ROLE, ServiceConfig
@@ -99,8 +95,6 @@ __all__ = [
     "SessionSnapshot",
     "LeaderEngine",
     "FollowerEngine",
-    "leader_y_values",
-    "stack_secrets",
     "allocation_from_descriptor",
     "plan_from_descriptor",
 ]
@@ -150,54 +144,19 @@ class SessionSnapshot:
     key_bytes: int = 0
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "role": self.role,
-            "name": self.name,
-            "peer": self.peer,
-            "session_id": self.session_id,
-            "phase": self.phase,
-            "round_id": self.round_id,
-            "n_rounds": self.n_rounds,
-            "frames_in": self.frames_in,
-            "frames_out": self.frames_out,
-            "secret_rows": self.secret_rows,
-            "established": self.established,
-            "secret_bits": self.secret_bits,
-            "leaked_bits": self.leaked_bits,
-            "min_entropy_bits": self.min_entropy_bits,
-            "key_bytes": self.key_bytes,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers (also used by the reference-equivalence tests)
+# Plans rebuilt from wire descriptors; frame sealing
 # ---------------------------------------------------------------------------
-
-
-def leader_y_values(allocation: YAllocation, payloads: np.ndarray) -> np.ndarray:
-    """All y-payloads, computed directly from the leader's x-payloads.
-
-    Mirrors ``ProtocolSession._leader_y_values`` — the leader knows every
-    payload, so no decoding is involved.
-    """
-    if allocation.total_rows == 0:
-        return np.zeros((0, payloads.shape[1]), dtype=np.uint8)
-    rows = []
-    for block in allocation.blocks:
-        rows.append((block.matrix @ GFMatrix(payloads[list(block.support)])).data)
-    return np.vstack(rows)
-
-
-def stack_secrets(pieces: List[np.ndarray]) -> np.ndarray:
-    """Concatenate per-round secrets; shape (0, 0) when nothing agreed."""
-    real = [np.asarray(p, dtype=np.uint8) for p in pieces if np.asarray(p).size]
-    if not real:
-        return np.zeros((0, 0), dtype=np.uint8)
-    return np.vstack(real)
 
 
 def allocation_from_descriptor(
-    descriptor: WireBlockDescriptor, terminal: str, received_ids: FrozenSet[int]
+    descriptor: WireBlockDescriptor,
+    terminal: str,
+    received_ids: FrozenSet[int],
+    n_x_packets: int,
 ) -> YAllocation:
     """Rebuild the leader's y-plan from the wire descriptor, locally.
 
@@ -208,9 +167,20 @@ def allocation_from_descriptor(
     subset received), so a subset member always decodes at least what
     the leader counted on, and extra decodable blocks only reduce how
     many z-packets phase 2 must consume.
+
+    The leader's supports are disjoint sets of the round's x-ids, so a
+    support naming an x-id outside ``[0, n_x_packets)``, or one another
+    support (or itself) already named, is a protocol violation.
     """
     blocks = []
+    seen: Set[int] = set()
     for support, rows in zip(descriptor.supports, descriptor.rows):
+        for x_id in support:
+            if not 0 <= x_id < n_x_packets:
+                raise ProtocolViolation(f"y-descriptor names unknown x-id {x_id}")
+            if x_id in seen:
+                raise ProtocolViolation(f"y-descriptor repeats x-id {x_id}")
+            seen.add(x_id)
         try:
             decodable = set(support) <= set(received_ids)
             blocks.append(
@@ -299,14 +269,24 @@ def _parse_abort(frame: Frame) -> SessionAborted:
     return SessionAborted(code, notice.reason)
 
 
-class _EngineBase:
-    """State shared by both engines: counters, fail-closed plumbing."""
+_Out = TypeVar("_Out")
 
-    #: Set by subclasses before any round completes.
+
+class _EngineBase:
+    """State shared by both engines: counters, snapshots, key
+    derivation, fail-closed plumbing."""
+
+    #: Set by subclasses: the snapshot's role and peer labels, and the
+    #: session's parameters, party name and id.
+    _role: str
+    _peer_label: str
     config: ServiceConfig
+    name: str
+    session_id: bytes
 
     def __init__(self) -> None:
         self.phase = SessionPhase.FAILED  # subclasses set their start phase
+        self.round_id = 0
         self.frames_in = 0
         self.frames_out = 0
         self._keys: Optional[DerivedKeys] = None
@@ -344,22 +324,46 @@ class _EngineBase:
         an Eve node.  The safety margin is the deployment's stated cover
         for the fraction estimator's channel-capture assumption.
         """
-        payload_bits = self.config.payload_bytes * 8
-        return LeakageBudget(
-            secret_bits=sum(r.secret_dims for r in self._leakage) * payload_bits,
-            leaked_bits=sum(r.leaked_dims for r in self._leakage) * payload_bits,
-            safety_margin_bits=self.config.secrecy_margin_bits,
+        return LeakageBudget.from_rounds(
+            self._leakage, self.config.payload_bytes, self.config.secrecy_margin_bits
         )
 
-    def _secrecy_fields(self) -> Dict[str, int]:
-        """Snapshot fields derived from the leakage accounting."""
+    def snapshot(self) -> SessionSnapshot:
         budget = self.leakage_budget()
-        return {
-            "secret_bits": budget.secret_bits,
-            "leaked_bits": budget.leaked_bits,
-            "min_entropy_bits": budget.min_entropy_bits,
-            "key_bytes": len(self._keys.material) if self._keys else 0,
-        }
+        return SessionSnapshot(
+            role=self._role,
+            name=self.name,
+            peer=self._peer_label,
+            session_id=self.session_id.hex(),
+            phase=self.phase.value,
+            round_id=self.round_id,
+            n_rounds=self.config.n_rounds,
+            frames_in=self.frames_in,
+            frames_out=self.frames_out,
+            secret_rows=self.secret_rows,
+            established=self.established,
+            secret_bits=budget.secret_bits,
+            leaked_bits=budget.leaked_bits,
+            min_entropy_bits=budget.min_entropy_bits,
+            key_bytes=len(self._keys.material) if self._keys else 0,
+        )
+
+    def _out(self, frames: List[_Out]) -> List[_Out]:
+        self.frames_out += len(frames)
+        return frames
+
+    def _derive_keys(self, leader: str) -> DerivedKeys:
+        """Every round done: the session keys from the stacked secret,
+        sized by the measured budget."""
+        self._keys = derive_session_keys(
+            stack_secrets(self._secrets),
+            session_id=self.session_id,
+            config_digest=self.config.digest(),
+            leader=leader,
+            key_bytes=self.config.key_bytes,
+            budget=self.leakage_budget(),
+        )
+        return self._keys
 
     def _fail(self, exc: ServiceError) -> ServiceError:
         """Enter FAILED: clear all key material, return ``exc`` to raise."""
@@ -384,43 +388,22 @@ class FollowerEngine(_EngineBase):
     wire-rebuilt plans.
     """
 
+    _role = "follower"
+
     def __init__(self, config: ServiceConfig, name: str, leader: str) -> None:
         super().__init__()
         self.config = config
         self.name = name
         self.leader = leader
+        self._peer_label = leader
         self.auth = AuthenticatedChannel.from_bootstrap(config.pair_pool(leader, name))
         self.trace = config.erasure_trace(name)
-        # Eve's trace is a pure function of the shared config, so the
-        # follower accounts the *same* leakage the leader does without
-        # any extra wire traffic.
-        self._eve_trace = (
-            config.eve_trace() if config.estimator_kind == "oracle" else None
-        )
         self.session_id = b"\x00" * 16  # assigned by the leader's HELLO
         self.phase = SessionPhase.AWAIT_HELLO
-        self.round_id = 0
         self._received: Dict[int, np.ndarray] = {}
         self._allocation: Optional[YAllocation] = None
         self._plan: Optional[GroupCodingPlan] = None
-        self._known: Optional[Dict[int, np.ndarray]] = None
         self._z_buf: Dict[int, Dict[int, np.ndarray]] = {}
-
-    def snapshot(self) -> SessionSnapshot:
-        return SessionSnapshot(
-            role="follower",
-            name=self.name,
-            peer=self.leader,
-            session_id=self.session_id.hex(),
-            phase=self.phase.value,
-            round_id=self.round_id,
-            n_rounds=self.config.n_rounds,
-            frames_in=self.frames_in,
-            frames_out=self.frames_out,
-            secret_rows=self.secret_rows,
-            established=self.established,
-            **self._secrecy_fields(),
-        )
 
     def start(self) -> List[Frame]:
         """Open the session: the follower speaks first."""
@@ -457,10 +440,6 @@ class FollowerEngine(_EngineBase):
             )
         except ServiceError as exc:
             raise self._fail(exc)
-
-    def _out(self, frames: List[Frame]) -> List[Frame]:
-        self.frames_out += len(frames)
-        return frames
 
     # -- handshake -----------------------------------------------------
 
@@ -529,7 +508,10 @@ class FollowerEngine(_EngineBase):
             if descriptor.round_id != self.round_id:
                 raise ProtocolViolation("y-descriptor round mismatch")
             self._allocation = allocation_from_descriptor(
-                descriptor, self.name, frozenset(self._received)
+                descriptor,
+                self.name,
+                frozenset(self._received),
+                self.config.n_x_packets,
             )
             self.phase = SessionPhase.AWAIT_P2
             return []
@@ -547,7 +529,6 @@ class FollowerEngine(_EngineBase):
                     "phase-2 chunks do not cover the y-descriptor's rows"
                 )
             self._plan = plan_from_descriptor(descriptor)
-            self._known = decode_y_from_x(self._allocation, self.name, self._received)
             self._z_buf = {i: {} for i in range(len(self._plan.chunks))}
             self.phase = SessionPhase.RECV_Z
             return self._finish_round_if_complete()
@@ -574,39 +555,31 @@ class FollowerEngine(_EngineBase):
 
     def _finish_round_if_complete(self) -> List[Frame]:
         """Close the round once every expected z-content arrived."""
-        assert self._plan is not None and self._known is not None
+        assert self._allocation is not None and self._plan is not None
         for idx, chunk in enumerate(self._plan.chunks):
             if len(self._z_buf[idx]) < chunk.n_public:
                 return []
-        full: Dict[int, np.ndarray] = {}
-        for idx, chunk in enumerate(self._plan.chunks):
-            z_payloads = (
-                np.vstack([self._z_buf[idx][r] for r in range(chunk.n_public)])
-                if chunk.n_public
-                else np.zeros((0, self.config.payload_bytes), dtype=np.uint8)
-            )
-            try:
-                full.update(recover_missing_y(chunk, self._known, z_payloads))
-            except (ValueError, KeyError) as exc:
-                raise ProtocolViolation(f"phase-2 recovery failed: {exc}") from None
+        z_values = [
+            np.vstack([self._z_buf[idx][r] for r in range(chunk.n_public)])
+            if chunk.n_public
+            else np.zeros((0, self.config.payload_bytes), dtype=np.uint8)
+            for idx, chunk in enumerate(self._plan.chunks)
+        ]
         try:
-            self._secrets.append(assemble_secret(self._plan, full))
-        except KeyError as exc:
-            raise ProtocolViolation(f"s-map references unknown y-row: {exc}") from None
-        eve_received = (
-            frozenset(
-                i
-                for i in range(self.config.n_x_packets)
-                if not self._eve_trace[self.round_id, i]
+            secret = terminal_secret(
+                self._allocation, self._plan, self.name, self._received, z_values
             )
-            if self._eve_trace is not None
-            else frozenset()
-        )
+        except (ValueError, KeyError) as exc:
+            raise ProtocolViolation(f"phase-2 recovery failed: {exc}") from None
+        self._secrets.append(secret)
+        # Eve's reception set is a pure function of the shared config,
+        # so the follower accounts the *same* leakage the leader does
+        # without any extra wire traffic.
         self._leakage.append(
             round_leakage(
                 self._allocation,
                 self._plan,
-                eve_received,
+                self.config.eve_received(self.round_id),
                 list(range(self.config.n_x_packets)),
             )
         )
@@ -614,21 +587,13 @@ class FollowerEngine(_EngineBase):
         self._received = {}
         self._allocation = None
         self._plan = None
-        self._known = None
         self._z_buf = {}
         if self.round_id < self.config.n_rounds:
             self.phase = SessionPhase.RECV_X
             return []
-        self._keys = derive_session_keys(
-            stack_secrets(self._secrets),
-            session_id=self.session_id,
-            config_digest=self.config.digest(),
-            leader=self.leader,
-            key_bytes=self.config.key_bytes,
-            budget=self.leakage_budget(),
-        )
+        keys = self._derive_keys(self.leader)
         self.phase = SessionPhase.AWAIT_ACK
-        tag = self._keys.confirm_tag("follower", self.name)
+        tag = keys.confirm_tag("follower", self.name)
         return [WireConfirm(tag).pack(ack=False)]
 
     # -- key confirmation ----------------------------------------------
@@ -663,6 +628,8 @@ class LeaderEngine(_EngineBase):
     same traces.
     """
 
+    _role = "leader"
+
     def __init__(
         self,
         config: ServiceConfig,
@@ -678,38 +645,20 @@ class LeaderEngine(_EngineBase):
         self.config = config
         self.name = name
         self.followers = tuple(followers)
+        self._peer_label = ",".join(self.followers)
         self.session_id = config.session_id(name, self.followers, nonce)
         self.auth = {
             f: AuthenticatedChannel.from_bootstrap(config.pair_pool(name, f))
             for f in self.followers
         }
         self.estimator = config.build_estimator()
+        self._session_config = config.session_config()
         self._rng = np.random.default_rng(config.payload_seed)
-        self._eve_trace = (
-            config.eve_trace() if config.estimator_kind == "oracle" else None
-        )
         self.phase = SessionPhase.AWAIT_HELLOS
-        self.round_id = 0
         self._present: Set[str] = set()
         self._payloads: Optional[np.ndarray] = None
         self._reports: Dict[str, Set[int]] = {}
         self._confirmed: Set[str] = set()
-
-    def snapshot(self) -> SessionSnapshot:
-        return SessionSnapshot(
-            role="leader",
-            name=self.name,
-            peer=",".join(self.followers),
-            session_id=self.session_id.hex(),
-            phase=self.phase.value,
-            round_id=self.round_id,
-            n_rounds=self.config.n_rounds,
-            frames_in=self.frames_in,
-            frames_out=self.frames_out,
-            secret_rows=self.secret_rows,
-            established=self.established,
-            **self._secrecy_fields(),
-        )
 
     @property
     def secret(self) -> np.ndarray:
@@ -737,10 +686,6 @@ class LeaderEngine(_EngineBase):
             )
         except ServiceError as exc:
             raise self._fail(exc)
-
-    def _out(self, frames: List[Tuple[str, Frame]]) -> List[Tuple[str, Frame]]:
-        self.frames_out += len(frames)
-        return frames
 
     # -- handshake -----------------------------------------------------
 
@@ -809,60 +754,34 @@ class LeaderEngine(_EngineBase):
         return self._plan_round()
 
     def _plan_round(self) -> List[Tuple[str, Frame]]:
-        """Plan y/z/s, emit the control frames, accumulate our secret."""
+        """Pack the round core's plan into frames; keep our secret."""
         cfg = self.config
         assert self._payloads is not None
-        reports = self._reports
-        eve_received = (
-            frozenset(
-                i
-                for i in range(cfg.n_x_packets)
-                if not self._eve_trace[self.round_id, i]
-            )
-            if self._eve_trace is not None
-            else frozenset()
+        planned = plan_round(
+            self.name,
+            self._reports,
+            self.estimator,
+            cfg.eve_received(self.round_id),
+            {i: i for i in range(cfg.n_x_packets)},
+            self._payloads,
+            self._session_config,
         )
-        self.estimator.begin_round(
-            RoundContext(
-                leader=self.name,
-                reports=reports,
-                n_packets=cfg.n_x_packets,
-                eve_received=eve_received,
-                x_slots={i: i for i in range(cfg.n_x_packets)},
-            )
-        )
-        allocation = plan_y_allocation(
-            reports,
-            self.estimator.budget,
-            overhead_packets=cfg.n_x_packets,
-            max_subset_size=cfg.max_subset_size,
-            z_cost_factor=cfg.z_cost_factor,
-        )
-        plan = build_phase2_matrices(allocation, secrecy_slack=cfg.secrecy_slack)
-        y_values = leader_y_values(allocation, self._payloads)
-
         y_body = WireBlockDescriptor(
             round_id=self.round_id,
-            supports=tuple(b.support for b in allocation.blocks),
-            rows=tuple(b.rows for b in allocation.blocks),
+            supports=tuple(b.support for b in planned.allocation.blocks),
+            rows=tuple(b.rows for b in planned.allocation.blocks),
         ).pack()
         p2_body = WirePhase2Descriptor(
             round_id=self.round_id,
-            chunk_sizes=tuple(c.size for c in plan.chunks),
-            secret_counts=tuple(c.n_secret for c in plan.chunks),
-            public_counts=tuple(c.n_public for c in plan.chunks),
+            chunk_sizes=tuple(c.size for c in planned.plan.chunks),
+            secret_counts=tuple(c.n_secret for c in planned.plan.chunks),
+            public_counts=tuple(c.n_public for c in planned.plan.chunks),
         ).pack()
-        z_bodies: List[bytes] = []
-        for chunk_idx, chunk in enumerate(plan.chunks):
-            if chunk.n_public == 0:
-                continue
-            z_vals = (chunk.z_matrix @ GFMatrix(y_values[list(chunk.y_rows)])).data
-            for row in range(z_vals.shape[0]):
-                z_bodies.append(
-                    WireZContent(
-                        self.round_id, chunk_idx, row, z_vals[row].tobytes()
-                    ).pack()
-                )
+        z_bodies = [
+            WireZContent(self.round_id, chunk_idx, row, z_vals[row].tobytes()).pack()
+            for chunk_idx, z_vals in enumerate(planned.z_values)
+            for row in range(z_vals.shape[0])
+        ]
 
         out: List[Tuple[str, Frame]] = []
         for follower in self.followers:
@@ -872,28 +791,13 @@ class LeaderEngine(_EngineBase):
             for body in z_bodies:
                 out.append((follower, _seal(channel, FrameType.Z_CONTENT, body)))
 
-        self._secrets.append(
-            assemble_secret(
-                plan, {g: y_values[g] for g in range(allocation.total_rows)}
-            )
-        )
-        self._leakage.append(
-            round_leakage(
-                allocation, plan, eve_received, list(range(cfg.n_x_packets))
-            )
-        )
+        self._secrets.append(planned.secret)
+        self._leakage.append(planned.leakage)
         self.round_id += 1
         if self.round_id < cfg.n_rounds:
             out.extend(self._begin_round())
             return out
-        self._keys = derive_session_keys(
-            stack_secrets(self._secrets),
-            session_id=self.session_id,
-            config_digest=self.config.digest(),
-            leader=self.name,
-            key_bytes=cfg.key_bytes,
-            budget=self.leakage_budget(),
-        )
+        self._derive_keys(self.name)
         self._confirmed = set()
         self.phase = SessionPhase.AWAIT_CONFIRMS
         return out

@@ -24,17 +24,17 @@ estimators could tell the difference.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 import numpy as np
 
-from repro.core.session import ProtocolSession, RoundResult, SessionConfig
+from repro.core.round import stack_secrets
+from repro.core.session import ProtocolSession, RoundResult
 from repro.net.medium import BroadcastMedium, LossModel
 from repro.net.node import Eavesdropper, Node, Terminal
 from repro.net.packet import Packet, PacketKind
 from repro.service.config import ServiceConfig
 from repro.service.derive import DerivedKeys, LeakageBudget, derive_session_keys
-from repro.service.engine import stack_secrets
 
 __all__ = [
     "TraceLossModel",
@@ -107,13 +107,7 @@ def build_reference_session(
         terminal_names=[leader, *followers],
         estimator=config.build_estimator(),
         rng=np.random.default_rng(config.payload_seed),
-        config=SessionConfig(
-            n_x_packets=config.n_x_packets,
-            payload_bytes=config.payload_bytes,
-            max_subset_size=config.max_subset_size,
-            secrecy_slack=config.secrecy_slack,
-            z_cost_factor=config.z_cost_factor,
-        ),
+        config=config.session_config(),
         eve_name=_EVE_NODE if oracle else None,
     )
 
@@ -129,11 +123,8 @@ def _reference_rounds(
 
 
 def _budget_of(config: ServiceConfig, rounds: List[RoundResult]) -> LeakageBudget:
-    payload_bits = config.payload_bytes * 8
-    return LeakageBudget(
-        secret_bits=sum(r.leakage.secret_dims for r in rounds) * payload_bits,
-        leaked_bits=sum(r.leakage.leaked_dims for r in rounds) * payload_bits,
-        safety_margin_bits=config.secrecy_margin_bits,
+    return LeakageBudget.from_rounds(
+        [r.leakage for r in rounds], config.payload_bytes, config.secrecy_margin_bits
     )
 
 

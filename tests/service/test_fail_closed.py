@@ -13,17 +13,25 @@ from collections import deque
 
 import pytest
 
+from repro.auth.bootstrap import AuthenticatedChannel
+from repro.auth.mac import TAG_SYMBOLS
 from repro.service import (
     AuthenticationError,
     ConfirmationError,
     FollowerEngine,
     LeaderEngine,
     PoolExhaustedError,
+    ProtocolViolation,
     ServiceConfig,
     SessionPhase,
     reference_keys,
 )
-from repro.service.frames import Frame, FrameType
+from repro.service.frames import (
+    AUTHENTICATED_TYPES,
+    Frame,
+    FrameType,
+    WireBlockDescriptor,
+)
 
 FAST = ServiceConfig(n_x_packets=16, payload_bytes=8)
 
@@ -185,3 +193,77 @@ class TestTamperedControlPlane:
             pump(leader, followers, mutate=reflect)
         assert followers["bob"].phase is SessionPhase.FAILED
         assert followers["bob"].derived_keys is None
+
+
+class TestMalformedDescriptor:
+    """An authenticated y-descriptor can still be malformed: the MAC
+    proves who sent it, not that it is a plan.  Its supports must be
+    disjoint sets of the round's x-ids; anything else aborts the
+    follower typed, before any phase-2 decoding or accounting runs."""
+
+    #: At N = 32 the plan for two followers holds a block only carol
+    #: decodes, so bob's descriptor names x-ids he lost.
+    CONFIG = ServiceConfig(n_x_packets=32, payload_bytes=8)
+
+    @staticmethod
+    def forge_y_descriptor(config, victim, rewrite):
+        """A pump hook that re-seals the leader's y-descriptor to
+        ``victim`` after ``rewrite(supports, lost)`` edits its supports
+        (``lost``: the x-ids the victim's trace drops), tagging it with
+        the victim's next one-time key from the pair pool, as a forger
+        holding the pool would."""
+        mirror = AuthenticatedChannel.from_bootstrap(
+            config.pair_pool("alice", victim)
+        )
+        lost = {int(i) for i in config.erasure_trace(victim)[0].nonzero()[0]}
+        forged = []
+
+        def hook(src, dst, frame):
+            if victim not in (src, dst) or frame.type not in AUTHENTICATED_TYPES:
+                return frame
+            inner = frame.body[:-TAG_SYMBOLS]
+            if frame.type is FrameType.Y_DESCRIPTOR:
+                honest = WireBlockDescriptor.unpack(inner)
+                inner = WireBlockDescriptor(
+                    honest.round_id, rewrite(list(honest.supports), lost), honest.rows
+                ).pack()
+                forged.append(inner)
+            tag = mirror.authenticate(bytes([int(frame.type)]) + inner)
+            return Frame(frame.type, inner + tag)
+
+        return hook, forged
+
+    def out_of_range(self, supports, lost):
+        """Swap a lost x-id for N: the victim still cannot decode the
+        block, so only the rebuilt plan's accounting would notice."""
+        for k, support in enumerate(supports):
+            hit = [x for x in support if x in lost]
+            if hit:
+                n = self.CONFIG.n_x_packets
+                supports[k] = tuple(n if x == hit[0] else x for x in support)
+                return tuple(supports)
+        raise AssertionError("no support holds an x-id the victim lost")
+
+    def repeated(self, supports, lost):
+        """Name a lost x-id twice in one support, in place of another."""
+        for k, support in enumerate(supports):
+            hit = [x for x in support if x in lost]
+            if hit and len(support) > 1:
+                other = next(x for x in support if x != hit[0])
+                supports[k] = tuple(hit[0] if x == other else x for x in support)
+                return tuple(supports)
+        raise AssertionError("no support of two holds an x-id the victim lost")
+
+    @pytest.mark.parametrize("rewrite", ["out_of_range", "repeated"])
+    def test_follower_fails_closed(self, rewrite):
+        leader, followers = make_engines(self.CONFIG, ("bob", "carol"))
+        hook, forged = self.forge_y_descriptor(
+            self.CONFIG, "bob", getattr(self, rewrite)
+        )
+        with pytest.raises(ProtocolViolation, match="x-id"):
+            pump(leader, followers, mutate=hook)
+        assert forged
+        bob = followers["bob"]
+        assert bob.phase is SessionPhase.FAILED
+        assert bob.derived_keys is None
+        assert bob.secret_rows == 0

@@ -4,7 +4,11 @@
 sits under both :mod:`repro.theory` and :mod:`repro.coding` and depends
 on neither, nor on anything else in ``repro``.  :mod:`repro.theory`
 reaches the solvers directly and imports nothing from
-:mod:`repro.coding`.  The check parses the source, so an import inside
+:mod:`repro.coding`.  The round core, :mod:`repro.core.round`, reaches
+neither :mod:`repro.net` nor :mod:`repro.service`; it alone imports the
+allocation planner and the phase-2 builder among the round's callers,
+and the live engines do not import :mod:`repro.core.session`.  The
+check parses the source, so an import inside
 a function counts as much as one at the top of a module.
 """
 
@@ -90,3 +94,38 @@ def test_the_checker_sees_relative_and_nested_imports(tmp_path):
     )
     found = imported_modules(module, tmp_path)
     assert {"repro.coding", "repro.coding.privacy", "repro.coding.mds"} <= found
+
+
+def test_round_core_imports_no_transport_and_no_service():
+    """The round core is sans-io: the session and the engines move its
+    packets, so it reaches neither the medium nor the service."""
+    (path,) = _sources("repro.core.round")
+    assert path.exists()
+    bad = sorted(
+        m
+        for m in imported_modules(path)
+        if _within(m, "repro.net") or _within(m, "repro.service")
+    )
+    assert not bad, f"repro.core.round imports {bad}"
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.core.session", "repro.service.engine"]
+)
+def test_only_the_round_core_plans_a_round(module):
+    """The planning sequence exists once: the session and the engines
+    reach the allocation planner and the phase-2 builder only through
+    the round core."""
+    (path,) = _sources(module)
+    assert path.exists()
+    names = {m.rpartition(".")[2] for m in imported_modules(path)}
+    assert not names & {"plan_y_allocation", "build_phase2_matrices"}
+
+
+def test_engines_do_not_import_the_session():
+    (path,) = _sources("repro.service.engine")
+    assert path.exists()
+    bad = sorted(
+        m for m in imported_modules(path) if _within(m, "repro.core.session")
+    )
+    assert not bad, f"repro.service.engine imports {bad}"
