@@ -211,6 +211,8 @@ def plan_from_descriptor(descriptor: WirePhase2Descriptor) -> GroupCodingPlan:
     ):
         if size == 0:
             raise ProtocolViolation("phase-2 descriptor contains an empty chunk")
+        if n_secret + n_public > size:
+            raise ProtocolViolation("phase-2 chunk counts overlap or exceed its size")
         rows = tuple(range(offset, offset + size))
         offset += size
         try:

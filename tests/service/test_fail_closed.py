@@ -8,6 +8,7 @@ test everywhere: **no engine ever exposes key material unless the
 handshake fully confirmed**, and every abort path clears what existed.
 """
 
+import dataclasses
 import json
 from collections import deque
 
@@ -31,7 +32,9 @@ from repro.service.frames import (
     Frame,
     FrameType,
     WireBlockDescriptor,
+    WirePhase2Descriptor,
 )
+from repro.service.engine import plan_from_descriptor
 
 FAST = ServiceConfig(n_x_packets=16, payload_bytes=8)
 
@@ -196,37 +199,34 @@ class TestTamperedControlPlane:
 
 
 class TestMalformedDescriptor:
-    """An authenticated y-descriptor can still be malformed: the MAC
-    proves who sent it, not that it is a plan.  Its supports must be
-    disjoint sets of the round's x-ids; anything else aborts the
-    follower typed, before any phase-2 decoding or accounting runs."""
+    """An authenticated descriptor can still be malformed: the MAC
+    proves who sent it, not that it is a plan.  A y-descriptor's
+    supports must be disjoint sets of the round's x-ids, and a phase-2
+    chunk's public and secret rows must fit in it without overlapping;
+    anything else aborts the follower typed, before any phase-2
+    decoding or accounting runs."""
 
     #: At N = 32 the plan for two followers holds a block only carol
     #: decodes, so bob's descriptor names x-ids he lost.
     CONFIG = ServiceConfig(n_x_packets=32, payload_bytes=8)
 
     @staticmethod
-    def forge_y_descriptor(config, victim, rewrite):
-        """A pump hook that re-seals the leader's y-descriptor to
-        ``victim`` after ``rewrite(supports, lost)`` edits its supports
-        (``lost``: the x-ids the victim's trace drops), tagging it with
-        the victim's next one-time key from the pair pool, as a forger
-        holding the pool would."""
+    def forge(config, victim, ftype, rewrite):
+        """A pump hook that re-seals the leader's ``ftype`` frame to
+        ``victim`` after ``rewrite(inner)`` edits its body, tagging it
+        with the victim's next one-time key from the pair pool, as a
+        forger holding the pool would."""
         mirror = AuthenticatedChannel.from_bootstrap(
             config.pair_pool("alice", victim)
         )
-        lost = {int(i) for i in config.erasure_trace(victim)[0].nonzero()[0]}
         forged = []
 
         def hook(src, dst, frame):
             if victim not in (src, dst) or frame.type not in AUTHENTICATED_TYPES:
                 return frame
             inner = frame.body[:-TAG_SYMBOLS]
-            if frame.type is FrameType.Y_DESCRIPTOR:
-                honest = WireBlockDescriptor.unpack(inner)
-                inner = WireBlockDescriptor(
-                    honest.round_id, rewrite(list(honest.supports), lost), honest.rows
-                ).pack()
+            if frame.type is ftype:
+                inner = rewrite(inner)
                 forged.append(inner)
             tag = mirror.authenticate(bytes([int(frame.type)]) + inner)
             return Frame(frame.type, inner + tag)
@@ -257,8 +257,16 @@ class TestMalformedDescriptor:
     @pytest.mark.parametrize("rewrite", ["out_of_range", "repeated"])
     def test_follower_fails_closed(self, rewrite):
         leader, followers = make_engines(self.CONFIG, ("bob", "carol"))
-        hook, forged = self.forge_y_descriptor(
-            self.CONFIG, "bob", getattr(self, rewrite)
+        # ``lost``: the x-ids bob's trace drops.
+        lost = {int(i) for i in self.CONFIG.erasure_trace("bob")[0].nonzero()[0]}
+
+        def rewrite_supports(inner):
+            honest = WireBlockDescriptor.unpack(inner)
+            supports = getattr(self, rewrite)(list(honest.supports), lost)
+            return WireBlockDescriptor(honest.round_id, supports, honest.rows).pack()
+
+        hook, forged = self.forge(
+            self.CONFIG, "bob", FrameType.Y_DESCRIPTOR, rewrite_supports
         )
         with pytest.raises(ProtocolViolation, match="x-id"):
             pump(leader, followers, mutate=hook)
@@ -267,3 +275,35 @@ class TestMalformedDescriptor:
         assert bob.phase is SessionPhase.FAILED
         assert bob.derived_keys is None
         assert bob.secret_rows == 0
+
+    @pytest.mark.parametrize(
+        "sizes, secrets, publics",
+        [((3,), (2,), (2,)), ((3,), (1,), (5,)), ((3,), (5,), (0,))],
+        ids=["overlapping", "public-past-size", "secret-past-size"],
+    )
+    def test_phase2_counts_past_the_chunk_size_are_refused(
+        self, sizes, secrets, publics
+    ):
+        descriptor = WirePhase2Descriptor(0, sizes, secrets, publics)
+        with pytest.raises(ProtocolViolation, match="phase-2 chunk"):
+            plan_from_descriptor(descriptor)
+
+    def test_overlapping_phase2_counts_fail_the_follower(self):
+        """Each count passes the wire's own check against the chunk
+        size, so only the rebuilt plan can refuse the overlap."""
+
+        def overlap(inner):
+            honest = WirePhase2Descriptor.unpack(inner)
+            size, n_secret = honest.chunk_sizes[0], honest.secret_counts[0]
+            assert n_secret > 0
+            publics = (size - n_secret + 1,) + honest.public_counts[1:]
+            return dataclasses.replace(honest, public_counts=publics).pack()
+
+        leader, followers = make_engines(FAST)
+        hook, forged = self.forge(FAST, "bob", FrameType.PHASE2_DESCRIPTOR, overlap)
+        with pytest.raises(ProtocolViolation, match="phase-2 chunk"):
+            pump(leader, followers, mutate=hook)
+        assert forged
+        bob = followers["bob"]
+        assert bob.phase is SessionPhase.FAILED
+        assert bob.derived_keys is None
