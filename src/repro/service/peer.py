@@ -480,7 +480,8 @@ async def run_load(
     its nonce (distinct session ids, hence distinct derived keys) over a
     :class:`MemoryTransport` pair, at most ``concurrency`` in flight.
     Handshake latency is per-session wall time from spawn to confirmed
-    keys; the p50/p99 are the ``BENCH_service_*`` numbers.
+    keys.  This is an in-process load report; the live-service measure
+    of record is perfbench's ``service_keys`` workload.
     """
     if n_sessions < 1:
         raise ValueError("need at least one session")

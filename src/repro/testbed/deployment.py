@@ -66,11 +66,48 @@ class TestbedConfig:
 
 
 class PhysicalLossModel(LossModel):
-    """SINR-driven per-packet loss under the interference schedule."""
+    """SINR-driven per-packet loss under the interference schedule.
+
+    A link's mean (pre-fading) SINR depends only on the transmitter
+    position, the receiver position and the active jamming pattern, so
+    :meth:`mean_sinr_db` computes it once per such triple and keeps it
+    on the instance.  :meth:`Testbed.build_medium` makes one model per
+    placement and the calibration one per call, so each memo lives
+    exactly as long as its medium or its calibration; there is no
+    module-level cache.  The memo assumes the config and the field's
+    antennas stay fixed; toggling ``field.enabled`` is safe (it is part
+    of the key).
+    """
 
     def __init__(self, config: TestbedConfig, field_: InterferenceField) -> None:
         self.config = config
         self.field = field_
+        self._mean_sinr: dict = {}
+
+    def mean_sinr_db(
+        self, tx_position: tuple, rx_position: tuple, slot: int
+    ) -> float:
+        """Pre-fading SINR (dB) of the link at ``slot``'s pattern, memoised.
+
+        Keyed on both positions and the active pattern index, or on
+        ``None`` while the field is disabled or has no patterns.
+        """
+        field = self.field
+        pattern = None
+        if field.enabled and field.patterns:
+            pattern = field.pattern_index(slot)
+        key = (tx_position, rx_position, pattern)
+        sinr = self._mean_sinr.get(key)
+        if sinr is None:
+            radio = self.config.radio
+            dx = tx_position[0] - rx_position[0]
+            dy = tx_position[1] - rx_position[1]
+            distance = float(np.hypot(dx, dy))
+            signal = received_power_dbm(radio.tx_power_dbm, distance, radio)
+            interference = field.interference_powers_dbm(rx_position, slot)
+            sinr = sinr_db(signal, interference, radio.noise_floor_dbm)
+            self._mean_sinr[key] = sinr
+        return sinr
 
     def lost_at(
         self,
@@ -81,15 +118,22 @@ class PhysicalLossModel(LossModel):
         slot: int,
         rng: np.random.Generator,
     ) -> bool:
+        return self.lost_at_sinr(
+            self.mean_sinr_db(src.position, position, slot), packet.wire_bits, rng
+        )
+
+    def lost_at_sinr(
+        self, mean_sinr_db: float, packet_bits: int, rng: np.random.Generator
+    ) -> bool:
+        """One packet's fate on a link of the given mean SINR.
+
+        Draws the base-loss coin, then (unless it fired) fading,
+        shadowing and the PER coin, in that order.
+        """
         cfg = self.config
         if cfg.base_loss > 0 and rng.random() < cfg.base_loss:
             return True
-        distance = src.distance_to(position)
-        signal = received_power_dbm(cfg.radio.tx_power_dbm, distance, cfg.radio)
-        interference = self.field.interference_powers_dbm(position, slot)
-        mean_sinr = sinr_db(signal, interference, cfg.radio.noise_floor_dbm)
-        packet_bits = 8 * packet.wire_bytes
-        return sample_packet_loss(mean_sinr, packet_bits, cfg.radio, rng)
+        return sample_packet_loss(mean_sinr_db, packet_bits, cfg.radio, rng)
 
 
 class Testbed:

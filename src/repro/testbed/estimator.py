@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.estimator import EveErasureEstimator
 from repro.net.packet import Packet, PacketKind
-from repro.testbed.deployment import Testbed
+from repro.testbed.deployment import PhysicalLossModel, Testbed
 from repro.testbed.geometry import TestbedGeometry
 from repro.testbed.interference import InterferenceField
 
@@ -126,20 +126,17 @@ def calibrate_min_jam_loss(
     defensible ``min_jam_loss`` for this deployment.  Deployments would
     do the same with a site survey.
     """
-    from repro.net.node import Terminal  # late import to avoid cycles
-
     geometry = testbed.config.geometry
     field = testbed.interference
-    packet = Packet(
+    packet_bits = Packet(
         kind=PacketKind.X_DATA,
         src="probe",
         payload=np.zeros(payload_bytes, dtype=np.uint8),
-    )
+    ).wire_bits
     loss_model = testbed_loss_model(testbed)
     worst: Optional[float] = None
     for rx_cell in geometry.all_cells():
         rx_pos = geometry.cell_center(rx_cell)
-        dst = Terminal(name="rx", position=rx_pos)
         for pattern_idx in range(field.n_patterns()):
             slot = pattern_idx * field.slots_per_pattern
             if rx_cell not in field.jammed_cells(geometry, slot):
@@ -147,19 +144,19 @@ def calibrate_min_jam_loss(
             for tx_cell in geometry.all_cells():
                 if tx_cell == rx_cell:
                     continue
-                src = Terminal(name="tx", position=geometry.cell_center(tx_cell))
+                sinr = loss_model.mean_sinr_db(
+                    geometry.cell_center(tx_cell), rx_pos, slot
+                )
                 losses = sum(
                     1
                     for _ in range(trials)
-                    if loss_model.lost_at(src, rx_pos, dst, packet, slot, rng)
+                    if loss_model.lost_at_sinr(sinr, packet_bits, rng)
                 )
                 rate = losses / trials
                 worst = rate if worst is None else min(worst, rate)
     return (worst or 0.0) * quantile_discount
 
 
-def testbed_loss_model(testbed: Testbed):
+def testbed_loss_model(testbed: Testbed) -> PhysicalLossModel:
     """The deployment's physical loss model (shared helper)."""
-    from repro.testbed.deployment import PhysicalLossModel
-
     return PhysicalLossModel(testbed.config, testbed.interference)

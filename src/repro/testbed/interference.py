@@ -104,9 +104,12 @@ class InterferenceField:
     slots_per_pattern: int = 10
     enabled: bool = True
 
+    def pattern_index(self, slot: int) -> int:
+        """Index of the pattern up at ``slot`` (ignores ``enabled``)."""
+        return (slot // max(self.slots_per_pattern, 1)) % len(self.patterns)
+
     def pattern_at(self, slot: int) -> NoisePattern:
-        index = (slot // max(self.slots_per_pattern, 1)) % len(self.patterns)
-        return self.patterns[index]
+        return self.patterns[self.pattern_index(slot)]
 
     def interference_powers_dbm(self, position: tuple, slot: int) -> list:
         """Powers (dBm) each active antenna lands on ``position``."""
@@ -135,8 +138,7 @@ class InterferenceField:
         """Cells inside the beams active at ``slot`` (diagnostics)."""
         if not self.enabled or not self.patterns:
             return set()
-        index = (slot // max(self.slots_per_pattern, 1)) % len(self.patterns)
-        return self.jammed_cells_for_pattern(geometry, index)
+        return self.jammed_cells_for_pattern(geometry, self.pattern_index(slot))
 
     def n_patterns(self) -> int:
         return len(self.patterns)

@@ -22,6 +22,8 @@ from repro.net.medium import BroadcastMedium, IIDLossModel
 from repro.net.node import Eavesdropper, Terminal
 from repro.sim import (
     AdversarySpec,
+    CollusionEstimatorSpec,
+    FixedFractionEstimatorSpec,
     GilbertElliottLossSpec,
     IIDLossSpec,
     LeaveOneOutEstimatorSpec,
@@ -125,6 +127,43 @@ class TestOracleCertifiesZeroLeakage:
         ):
             assert result.leakage.leaked_dims == 0
             assert result.leakage.hidden_dims == result.leakage.secret_dims
+
+
+class TestUnboundedPassiveEve:
+    """An Eve who captures every x-packet (``AdversarySpec(loss=0.0)``)
+    leaves no secret, whatever the estimator promises: ``hidden_dims``
+    is 0 on every round.  The oracle plans nothing; the others still
+    plan secret packets on every round, and the measured budget is what
+    exposes the over-promise (reliability 0)."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize(
+        "estimator",
+        [
+            OracleEstimatorSpec(),
+            FixedFractionEstimatorSpec(0.25),
+            LeaveOneOutEstimatorSpec(),
+            CollusionEstimatorSpec(k=1),
+        ],
+        ids=["oracle", "fixed-0.25", "leave-one-out", "collusion-1"],
+    )
+    def test_no_hidden_dimension_survives(self, n, estimator):
+        batch = run_batch(
+            Scenario(
+                n_terminals=n,
+                loss=IIDLossSpec(0.3),
+                adversary=AdversarySpec(loss=0.0),
+                estimator=estimator,
+                rounds=200,
+            ),
+            seed=7,
+        )
+        assert np.all(batch.hidden_dims == 0)
+        if isinstance(estimator, OracleEstimatorSpec):
+            assert np.all(batch.secret_packets == 0)
+        else:
+            assert np.all(batch.secret_packets > 0)
+            assert np.all(batch.reliability == 0.0)
 
 
 class TestBatchedAccountingInvariants:

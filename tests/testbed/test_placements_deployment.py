@@ -7,7 +7,8 @@ import pytest
 
 from repro.net.node import Eavesdropper, Terminal
 from repro.net.packet import Packet, PacketKind
-from repro.testbed.deployment import Testbed, TestbedConfig
+from repro.testbed.deployment import PhysicalLossModel, Testbed, TestbedConfig
+from repro.testbed.pertable import draw_positions, pattern_mean_sinr_db
 from repro.testbed.placements import (
     Placement,
     enumerate_placements,
@@ -118,3 +119,61 @@ class TestDeployment:
         base = quiet.config.base_loss
         for (src, dst, pattern), rate in probe.items():
             assert rate < base + 0.1
+
+
+class TestMeanSinrMemo:
+    """The per-model mean-SINR memo never changes a loss decision."""
+
+    def test_memo_matches_a_fresh_model_per_packet(self):
+        # Eve listens through three antennas, so every packet runs
+        # lost_at up to three times on her; interference goes off for
+        # the middle third of the stream and comes back, so a stale
+        # entry on either side of a flip would move a decision.
+        testbed = Testbed(TestbedConfig(interferer_power_dbm=10.0))
+        placement = Placement(eve_cell=4, terminal_cells=(0, 2, 6))
+        medium, names = testbed.build_medium(
+            placement, np.random.default_rng(5), eve_extra_cells=(1, 8)
+        )
+        memo_model = medium.loss_model
+        receivers = [medium.node(n) for n in names] + [medium.node("eve")]
+        field = testbed.interference
+        memo_rng, fresh_rng = np.random.default_rng(9), np.random.default_rng(9)
+        memo_lost, fresh_lost = [], []
+        n_packets = 270
+        for k in range(n_packets):
+            field.enabled = not n_packets // 3 <= k < 2 * n_packets // 3
+            src = medium.node(names[k % len(names)])
+            packet = Packet(
+                kind=PacketKind.X_DATA,
+                src=src.name,
+                payload=np.zeros(40 + k % 3 * 30, dtype=np.uint8),
+            )
+            for dst in receivers:
+                if dst is src:
+                    continue
+                fresh_model = PhysicalLossModel(testbed.config, field)
+                memo_lost.append(memo_model.lost(src, dst, packet, k, memo_rng))
+                fresh_lost.append(fresh_model.lost(src, dst, packet, k, fresh_rng))
+        assert memo_lost == fresh_lost
+        assert memo_rng.bit_generator.state == fresh_rng.bit_generator.state
+        assert 0 < sum(memo_lost) < len(memo_lost)
+
+    @pytest.mark.parametrize("power_dbm", [0.0, 10.0])
+    def test_mean_sinr_equals_the_pattern_table(self, power_dbm):
+        testbed = Testbed(TestbedConfig(interferer_power_dbm=power_dbm))
+        model = PhysicalLossModel(testbed.config, testbed.interference)
+        rng = np.random.default_rng(17)
+        n_terminals, compared = 4, 0
+        for placement in sample_placements(n_terminals, 20, rng):
+            tx_positions, rx_positions = draw_positions(testbed, placement, rng)
+            table = pattern_mean_sinr_db(testbed, tx_positions, rx_positions)
+            for k in range(table.shape[0]):
+                slot = k * testbed.config.slots_per_pattern
+                for i, tx in enumerate(tx_positions):
+                    for j, rx in enumerate(rx_positions):
+                        if i == j:
+                            continue
+                        got = model.mean_sinr_db(tx, rx, slot)
+                        assert got.hex() == float(table[k, i, j]).hex()
+                        compared += 1
+        assert compared == 20 * 9 * n_terminals * n_terminals
