@@ -201,7 +201,6 @@ def test_slot_aware_bridge_beats_link_probe():
     link probe it replaced — on top of being slot-aware rather than
     pattern-averaged.  Campaign-marked: wall-clock ratios belong to the
     nightly job, not noisy per-push runners."""
-    from repro.analysis import placement_loss_specs
     from repro.testbed import (
         Placement,
         Testbed,
@@ -217,8 +216,8 @@ def test_slot_aware_bridge_beats_link_probe():
     analytic_seconds = (time.perf_counter() - t0) / 3
     t0 = time.perf_counter()
     for i in range(3):
-        placement_loss_specs(
-            testbed, placement, np.random.default_rng(i), probe_trials=120
+        testbed.link_loss_probe(
+            placement, np.random.default_rng(i), trials=120
         )
     probe_seconds = (time.perf_counter() - t0) / 3
     speedup = probe_seconds / analytic_seconds

@@ -14,7 +14,9 @@ and scans the docstrings and comments of ``src/repro/**/*.py`` for
 fully qualified Sphinx cross-references (``:func:``, ``:meth:``,
 ``:class:``, ``:mod:``, ``:data:``, ``:attr:`` and ``:exc:`` roles
 naming ``repro.*``, with or without a leading ``~``) — each must
-resolve like a dotted reference in the docs.
+resolve like a dotted reference in the docs — and for markdown file
+names (``docs/architecture.md``, ``README.md``, ...), each of which
+must exist relative to the repo root or to ``docs/``.
 
 Run from the repo root with ``PYTHONPATH=src python scripts/check_docs.py``.
 Exits non-zero listing every stale reference, so the paper map cannot
@@ -40,6 +42,7 @@ ANCHOR_RE = re.compile(r"`([\w./-]+\.py)`\s*\(`([A-Za-z_]\w*)`\)")
 ROLE_RE = re.compile(
     r":(?:func|meth|class|mod|data|attr|exc):`~?(repro(?:\.[A-Za-z_]\w*)+)`"
 )
+MD_NAME_RE = re.compile(r"(?<![\w./-])((?:[\w-]+/)*[\w-]+\.md)\b")
 
 
 def _resolve_dotted(name: str) -> str | None:
@@ -101,18 +104,35 @@ def check_file(doc: Path) -> list[str]:
     return errors
 
 
-def check_source(path: Path) -> tuple[int, list[str]]:
-    """Resolve the Sphinx cross-references in one source file.
+def missing_md_names(text: str) -> list[str]:
+    """Markdown file names in ``text`` that exist neither relative to
+    the repo root nor to ``docs/``."""
+    return [
+        name
+        for name in sorted(set(MD_NAME_RE.findall(text)))
+        if not (REPO / name).exists() and not (REPO / "docs" / name).exists()
+    ]
 
-    Returns the number of references found and the stale ones.
+
+def check_source(path: Path) -> tuple[int, list[str]]:
+    """Resolve the Sphinx cross-references and markdown file names in
+    one source file.
+
+    Returns the number of cross-references found and the stale
+    references of either kind.
     """
-    names = ROLE_RE.findall(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    names = ROLE_RE.findall(text)
     where = path.relative_to(REPO)
     errors = [
         f"{where}: {error}"
         for error in map(_resolve_dotted, sorted(set(names)))
         if error is not None
     ]
+    errors.extend(
+        f"{where}: missing markdown file -> {name}"
+        for name in missing_md_names(text)
+    )
     return len(names), errors
 
 

@@ -25,7 +25,7 @@ Quickstart::
     assert result.reliability == 1.0   # Eve knows nothing
     key = result.group_secret          # shared by all three terminals
 
-Package map (see DESIGN.md for the full inventory):
+Package map (docs/architecture.md has the full layer map):
 
 - :mod:`repro.gf` — GF(2^8) arithmetic and linear algebra.
 - :mod:`repro.solvers` — the LP driver and max-flow core under the

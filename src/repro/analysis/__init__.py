@@ -16,7 +16,6 @@ from repro.analysis.experiments import (
     campaign_work_items,
     experiment_store_key,
     placement_label,
-    placement_loss_specs,
     run_campaign,
     run_placement_experiment,
     run_placement_experiment_batched,
@@ -44,7 +43,6 @@ __all__ = [
     "run_campaign",
     "run_placement_experiment",
     "run_placement_experiment_batched",
-    "placement_loss_specs",
     "experiment_store_key",
     "campaign_sweep_manifest",
     "campaign_work_items",

@@ -14,8 +14,9 @@ Two engines run the same campaign design:
   packet, retry by retry.
 * ``engine="batched"`` — the :mod:`repro.sim` Monte-Carlo engine: each
   placement's per-pattern link losses are computed analytically
-  (:mod:`repro.testbed.pertable` — no probe Monte-Carlo) and fed to a
-  slot-aware :class:`~repro.sim.spec.ScheduleLossSpec`, then every
+  (:mod:`repro.testbed.pertable`, from the same link model and jitter
+  draw as the per-packet medium) and fed to a slot-aware
+  :class:`~repro.sim.spec.ScheduleLossSpec`, then every
   leader's rounds are simulated as one vectorised batch.  Efficiency
   uses the idealised x+z accounting (control traffic excluded), so
   batched records trade the ledger's bit-exactness for two to three
@@ -49,15 +50,9 @@ from repro.core.session import SessionConfig
 from repro.sim.campaign import ShardPool, ShardWorkerError, _as_store
 from repro.sim.engine import BatchedRoundEngine, planning_profile
 from repro.store.fingerprint import fingerprint
-from repro.sim.spec import (
-    AdversarySpec,
-    EstimatorSpec,
-    MatrixLossSpec,
-    Scenario,
-)
+from repro.sim.spec import AdversarySpec, EstimatorSpec, Scenario
 from repro.testbed.deployment import Testbed
 from repro.testbed.pertable import (
-    draw_positions,
     leader_schedule_specs,
     placement_schedule_specs,
     schedule_loss_table,
@@ -75,7 +70,6 @@ __all__ = [
     "CampaignResult",
     "run_placement_experiment",
     "run_placement_experiment_batched",
-    "placement_loss_specs",
     "run_campaign",
     "experiment_store_key",
     "campaign_work_items",
@@ -256,43 +250,7 @@ def run_placement_experiment(
         secret_bits=result.secret_bits,
         transmitted_bits=result.metrics.transmitted_bits,
         min_entropy_bits=min_entropy_bits,
-        leaked_bits=max(float(result.secret_bits) - min_entropy_bits, 0.0),
     )
-
-
-def placement_loss_specs(
-    testbed: Testbed,
-    placement: Placement,
-    rng: np.random.Generator,
-    probe_trials: int = 120,
-) -> list:
-    """Legacy probe bridge: pattern-averaged IID specs (diagnostics only).
-
-    Probes every directed link by Monte-Carlo and *averages loss across
-    the rotating interference patterns* into per-leader
-    :class:`~repro.sim.spec.MatrixLossSpec`s — erasing the slot-level
-    burstiness the schedule engineers.  The campaign path now uses the
-    analytic slot-aware bridge
-    (:func:`repro.testbed.pertable.placement_schedule_specs`); this
-    survives for cross-checking the marginals against it.
-    """
-    probe = testbed.link_loss_probe(placement, rng, trials=probe_trials)
-    n_patterns = testbed.interference.n_patterns()
-    names = [f"T{i}" for i in range(placement.n_terminals)]
-
-    def mean_loss(src: str, dst: str) -> float:
-        return float(
-            np.mean([probe[(src, dst, k)] for k in range(n_patterns)])
-        )
-
-    specs = []
-    for leader in names:
-        receivers = [t for t in names if t != leader]
-        probs = tuple(mean_loss(leader, dst) for dst in receivers) + (
-            mean_loss(leader, "eve"),
-        )
-        specs.append(MatrixLossSpec(probabilities=probs))
-    return specs
 
 
 def run_placement_experiment_batched(
@@ -356,7 +314,6 @@ def run_placement_experiment_batched(
         secret_bits=total_secret_bits,
         transmitted_bits=transmitted_bits,
         min_entropy_bits=min_entropy_bits,
-        leaked_bits=max(float(total_secret_bits) - min_entropy_bits, 0.0),
     )
 
 
@@ -606,19 +563,20 @@ def _prefetch_table(
 
     The jitter comes from a twin of the generator
     :func:`run_placement_experiment_batched` makes for the placement,
-    through the same :func:`~repro.testbed.pertable.draw_positions`,
-    so the experiment's own draw lands on exactly these positions.
+    through the same
+    :meth:`~repro.testbed.deployment.Testbed.draw_positions`, so the
+    experiment's own draw lands on exactly these positions.
     With an ``estimator_spec``, ``profiles`` holds every leader's
     planning LP as :func:`~repro.sim.engine.planning_profile` returns
     it, ``(arguments, profile)``, on the scenarios the experiment will
     build from this table; without one it is empty.
     """
-    positions = draw_positions(
-        testbed, placement, _experiment_rng(config, placement),
-        config.eve_extra_cells,
+    positions = testbed.draw_positions(
+        placement, _experiment_rng(config, placement), config.eve_extra_cells
     )
+    terminals, antennas = positions
     table = schedule_loss_table(
-        testbed, *positions, payload_bytes=config.session.payload_bytes
+        testbed, terminals, terminals + antennas, config.session.payload_bytes
     )
     if estimator_spec is None:
         return positions, table, ()

@@ -1,8 +1,8 @@
 """ASCII rendering of the paper's figures and headline numbers.
 
 The benchmarks print these tables so a reader can compare the simulated
-series against the paper's plots line by line (EXPERIMENTS.md records
-one snapshot).
+series against the paper's plots line by line (docs/paper-map.md maps
+each figure to the code and tests behind it).
 """
 
 from __future__ import annotations

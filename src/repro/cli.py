@@ -7,7 +7,8 @@ Usage::
     python -m repro.cli headline
     python -m repro.cli quickstart
 
-Each subcommand prints the corresponding table from EXPERIMENTS.md.
+Each subcommand prints one of the paper's tables; docs/paper-map.md
+maps each to the claim it reproduces.
 The heavy campaigns accept ``--per-n`` to trade completeness for time;
 ``--full`` runs the paper's entire placement population.
 """

@@ -15,7 +15,7 @@ the paper:
   identities only are broadcast; they are the group secret and must stay
   uniform given the z-contents and everything else Eve heard.
 
-Construction summary (see DESIGN.md §4 for the argument):
+Construction summary (docs/architecture.md, ``coding``, walks through it):
 
 1. Partition the x-packets Alice sent by *reception pattern* — the exact
    subset of terminals that acknowledged each packet.
@@ -233,7 +233,7 @@ class GroupCodingPlan:
 
 
 # ---------------------------------------------------------------------------
-# Allocation planning (the LP of DESIGN.md §4 step 2)
+# Allocation planning (step 2 above; docs/architecture.md, Planning LP)
 # ---------------------------------------------------------------------------
 
 

@@ -24,11 +24,6 @@ class Node:
     name: str
     position: tuple = (0.0, 0.0)
 
-    def distance_to(self, other_position: tuple) -> float:
-        dx = self.position[0] - other_position[0]
-        dy = self.position[1] - other_position[1]
-        return float(np.hypot(dx, dy))
-
     def antenna_positions(self) -> list:
         """Positions this node listens from (one, for plain nodes)."""
         return [self.position]

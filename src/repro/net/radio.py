@@ -13,9 +13,9 @@ stack with textbook models:
 * **DBPSK + DSSS error rate**: bit error ``0.5*exp(-PG*sinr)`` with the
   11-chip Barker processing gain, then ``PER = 1-(1-BER)^bits``.
 
-Numbers are deliberately conservative approximations — DESIGN.md §2
-records why only the *shape* of the induced erasure processes matters to
-the protocol.
+Numbers are deliberately conservative approximations: only the *shape*
+of the induced erasure processes matters to the protocol (docs/paper-map.md,
+§4, maps the testbed claims these feed).
 """
 
 from __future__ import annotations

@@ -18,7 +18,9 @@ spellings, non-finite floats become tagged sentinels
 (strict JSON has no ``NaN``), and callables — estimator factories —
 serialise as their dotted qualname plus their instance attributes
 (a factory's behaviour lives in its code identity and configuration,
-not its memory address).  The digest is SHA-256, so fingerprints are
+not its memory address); a class is its qualname alone, and a
+``functools.partial`` is its wrapped callable plus the positional and
+keyword arguments it binds.  The digest is SHA-256, so fingerprints are
 independent of ``PYTHONHASHSEED``, process, and platform.
 
 The same canonical bytes also seed the campaign runners' per-cell RNG
@@ -31,6 +33,7 @@ grid be resumed by a larger one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -72,11 +75,21 @@ def _encode(obj: Any) -> Any:
         return obj
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
+    if isinstance(obj, functools.partial):
+        # A partial is its wrapped callable plus the arguments it binds.
+        return {
+            "__callable__": "functools.partial",
+            "func": _encode(obj.func),
+            "args": _encode(obj.args),
+            "keywords": _encode(obj.keywords),
+        }
     if callable(obj):
-        # Functions/classes carry their own qualname; a configured
-        # factory *instance* is identified by its class plus state.
+        # Functions carry their own qualname, and so does a class (its
+        # __dict__ holds methods and descriptors, not configuration); a
+        # configured factory *instance* is identified by its class plus
+        # state.
         target = obj if hasattr(obj, "__qualname__") else type(obj)
-        state = getattr(obj, "__dict__", None)
+        state = None if isinstance(obj, type) else getattr(obj, "__dict__", None)
         return {
             "__callable__": f"{target.__module__}.{target.__qualname__}",
             "state": _encode(dict(state)) if state else {},

@@ -15,12 +15,19 @@ diagonal is the paper's 1.75 m minimum distance), with:
   :mod:`repro.testbed.deployment`,
 * an analytic slot-aware bridge to the batched engine
   (:mod:`repro.testbed.pertable`): per-(pattern, tx, rx) mean-SINR
-  tables with the Rayleigh-faded PER integrated by fixed quadrature,
+  tables from the same link model the medium reads
+  (:func:`repro.testbed.deployment.pattern_mean_sinr_db`), with the
+  Rayleigh-faded PER integrated by fixed quadrature,
   feeding :class:`~repro.sim.spec.ScheduleLossSpec` — no Monte-Carlo
   link probing, and the rotating schedule's burstiness survives.
 """
 
-from repro.testbed.deployment import PhysicalLossModel, Testbed, TestbedConfig
+from repro.testbed.deployment import (
+    PhysicalLossModel,
+    Testbed,
+    TestbedConfig,
+    pattern_mean_sinr_db,
+)
 from repro.testbed.geometry import TestbedGeometry
 from repro.testbed.interference import (
     InterferenceField,
@@ -33,7 +40,6 @@ from repro.testbed.estimator import (
     calibrate_min_jam_loss,
 )
 from repro.testbed.pertable import (
-    pattern_mean_sinr_db,
     placement_schedule_specs,
     schedule_loss_table,
 )

@@ -5,20 +5,24 @@
 :class:`~repro.net.medium.BroadcastMedium` populated with terminals at
 cell centres, Eve in her cell, and a :class:`PhysicalLossModel` that
 computes per-packet delivery from SINR under the rotating interference
-schedule.
+schedule.  Each physical decision is made once here:
+:meth:`Testbed.draw_positions` is the one jitter draw and
+:func:`pattern_mean_sinr_db` the one link model — the per-packet medium,
+the analytic PER tables (:mod:`repro.testbed.pertable`) and the
+calibration all read their mean SINRs from it.
 
-Calibration notes (see DESIGN.md §2): with the default 0 dBm interferer
-EIRP, a jammed cell sees interference within a few dB of the desired
-signal, so Rayleigh fading puts jammed links in the 0.4-0.9 loss regime
-while clear links lose almost nothing — the partial-erasure environment
-the protocol feeds on, and the same mechanism the paper engineered with
-WARP boards.
+Calibration notes (docs/architecture.md, ``testbed``): with the default
+0 dBm interferer EIRP, a jammed cell sees interference within a few dB
+of the desired signal, so Rayleigh fading puts jammed links in the
+0.4-0.9 loss regime while clear links lose almost nothing — the
+partial-erasure environment the protocol feeds on, and the same
+mechanism the paper engineered with WARP boards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +40,12 @@ from repro.testbed.geometry import TestbedGeometry
 from repro.testbed.interference import InterferenceField, build_interference_field
 from repro.testbed.placements import Placement
 
-__all__ = ["TestbedConfig", "PhysicalLossModel", "Testbed"]
+__all__ = [
+    "TestbedConfig",
+    "pattern_mean_sinr_db",
+    "PhysicalLossModel",
+    "Testbed",
+]
 
 
 @dataclass(frozen=True)
@@ -65,18 +74,57 @@ class TestbedConfig:
     position_jitter_m: float = 0.15
 
 
+def pattern_mean_sinr_db(
+    config: TestbedConfig,
+    field_: InterferenceField,
+    tx_positions: Sequence[tuple],
+    rx_positions: Sequence[tuple],
+) -> np.ndarray:
+    """Pre-fading mean SINR per (pattern, transmitter, receiver).
+
+    The one place a link's distance and mean SINR are computed: the
+    PER tables (:func:`repro.testbed.pertable.schedule_loss_table`),
+    the per-packet medium and the calibration all read it.  The signal
+    depends only on the (tx, rx) distance and is computed once per
+    pair; the interference only on the receiver and the active pattern,
+    once per (pattern, rx).  Returns shape ``(n_patterns, n_tx, n_rx)``
+    in dB.  With interference disabled (or no patterns) a single
+    all-clear pattern is returned, so a schedule built on it
+    degenerates to the static channel.
+    """
+    radio = config.radio
+    signal = np.empty((len(tx_positions), len(rx_positions)))
+    for i, tx in enumerate(tx_positions):
+        for j, rx in enumerate(rx_positions):
+            distance = float(np.hypot(tx[0] - rx[0], tx[1] - rx[1]))
+            signal[i, j] = received_power_dbm(radio.tx_power_dbm, distance, radio)
+    n_patterns = field_.n_patterns() if field_.enabled else 0
+    sinr = np.empty((max(n_patterns, 1),) + signal.shape)
+    if n_patterns == 0:
+        sinr[0] = signal - radio.noise_floor_dbm
+        return sinr
+    for k in range(n_patterns):
+        for j, rx in enumerate(rx_positions):
+            interference = field_.pattern_powers_dbm(rx, k)
+            for i in range(len(tx_positions)):
+                sinr[k, i, j] = sinr_db(
+                    signal[i, j], interference, radio.noise_floor_dbm
+                )
+    return sinr
+
+
 class PhysicalLossModel(LossModel):
     """SINR-driven per-packet loss under the interference schedule.
 
     A link's mean (pre-fading) SINR depends only on the transmitter
     position, the receiver position and the active jamming pattern, so
-    :meth:`mean_sinr_db` computes it once per such triple and keeps it
-    on the instance.  :meth:`Testbed.build_medium` makes one model per
-    placement and the calibration one per call, so each memo lives
-    exactly as long as its medium or its calibration; there is no
-    module-level cache.  The memo assumes the config and the field's
-    antennas stay fixed; toggling ``field.enabled`` is safe (it is part
-    of the key).
+    :meth:`mean_sinr_db` takes a link's whole pattern row from
+    :func:`pattern_mean_sinr_db` once and keeps it on the instance.
+    :meth:`Testbed.build_medium` makes one model per placement and the
+    calibration one per call, so each memo lives exactly as long as its
+    medium or its calibration; there is no module-level cache.  The
+    memo assumes the config and the field's antennas stay fixed;
+    toggling ``field.enabled`` is safe (it is part of the key).
     """
 
     def __init__(self, config: TestbedConfig, field_: InterferenceField) -> None:
@@ -89,25 +137,20 @@ class PhysicalLossModel(LossModel):
     ) -> float:
         """Pre-fading SINR (dB) of the link at ``slot``'s pattern, memoised.
 
-        Keyed on both positions and the active pattern index, or on
-        ``None`` while the field is disabled or has no patterns.
+        The link's row of :func:`pattern_mean_sinr_db` is keyed on both
+        positions and on whether the field is enabled.
         """
         field = self.field
-        pattern = None
-        if field.enabled and field.patterns:
-            pattern = field.pattern_index(slot)
-        key = (tx_position, rx_position, pattern)
-        sinr = self._mean_sinr.get(key)
-        if sinr is None:
-            radio = self.config.radio
-            dx = tx_position[0] - rx_position[0]
-            dy = tx_position[1] - rx_position[1]
-            distance = float(np.hypot(dx, dy))
-            signal = received_power_dbm(radio.tx_power_dbm, distance, radio)
-            interference = field.interference_powers_dbm(rx_position, slot)
-            sinr = sinr_db(signal, interference, radio.noise_floor_dbm)
-            self._mean_sinr[key] = sinr
-        return sinr
+        key = (tx_position, rx_position, field.enabled)
+        row = self._mean_sinr.get(key)
+        if row is None:
+            row = pattern_mean_sinr_db(
+                self.config, field, (tx_position,), (rx_position,)
+            )[:, 0, 0].tolist()
+            self._mean_sinr[key] = row
+        if len(row) == 1:  # disabled, or a one-pattern schedule
+            return row[0]
+        return row[field.pattern_index(slot)]
 
     def lost_at(
         self,
@@ -155,43 +198,42 @@ class Testbed:
         )
         self.interference.enabled = self.config.interference_enabled
 
-    def _place(self, cell: int, rng: np.random.Generator) -> tuple:
-        x, y = self.config.geometry.cell_center(cell)
-        jitter = self.config.position_jitter_m
-        if jitter > 0:
-            x += float(rng.uniform(-jitter, jitter))
-            y += float(rng.uniform(-jitter, jitter))
-        return (x, y)
-
-    def node_positions(self, placement: Placement, rng: np.random.Generator) -> tuple:
+    def draw_positions(
+        self,
+        placement: Placement,
+        rng: np.random.Generator,
+        eve_extra_cells: tuple = (),
+    ) -> tuple:
         """Jittered node coordinates for a placement.
 
-        Returns ``(terminal_positions, eve_position)`` drawing the same
-        jitter stream :meth:`build_medium` would (terminals in placement
-        order, then Eve), so the analytic slot-aware bridge
-        (:mod:`repro.testbed.pertable`) and a per-packet medium built
-        from the same generator state see identical geometry.  Extra
-        Eve antennas draw *after* these positions — call
-        :meth:`antenna_positions` next with the same generator.
-        """
-        terminal_positions = [
-            self._place(cell, rng) for cell in placement.terminal_cells
-        ]
-        eve_position = self._place(placement.eve_cell, rng)
-        return terminal_positions, eve_position
+        Returns ``(terminal_positions, eve_antenna_positions)``: the
+        terminals in placement order, then Eve's placement cell
+        followed by ``eve_extra_cells`` in the order given.  The jitter
+        is drawn from ``rng`` in that order, one cell at a time; the
+        per-packet medium (:meth:`build_medium`) and the PER tables
+        (:func:`repro.testbed.pertable.placement_schedule_specs`) both
+        draw through here, so a shared generator state gives both the
+        same geometry.
 
-    def antenna_positions(
-        self, cells: tuple, rng: np.random.Generator
-    ) -> list:
-        """Jittered positions for extra Eve-antenna cells.
-
-        Consumes the jitter stream in the same order
-        :meth:`build_medium` does (after the terminal and primary Eve
-        draws of :meth:`node_positions`), so the analytic bridge and a
-        per-packet medium sharing a generator state agree on every
-        antenna's geometry.
+        Raises:
+            ValueError: an extra antenna cell holds a terminal.
         """
-        return [self._place(c, rng) for c in cells]
+        for cell in eve_extra_cells:
+            if cell in placement.terminal_cells:
+                raise ValueError("Eve's extra antennas cannot share terminal cells")
+        geometry = self.config.geometry
+        jitter = self.config.position_jitter_m
+        positions = []
+        for cell in (
+            *placement.terminal_cells, placement.eve_cell, *eve_extra_cells
+        ):
+            x, y = geometry.cell_center(cell)
+            if jitter > 0:
+                x += float(rng.uniform(-jitter, jitter))
+                y += float(rng.uniform(-jitter, jitter))
+            positions.append((x, y))
+        n = placement.n_terminals
+        return positions[:n], positions[n:]
 
     def build_medium(
         self,
@@ -213,18 +255,15 @@ class Testbed:
             (medium, terminal_names) where terminal_names[i] corresponds
             to terminal_cells[i]; Eve's node is named ``"eve"``.
         """
-        for cell in eve_extra_cells:
-            if cell in placement.terminal_cells:
-                raise ValueError("Eve's extra antennas cannot share terminal cells")
-        terminal_positions, eve_position = self.node_positions(placement, rng)
+        terminal_positions, antennas = self.draw_positions(
+            placement, rng, eve_extra_cells
+        )
         terminals = [
             Terminal(name=f"T{i}", position=pos)
             for i, pos in enumerate(terminal_positions)
         ]
         eve = Eavesdropper(
-            name="eve",
-            position=eve_position,
-            extra_antennas=self.antenna_positions(tuple(eve_extra_cells), rng),
+            name="eve", position=antennas[0], extra_antennas=antennas[1:]
         )
         loss_model = PhysicalLossModel(self.config, self.interference)
         medium = BroadcastMedium(
@@ -258,8 +297,8 @@ class Testbed:
         """Monte-Carlo per-link loss rates per noise pattern (diagnostics).
 
         Returns { (src, dst, pattern_index): loss_rate } for every
-        directed terminal/Eve pair — used by calibration tests and the
-        EXPERIMENTS.md appendix.
+        directed terminal/Eve pair: the sampled reference the analytic
+        PER tables (:mod:`repro.testbed.pertable`) are checked against.
         """
         from repro.net.packet import PacketKind  # local to avoid cycle at import
 

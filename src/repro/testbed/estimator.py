@@ -98,9 +98,8 @@ class InterferenceAwareEstimator(EveErasureEstimator):
         n_patterns = len(field.patterns)
         if not field.enabled or n_patterns == 0:
             return 0.0
-        dwell = max(field.slots_per_pattern, 1)
         pattern_ids = [
-            (slot // dwell) % n_patterns
+            field.pattern_index(slot)
             for slot in (ctx.x_slots.get(xid) for xid in ids)
             if slot is not None
         ]
@@ -133,7 +132,7 @@ def calibrate_min_jam_loss(
         src="probe",
         payload=np.zeros(payload_bytes, dtype=np.uint8),
     ).wire_bits
-    loss_model = testbed_loss_model(testbed)
+    loss_model = PhysicalLossModel(testbed.config, field)
     worst: Optional[float] = None
     for rx_cell in geometry.all_cells():
         rx_pos = geometry.cell_center(rx_cell)
@@ -156,7 +155,3 @@ def calibrate_min_jam_loss(
                 worst = rate if worst is None else min(worst, rate)
     return (worst or 0.0) * quantile_discount
 
-
-def testbed_loss_model(testbed: Testbed) -> PhysicalLossModel:
-    """The deployment's physical loss model (shared helper)."""
-    return PhysicalLossModel(testbed.config, testbed.interference)

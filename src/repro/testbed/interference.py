@@ -111,14 +111,12 @@ class InterferenceField:
     def pattern_at(self, slot: int) -> NoisePattern:
         return self.patterns[self.pattern_index(slot)]
 
-    def interference_powers_dbm(self, position: tuple, slot: int) -> list:
-        """Powers (dBm) each active antenna lands on ``position``."""
-        if not self.enabled or not self.patterns:
-            return []
-        pattern = self.pattern_at(slot)
+    def pattern_powers_dbm(self, position: tuple, index: int) -> list:
+        """Powers (dBm) pattern ``index``'s antennas land on ``position``
+        (ignores ``enabled``)."""
         return [
             self.antennas[i].power_at_dbm(position, self.radio)
-            for i in pattern.antenna_ids
+            for i in self.patterns[index].antenna_ids
         ]
 
     def jammed_cells_for_pattern(self, geometry: TestbedGeometry, index: int) -> set:

@@ -1,20 +1,18 @@
 """Analytic per-pattern PER tables: the slot-aware testbed bridge.
 
-The batched engine used to reach the physical testbed through a
-Monte-Carlo link probe that *averaged loss across all interference
-patterns* into an IID :class:`~repro.sim.spec.MatrixLossSpec` — erasing
-exactly the slot-level burstiness the rotating schedule (§3.3/§4 of the
-paper) engineers.  This module replaces the probe with closed-form
+The batched engine reaches the physical testbed through closed-form
 channel math: for every (transmitter, receiver, noise pattern) triple
-the mean SINR follows from :mod:`repro.net.radio` path loss plus the
-pattern's active-antenna interference powers, and the Rayleigh-faded
-packet error rate is integrated by fixed quadrature
+the mean SINR comes from the deployment's one link model
+(:func:`repro.testbed.deployment.pattern_mean_sinr_db`, which the
+per-packet medium reads too), and the Rayleigh-faded packet error rate
+is integrated by fixed quadrature
 (:func:`repro.net.radio.expected_packet_loss`) instead of sampled.
 
 The result feeds a :class:`~repro.sim.spec.ScheduleLossSpec`, so the
 per-pattern structure — in-beam slots bursty-lossy, clear slots clean —
-survives all the way into the subset-lattice accounting.  Faster (no
-per-packet probe loop) and more faithful at once.
+survives all the way into the subset-lattice accounting.  The
+Monte-Carlo :meth:`~repro.testbed.deployment.Testbed.link_loss_probe`
+stays as the sampled reference these tables are checked against.
 
 Axis and ordering conventions (shared with :mod:`repro.sim.spec`):
 
@@ -28,10 +26,10 @@ Axis and ordering conventions (shared with :mod:`repro.sim.spec`):
   A multi-antenna Eve therefore contributes one loss column per
   antenna cell, and :func:`repro.sim.reception.sample_receptions`
   unions reception across exactly those trailing columns.
-* Geometry jitter draws from the caller's generator in
-  :meth:`~repro.testbed.deployment.Testbed.build_medium` order
-  (terminals, Eve, extra antennas), so a per-packet medium built from
-  the same seed sees identical positions.
+* Geometry jitter is drawn by
+  :meth:`~repro.testbed.deployment.Testbed.draw_positions`, the draw
+  :meth:`~repro.testbed.deployment.Testbed.build_medium` makes, so a
+  per-packet medium built from the same seed sees identical positions.
 """
 
 from __future__ import annotations
@@ -41,56 +39,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.net.packet import DEFAULT_HEADER_BYTES
-from repro.net.radio import expected_packet_loss, received_power_dbm, sinr_db
+from repro.net.radio import expected_packet_loss
 from repro.sim.spec import ScheduleLossSpec
-from repro.testbed.deployment import Testbed
+from repro.testbed.deployment import Testbed, pattern_mean_sinr_db
 from repro.testbed.placements import Placement
 
 __all__ = [
-    "pattern_mean_sinr_db",
     "schedule_loss_table",
-    "draw_positions",
     "leader_schedule_specs",
     "placement_schedule_specs",
 ]
-
-
-def pattern_mean_sinr_db(
-    testbed: Testbed,
-    tx_positions: Sequence[tuple],
-    rx_positions: Sequence[tuple],
-) -> np.ndarray:
-    """Pre-fading mean SINR per (pattern, transmitter, receiver).
-
-    Interference depends only on the receiver position and the active
-    pattern; the signal term only on the (tx, rx) distance.  Returns
-    shape ``(n_patterns, n_tx, n_rx)`` in dB.  With interference
-    disabled (or no patterns) a single all-clear pattern is returned so
-    the downstream schedule degenerates to the static channel.
-    """
-    cfg = testbed.config
-    field = testbed.interference
-    signal = np.empty((len(tx_positions), len(rx_positions)))
-    for i, tx in enumerate(tx_positions):
-        for j, rx in enumerate(rx_positions):
-            distance = float(np.hypot(tx[0] - rx[0], tx[1] - rx[1]))
-            signal[i, j] = received_power_dbm(
-                cfg.radio.tx_power_dbm, distance, cfg.radio
-            )
-    n_patterns = field.n_patterns() if field.enabled else 0
-    sinr = np.empty((max(n_patterns, 1),) + signal.shape)
-    if n_patterns == 0:
-        sinr[0] = signal - cfg.radio.noise_floor_dbm
-        return sinr
-    for k in range(n_patterns):
-        slot = k * cfg.slots_per_pattern
-        for j, rx in enumerate(rx_positions):
-            interference = field.interference_powers_dbm(rx, slot)
-            for i in range(len(tx_positions)):
-                sinr[k, i, j] = sinr_db(
-                    signal[i, j], interference, cfg.radio.noise_floor_dbm
-                )
-    return sinr
 
 
 def schedule_loss_table(
@@ -116,39 +74,12 @@ def schedule_loss_table(
         Array ``(n_patterns, n_tx, n_rx)`` of loss probabilities.
     """
     cfg = testbed.config
-    sinr = pattern_mean_sinr_db(testbed, tx_positions, rx_positions)
+    sinr = pattern_mean_sinr_db(
+        cfg, testbed.interference, tx_positions, rx_positions
+    )
     packet_bits = 8 * (payload_bytes + DEFAULT_HEADER_BYTES)
     per = expected_packet_loss(sinr, packet_bits, cfg.radio)
     return cfg.base_loss + (1.0 - cfg.base_loss) * per
-
-
-def draw_positions(
-    testbed: Testbed,
-    placement: Placement,
-    rng: np.random.Generator,
-    eve_extra_cells: tuple = (),
-) -> tuple:
-    """Jittered ``(tx_positions, rx_positions)`` of a placement's links.
-
-    Transmitters are the terminals in placement order; receivers are
-    the same terminals followed by every Eve antenna (her placement
-    cell, then ``eve_extra_cells`` in the order given).  The jitter
-    comes from ``rng`` in
-    :meth:`~repro.testbed.deployment.Testbed.build_medium` order, so a
-    twin of an experiment's generator draws the positions its
-    :func:`placement_schedule_specs` call will draw.
-
-    Raises:
-        ValueError: an extra antenna cell holds a terminal.
-    """
-    for cell in eve_extra_cells:
-        if cell in placement.terminal_cells:
-            raise ValueError("Eve's extra antennas cannot share terminal cells")
-    terminal_positions, eve_position = testbed.node_positions(placement, rng)
-    antenna_positions = [eve_position] + testbed.antenna_positions(
-        tuple(eve_extra_cells), rng
-    )
-    return terminal_positions, list(terminal_positions) + antenna_positions
 
 
 def placement_schedule_specs(
@@ -161,11 +92,10 @@ def placement_schedule_specs(
 ) -> list:
     """Per-leader :class:`~repro.sim.spec.ScheduleLossSpec`s for a placement.
 
-    The slot-aware replacement for the probe-based
-    ``placement_loss_specs`` bridge: one spec per leader, links ordered
-    as the batched engine expects (the other terminals in placement
-    order, then every Eve antenna), each carrying the full per-pattern
-    loss table and the deployment's dwell length.
+    One spec per leader, links ordered as the batched engine expects
+    (the other terminals in placement order, then every Eve antenna),
+    each carrying the full per-pattern loss table and the deployment's
+    dwell length.
 
     ``eve_extra_cells`` adds one trailing loss column per extra Eve
     antenna (the multi-antenna threat model of the paper's §6 and
@@ -176,30 +106,32 @@ def placement_schedule_specs(
     ``AdversarySpec(antennas=1 + len(eve_extra_cells))`` so the
     engine's reception sampler unions across all antenna columns.
 
-    ``rng`` draws the position jitter only (:func:`draw_positions`) —
-    the same stream
-    :meth:`~repro.testbed.deployment.Testbed.build_medium` would
-    consume (terminals, Eve, then extra antennas), so packet- and
+    ``rng`` draws the position jitter only, through
+    :meth:`~repro.testbed.deployment.Testbed.draw_positions` — the draw
+    :meth:`~repro.testbed.deployment.Testbed.build_medium` makes
+    (terminals, Eve, then extra antennas), so packet- and
     batched-engine experiments with a shared seed see the same
     geometry.
 
     ``prefetched``, when given, returns ``(positions, table)``: a
     :func:`schedule_loss_table` built elsewhere (the campaign runner's
     helper process, which also solves the leaders' planning LPs from
-    it) for the ``(tx_positions, rx_positions)`` pair of
-    :func:`draw_positions`.  The jitter is still drawn here, so the
-    generator is consumed exactly as without it, and the table is used
-    only if it was built for exactly the drawn positions.  Either way
+    it) for the ``(terminal_positions, eve_antenna_positions)`` pair
+    that :meth:`~repro.testbed.deployment.Testbed.draw_positions`
+    returns.  The jitter is still drawn here, so the generator is
+    consumed exactly as without it, and the table is used only if it
+    was built for exactly the drawn positions.  Either way
     the specs are cut by :func:`leader_schedule_specs`.
 
     Raises:
         ValueError: an extra antenna cell holds a terminal.
         RuntimeError: the prefetched table was built for other positions.
     """
-    positions = draw_positions(testbed, placement, rng, eve_extra_cells)
+    positions = testbed.draw_positions(placement, rng, eve_extra_cells)
     if prefetched is None:
+        terminals, antennas = positions
         table = schedule_loss_table(
-            testbed, *positions, payload_bytes=payload_bytes
+            testbed, terminals, terminals + antennas, payload_bytes
         )
     else:
         built_for, table = prefetched()

@@ -1,7 +1,8 @@
 """Analytic results: the efficiency curves behind Figure 1 and secrecy
 capacity bounds for erasure broadcast networks.
 
-See DESIGN.md §7 for the derivation the LP implements.
+docs/paper-map.md (Figure 1) maps the curves to the paper, and
+docs/architecture.md (Planning LP) describes how the level LP is solved.
 
 :mod:`repro.theory.allocation` complements the fractional LP with the
 *realised* side: memoized integral support flows on observed

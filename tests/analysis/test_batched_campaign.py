@@ -18,7 +18,6 @@ import pytest
 from repro import SessionConfig, Testbed, TestbedConfig
 from repro.analysis import (
     CampaignConfig,
-    placement_loss_specs,
     run_campaign,
     run_placement_experiment_batched,
 )
@@ -89,31 +88,6 @@ class TestExperimentSeedDerivation:
             for eve, cells in combos
         }
         assert len(seen) == len(combos)
-
-
-class TestPlacementLossSpecs:
-    def test_one_spec_per_leader_with_eve_last(self, testbed):
-        rng = np.random.default_rng(3)
-        specs = placement_loss_specs(testbed, PLACEMENT, rng, probe_trials=40)
-        assert len(specs) == PLACEMENT.n_terminals
-        for spec in specs:
-            # n - 1 receiver links plus Eve's antenna, all probabilities.
-            probs = spec.link_loss_probabilities(PLACEMENT.n_terminals)
-            assert probs.shape == (PLACEMENT.n_terminals,)
-            assert np.all((probs >= 0.0) & (probs <= 1.0))
-
-    def test_jammed_grid_is_lossy(self, testbed):
-        # With a 10 dBm interferer the mean link loss cannot be ~zero;
-        # a wiring bug (wrong link order, probe of the wrong pair)
-        # typically shows up as degenerate rates.
-        rng = np.random.default_rng(3)
-        specs = placement_loss_specs(testbed, PLACEMENT, rng, probe_trials=40)
-        mean_loss = float(
-            np.mean(
-                [spec.link_loss_probabilities(PLACEMENT.n_terminals) for spec in specs]
-            )
-        )
-        assert 0.05 < mean_loss < 0.95
 
 
 class TestBatchedPlacementExperiment:

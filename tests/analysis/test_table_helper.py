@@ -294,8 +294,8 @@ def test_tables_passed_over_are_cancelled(monkeypatch, tmp_path, no_leftovers):
 
 def test_a_table_for_other_positions_is_refused():
     placement = WORK[0]
-    (tx, rx), table, _ = BUILD_TABLE(TESTBED, placement, CONFIG)
-    moved = [(x + 1e-9, y) for x, y in tx], rx
+    (terminals, antennas), table, _ = BUILD_TABLE(TESTBED, placement, CONFIG)
+    moved = [(x + 1e-9, y) for x, y in terminals], antennas
 
     def specs(prefetched):
         return placement_schedule_specs(
@@ -304,7 +304,7 @@ def test_a_table_for_other_positions_is_refused():
             eve_extra_cells=CONFIG.eve_extra_cells, prefetched=prefetched,
         )
 
-    assert specs(lambda: ((tx, rx), table)) == specs(None)
+    assert specs(lambda: ((terminals, antennas), table)) == specs(None)
     with pytest.raises(RuntimeError, match="built for other positions"):
         specs(lambda: (moved, table))
 

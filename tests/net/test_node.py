@@ -1,16 +1,11 @@
-"""Nodes: reception logs, distances, multi-antenna geometry."""
+"""Nodes: reception logs, multi-antenna geometry."""
 
 import numpy as np
-import pytest
 
 from repro.net.node import Eavesdropper, Node, Terminal
 
 
 class TestNode:
-    def test_distance(self):
-        node = Node(name="a", position=(0.0, 0.0))
-        assert node.distance_to((3.0, 4.0)) == pytest.approx(5.0)
-
     def test_single_antenna_default(self):
         node = Node(name="a", position=(1.0, 2.0))
         assert node.antenna_positions() == [(1.0, 2.0)]

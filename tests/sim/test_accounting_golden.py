@@ -261,9 +261,9 @@ def per_tables() -> dict:
         rng = np.random.default_rng(2012)
         for n in range(3, 9):
             (placement,) = sample_placements(n, 1, rng)
-            terminals, eve = testbed.node_positions(placement, rng)
+            terminals, antennas = testbed.draw_positions(placement, rng)
             table = schedule_loss_table(
-                testbed, terminals, list(terminals) + [eve], payload_bytes=100
+                testbed, terminals, terminals + antennas, payload_bytes=100
             )
             out[f"{label} n={n}"] = {
                 "shape": list(table.shape),

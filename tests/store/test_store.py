@@ -1,13 +1,20 @@
 """The campaign store: fingerprints, shards, crash-safety, codecs."""
 
 import dataclasses
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import ExperimentRecord
+from repro import Testbed
+from repro.analysis.experiments import (
+    CampaignConfig,
+    ExperimentRecord,
+    experiment_store_key,
+)
+from repro.core import LeaveOneOutEstimator, OracleEstimator
 from repro.sim import (
     AdversarySpec,
     BatchedRoundEngine,
@@ -42,6 +49,15 @@ from repro.testbed import Placement
 
 def module_factory(testbed, placement):
     """Module-level callable for the factory-fingerprint test."""
+
+
+def other_module_factory(testbed, placement):
+    """A second module-level factory, for the partial-fingerprint test."""
+
+
+class PlainFactoryClass:
+    def __init__(self, testbed, placement):
+        self.testbed = testbed
 
 
 class StatefulFactory:
@@ -117,6 +133,43 @@ class TestFingerprint:
         assert fingerprint(StatefulFactory(0.02)) == fingerprint(
             StatefulFactory(0.02)
         )
+
+    def test_partials_are_keyed_by_function_and_arguments(self):
+        """Two partial estimator factories are two experiments: a
+        resumed campaign must not load one's records for the other."""
+        base = fingerprint(functools.partial(module_factory, margin=1))
+        assert base == fingerprint(functools.partial(module_factory, margin=1))
+        for other in (
+            functools.partial(other_module_factory, margin=1),
+            functools.partial(module_factory, margin=2),
+            functools.partial(module_factory, extra=1),
+            functools.partial(module_factory, 1),
+        ):
+            assert fingerprint(other) != base
+        config = CampaignConfig(seed=3)
+        placement = Placement(eve_cell=4, terminal_cells=(0, 2, 6))
+        testbed = Testbed()
+        keys = {
+            experiment_store_key(testbed, config, "packet", factory, placement)
+            for factory in (
+                functools.partial(module_factory, margin=1),
+                functools.partial(other_module_factory, rate=2),
+            )
+        }
+        assert len(keys) == 2
+
+    def test_a_class_is_keyed_by_its_qualname(self):
+        """A class used as a factory fingerprints like a function: its
+        methods and descriptors are code, not configuration."""
+        key = fingerprint(PlainFactoryClass)
+        assert key == fingerprint(PlainFactoryClass)
+        assert json.loads(canonical_json(PlainFactoryClass)) == {
+            "__callable__": f"{__name__}.PlainFactoryClass",
+            "state": {},
+        }
+        # Estimator classes are ABC subclasses (``__abstractmethods__``).
+        assert fingerprint(OracleEstimator) != fingerprint(LeaveOneOutEstimator)
+        assert fingerprint(StatefulFactory) != fingerprint(StatefulFactory(0.02))
 
     def test_unfingerprintable_rejected(self):
         with pytest.raises(TypeError, match="cannot fingerprint"):

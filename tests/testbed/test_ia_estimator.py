@@ -96,10 +96,10 @@ class TestCalibration:
         # Spot-check one cell/pattern combination against the floor.
         from repro.net.node import Terminal
         from repro.net.packet import Packet, PacketKind
-        from repro.testbed.estimator import testbed_loss_model
+        from repro.testbed.deployment import PhysicalLossModel
 
         geometry = testbed.config.geometry
-        model = testbed_loss_model(testbed)
+        model = PhysicalLossModel(testbed.config, testbed.interference)
         packet = Packet(
             kind=PacketKind.X_DATA, src="tx",
             payload=np.zeros(100, dtype=np.uint8),

@@ -101,21 +101,21 @@ class TestCoverage:
             c for c in geometry.all_cells()
             if c not in field.jammed_cells(geometry, slot)
         )
+        pattern = field.pattern_index(slot)
         jam_power = sum(
             10 ** (p / 10)
-            for p in field.interference_powers_dbm(
-                geometry.cell_center(jammed_cell), slot
+            for p in field.pattern_powers_dbm(
+                geometry.cell_center(jammed_cell), pattern
             )
         )
         clear_power = sum(
             10 ** (p / 10)
-            for p in field.interference_powers_dbm(
-                geometry.cell_center(clear_cell), slot
+            for p in field.pattern_powers_dbm(
+                geometry.cell_center(clear_cell), pattern
             )
         )
         assert jam_power > 30 * clear_power
 
     def test_disabled_field_produces_nothing(self, field, geometry):
         field.enabled = False
-        assert field.interference_powers_dbm((1.0, 1.0), 0) == []
         assert field.jammed_cells(geometry, 0) == set()

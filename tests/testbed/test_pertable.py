@@ -85,7 +85,9 @@ class TestTableVsMonteCarloProbe:
             TestbedConfig(interference_enabled=False, position_jitter_m=0.0)
         )
         terminals, eve = cell_positions(quiet, PLACEMENT)
-        sinr = pattern_mean_sinr_db(quiet, terminals, [eve])
+        sinr = pattern_mean_sinr_db(
+            quiet.config, quiet.interference, terminals, [eve]
+        )
         assert sinr.shape[0] == 1
         table = schedule_loss_table(quiet, terminals, terminals + [eve])
         # Short LOS links without interference are near-lossless beyond
@@ -115,24 +117,27 @@ class TestPlacementScheduleSpecs:
             assert np.all((probs >= 0.0) & (probs <= 1.0))
 
     def test_marginals_match_legacy_probe_bridge(self, testbed):
-        """The slot-aware bridge must agree with the old pattern-averaged
-        probe on the *marginal* per-link loss — it adds burstiness, it
-        does not move the mean."""
-        from repro.analysis import placement_loss_specs
-
-        rng = np.random.default_rng(3)
-        probed = placement_loss_specs(
-            testbed, PLACEMENT, rng, probe_trials=400
+        """The slot-aware bridge must agree with the pattern-averaged
+        Monte-Carlo link probe (what the batched engine was once fed)
+        on the *marginal* per-link loss — it adds burstiness, it does
+        not move the mean."""
+        probe = testbed.link_loss_probe(
+            PLACEMENT, np.random.default_rng(3), packet_bytes=128, trials=400
         )
         analytic = placement_schedule_specs(
             testbed, PLACEMENT, np.random.default_rng(3), payload_bytes=128
         )
         n = PLACEMENT.n_terminals
-        for probe_spec, schedule_spec in zip(probed, analytic):
+        n_patterns = testbed.interference.n_patterns()
+        names = [f"T{i}" for i in range(n)]
+        for leader, schedule_spec in zip(names, analytic):
+            receivers = [t for t in names if t != leader] + ["eve"]
+            probed = [
+                np.mean([probe[(leader, dst, k)] for k in range(n_patterns)])
+                for dst in receivers
+            ]
             assert np.allclose(
-                probe_spec.link_loss_probabilities(n),
-                schedule_spec.link_loss_probabilities(n),
-                atol=0.04,
+                probed, schedule_spec.link_loss_probabilities(n), atol=0.04
             )
 
     def test_jitter_consumes_the_same_stream_as_build_medium(self):
@@ -140,12 +145,12 @@ class TestPlacementScheduleSpecs:
             TestbedConfig(interferer_power_dbm=10.0, position_jitter_m=0.3)
         )
         seed = 11
-        terminals, eve = jittered.node_positions(
-            PLACEMENT, np.random.default_rng(seed)
+        terminals, antennas = jittered.draw_positions(
+            PLACEMENT, np.random.default_rng(seed), eve_extra_cells=(1,)
         )
         medium, names = jittered.build_medium(
-            PLACEMENT, np.random.default_rng(seed)
+            PLACEMENT, np.random.default_rng(seed), eve_extra_cells=(1,)
         )
         for name, expected in zip(names, terminals):
             assert medium.node(name).position == expected
-        assert medium.node("eve").position == eve
+        assert medium.node("eve").antenna_positions() == antennas
