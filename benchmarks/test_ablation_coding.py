@@ -1,4 +1,4 @@
-"""Ablation: coding construction (DESIGN.md §3, items 1-2).
+"""Ablation: coding construction (docs/architecture.md, `coding`).
 
 * **Cauchy vs random coefficients**: random combination matrices lose
   rank with probability ~ rows/256 per block; Cauchy blocks never do.

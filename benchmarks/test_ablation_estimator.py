@@ -1,4 +1,4 @@
-"""Ablation: estimator choice (DESIGN.md §3, items 1 and 3).
+"""Ablation: estimator choice (docs/paper-map.md, §3 and §4).
 
 Compares, on the same placements:
 

@@ -1,4 +1,4 @@
-"""Ablation: artificial interference on/off (DESIGN.md §3, item 4).
+"""Ablation: artificial interference on/off (docs/paper-map.md, §4).
 
 The paper's §3.3 argument: without engineered noise, Eve — same PHY,
 line of sight — may miss (almost) nothing a terminal received, so no

@@ -8,7 +8,7 @@ the per-placement table.
 Shape assertions: reliability 1.0 in every placement (the paper's
 r_min = 1 at n = 8) and minimum efficiency within the paper's order of
 magnitude (a few secret kbps at 1 Mbps; our simulated room differs from
-the authors', DESIGN.md §2).
+the authors', docs/paper-map.md §4).
 """
 
 import numpy as np

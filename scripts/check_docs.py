@@ -10,10 +10,11 @@ Scans ``README.md`` and ``docs/*.md`` for
 * ``path.py`` (`TestClass`) pairs — the named test class/function must
   actually appear in that file;
 
-and scans the docstrings and comments of ``src/repro/**/*.py`` for
-fully qualified Sphinx cross-references (``:func:``, ``:meth:``,
-``:class:``, ``:mod:``, ``:data:``, ``:attr:`` and ``:exc:`` roles
-naming ``repro.*``, with or without a leading ``~``) — each must
+and scans the docstrings and comments of ``src/repro/**/*.py``,
+``scripts/**/*.py`` and ``benchmarks/**/*.py`` for fully qualified
+Sphinx cross-references (``:func:``, ``:meth:``, ``:class:``,
+``:mod:``, ``:data:``, ``:attr:`` and ``:exc:`` roles naming
+``repro.*``, with or without a leading ``~``) — each must
 resolve like a dotted reference in the docs — and for markdown file
 names (``docs/architecture.md``, ``README.md``, ...), each of which
 must exist relative to the repo root or to ``docs/``.
@@ -141,7 +142,11 @@ def main() -> int:
     errors: list[str] = []
     for doc in docs:
         errors.extend(check_file(doc))
-    sources = sorted((REPO / "src" / "repro").rglob("*.py"))
+    sources = [
+        path
+        for tree in ("src/repro", "scripts", "benchmarks")
+        for path in sorted((REPO / tree).rglob("*.py"))
+    ]
     n_roles = 0
     for source in sources:
         found, stale = check_source(source)

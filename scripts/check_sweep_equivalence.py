@@ -15,10 +15,10 @@ Usage::
     python scripts/check_sweep_equivalence.py STORE_A STORE_B \\
         [--manifest PREFIX]
 
-Stores are named by URI (``file:DIR``, ``sqlite:PATH.db``,
-``mem:NAME``) or a bare directory path, so the nightly drills can
-byte-diff a sqlite drain — or an exported ``mem:`` drill — directly
-against the serial filesystem baseline.  Every manifest present in
+Stores are named by URI (``file:DIR``, ``mem:NAME``) or a bare
+directory path, so the nightly drills can byte-diff a 2-worker
+``file:`` drain — or an exported ``mem:`` drill — directly against the
+serial filesystem baseline.  Every manifest present in
 STORE_A (optionally filtered by name prefix) is checked; exits
 non-zero listing each divergent or missing shard.
 """

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Reference campaign for EXPERIMENTS.md: Figure 2 + headline numbers.
+"""Reference campaign: Figure 2 + headline numbers (docs/paper-map.md).
 
 Runs the testbed campaign with the deployment estimator (interference
 guarantee combined with leave-one-out) and, separately, with the pure
@@ -25,9 +25,8 @@ finishes (see :mod:`repro.store`); with ``--resume`` a re-run loads
 finished experiments instead of recomputing them, so an interrupted
 campaign restarts from the last completed placement and ends
 bit-identical to an uninterrupted run.  The store target is a URI
-selecting the backend — ``file:DIR`` (a bare path means the same),
-``sqlite:PATH.db`` or ``mem:NAME`` — and every backend gives the same
-crash-safety contract (see ``tests/store/conformance``).  With a
+selecting the backend — ``file:DIR`` (a bare path means the same) or
+``mem:NAME`` — and both backends give the same crash-safety contract (see ``tests/store/conformance``).  With a
 store, the summary tables are computed by *streaming* the stored
 records through the merge-able accumulators in
 :mod:`repro.analysis.stats` — the experiment population is never
@@ -40,8 +39,8 @@ Multi-host sweeps (``--manifest NAME``, ``--worker``,
 saved as a named :class:`repro.store.SweepManifest` next to the shards
 (``NAME-<engine>-<variant>``) and drained through the crash-safe
 :class:`repro.store.WorkQueue` — any number of script invocations
-pointed at the same store (one host sharing a directory or sqlite
-file, or many hosts sharing a filesystem) drain the sweep together,
+pointed at the same store (one host sharing a directory, or many
+hosts sharing a filesystem) drain the sweep together,
 SIGKILLed workers' leases expire and are reclaimed, and the final
 aggregates are bit-identical to a serial run.  ``--workers-per-host
 N`` forks N-1 extra drain processes locally; ``--worker`` joins a
@@ -277,9 +276,8 @@ def main():
         metavar="URI",
         default=None,
         help="persist each completed experiment to a content-keyed shard "
-        "in the store at URI — file:DIR (a bare path means the same), "
-        "sqlite:PATH.db or mem:NAME (crash-safe; summaries then stream "
-        "from the store)",
+        "in the store at URI — file:DIR (a bare path means the same) "
+        "or mem:NAME (crash-safe; summaries then stream from the store)",
     )
     parser.add_argument(
         "--export-store",

@@ -43,7 +43,6 @@ Package map (docs/architecture.md has the full layer map):
 - :mod:`repro.auth` — active-adversary extension (one-time MACs).
 """
 
-from repro.coding import SystematicMDSCode
 from repro.core import (
     CollusionEstimator,
     CombinedEstimator,
@@ -152,6 +151,4 @@ __all__ = [
     "LeaveOneOutEstimatorSpec",
     "CollusionEstimatorSpec",
     "CombinedEstimatorSpec",
-    # substrates
-    "SystematicMDSCode",
 ]

@@ -3,9 +3,6 @@
 This package implements the combination constructions the paper defers to
 its technical report [9] (arXiv:1105.4991):
 
-* :mod:`repro.coding.mds` — a systematic MDS erasure code over GF(2^8)
-  (Cauchy-parity Reed-Solomon flavour), the building block behind every
-  combination family and a general-purpose substrate in its own right.
 * :mod:`repro.coding.privacy` — privacy amplification: plans and builds
   the y-packet combination blocks so that the group secret is perfectly
   hidden from Eve whenever the erasure estimator's lower bounds hold, and
@@ -15,7 +12,6 @@ its technical report [9] (arXiv:1105.4991):
   from public z-packets, and assemble s-packets.
 """
 
-from repro.coding.mds import SystematicMDSCode
 from repro.coding.privacy import (
     CombinationBlock,
     GroupCodingPlan,
@@ -33,7 +29,6 @@ from repro.coding.reconcile import (
 )
 
 __all__ = [
-    "SystematicMDSCode",
     "CombinationBlock",
     "YAllocation",
     "GroupCodingPlan",

@@ -19,8 +19,8 @@ Public surface:
 * :mod:`repro.gf.linalg` — :class:`GFMatrix` with rank / solve / inverse /
   null-space, the workhorse behind both decoding and leakage measurement,
   and :func:`conditional_rank` for Eve's hidden dimensions.
-* :mod:`repro.gf.matrices` — Cauchy and Vandermonde MDS generator
-  matrices, whose minor-nonsingularity properties carry the secrecy proofs.
+* :mod:`repro.gf.matrices` — Cauchy generator matrices, whose
+  every-minor-nonsingular property carries the secrecy proofs.
 """
 
 from repro.gf.field import (
@@ -33,7 +33,7 @@ from repro.gf.field import (
     gf_pow,
 )
 from repro.gf.linalg import GFMatrix, conditional_rank
-from repro.gf.matrices import cauchy_matrix, is_superregular_sample, vandermonde_matrix
+from repro.gf.matrices import cauchy_matrix
 
 __all__ = [
     "GF_ORDER",
@@ -46,6 +46,4 @@ __all__ = [
     "GFMatrix",
     "conditional_rank",
     "cauchy_matrix",
-    "vandermonde_matrix",
-    "is_superregular_sample",
 ]

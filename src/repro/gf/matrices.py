@@ -1,23 +1,17 @@
-"""MDS generator matrices over GF(2^8): Cauchy and Vandermonde families.
+"""Cauchy generator matrices over GF(2^8).
 
-The secrecy arguments of the protocol hinge on structured matrices:
-
-* A **Cauchy matrix** ``C[i][j] = 1 / (x_i + y_j)`` (with all ``x_i``,
-  ``y_j`` distinct) has *every square minor nonsingular* — the
-  "superregular" property.  This is the strongest possible MDS-type
-  guarantee and is what lets one matrix serve simultaneously as the
-  z-combination block (decodability for every terminal, whatever subset
-  of y-packets it is missing) and, stacked with the s-block, as a secrecy
-  certificate (row spaces intersect trivially).
-
-* A **Vandermonde matrix** ``V[i][j] = a_j ** i`` with distinct ``a_j``
-  has every maximal (k x k, k = row count) minor nonsingular, which is
-  the textbook MDS generator property — enough for the y-construction on
-  a single support pool.
+The secrecy arguments of the protocol hinge on one structured family.
+A **Cauchy matrix** ``C[i][j] = 1 / (x_i + y_j)`` (with all ``x_i``,
+``y_j`` distinct) has *every square minor nonsingular* — the
+"superregular" property.  This is the strongest possible MDS-type
+guarantee and is what lets one matrix serve simultaneously as the
+z-combination block (decodability for every terminal, whatever subset
+of y-packets it is missing) and, stacked with the s-block, as a secrecy
+certificate (row spaces intersect trivially).
 
 Size limits: a Cauchy matrix over GF(256) needs ``rows + cols <= 256``
 distinct field points.  The privacy-amplification layer chunks larger
-pools (see :mod:`repro.coding.privacy`), so these builders simply raise
+pools (see :mod:`repro.coding.privacy`), so the builder simply raises
 on oversize requests.
 """
 
@@ -26,12 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gf.linalg import GFMatrix
-from repro.gf.tables import EXP, INV, LOG
+from repro.gf.tables import INV
 
 __all__ = [
     "cauchy_matrix",
-    "vandermonde_matrix",
-    "is_superregular_sample",
     "MAX_CAUCHY_POINTS",
 ]
 
@@ -70,43 +62,3 @@ def cauchy_matrix(rows: int, cols: int, offset: int = 0) -> GFMatrix:
     # sets are disjoint.
     return GFMatrix(INV[x[:, None] ^ y[None, :]])
 
-
-def vandermonde_matrix(rows: int, cols: int, start: int = 1) -> GFMatrix:
-    """Build a ``rows x cols`` Vandermonde matrix ``V[i][j] = a_j ** i``.
-
-    Evaluation points are ``start .. start+cols-1`` and must be distinct
-    and nonzero, so ``start >= 1`` and ``start + cols <= 256``.
-
-    Any ``rows`` columns of the result are linearly independent (for
-    ``rows <= cols``), i.e. the matrix generates an MDS code.
-    """
-    if rows < 0 or cols < 0:
-        raise ValueError("matrix dimensions must be non-negative")
-    if start < 1 or start + cols > 256:
-        raise ValueError("Vandermonde points must be distinct nonzero field elements")
-    points = np.arange(start, start + cols)
-    # a_j ** i through the log tables; every point is nonzero.
-    return GFMatrix(EXP[LOG[points][None, :] * np.arange(rows)[:, None] % 255])
-
-
-def is_superregular_sample(
-    matrix: GFMatrix, rng: np.random.Generator, trials: int = 50
-) -> bool:
-    """Spot-check the every-minor-nonsingular property by random sampling.
-
-    Exhaustively checking all minors is exponential; tests use this
-    randomised certifier (plus small exhaustive cases) instead.  Returns
-    False as soon as any sampled square minor is singular.
-    """
-    r, c = matrix.shape
-    if r == 0 or c == 0:
-        return True
-    max_k = min(r, c)
-    for _ in range(trials):
-        k = int(rng.integers(1, max_k + 1))
-        row_idx = rng.choice(r, size=k, replace=False)
-        col_idx = rng.choice(c, size=k, replace=False)
-        minor = matrix.take_rows(sorted(row_idx)).take_cols(sorted(col_idx))
-        if not minor.is_invertible():
-            return False
-    return True

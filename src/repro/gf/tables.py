@@ -81,31 +81,3 @@ def build_product_tables(
 EXP, LOG = build_tables()
 MUL, INV = build_product_tables(EXP, LOG)
 
-
-def multiplicative_order(element: int, poly: int = GF_POLY) -> int:
-    """Order of ``element`` in the multiplicative group of the field.
-
-    Used by tests to certify that the configured polynomial is primitive
-    (the generator must have order 255).
-    """
-    if element == 0:
-        raise ValueError("0 has no multiplicative order")
-    value = 1
-    for k in range(1, 256):
-        value = _poly_mul(value, element, poly)
-        if value == 1:
-            return k
-    raise AssertionError("element order not found; polynomial not irreducible?")
-
-
-def _poly_mul(a: int, b: int, poly: int) -> int:
-    """Carry-less polynomial multiplication modulo ``poly`` (reference impl)."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        b >>= 1
-        a <<= 1
-        if a & 0x100:
-            a ^= poly
-    return result

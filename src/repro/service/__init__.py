@@ -62,7 +62,6 @@ from repro.service.reference import (
     build_reference_session,
     reference_budget,
     reference_keys,
-    reference_secret,
 )
 from repro.service.transport import (
     FaultSpec,
@@ -105,7 +104,6 @@ __all__ = [
     "FlakyTransport",
     "TraceLossModel",
     "build_reference_session",
-    "reference_secret",
     "reference_budget",
     "reference_keys",
     "run_leader",

@@ -39,7 +39,6 @@ from repro.service.derive import DerivedKeys, LeakageBudget, derive_session_keys
 __all__ = [
     "TraceLossModel",
     "build_reference_session",
-    "reference_secret",
     "reference_budget",
     "reference_keys",
 ]
@@ -125,16 +124,6 @@ def _reference_rounds(
 def _budget_of(config: ServiceConfig, rounds: List[RoundResult]) -> LeakageBudget:
     return LeakageBudget.from_rounds(
         [r.leakage for r in rounds], config.payload_bytes, config.secrecy_margin_bits
-    )
-
-
-def reference_secret(
-    config: ServiceConfig, leader: str, followers: Tuple[str, ...]
-) -> np.ndarray:
-    """The stacked multi-round secret the simulator derives on the
-    config's traces — what every live peer must reproduce exactly."""
-    return stack_secrets(
-        [r.secret for r in _reference_rounds(config, leader, followers)]
     )
 
 

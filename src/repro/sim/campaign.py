@@ -676,8 +676,8 @@ class CampaignRunner:
 def _as_store(store):
     """Accept a CampaignStore, a store URI/path/backend, or None.
 
-    URI strings select a backend by scheme (``file:``, ``sqlite:``,
-    ``mem:`` — see :func:`repro.store.backend.open_store`); a bare
+    URI strings select a backend by scheme (``file:`` or ``mem:`` —
+    see :func:`repro.store.backend.open_store`); a bare
     path keeps its historical meaning, a filesystem store directory.
     """
     if store is None:

@@ -25,10 +25,10 @@ package removes that ceiling with three small pieces:
   processes drain the same manifest concurrently and crash-safely.
 * :mod:`repro.store.backend` — the pluggable backend layer beneath all
   of the above: :class:`StoreBackend`/:class:`LeaseBackend` interfaces
-  with three implementations (``file:`` shared-filesystem JSONL +
-  ``O_EXCL`` leases, ``sqlite:`` one transactional database file,
-  ``mem:`` an in-process S3-style object store with conditional-put
-  leases), selected by URI via :func:`open_store`.  The backend
+  with two implementations (``file:`` shared-filesystem JSONL +
+  ``O_EXCL`` leases, the one durable store, and ``mem:`` an
+  in-process S3-style object store with conditional-put leases, the
+  fault-injection harness), selected by URI via :func:`open_store`.  The backend
   conformance suite (``tests/store/conformance``) pins the contract
   every implementation must satisfy.
 

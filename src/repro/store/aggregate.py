@@ -100,7 +100,7 @@ def stream_aggregates(
     Args:
         store: the campaign store to read — a
             :class:`~repro.store.store.CampaignStore`, or a store URI /
-            path (``file:``/``sqlite:``/``mem:``, resolved by
+            path (``file:``/``mem:``, resolved by
             :func:`repro.store.backend.open_store`; reading never
             creates a store).
         keys: shard keys to aggregate over — pass the campaign's own

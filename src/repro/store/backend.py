@@ -14,16 +14,15 @@ filesystem at all:
   expiry *break* that re-judges lease age at removal time so a stale
   observation can never kill a live peer's lease.
 
-Three implementations ship (one module each):
+Two implementations ship (one module each):
 
 =========  =======================  ==========================================
 scheme     module                   mechanism
 =========  =======================  ==========================================
 ``file:``  ``repro.store.backend_fs``      fsynced JSONL shards + ``O_EXCL``
                                            lease files (the PR 4/5 layout,
-                                           byte-identical)
-``sqlite:`` ``repro.store.backend_sqlite`` one transactional database file;
-                                           leases are compare-and-swap rows
+                                           byte-identical); the one
+                                           durable store
 ``mem:``   ``repro.store.backend_mem``     in-process object store emulating
                                            S3-style conditional puts
                                            (ETag / if-match), with injectable
@@ -31,13 +30,17 @@ scheme     module                   mechanism
 =========  =======================  ==========================================
 
 Backends are selected by URI via :func:`open_store` (``file:/dir``,
-``sqlite:/path.db``, ``mem:name``; a bare path means ``file:``).  The
+``mem:name``; a bare path means ``file:``).  The
 semantics every backend must honour — torn-write tolerance,
 last-record-wins dedupe, single-winner claims, expiry judged only in
 the backend's **own clock domain** — are pinned by the parametrized
 conformance suite in ``tests/store/conformance/``: a new backend is
 "implement these two interfaces and go green", not re-derive the
 crash-safety argument.
+
+A ``sqlite:`` URI (a single-database backend older versions shipped)
+is refused with a :class:`ValueError` naming the commit that last
+opens it; copy such a store to ``file:`` there with :func:`copy_store`.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ __all__ = [
 
 #: Shard keys are content-hash hex digests (see repro.store.fingerprint);
 #: every backend validates against this before touching storage, so a
-#: malformed key can never escape into a path, SQL value, or object name.
+#: malformed key can never escape into a path or object name.
 KEY_RE = re.compile(r"^[0-9a-f]{8,64}$")
 
 #: Lease namespaces and document names share the manifest-name alphabet.
@@ -92,7 +95,7 @@ class LeaseView:
             unreadable (a torn mid-write observation — treated as
             *held* by an unknown peer, never as free).
         heartbeat: the last heartbeat instant, stamped by the
-            **backend's** clock (filesystem mtime, SQL clock, memory
+            **backend's** clock (filesystem mtime, memory
             clock) — compare only against :meth:`LeaseBackend.now`,
             never against this process's wall clock.
     """
@@ -145,7 +148,7 @@ class LeaseBackend(ABC):
         """Remove the lease iff it has gone ``timeout`` without a beat.
 
         Expiry is re-verified atomically with the removal (compare-and-
-        swap, transaction, or breaker lock — the backend's choice), so
+        swap or breaker lock — the backend's choice), so
         a stale earlier observation can never kill a live lease.
         Returns True iff this call removed an expired lease.
         """
@@ -183,7 +186,7 @@ class StoreBackend(ABC):
     old or the new payload, nothing in between).
     """
 
-    #: URI scheme this backend answers to (``file``, ``sqlite``, ``mem``).
+    #: URI scheme this backend answers to (``file``, ``mem``).
     scheme: str = ""
 
     @property
@@ -204,10 +207,10 @@ class StoreBackend(ABC):
         returns, every line survives a crash; until it does, a crash
         loses at most lines of this batch (each surfacing as *absent*,
         never mangled).  Backends override this to amortise the sync
-        cost over the whole batch (one ``os.sync``, one transaction,
-        one conditional put per shard); the fallback is a per-record
-        loop, so callers may always batch.  In-batch order is
-        preserved per key (last line wins on read, as ever).
+        cost over the whole batch (one ``os.sync``, one conditional
+        put per shard); the fallback is a per-record loop, so callers
+        may always batch.  In-batch order is preserved per key (last
+        line wins on read, as ever).
         """
         for key, line in items:
             self.append_record(key, line)
@@ -252,8 +255,10 @@ def open_backend(
     """Resolve a store URI (or bare path, or backend) to a backend.
 
     ``file:/dir`` (or any plain path) → the filesystem backend;
-    ``sqlite:/path.db`` → the single-file sqlite backend; ``mem:name``
-    → the named in-process object store.  With ``create=False`` the
+    ``mem:name`` → the named in-process object store.  A ``sqlite:``
+    URI raises :class:`ValueError`: that backend is gone, and the
+    message names the commit whose :func:`copy_store` moves such a
+    database to ``file:``.  With ``create=False`` the
     backing storage must already exist (read-only status views must
     not create stores as a side effect) — :class:`FileNotFoundError`
     otherwise.
@@ -272,10 +277,18 @@ def open_backend(
         scheme, rest = "file", spec
     else:
         scheme, rest = match.group(1).lower(), match.group(2)
-        if scheme not in ("file", "sqlite", "mem"):
+        if scheme == "sqlite":
+            raise ValueError(
+                f"store {spec!r} is a sqlite database, a backend this "
+                "version no longer opens; copy it to a file: store with "
+                "repro.store.copy_store at commit 85ca4c6, e.g. "
+                "copy_store(open_store('sqlite:OLD.db'), "
+                "open_store('file:NEW')), then open the copy"
+            )
+        if scheme not in ("file", "mem"):
             raise ValueError(
                 f"unknown store scheme {scheme!r} in {spec!r} "
-                "(known: file:, sqlite:, mem:)"
+                "(known: file:, mem:)"
             )
         if "?" in rest:
             raise ValueError(f"store URIs take no query: {spec!r}")
@@ -288,10 +301,6 @@ def open_backend(
         from repro.store.backend_fs import FilesystemStoreBackend
 
         return FilesystemStoreBackend(rest, create=create)
-    if scheme == "sqlite":
-        from repro.store.backend_sqlite import SqliteStoreBackend
-
-        return SqliteStoreBackend(rest, create=create)
     from repro.store.backend_mem import MemoryStoreBackend
 
     return MemoryStoreBackend.named(rest, create=create)
@@ -326,7 +335,7 @@ def copy_store(
     seed of the cross-store fleet aggregation the roadmap names.
 
     Records cross the interface as complete lines, so copying between
-    backends (``mem:`` → ``file:``, ``file:`` → ``sqlite:``) is
+    backends (``mem:`` → ``file:``) or between two ``file:`` stores is
     lossless: the destination lays the same lines out its own way.
     Each shard lands in one batched append.
     """

@@ -18,7 +18,8 @@ spellings, non-finite floats become tagged sentinels
 (strict JSON has no ``NaN``), and callables — estimator factories —
 serialise as their dotted qualname plus their instance attributes
 (a factory's behaviour lives in its code identity and configuration,
-not its memory address); a class is its qualname alone, and a
+not its memory address); a class is its qualname alone, a bound
+method is its qualname plus the object it is bound to, and a
 ``functools.partial`` is its wrapped callable plus the positional and
 keyword arguments it binds.  The digest is SHA-256, so fingerprints are
 independent of ``PYTHONHASHSEED``, process, and platform.
@@ -35,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import math
 from typing import Any, Tuple
@@ -83,18 +85,36 @@ def _encode(obj: Any) -> Any:
             "args": _encode(obj.args),
             "keywords": _encode(obj.keywords),
         }
-    if callable(obj):
-        # Functions carry their own qualname, and so does a class (its
-        # __dict__ holds methods and descriptors, not configuration); a
-        # configured factory *instance* is identified by its class plus
-        # state.
-        target = obj if hasattr(obj, "__qualname__") else type(obj)
-        state = None if isinstance(obj, type) else getattr(obj, "__dict__", None)
+    if inspect.ismethod(obj):
+        # A bound method is its function plus the object it is bound
+        # to: Factory(1).make and Factory(2).make are two factories.
+        receiver = obj.__self__
         return {
-            "__callable__": f"{target.__module__}.{target.__qualname__}",
-            "state": _encode(dict(state)) if state else {},
+            "__callable__": f"{obj.__module__}.{obj.__qualname__}",
+            "self": (
+                _encode(receiver)
+                if dataclasses.is_dataclass(receiver)
+                else _configured(receiver)
+            ),
         }
+    if callable(obj):
+        return _configured(obj)
     raise TypeError(f"cannot fingerprint {type(obj).__name__}: {obj!r}")
+
+
+def _configured(obj: Any) -> Any:
+    """A callable, or a method's receiver, as its qualname plus state.
+
+    Functions carry their own qualname, and so does a class (its
+    __dict__ holds methods and descriptors, not configuration); a
+    configured *instance* is identified by its class plus state.
+    """
+    target = obj if hasattr(obj, "__qualname__") else type(obj)
+    state = None if isinstance(obj, type) else getattr(obj, "__dict__", None)
+    return {
+        "__callable__": f"{target.__module__}.{target.__qualname__}",
+        "state": _encode(dict(state)) if state else {},
+    }
 
 
 def canonical_json(obj: Any) -> str:

@@ -22,8 +22,7 @@ two questions a multi-host sweep keeps asking:
 The document is written **atomically** next to the shards it indexes,
 through the store backend's document primitive (filesystem backend:
 ``store-root/<name>.manifest.json`` via temp file + fsync +
-:func:`os.replace`; sqlite: a transactional upsert; object store: a
-whole-object put), so a reader never observes a half-written manifest
+:func:`os.replace`; object store: a whole-object put), so a reader never observes a half-written manifest
 and a crash mid-save leaves the previous version intact.  Re-saving identical content is a
 no-op; saving changed content bumps ``version`` — workers can detect a
 redefined sweep instead of silently draining a stale key list.
@@ -191,8 +190,8 @@ class SweepManifest:
         version is returned; when the content differs, the document is
         replaced with ``version = stored + 1``.  The write itself is
         the backend's atomic document replacement (filesystem: a
-        same-directory temp file + fsync + :func:`os.replace`; sqlite:
-        a row upsert; object store: a whole-object put), so readers
+        same-directory temp file + fsync + :func:`os.replace`; object
+        store: a whole-object put), so readers
         only ever see a complete document and a crash mid-save cannot
         corrupt the previous one.
         """

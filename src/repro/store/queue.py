@@ -1,7 +1,7 @@
 """Crash-safe work queue over the campaign store's lease backend.
 
 Any number of worker processes — on one host, on many hosts sharing a
-filesystem, or on a fleet sharing only a database or object store —
+filesystem, or on a fleet sharing only an object store —
 drain the same :class:`~repro.store.manifest.SweepManifest`
 concurrently through a :class:`WorkQueue`.  The queue is three small
 mechanisms, each chosen so that *no* failure mode can lose or corrupt
@@ -9,26 +9,24 @@ work:
 
 * **Atomic claims.**  A claim is the lease backend's test-and-set
   (:meth:`~repro.store.backend.LeaseBackend.acquire`): an ``O_CREAT |
-  O_EXCL`` lease file on the filesystem backend, an ``INSERT OR
-  IGNORE`` row on sqlite, an ``If-None-Match`` conditional put on the
-  object store.  Exactly one racing worker wins a fresh claim, with no
+  O_EXCL`` lease file on the filesystem backend, an
+  ``If-None-Match`` conditional put on the object store.  Exactly one racing worker wins a fresh claim, with no
   lock server and no shared state beyond the backend itself.
 * **Heartbeats + expiry reclaim.**  A live worker refreshes its leases'
   heartbeats (:meth:`WorkQueue.heartbeat`); a lease that has gone
   ``lease_timeout`` without a beat belonged to a dead worker and may
   be broken.  Age is judged in the **backend's own clock domain**
-  (:meth:`~repro.store.backend.LeaseBackend.now` — a probe-file mtime,
-  sqlite's clock, the object store's clock), never the worker's wall
+  (:meth:`~repro.store.backend.LeaseBackend.now` — a probe-file mtime
+  or the object store's clock), never the worker's wall
   clock: heartbeats are stamped by the backend host (think NFS server),
   and ``time.time()`` deltas against a foreign clock domain mis-age
   leases under skew.
   Breaking is itself race-safe: the backend re-judges expiry
   *atomically with the removal*
   (:meth:`~repro.store.backend.LeaseBackend.break_expired` — a breaker
-  lock with re-verification, a conditional ``DELETE``, an ``If-Match``
-  delete), so a stale observation of the lease can never kill a live
-  peer's lease, and the broken key is then competed for like a fresh
-  one.
+  lock with re-verification, an ``If-Match`` delete), so a stale
+  observation of the lease can never kill a live peer's lease, and the
+  broken key is then competed for like a fresh one.
 * **Idempotent completion.**  *Done* means "the item's shard holds a
   complete record" — the store's durable, last-record-wins line is the
   completion marker, not the lease.  If a lease expires while its

@@ -2,9 +2,8 @@
 
 One append-only record shard per scenario fingerprint, living in
 whatever :class:`~repro.store.backend.StoreBackend` the store was
-opened on — a directory of JSONL files (``file:``, the default), a
-single sqlite database (``sqlite:``), or an in-process object store
-(``mem:``); see :func:`repro.store.backend.open_store` for the URI
+opened on — a directory of JSONL files (``file:``, the default) or
+an in-process object store (``mem:``); see :func:`repro.store.backend.open_store` for the URI
 forms.  With the default filesystem backend the layout is:
 
 .. code-block:: text
@@ -19,7 +18,7 @@ one strict-JSON line and handed to the backend, which must make it
 durable before returning — a killed campaign loses at most the line
 being written, never a previously acknowledged one.  Because a record
 only becomes visible once its write *completed* (a ``\\n``-terminated
-line, a committed row), *line present* is the completion marker; no
+line, a stored object), *line present* is the completion marker; no
 separate checkpoint file can go stale.
 
 Read path (:meth:`CampaignStore.load` / :meth:`records`): the backend
@@ -55,7 +54,7 @@ class CampaignStore:
             fails fast on an unwritable path rather than mid-campaign)
             — or any already-opened
             :class:`~repro.store.backend.StoreBackend`.  For URI
-            strings (``sqlite:...``, ``mem:...``) use
+            strings (``file:...``, ``mem:...``) use
             :func:`repro.store.backend.open_store`.
     """
 
@@ -71,7 +70,7 @@ class CampaignStore:
 
     @property
     def uri(self) -> str:
-        """The URI that re-opens this store (``file:``/``sqlite:``/``mem:``)."""
+        """The URI that re-opens this store (``file:``/``mem:``)."""
         return self.backend.uri
 
     # -- paths ------------------------------------------------------------
@@ -125,8 +124,8 @@ class CampaignStore:
         """Durably append many ``(key, record)`` pairs in one flush.
 
         One sync however many records the batch holds (one ``os.sync``
-        on the filesystem backend, one transaction on sqlite, one
-        conditional put per shard on ``mem:``) — the write-side half
+        on the filesystem backend, one conditional put per shard on
+        ``mem:``) — the write-side half
         of the cross-cell batched campaign.  Durability on return is
         the same as a sequence of :meth:`append` calls; a crash
         mid-batch loses at most lines of this batch.
@@ -144,7 +143,7 @@ class CampaignStore:
         """Parse the shard's complete lines, skipping corrupt ones.
 
         The backend already withholds lines whose write never completed
-        (fs: unterminated trailer; sqlite: uncommitted row); anything
+        (fs: an unterminated trailer); anything
         that still fails to parse (bit rot, an injected fault) is
         ignored rather than poisoning the resume.
         """

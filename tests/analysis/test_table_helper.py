@@ -8,7 +8,7 @@ that the helper changes wall-clock only:
 
 * equivalence: both Figure-2 estimator variants with an extra Eve
   antenna give the same records and the same stored shard lines on
-  ``file:``, ``sqlite:`` and ``mem:`` stores with the helper selected
+  ``file:`` and ``mem:`` stores with the helper selected
   and deselected, an interrupted-then-resumed campaign equals an
   uninterrupted one, and so does a manifest drain of a partly finished
   campaign; tables the caller passes over are cancelled;
@@ -117,8 +117,7 @@ def select_helper(monkeypatch, selected: bool) -> None:
 def store_uri(scheme: str, tmp_path, name: str) -> str:
     if scheme == "mem":
         return f"mem:{tmp_path.name}-{name}"
-    suffix = ".db" if scheme == "sqlite" else ""
-    return f"{scheme}:{tmp_path / name}{suffix}"
+    return f"{scheme}:{tmp_path / name}"
 
 
 def shard_lines(store) -> dict:
@@ -172,7 +171,7 @@ def no_leftovers():
 # -- equivalence ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", ["file", "sqlite", "mem"])
+@pytest.mark.parametrize("scheme", ["file", "mem"])
 def test_helper_and_inline_campaigns_are_identical(
     scheme, tmp_path, monkeypatch, prefetched_calls
 ):
@@ -206,7 +205,7 @@ class Interrupt(Exception):
     pass
 
 
-@pytest.mark.parametrize("scheme", ["file", "sqlite", "mem"])
+@pytest.mark.parametrize("scheme", ["file", "mem"])
 @pytest.mark.parametrize("k", [1, 3])
 def test_resumed_campaign_equals_uninterrupted(scheme, k, tmp_path, monkeypatch):
     select_helper(monkeypatch, True)
@@ -229,7 +228,7 @@ def test_resumed_campaign_equals_uninterrupted(scheme, k, tmp_path, monkeypatch)
     assert shard_lines(store) == shard_lines(whole_store)
 
 
-@pytest.mark.parametrize("scheme", ["file", "sqlite", "mem"])
+@pytest.mark.parametrize("scheme", ["file", "mem"])
 def test_manifest_drain_with_helper_equals_uninterrupted(
     scheme, tmp_path, monkeypatch, prefetched_calls, no_leftovers
 ):

@@ -1,17 +1,11 @@
-"""Cauchy / Vandermonde structure: the minor properties secrecy rests on."""
+"""Cauchy structure: the minor property secrecy rests on."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.gf.linalg import GFMatrix
-from repro.gf.matrices import (
-    MAX_CAUCHY_POINTS,
-    cauchy_matrix,
-    is_superregular_sample,
-    vandermonde_matrix,
-)
+from repro.gf.matrices import MAX_CAUCHY_POINTS, cauchy_matrix
 
 
 class TestCauchy:
@@ -32,7 +26,12 @@ class TestCauchy:
 
     def test_superregular_sampled_large(self, rng):
         m = cauchy_matrix(20, 60)
-        assert is_superregular_sample(m, rng, trials=100)
+        for _ in range(100):
+            k = int(rng.integers(1, 21))
+            rows = sorted(rng.choice(20, size=k, replace=False))
+            cols = sorted(rng.choice(60, size=k, replace=False))
+            minor = m.take_rows(rows).take_cols(cols)
+            assert minor.is_invertible(), (rows, cols)
 
     def test_offset_produces_distinct_matrices(self):
         a = cauchy_matrix(3, 4, offset=0)
@@ -57,39 +56,3 @@ class TestCauchy:
     def test_empty_dimensions(self):
         assert cauchy_matrix(0, 5).shape == (0, 5)
         assert cauchy_matrix(5, 0).shape == (5, 0)
-
-
-class TestVandermonde:
-    def test_shape_and_first_row_ones(self):
-        m = vandermonde_matrix(3, 6)
-        assert m.shape == (3, 6)
-        assert np.all(m.data[0] == 1)
-
-    def test_any_k_columns_independent(self):
-        m = vandermonde_matrix(3, 8)
-        for cols in itertools.combinations(range(8), 3):
-            assert m.take_cols(cols).is_invertible(), cols
-
-    def test_point_range_validation(self):
-        with pytest.raises(ValueError):
-            vandermonde_matrix(2, 3, start=0)
-        with pytest.raises(ValueError):
-            vandermonde_matrix(2, 200, start=100)
-
-    def test_negative_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            vandermonde_matrix(2, -1)
-
-    def test_empty(self):
-        assert vandermonde_matrix(0, 4).shape == (0, 4)
-
-
-class TestSuperregularSampler:
-    def test_detects_singular_matrix(self, rng):
-        # A rank-1 matrix (every row identical) fails any 2x2 minor.
-        data = np.tile(np.arange(1, 6, dtype=np.uint8), (4, 1))
-        bad = GFMatrix(data)
-        assert not is_superregular_sample(bad, rng, trials=200)
-
-    def test_accepts_empty(self, rng):
-        assert is_superregular_sample(GFMatrix.zeros(0, 3), rng)

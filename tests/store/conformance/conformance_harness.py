@@ -40,8 +40,8 @@ def toy_manifest(name="toy", n=3):
 #
 # "Tear" = make the shard look exactly as it would after a crash killed
 # the *last* record's write mid-flight, using the backend's own failure
-# vocabulary: a truncated unterminated line on the filesystem and the
-# object store, an uncommitted (absent) row on sqlite.
+# vocabulary: a truncated unterminated line, on the filesystem and in
+# the object store alike.
 
 
 def _tear_jsonl_lines(lines):
@@ -54,15 +54,6 @@ def _tear_jsonl_lines(lines):
 def _tear_file(store, key):
     path = store.shard_path(key)
     path.write_bytes(_tear_jsonl_lines(path.read_bytes().splitlines(True)))
-
-
-def _tear_sqlite(store, key):
-    cur = store.backend._conn().execute(
-        "DELETE FROM records WHERE seq = "
-        "(SELECT MAX(seq) FROM records WHERE key = ?)",
-        (key,),
-    )
-    assert cur.rowcount == 1, "cannot tear an empty shard"
 
 
 def _tear_mem(store, key):
@@ -93,12 +84,6 @@ HARNESSES = {
         supports_fork=True,
         make_uri=lambda tmp_path: f"file:{tmp_path}/store",
         tear_shard=_tear_file,
-    ),
-    "sqlite": BackendHarness(
-        scheme="sqlite",
-        supports_fork=True,
-        make_uri=lambda tmp_path: f"sqlite:{tmp_path}/store.sqlite",
-        tear_shard=_tear_sqlite,
     ),
     "mem": BackendHarness(
         scheme="mem",

@@ -1,7 +1,7 @@
 """Fixtures of the backend conformance suite.
 
 Every test under ``tests/store/conformance/`` runs once per store
-backend (``file``, ``sqlite``, ``mem``) through the ``store`` fixture;
+backend (``file``, ``mem``) through the ``store`` fixture;
 together they are the contract a backend must satisfy before the sweep
 layer will trust it — torn-write tolerance, last-record-wins dedupe,
 single-winner claims, expiry in the backend's own clock domain,
@@ -10,7 +10,7 @@ adding one harness to ``conformance_harness.py`` and going green.
 
 CI selects backends per matrix step with the
 ``REPRO_CONFORMANCE_BACKENDS`` environment variable (comma-separated
-subset of ``file,sqlite,mem``); unset means all of them.
+subset of ``file,mem``); unset means all of them.
 """
 
 import pytest

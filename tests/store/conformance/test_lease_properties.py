@@ -174,19 +174,6 @@ def test_lease_state_machine_file(tmp_path, operations):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(operations=ops)
-def test_lease_state_machine_sqlite(tmp_path, operations):
-    _check_selected("sqlite")
-    _run_machine(
-        open_store(HARNESSES["sqlite"].make_uri(tmp_path)), operations
-    )
-
-
-@settings(
-    max_examples=30,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(operations=ops)
 def test_lease_state_machine_mem(operations):
     _check_selected("mem")
     name = f"prop-machine-{next(_ns_counter)}"

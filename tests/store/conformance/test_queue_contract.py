@@ -8,8 +8,8 @@ refreshed lease, and a drain that leaves no lease residue behind.
 Lease ageing goes through the backend's own
 :meth:`~repro.store.backend.LeaseBackend.age_lease` backdate hook — the
 portable replacement for the ``os.utime`` trick the filesystem-only
-tests used — so the same test text drives mtimes, sqlite rows, and
-object-store payloads.
+tests used — so the same test text drives mtimes and object-store
+payloads.
 """
 
 import threading

@@ -21,7 +21,6 @@ from repro.store import (
 )
 from repro.store.backend_fs import FilesystemStoreBackend
 from repro.store.backend_mem import MemoryStoreBackend
-from repro.store.backend_sqlite import SqliteStoreBackend
 
 KEY = "ab" * 10
 
@@ -38,15 +37,6 @@ class TestOpenStore:
         assert isinstance(store.backend, FilesystemStoreBackend)
         assert store.root == tmp_path / "s"
 
-    def test_sqlite_scheme(self, tmp_path):
-        store = open_store(f"sqlite:{tmp_path}/s.db")
-        assert isinstance(store.backend, SqliteStoreBackend)
-        assert (tmp_path / "s.db").is_file()
-        with pytest.raises(TypeError, match="no filesystem root"):
-            store.root
-        with pytest.raises(TypeError, match="no shard files"):
-            store.shard_path(KEY)
-
     def test_mem_scheme_is_a_registry(self):
         try:
             a = open_store("mem:uri-test")
@@ -54,16 +44,33 @@ class TestOpenStore:
             assert a.backend is b.backend
             a.append(KEY, {"kind": "sim-cell", "v": 1})
             assert b.load(KEY) == {"kind": "sim-cell", "v": 1}
+            with pytest.raises(TypeError, match="no filesystem root"):
+                a.root
+            with pytest.raises(TypeError, match="no shard files"):
+                a.shard_path(KEY)
         finally:
             MemoryStoreBackend.discard("uri-test")
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="unknown store scheme"):
+        with pytest.raises(ValueError, match="unknown store scheme") as info:
             open_store("s3:bucket/prefix")
+        assert "(known: file:, mem:)" in str(info.value)
+
+    @pytest.mark.parametrize("create", [True, False])
+    def test_sqlite_scheme_is_refused_with_the_migration(self, tmp_path, create):
+        """The sqlite backend is gone: its URI names the commit whose
+        ``copy_store`` still opens such a database, and creates
+        nothing."""
+        with pytest.raises(ValueError) as info:
+            open_store(f"sqlite:{tmp_path}/s.db", create=create)
+        message = str(info.value)
+        assert "copy_store" in message
+        assert "85ca4c6" in message
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("query", ["codec=binary", "codec=msgpack",
                                        "codek=binary", ""])
-    @pytest.mark.parametrize("scheme", ["file", "sqlite", "mem"])
+    @pytest.mark.parametrize("scheme", ["file", "mem"])
     def test_scheme_uri_query_rejected(self, tmp_path, scheme, query):
         """A ``?`` after a scheme is an error, never part of the path
         or store name, and nothing is created on the way."""
@@ -86,12 +93,9 @@ class TestOpenStore:
         with pytest.raises(FileNotFoundError):
             open_store(f"{tmp_path}/absent", create=False)
         with pytest.raises(FileNotFoundError):
-            open_store(f"sqlite:{tmp_path}/absent.db", create=False)
-        with pytest.raises(FileNotFoundError):
             open_store("mem:never-created", create=False)
         # ...and nothing was created as a side effect.
         assert not (tmp_path / "absent").exists()
-        assert not (tmp_path / "absent.db").exists()
 
 
 class TestLegacyBinaryShards:
@@ -110,38 +114,6 @@ class TestLegacyBinaryShards:
                 opener()
             assert f"{'cd' * 10}.rbin" in str(info.value)
             assert "copy_store" in str(info.value)
-
-    def test_sqlite_blob_rows_still_read(self, tmp_path):
-        """Older versions could store record lines as UTF-8 BLOBs;
-        reads decode them per row, next to TEXT rows."""
-        store = open_store(f"sqlite:{tmp_path}/s.db")
-        store.append(KEY, {"kind": "sim-cell", "v": 1})
-        store.backend._conn().execute(
-            "INSERT INTO records (key, line) VALUES (?, ?)",
-            (KEY, b'{"kind":"sim-cell","v":2}'),
-        )
-        assert store.records(KEY) == [
-            {"kind": "sim-cell", "v": 1},
-            {"kind": "sim-cell", "v": 2},
-        ]
-
-
-    def test_sqlite_blob_rows_copy_out_as_jsonl(self, tmp_path):
-        """The migration path for such a database: ``copy_store`` to
-        ``file:`` leaves the shard a text store writes."""
-        legacy = open_store(f"sqlite:{tmp_path}/legacy.db")
-        legacy.backend._conn().execute(
-            "INSERT INTO records (key, line) VALUES (?, ?)",
-            (KEY, b'{"kind":"sim-cell","v":1}'),
-        )
-        text = open_store(f"file:{tmp_path}/text")
-        text.append(KEY, {"kind": "sim-cell", "v": 1})
-        copied = open_store(f"file:{tmp_path}/copied")
-        assert copy_store(legacy, copied) == 1
-        assert (
-            copied.shard_path(KEY).read_bytes()
-            == text.shard_path(KEY).read_bytes()
-        )
 
 
 class TestShardDirRecreation:
@@ -169,7 +141,7 @@ class TestCopyStore:
         try:
             src = open_store("mem:copy-src")
             self._populate(src)
-            dst = open_store(f"sqlite:{tmp_path}/dst.db")
+            dst = open_store(f"file:{tmp_path}/dst")
             copied = copy_store(src, dst)
             assert copied == 2
             for key in src.keys():
@@ -186,22 +158,6 @@ class TestCopyStore:
         self._populate(src)
         dst = open_store(f"{tmp_path}/dst")
         copy_store(src, dst)
-        assert dst.keys() == src.keys()
-        for key in src.keys():
-            assert (
-                dst.shard_path(key).read_bytes()
-                == src.shard_path(key).read_bytes()
-            )
-
-    def test_file_through_sqlite_restores_shard_bytes(self, tmp_path):
-        """file: -> sqlite: -> file: gives back the original shards
-        byte for byte: no backend re-encodes a stored line."""
-        src = open_store(f"{tmp_path}/src")
-        self._populate(src)
-        via = open_store(f"sqlite:{tmp_path}/via.db")
-        dst = open_store(f"{tmp_path}/dst")
-        assert copy_store(src, via) == 2
-        assert copy_store(via, dst) == 2
         assert dst.keys() == src.keys()
         for key in src.keys():
             assert (

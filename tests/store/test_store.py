@@ -68,6 +68,24 @@ class StatefulFactory:
         pass
 
 
+class MethodFactory:
+    """Estimators made by a bound method: ``MethodFactory(m).make``."""
+
+    def __init__(self, margin):
+        self.margin = margin
+
+    def make(self, testbed, placement):
+        pass
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassMethodFactory:
+    margin: float
+
+    def make(self, testbed, placement):
+        pass
+
+
 SCENARIO = Scenario(
     n_terminals=4,
     loss=IIDLossSpec(0.4),
@@ -171,6 +189,28 @@ class TestFingerprint:
         assert fingerprint(OracleEstimator) != fingerprint(LeaveOneOutEstimator)
         assert fingerprint(StatefulFactory) != fingerprint(StatefulFactory(0.02))
 
+    def test_bound_methods_are_keyed_by_their_object(self):
+        """Factory(1).make and Factory(2).make are two experiments: a
+        resumed campaign must not load one's records for the other."""
+        assert fingerprint(MethodFactory(1).make) != fingerprint(
+            MethodFactory(2).make
+        )
+        assert fingerprint(MethodFactory(1).make) == fingerprint(
+            MethodFactory(1).make
+        )
+        assert fingerprint(DataclassMethodFactory(0.1).make) != fingerprint(
+            DataclassMethodFactory(0.2).make
+        )
+        config = CampaignConfig(seed=3)
+        placement = Placement(eve_cell=4, terminal_cells=(0, 2, 6))
+        keys = {
+            experiment_store_key(
+                Testbed(), config, "packet", MethodFactory(m).make, placement
+            )
+            for m in (1, 2)
+        }
+        assert len(keys) == 2
+
     def test_unfingerprintable_rejected(self):
         with pytest.raises(TypeError, match="cannot fingerprint"):
             fingerprint(object())
@@ -256,13 +296,11 @@ class TestCampaignStore:
                 == batch.shard_path(key).read_bytes()
             )
 
-    @pytest.mark.parametrize("scheme", ["sqlite", "mem"])
-    def test_append_batch_writes_per_record_lines(self, tmp_path, scheme):
-        """The same holds for the stored lines of the other backends."""
-        name = f"{tmp_path}/batch-lines" if scheme == "sqlite" else "batch-lines"
+    def test_append_batch_writes_per_record_lines(self):
+        """The same holds for the stored lines of the ``mem:`` backend."""
         try:
-            one = open_store(f"{scheme}:{name}-one")
-            batch = open_store(f"{scheme}:{name}-batch")
+            one = open_store("mem:batch-lines-one")
+            batch = open_store("mem:batch-lines-batch")
             items = [(f"{i % 2:020x}", {"i": i, "x": 0.25 * i})
                      for i in range(5)]
             for key, record in items:

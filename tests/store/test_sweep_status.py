@@ -100,29 +100,33 @@ class TestSweepStatus:
 class TestSweepStatusUri:
     """The subcommand speaks store URIs, not just directory paths."""
 
-    def test_sqlite_uri_reports_counts(self, campaign_script, tmp_path, capsys):
+    def test_mem_uri_reports_counts(self, campaign_script, capsys):
         from repro.store import open_store
+        from repro.store.backend_mem import MemoryStoreBackend
 
-        store = open_store(f"sqlite:{tmp_path}/sweep.db")
-        SweepManifest(
-            name="demo",
-            entries=tuple(
-                ManifestEntry(key=f"{i:02d}" * 5, spec={"i": i})
-                for i in range(2)
-            ),
-        ).save(store)
-        rc = campaign_script.sweep_status(
-            ["--store", f"sqlite:{tmp_path}/sweep.db"]
-        )
+        try:
+            store = open_store("mem:sweep-status")
+            SweepManifest(
+                name="demo",
+                entries=tuple(
+                    ManifestEntry(key=f"{i:02d}" * 5, spec={"i": i})
+                    for i in range(2)
+                ),
+            ).save(store)
+            rc = campaign_script.sweep_status(["--store", "mem:sweep-status"])
+        finally:
+            MemoryStoreBackend.discard("sweep-status")
         assert rc == 0
         out = capsys.readouterr().out
         assert "demo" in out and "0/2 done" in out
 
-    def test_missing_sqlite_uri_is_clean_zero_summary(
-        self, campaign_script, tmp_path, capsys
+    def test_missing_mem_uri_is_clean_zero_summary(
+        self, campaign_script, capsys
     ):
-        target = tmp_path / "never.db"
-        rc = campaign_script.sweep_status(["--store", f"sqlite:{target}"])
+        from repro.store import open_store
+
+        rc = campaign_script.sweep_status(["--store", "mem:never-created"])
         assert rc == 0
         assert "0 manifests" in capsys.readouterr().out
-        assert not target.exists()
+        with pytest.raises(FileNotFoundError):
+            open_store("mem:never-created", create=False)

@@ -1,7 +1,8 @@
 """``scripts/check_docs.py`` on the tree, and its markdown-name check.
 
 The docs lint resolves every path, module and anchor the guides name,
-and every Sphinx cross-reference and markdown file name in ``src/``.
+and every Sphinx cross-reference and markdown file name in ``src/``,
+``scripts/`` and ``benchmarks/``.
 Running it here makes a rename that leaves a stale citation fail the
 test suite, not only the docs job.
 """
@@ -48,3 +49,24 @@ def test_markdown_names_resolve_from_the_root_or_docs(check_docs):
         "# the derivation is in DESIGN.md and docs/NOPE.md\n"
     )
     assert check_docs.missing_md_names(text) == ["DESIGN.md", "docs/NOPE.md"]
+
+
+def test_scripts_and_benchmarks_are_scanned(check_docs, monkeypatch, tmp_path):
+    """A stale markdown citation in a script or a benchmark module
+    fails the lint like one in ``src/``."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "README.md").write_text("# toy\n")
+    for rel, text in (
+        ("src/repro/ok.py", '"""Cites README.md."""\n'),
+        ("scripts/tool.py", '"""Reference run for EXPERIMENTS.md."""\n'),
+        ("benchmarks/test_toy.py", '"""Ablation (DESIGN.md §3)."""\n'),
+    ):
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    assert check_docs.main() == 1
+    assert check_docs.check_source(tmp_path / "scripts" / "tool.py") == (
+        0,
+        ["scripts/tool.py: missing markdown file -> EXPERIMENTS.md"],
+    )

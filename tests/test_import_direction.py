@@ -90,10 +90,10 @@ def test_the_checker_sees_relative_and_nested_imports(tmp_path):
     module.write_text(
         "from ..coding import privacy\n"
         "def f():\n"
-        "    import repro.coding.mds\n"
+        "    import repro.coding.reconcile\n"
     )
     found = imported_modules(module, tmp_path)
-    assert {"repro.coding", "repro.coding.privacy", "repro.coding.mds"} <= found
+    assert {"repro.coding", "repro.coding.privacy", "repro.coding.reconcile"} <= found
 
 
 def test_round_core_imports_no_transport_and_no_service():
