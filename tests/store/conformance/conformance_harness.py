@@ -76,6 +76,10 @@ class BackendHarness:
     supports_fork: bool
     make_uri: Callable  # tmp_path -> store URI
     tear_shard: Callable  # (store, key) -> crash-truncate the last record
+    #: Seconds of injected service latency per object-store operation
+    #: (``mem:`` only): every read-modify-write spans sleeps, so the
+    #: claim races and append retry loops run with wide windows.
+    latency: float = 0.0
 
 
 HARNESSES = {
@@ -92,6 +96,13 @@ HARNESSES = {
         # own registry entry (discarded again by the store fixture).
         make_uri=lambda tmp_path: f"mem:conf-{tmp_path.name}",
         tear_shard=_tear_mem,
+    ),
+    "mem-latency": BackendHarness(
+        scheme="mem",
+        supports_fork=False,
+        make_uri=lambda tmp_path: f"mem:conf-lat-{tmp_path.name}",
+        tear_shard=_tear_mem,
+        latency=0.001,
     ),
 }
 

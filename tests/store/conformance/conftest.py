@@ -1,7 +1,8 @@
 """Fixtures of the backend conformance suite.
 
 Every test under ``tests/store/conformance/`` runs once per store
-backend (``file``, ``mem``) through the ``store`` fixture;
+backend (``file``, ``mem``, and ``mem`` with injected per-operation
+latency as ``mem-latency``) through the ``store`` fixture;
 together they are the contract a backend must satisfy before the sweep
 layer will trust it — torn-write tolerance, last-record-wins dedupe,
 single-winner claims, expiry in the backend's own clock domain,
@@ -10,7 +11,7 @@ adding one harness to ``conformance_harness.py`` and going green.
 
 CI selects backends per matrix step with the
 ``REPRO_CONFORMANCE_BACKENDS`` environment variable (comma-separated
-subset of ``file,mem``); unset means all of them.
+subset of ``file,mem,mem-latency``); unset means all of them.
 """
 
 import pytest
@@ -34,6 +35,12 @@ def backend(request):
 @pytest.fixture
 def store_uri(backend, tmp_path):
     uri = backend.make_uri(tmp_path)
+    if backend.latency:
+        # Every later open of the URI resolves to this registry entry,
+        # so workers opened by URI inherit the latency too.
+        MemoryStoreBackend.named(uri.split(":", 1)[1]).objects.latency = (
+            backend.latency
+        )
     yield uri
     if backend.scheme == "mem":
         MemoryStoreBackend.discard(uri.split(":", 1)[1])

@@ -68,6 +68,27 @@ class TestOpenStore:
         assert "85ca4c6" in message
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "form", ["SQLite:{d}/s.db", "sqlite://{d}/s.db", "sqlite:s.db", "sqlite:"]
+    )
+    def test_every_sqlite_uri_form_is_refused(self, tmp_path, monkeypatch, form):
+        """Scheme case, the empty-authority form, a relative path and
+        an empty path all reach the same refusal."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="85ca4c6"):
+            open_store(form.format(d=tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("query", ["codec=binary", "codec=msgpack",
+                                       "codek=binary", ""])
+    def test_sqlite_uri_with_query_is_refused_as_sqlite(self, tmp_path, query):
+        """The refusal comes before the query check: the message is the
+        migration, not a query error."""
+        with pytest.raises(ValueError, match="copy_store") as info:
+            open_store(f"sqlite:{tmp_path}/s.db?{query}")
+        assert "take no query" not in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("query", ["codec=binary", "codec=msgpack",
                                        "codek=binary", ""])
     @pytest.mark.parametrize("scheme", ["file", "mem"])

@@ -77,6 +77,17 @@ class MethodFactory:
     def make(self, testbed, placement):
         pass
 
+    def make_other(self, testbed, placement):
+        pass
+
+    @classmethod
+    def default(cls, testbed, placement):
+        pass
+
+
+class SubMethodFactory(MethodFactory):
+    """Inherits ``default``: the same function bound to another class."""
+
 
 @dataclasses.dataclass(frozen=True)
 class DataclassMethodFactory:
@@ -210,6 +221,47 @@ class TestFingerprint:
             for m in (1, 2)
         }
         assert len(keys) == 2
+
+    def test_bound_methods_are_keyed_by_their_function(self):
+        assert fingerprint(MethodFactory(1).make) != fingerprint(
+            MethodFactory(1).make_other
+        )
+
+    def test_classmethods_are_keyed_by_their_class(self):
+        """An inherited classmethod bound to a subclass shares the
+        function's qualname but not its receiver."""
+        assert fingerprint(MethodFactory.default) == fingerprint(
+            MethodFactory.default
+        )
+        assert fingerprint(MethodFactory.default) != fingerprint(
+            SubMethodFactory.default
+        )
+
+    def test_bound_method_canonical_form(self):
+        """The layout a bound method's key is hashed over: a change here
+        moves the shard of every campaign keyed by a method factory."""
+        assert json.loads(canonical_json(MethodFactory(1).make)) == {
+            "__callable__": f"{__name__}.MethodFactory.make",
+            "self": {
+                "__callable__": f"{__name__}.MethodFactory",
+                "state": {"margin": 1},
+            },
+        }
+        assert json.loads(canonical_json(DataclassMethodFactory(0.1).make)) == {
+            "__callable__": f"{__name__}.DataclassMethodFactory.make",
+            "self": {"__dataclass__": "DataclassMethodFactory", "margin": 0.1},
+        }
+
+    def test_partials_of_bound_methods_are_keyed_by_the_receiver(self):
+        assert fingerprint(
+            functools.partial(MethodFactory(1).make, placement=None)
+        ) != fingerprint(functools.partial(MethodFactory(2).make, placement=None))
+
+    def test_unfingerprintable_receiver_state_rejected(self):
+        """A receiver's state is hashed, never its memory address: state
+        that cannot be canonicalised is an error, not a silent key."""
+        with pytest.raises(TypeError, match="cannot fingerprint"):
+            fingerprint(MethodFactory(object()).make)
 
     def test_unfingerprintable_rejected(self):
         with pytest.raises(TypeError, match="cannot fingerprint"):

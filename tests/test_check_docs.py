@@ -70,3 +70,22 @@ def test_scripts_and_benchmarks_are_scanned(check_docs, monkeypatch, tmp_path):
         0,
         ["scripts/tool.py: missing markdown file -> EXPERIMENTS.md"],
     )
+
+
+def test_a_deleted_definition_cited_from_a_script_is_stale(
+    check_docs, monkeypatch, tmp_path
+):
+    """Cross-references in a script resolve against the package: a
+    role naming a deleted definition is flagged, a live one is not."""
+    script = tmp_path / "scripts" / "tool.py"
+    script.parent.mkdir()
+    script.write_text(
+        '"""Uses :func:`repro.store.copy_store`, not\n'
+        ':func:`repro.gf.matrices.vandermonde_matrix`."""\n'
+    )
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    n_roles, stale = check_docs.check_source(script)
+    assert n_roles == 2
+    assert len(stale) == 1
+    assert stale[0].startswith("scripts/tool.py: ")
+    assert "vandermonde_matrix" in stale[0]
