@@ -23,8 +23,11 @@ setup(
     install_requires=[
         "numpy",
         # repro.solvers.solve_lp calls scipy's bundled HiGHS
-        # binding (scipy.optimize._highspy._core), a private module;
-        # re-check it against the lp tests before moving this pin.
+        # binding (scipy.optimize._highspy._core), a private module
+        # that repro.solvers loads from the file
+        # scipy/optimize/_highspy/_core.<extension suffix> without
+        # importing scipy.optimize; re-check both against the lp
+        # tests before moving this pin.
         "scipy>=1.17,<1.18",
     ],
     extras_require={

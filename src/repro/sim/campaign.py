@@ -162,10 +162,14 @@ class ShardPool:
     A manifest drain runs one map per claimed batch of ``max_workers``
     items.  A pool per map would start new workers for every batch,
     each with empty LP and flow memos and, on ``forkserver`` or
-    ``spawn``, its own imports of numpy, scipy and :mod:`repro`.  Both
-    runners therefore open one ``ShardPool`` per sweep, :meth:`start`
-    it from :func:`repro.store.queue.run_sweep`'s ``prepare`` hook,
-    and :meth:`map` each batch on it.
+    ``spawn``, its own imports of numpy, scipy's HiGHS binding and
+    :mod:`repro`: about 0.35 s to start two workers and run their
+    first map, and 0.3-0.4 s to close them, on a 2-core x86-64 host
+    with Python 3.11 (0.7-0.9 s each while :mod:`repro` imported all
+    of ``scipy.optimize``).  Both runners therefore open one
+    ``ShardPool`` per sweep, :meth:`start` it from
+    :func:`repro.store.queue.run_sweep`'s ``prepare`` hook, and
+    :meth:`map` each batch on it.
 
     :meth:`start` launches every worker before ``run_sweep`` drains a
     manifest, so no worker is forked while the drain's heartbeat

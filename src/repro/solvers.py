@@ -17,19 +17,27 @@
 Both are deterministic functions of their input order, so the same
 inputs give the same bits in every process.  This module imports only
 numpy and scipy: the theory and coding layers both sit on top of it.
+
+:func:`solve_lp` needs one compiled module of scipy, its HiGHS binding
+``scipy.optimize._highspy._core``.  Importing it by name would first run
+all of ``scipy/optimize/__init__.py``, which loads ``scipy.linalg``,
+``scipy.sparse``, ``scipy.fft`` and more: about 0.6 s and 36 MB in every
+process that imports :mod:`repro`, shard workers included, for modules
+nothing here calls.  So :func:`_load_highs` finds the extension file
+under ``scipy.__path__`` and loads it alone, under its real name.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from types import ModuleType
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-
-try:  # scipy is a hard dependency of the package
-    # Private binding: setup.py pins scipy's minor version for it.
-    from scipy.optimize._highspy import _core as _highs
-except ImportError as exc:  # pragma: no cover - environment guard
-    raise ImportError("repro.solvers requires scipy") from exc
+import scipy
 
 __all__ = [
     "solve_lp",
@@ -38,6 +46,51 @@ __all__ = [
     "TransportGraph",
     "solve_transport_counts",
 ]
+
+#: scipy's HiGHS binding, a private module: setup.py pins scipy's minor
+#: version for it.
+_HIGHS_NAME = "scipy.optimize._highspy._core"
+
+
+def _highs_spec(scipy_path: Sequence[str]) -> importlib.machinery.ModuleSpec:
+    """The spec of ``optimize/_highspy/_core`` under a scipy package path."""
+    search = [os.path.join(root, "optimize", "_highspy") for root in scipy_path]
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_NAME, search)
+    if spec is None:
+        raise ImportError(
+            f"repro.solvers needs scipy's HiGHS binding {_HIGHS_NAME} "
+            f"(optimize/_highspy/_core under {list(scipy_path)}); "
+            "install scipy>=1.17,<1.18 as setup.py pins it"
+        )
+    return spec
+
+
+def _load_highs() -> ModuleType:
+    """scipy's HiGHS binding, without importing ``scipy.optimize``.
+
+    The module lives in ``sys.modules`` under its real name.  If
+    ``scipy.optimize`` was imported first, that module object is reused:
+    loading the ``.so`` a second time under another name makes pybind11
+    refuse its types ("ObjSense" is already registered).
+
+    One gap: when this runs first and ``scipy.optimize`` is imported
+    later, the ``_core`` attribute of ``scipy.optimize._highspy`` stays
+    unset, because the package never imported it.  scipy's own imports
+    of it (``from ._highspy._core import ...``, ``import
+    scipy.optimize._highspy._core as _h``) resolve through
+    ``sys.modules``, so ``linprog`` and ``milp`` keep working.
+    """
+    module = sys.modules.get(_HIGHS_NAME)
+    if module is None:
+        spec = _highs_spec(scipy.__path__)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_NAME] = module
+        assert spec.loader is not None  # a spec found on a path has one
+        spec.loader.exec_module(module)
+    return module
+
+
+_highs = _load_highs()
 
 
 #: The one option scipy's own HiGHS wrappers set for a plain LP;

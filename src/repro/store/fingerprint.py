@@ -39,7 +39,7 @@ import hashlib
 import inspect
 import json
 import math
-from typing import Any, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -110,11 +110,33 @@ def _configured(obj: Any) -> Any:
     configured *instance* is identified by its class plus state.
     """
     target = obj if hasattr(obj, "__qualname__") else type(obj)
-    state = None if isinstance(obj, type) else getattr(obj, "__dict__", None)
+    state = {} if isinstance(obj, type) else _instance_state(obj)
     return {
         "__callable__": f"{target.__module__}.{target.__qualname__}",
-        "state": _encode(dict(state)) if state else {},
+        "state": _encode(state),
     }
+
+
+def _instance_state(obj: Any) -> Dict[str, Any]:
+    """An instance's attributes: its ``__dict__`` plus its set slots.
+
+    A class with ``__slots__`` keeps its configuration in slots, not in
+    ``__dict__``; the slots named along ``type(obj).__mro__`` are read
+    (private names mangled as Python stores them), unset ones skipped.
+    """
+    state = dict(getattr(obj, "__dict__", None) or {})
+    for cls in type(obj).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if name in ("__dict__", "__weakref__"):
+                continue
+            if name.startswith("__") and not name.endswith("__"):
+                name = f"_{cls.__name__.lstrip('_')}{name}"
+            try:
+                state.setdefault(name, getattr(obj, name))
+            except AttributeError:  # an unset slot
+                pass
+    return state
 
 
 def canonical_json(obj: Any) -> str:

@@ -89,6 +89,32 @@ class SubMethodFactory(MethodFactory):
     """Inherits ``default``: the same function bound to another class."""
 
 
+class SlottedFactory:
+    """A configured factory whose state lives in ``__slots__`` alone."""
+
+    __slots__ = ("margin", "__weakref__")
+
+    def __init__(self, margin):
+        self.margin = margin
+
+    def __call__(self, testbed, placement):
+        pass
+
+    def make(self, testbed, placement):
+        pass
+
+
+class SlottedSubFactory(SlottedFactory):
+    """Adds a private slot, a slot left unset, and a ``__dict__``."""
+
+    __slots__ = ("__scale", "unset", "__dict__")
+
+    def __init__(self, margin, scale, label):
+        super().__init__(margin)
+        self.__scale = scale
+        self.label = label
+
+
 @dataclasses.dataclass(frozen=True)
 class DataclassMethodFactory:
     margin: float
@@ -251,6 +277,36 @@ class TestFingerprint:
             "__callable__": f"{__name__}.DataclassMethodFactory.make",
             "self": {"__dataclass__": "DataclassMethodFactory", "margin": 0.1},
         }
+
+    def test_slotted_factories_are_keyed_by_their_slots(self):
+        """A factory without a ``__dict__`` keeps its configuration in
+        slots: S(1) and S(2), and S(1).make and S(2).make, are two
+        experiments each."""
+        assert fingerprint(SlottedFactory(1)) != fingerprint(SlottedFactory(2))
+        assert fingerprint(SlottedFactory(1)) == fingerprint(SlottedFactory(1))
+        assert fingerprint(SlottedFactory(1).make) != fingerprint(
+            SlottedFactory(2).make
+        )
+        config = CampaignConfig(seed=3)
+        placement = Placement(eve_cell=4, terminal_cells=(0, 2, 6))
+        keys = {
+            experiment_store_key(Testbed(), config, "packet", factory, placement)
+            for m in (1, 2)
+            for factory in (SlottedFactory(m), SlottedFactory(m).make)
+        }
+        assert len(keys) == 4
+
+    def test_slots_merge_with_the_instance_dict(self):
+        """Set slots along the MRO, private names as Python mangles
+        them, plus ``__dict__``; unset slots and the ``__dict__`` and
+        ``__weakref__`` slots themselves are not state."""
+        assert json.loads(canonical_json(SlottedSubFactory(1, 2, "a"))) == {
+            "__callable__": f"{__name__}.SlottedSubFactory",
+            "state": {"margin": 1, "_SlottedSubFactory__scale": 2, "label": "a"},
+        }
+        assert fingerprint(SlottedSubFactory(1, 2, "a")) != fingerprint(
+            SlottedSubFactory(1, 3, "a")
+        )
 
     def test_partials_of_bound_methods_are_keyed_by_the_receiver(self):
         assert fingerprint(
