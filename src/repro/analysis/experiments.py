@@ -35,8 +35,6 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
-import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -47,6 +45,7 @@ import numpy as np
 from repro.core.estimator import EveErasureEstimator
 from repro.core.rotation import ExperimentResult, run_experiment
 from repro.core.session import SessionConfig
+from repro.sim import campaign as sim_campaign
 from repro.sim.campaign import ShardPool, ShardWorkerError, _as_store
 from repro.sim.engine import BatchedRoundEngine, planning_profile
 from repro.store.fingerprint import fingerprint
@@ -515,43 +514,6 @@ def _campaign_sweep(
     return run_one, work, meta
 
 
-def _table_helper_selected(n_pending: int) -> bool:
-    """Whether a serial batched campaign builds PER tables on a helper.
-
-    Decided from observable facts only.  The caller must be the main
-    thread of a process multiprocessing did not start, with no live
-    multiprocessing children: any other caller is a worker of a
-    sharded campaign (a process-pool worker, or a queue worker of
-    ``--workers-per-host``), or the parent of such workers, whose peers
-    already keep the CPUs busy, or a thread the caller started itself,
-    whose fork would copy locks that the process's other threads may
-    hold.  At least two CPUs must be usable, the helper must be able to
-    fork (it inherits the loaded program instead of importing it
-    again): ``fork`` is the start method set for the process or, when
-    none was set, ``fork`` is available (whatever the platform's
-    default, which is ``forkserver`` on Linux from Python 3.14).  At
-    least two experiments must be pending (the first table is always
-    built in-line).
-    """
-    if (
-        n_pending < 2
-        or threading.current_thread() is not threading.main_thread()
-        or multiprocessing.parent_process() is not None
-        or multiprocessing.active_children()
-    ):
-        return False
-    start_method = multiprocessing.get_start_method(allow_none=True)
-    if start_method is None and "fork" in multiprocessing.get_all_start_methods():
-        start_method = "fork"
-    if start_method != "fork":
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        cpus = os.cpu_count() or 1
-    return cpus >= 2
-
-
 def _prefetch_table(
     testbed: Testbed,
     placement: Placement,
@@ -682,7 +644,7 @@ def _start_table_helper(
     """The PER-table helper of a serial batched campaign, if selected."""
     if engine != "batched" or (max_workers or 1) > 1:
         return None
-    if not _table_helper_selected(len(upcoming)):
+    if not sim_campaign._second_process_selected(len(upcoming)):
         return None
     return _TablePrefetcher(
         testbed, config, upcoming,
@@ -734,7 +696,9 @@ def run_campaign(
     has no live multiprocessing children, with at least two usable
     CPUs, ``fork`` as the start method (set, or available when none was
     set) and at least two pending experiments
-    (:func:`_table_helper_selected`).  The helper starts inside the
+    (:func:`repro.sim.campaign._second_process_selected`, the rule a
+    serial :class:`~repro.sim.CampaignRunner`'s twin follows too).  The
+    helper starts inside the
     first experiment and is shut down, its queued tables cancelled,
     before this call returns or raises.  Records and stored bytes are
     identical either way; a helper that dies raises

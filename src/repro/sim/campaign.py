@@ -7,7 +7,10 @@ expanded into concrete :class:`~repro.sim.spec.Scenario` cells.  The
 optionally sharding groups of cells across one process pool per run
 (:class:`ShardPool`); the planner's hot loops are pure Python, so only
 separate processes run them in parallel, each with its own LP and
-flow memos.
+flow memos.  A serial runner may still put a second CPU to work: it
+runs half of each stacked group on a forked twin
+(:func:`_run_group_split`) when :func:`_second_process_selected`, the
+rule the testbed campaign's PER-table helper follows too, allows it.
 
 Determinism: each cell's generator derives from
 ``SeedSequence(entropy=campaign_seed, spawn_key=content-hash(cell))``
@@ -31,13 +34,16 @@ sweep driver, :func:`repro.store.queue.run_sweep`.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.sim.engine import BatchResult
+from repro.sim.engine import BatchResult, planning_profile
 from repro.sim.stack import group_cells, run_stacked_batch
 from repro.sim.spec import (
     AdversarySpec,
@@ -176,6 +182,10 @@ class ShardPool:
     thread runs (``fork`` launches all of them at the first submit).
     The workers never touch the store or the queue: ``on_result`` and
     every store call run in the caller's process.
+
+    A serial pool starts no process, and its map runs in the caller;
+    the serial :class:`CampaignRunner` maps :func:`_run_group_split`
+    on it, which may fork one twin per stacked group.
 
     Args:
         max_workers: None or 1 maps serially and starts no process;
@@ -419,6 +429,114 @@ def _group_label(group) -> str:
     return f"{first} (+{len(group) - 1} stacked)"
 
 
+def _second_process_selected(n_items: int) -> bool:
+    """Whether a serial sweep may fork one second process for its work.
+
+    The one rule behind both second processes of a serial sweep: the
+    PER-table helper of a batched testbed campaign
+    (:func:`repro.analysis.experiments.run_campaign`) and the twin of
+    a :class:`CampaignRunner` stacked group (:func:`_run_group_split`).
+    It is decided from observable facts only.  The caller must be the
+    main thread of a process multiprocessing did not start, with no
+    live multiprocessing children: any other caller is a worker of a
+    sharded sweep (a process-pool worker, or a queue worker of
+    ``--workers-per-host``), or the parent of such workers, whose peers
+    already keep the CPUs busy, or a thread the caller started itself,
+    whose fork would copy locks that the process's other threads may
+    hold.  At least two CPUs must be usable, the second process must be
+    able to fork (it inherits the loaded program instead of importing
+    it again): ``fork`` is the start method set for the process or,
+    when none was set, ``fork`` is available (whatever the platform's
+    default, which is ``forkserver`` on Linux from Python 3.14).  At
+    least two items must be pending: experiments for the helper (the
+    first table is always built in-line), cells of one group for the
+    twin.
+    """
+    if (
+        n_items < 2
+        or threading.current_thread() is not threading.main_thread()
+        or multiprocessing.parent_process() is not None
+        or multiprocessing.active_children()
+    ):
+        return False
+    start_method = multiprocessing.get_start_method(allow_none=True)
+    if start_method is None and "fork" in multiprocessing.get_all_start_methods():
+        start_method = "fork"
+    if start_method != "fork":
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cpus = os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _twin_main(half, sender) -> None:
+    """The twin's whole life: one stacked pass, its outcomes (or the
+    exception the pass raised) sent on the pipe."""
+    try:
+        reply = _run_scenario_group(half)
+    except Exception as exc:
+        reply = exc
+    sender.send(reply)
+
+
+def _run_group_split(group) -> List[ScenarioOutcome]:
+    """One stacked group of a serial sweep, half of it on a forked twin.
+
+    When :func:`_second_process_selected` allows it for a group of two
+    or more cells, the caller first solves every cell's planning LP
+    (:func:`~repro.sim.engine.planning_profile`), so the twin inherits
+    a warm LP memo and every distinct LP counts one miss in the
+    caller's memo, as in an in-line run.  It then forks one twin that runs :func:`_run_scenario_group`
+    on the second half of the group, runs the first half itself, and
+    reads the twin's outcomes from a pipe.  Every cell owns its
+    generator and the lattice pass works row by row, so the outcomes,
+    in cell order, are bit-identical to one in-line pass.  Otherwise
+    the whole group runs in-line.
+
+    A twin that dies, or whose pass raises, raises
+    :class:`ShardWorkerError` naming the group; the twin is joined (or
+    ended, if the caller's half raised) before this returns or raises.
+    """
+    if not _second_process_selected(len(group)):
+        return _run_scenario_group(group)
+    for scenario, _, _ in group:
+        planning_profile(scenario)
+    half = len(group) // 2
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    twin = context.Process(
+        target=_twin_main, args=(group[half:], sender), daemon=True
+    )
+    try:
+        twin.start()
+        sender.close()  # the twin holds the only write end: EOF if it dies
+        outcomes = _run_scenario_group(group[:half])
+        try:
+            reply = receiver.recv()
+        except (EOFError, OSError):  # the twin died, maybe mid-reply
+            reply = None
+        twin.join()
+    finally:
+        sender.close()
+        receiver.close()
+        if twin.is_alive():
+            twin.terminate()
+            twin.join()
+    if reply is None:
+        raise ShardWorkerError(
+            f"twin process died on {_group_label(group)} "
+            f"(exit code {twin.exitcode})"
+        )
+    if isinstance(reply, Exception):
+        raise ShardWorkerError(
+            f"twin process failed on {_group_label(group)}: "
+            f"{type(reply).__name__}: {reply}"
+        ) from reply
+    return outcomes + reply
+
+
 class CampaignRunner:
     """Runs a scenario grid on the batched engine.
 
@@ -429,9 +547,14 @@ class CampaignRunner:
             sharding.
         max_workers: > 1 shards groups of stacked cells across a
             process pool, one per :meth:`run` or :meth:`run_worker`
-            call (:class:`ShardPool`); None or 1 runs serially
-            (identical results either way).  ``progress`` and every
-            store call stay in the caller's process.
+            call (:class:`ShardPool`); None or 1 runs serially, and
+            where :func:`_second_process_selected` allows a second
+            process (main thread of a top-level process with no live
+            children, two usable CPUs, ``fork``), the second half of
+            each stacked group of two or more cells runs on a forked
+            twin (:func:`_run_group_split`).  Results are identical
+            every way.  ``progress`` and every store call stay in the
+            caller's process.
         store: optional :class:`repro.store.CampaignStore` (or a
             directory path) persisting every completed cell as it
             finishes.
@@ -631,10 +754,12 @@ class CampaignRunner:
         """Run work items' cells in stacked groups; outcomes in item order.
 
         ``progress`` sees every cell before any runs.  Cells are grouped
-        by :func:`~repro.sim.stack.group_cells`, each group runs as one
-        :func:`_run_scenario_group` pass through the sweep's
-        :class:`ShardPool`, and with a store each finished group is
-        persisted under its cells' keys with one durable
+        by :func:`~repro.sim.stack.group_cells`, and each group runs
+        through the sweep's :class:`ShardPool`: sharded, as one
+        :func:`_run_scenario_group` pass on a pool worker; serially,
+        through :func:`_run_group_split`, in one pass or split with a
+        forked twin.  With a store each finished group is persisted,
+        in the caller, under its cells' keys with one durable
         ``append_batch``.
         """
         cells = [scenario for _, scenario, _, _ in work]
@@ -663,8 +788,9 @@ class CampaignRunner:
                 )
 
         group_indices = group_cells(cells)
+        sharded = (self.max_workers or 1) > 1
         group_results = shards.map(
-            _run_scenario_group,
+            _run_scenario_group if sharded else _run_group_split,
             [tuple(items[i] for i in idxs) for idxs in group_indices],
             label=_group_label,
             on_result=on_group,

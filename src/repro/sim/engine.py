@@ -415,11 +415,15 @@ def planning_profile(scenario: Scenario) -> Tuple[dict, AllocationProfile]:
     level cap and certified rate, support-feasible) and the profile
     that call returns.  The accounting kernel plans every cell with
     it, and a serial batched testbed campaign's table helper calls it
-    for each leader of an upcoming placement in a forked twin of the
-    caller (:func:`repro.analysis.experiments._prefetch_table`); the
+    for each leader of an upcoming placement in its forked helper
+    process (:func:`repro.analysis.experiments._prefetch_table`); the
     caller adopts each profile under its arguments
     (:func:`~repro.theory.efficiency.adopt_allocation_profile`), so
-    the leader's own call here is a memo hit.
+    the leader's own call here is a memo hit.  A serial
+    :class:`~repro.sim.CampaignRunner` calls it for every cell of a
+    stacked group before it forks the group's twin
+    (:func:`repro.sim.campaign._run_group_split`), so the twin inherits
+    the solved profiles.
     """
     planning_loss = scenario.loss.planning_loss(scenario.n_receivers)
     arguments = dict(

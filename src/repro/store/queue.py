@@ -373,10 +373,12 @@ def drain_manifest(
     background thread refreshes the claimed leases' heartbeats every
     ``lease_timeout / 3`` seconds, so a *live* worker's leases never
     expire however long its items take — expiry reclaims stay reserved
-    for workers that actually died.  A ``run_keys`` that forks must
-    have forked before this loop (the runners start their pools in
-    :func:`run_sweep`'s ``prepare``): a fork while the heartbeat
-    thread runs copies locks that thread may hold.
+    for workers that actually died.  A fork while the heartbeat
+    thread runs copies locks that thread may hold, so a ``run_keys``
+    whose workers touch the store must have forked them before this
+    loop (the runners start their pools in :func:`run_sweep`'s
+    ``prepare``); the serial runners' second processes (the PER-table
+    helper, a stacked group's twin) fork inside it and only compute.
     Leases are released after every batch whatever happened —
     completion is judged by the shards, so releasing an unfinished
     item just returns it to the pool.

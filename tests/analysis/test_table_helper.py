@@ -22,8 +22,9 @@ that the helper changes wall-clock only:
   helper surfaces as a ``ShardWorkerError`` naming the placement, with
   exactly the earlier experiments stored; invalid extra-antenna cells
   raise the in-line path's ``ValueError`` at the same experiment;
-* the selection rule: no helper in a caller's own threads, pool
-  processes, a process with live multiprocessing children, sharded
+* the selection rule (:func:`repro.sim.campaign._second_process_selected`,
+  which a serial ``CampaignRunner``'s twin follows too): no helper in
+  a caller's own threads, pool processes, a process with live multiprocessing children, sharded
   (manifest or not) campaigns, the packet engine, with one usable CPU or with one
   pending experiment; an explicit start method other than ``fork``
   deselects it, and with none set it is selected whenever ``fork`` is
@@ -64,6 +65,7 @@ from repro.sim import (
     LeaveOneOutEstimatorSpec,
     OracleEstimatorSpec,
 )
+from repro.sim import campaign as sim_campaign
 from repro.sim import engine
 from repro.sim.campaign import ShardWorkerError
 from repro.store import open_store
@@ -104,13 +106,13 @@ ROUNDS = 2
 SPEC = VARIANTS[0]
 WORK = [placement for _, placement in campaign_work_items(CONFIG)]
 #: The selection rule and the helper's job, before any test replaces them.
-HOST_RULE = experiments._table_helper_selected
+HOST_RULE = sim_campaign._second_process_selected
 BUILD_TABLE = experiments._prefetch_table
 
 
 def select_helper(monkeypatch, selected: bool) -> None:
     monkeypatch.setattr(
-        experiments, "_table_helper_selected", lambda n_pending: selected
+        sim_campaign, "_second_process_selected", lambda n_items: selected
     )
 
 
@@ -181,7 +183,7 @@ def test_helper_and_inline_campaigns_are_identical(
     outcomes = {}
     for name, selected in (("on", True), ("off", False), ("host", None)):
         if selected is None:
-            monkeypatch.setattr(experiments, "_table_helper_selected", HOST_RULE)
+            monkeypatch.setattr(sim_campaign, "_second_process_selected", HOST_RULE)
             selected = HOST_RULE(n)
         else:
             select_helper(monkeypatch, selected)
@@ -450,7 +452,7 @@ def test_inline_campaigns_store_the_golden_shards(
 ):
     """Where no helper runs, every leader's LP is solved in-line: the
     stored shards are the golden ones, which the helper also stores."""
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(sim_campaign.os, "sched_getaffinity", lambda pid: {0})
     digest = campaign_shard_digest(tmp_path / "store", **campaign)
     assert digest == json.loads(GOLDEN.read_text())["testbed_campaign"]
     assert helper_starts == []
@@ -534,7 +536,7 @@ def test_invalid_antenna_cells_fail_at_the_same_experiment(
 @pytest.fixture
 def two_cpus(monkeypatch):
     monkeypatch.setattr(
-        experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        sim_campaign.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
     )
 
 
@@ -542,37 +544,37 @@ def two_cpus(monkeypatch):
 def two_cpus_and_fork(two_cpus, monkeypatch):
     """The facts under which the helper is selected, whatever the host."""
     monkeypatch.setattr(
-        experiments.multiprocessing,
+        sim_campaign.multiprocessing,
         "get_start_method",
         lambda allow_none=False: "fork",
     )
 
 
 def test_selected_in_the_main_thread_of_a_top_level_process(two_cpus_and_fork):
-    assert experiments._table_helper_selected(2)
+    assert sim_campaign._second_process_selected(2)
 
 
 def test_not_selected_for_one_pending_experiment(two_cpus_and_fork):
-    assert not experiments._table_helper_selected(1)
-    assert not experiments._table_helper_selected(0)
+    assert not sim_campaign._second_process_selected(1)
+    assert not sim_campaign._second_process_selected(0)
 
 
 def test_not_selected_with_one_usable_cpu(two_cpus_and_fork, monkeypatch):
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
-    assert not experiments._table_helper_selected(5)
-    monkeypatch.delattr(experiments.os, "sched_getaffinity")
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-    assert not experiments._table_helper_selected(5)
+    monkeypatch.setattr(sim_campaign.os, "sched_getaffinity", lambda pid: {0})
+    assert not sim_campaign._second_process_selected(5)
+    monkeypatch.delattr(sim_campaign.os, "sched_getaffinity")
+    monkeypatch.setattr(sim_campaign.os, "cpu_count", lambda: None)
+    assert not sim_campaign._second_process_selected(5)
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
 def test_not_selected_without_fork(two_cpus_and_fork, monkeypatch, method):
     monkeypatch.setattr(
-        experiments.multiprocessing,
+        sim_campaign.multiprocessing,
         "get_start_method",
         lambda allow_none=False: method,
     )
-    assert not experiments._table_helper_selected(5)
+    assert not sim_campaign._second_process_selected(5)
 
 
 class UnsetContext(multiprocessing.context.DefaultContext):
@@ -593,8 +595,8 @@ class UnsetContext(multiprocessing.context.DefaultContext):
 @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
 def test_an_explicit_start_method_is_respected(two_cpus, monkeypatch, method):
     context = multiprocessing.get_context(method)
-    monkeypatch.setattr(experiments, "multiprocessing", context)
-    assert experiments._table_helper_selected(5) == (method == "fork")
+    monkeypatch.setattr(sim_campaign, "multiprocessing", context)
+    assert sim_campaign._second_process_selected(5) == (method == "fork")
 
 
 @pytest.mark.parametrize("default", multiprocessing.get_all_start_methods())
@@ -604,14 +606,14 @@ def test_selected_with_no_start_method_set_if_fork_is_available(
     context = UnsetContext(default)
     assert context.get_start_method(allow_none=True) is None
     assert context.get_all_start_methods()[0] == default
-    monkeypatch.setattr(experiments, "multiprocessing", context)
-    assert experiments._table_helper_selected(5) == (
+    monkeypatch.setattr(sim_campaign, "multiprocessing", context)
+    assert sim_campaign._second_process_selected(5) == (
         "fork" in multiprocessing.get_all_start_methods()
     )
     monkeypatch.setattr(
-        experiments, "multiprocessing", UnsetContext("spawn", ["spawn"])
+        sim_campaign, "multiprocessing", UnsetContext("spawn", ["spawn"])
     )
-    assert not experiments._table_helper_selected(5)
+    assert not sim_campaign._second_process_selected(5)
 
 
 def test_not_selected_with_live_children(two_cpus_and_fork):
@@ -621,20 +623,20 @@ def test_not_selected_with_live_children(two_cpus_and_fork):
     child = multiprocessing.get_context("fork").Process(target=done.wait)
     child.start()
     try:
-        assert not experiments._table_helper_selected(5)
+        assert not sim_campaign._second_process_selected(5)
     finally:
         done.set()
         child.join()
-    assert experiments._table_helper_selected(5)
+    assert sim_campaign._second_process_selected(5)
 
 
 def test_not_selected_in_pool_workers(two_cpus_and_fork):
     with ThreadPoolExecutor(1) as pool:  # a caller's own worker thread
-        assert not pool.submit(experiments._table_helper_selected, 5).result()
+        assert not pool.submit(sim_campaign._second_process_selected, 5).result()
     with ProcessPoolExecutor(
         1, mp_context=multiprocessing.get_context("fork")
     ) as pool:  # a process-sharded one
-        assert not pool.submit(experiments._table_helper_selected, 5).result()
+        assert not pool.submit(sim_campaign._second_process_selected, 5).result()
 
 
 def oracle_factory(testbed, placement):
@@ -692,9 +694,9 @@ def test_no_helper_with_one_cpu_or_one_pending_experiment(
         estimator_spec=OracleEstimatorSpec(),
         rounds_per_leader=1,
     )
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(sim_campaign.os, "sched_getaffinity", lambda pid: {0})
     run()
     assert helper_starts == []
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(sim_campaign.os, "sched_getaffinity", lambda pid: {0, 1})
     run()
     assert helper_starts == [1]

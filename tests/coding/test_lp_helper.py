@@ -9,7 +9,9 @@ itself and calls scipy's bundled binding directly.
 public wrapper; on every LP the loops pose, both must return the same
 ``x`` to the last bit, or plans would move.  The edge cases below (no
 optimum, empty columns, non-contiguous input, concurrent callers) are
-held to the same oracle.
+held to the same oracle.  Each thread reuses one HiGHS instance, so a
+solve on it must equal a solve on a fresh instance, in any order and
+in a forked child that inherited the instance.
 
 The LPs are captured from the loops themselves, every Dinkelbach step
 included: allocation LPs from random pattern-cell sizes and budgets,
@@ -19,14 +21,17 @@ level LPs from random ``(n, p, level cap)`` cells.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import repro.coding.privacy as privacy
+import repro.solvers as solvers
 import repro.theory.efficiency as efficiency
 from repro.solvers import solve_lp
 
@@ -176,3 +181,57 @@ def test_solve_lp_is_thread_safe(monkeypatch):
         sys.setswitchinterval(interval)
     assert threaded == serial
     assert serial == [_linprog_x(*lp).tobytes() for lp in lps]
+
+
+#: Two LPs with no optimum (infeasible, unbounded), mixed into the
+#: reuse checks so a solve after a failed one is covered.
+NO_OPTIMUM = [
+    (np.ones(1), np.array([[1.0]]), np.array([-1.0])),
+    (np.array([-1.0]), np.array([[-1.0]]), np.array([0.0])),
+]
+
+
+def _bits(x) -> object:
+    return None if x is None else x.tobytes()
+
+
+def _solve_all(lps, order) -> dict:
+    return {k: _bits(solve_lp(*lps[k])) for k in order}
+
+
+def reuse_lps(monkeypatch) -> list:
+    lps = allocation_lps(monkeypatch) + level_lps(monkeypatch) + NO_OPTIMUM
+    monkeypatch.undo()
+    return lps
+
+
+def fresh_solves(monkeypatch, lps) -> list:
+    """Each LP on a HiGHS instance of its own."""
+    fresh = []
+    for lp in lps:
+        monkeypatch.setattr(solvers, "_SOLVERS", threading.local())
+        fresh.append(_bits(solve_lp(*lp)))
+    monkeypatch.undo()
+    return fresh
+
+
+def test_a_reused_instance_solves_like_a_fresh_one(monkeypatch):
+    lps = reuse_lps(monkeypatch)
+    fresh = fresh_solves(monkeypatch, lps)
+    assert fresh.count(None) == len(NO_OPTIMUM)
+    order = np.random.default_rng(INSTANCE_SEED).permutation(len(lps))
+    reused = _solve_all(lps, order)
+    assert [reused[k] for k in range(len(lps))] == fresh
+
+
+def test_a_forked_child_solves_like_a_fresh_instance(monkeypatch):
+    """The child inherits this thread's used instance and reuses it."""
+    lps = reuse_lps(monkeypatch)
+    fresh = fresh_solves(monkeypatch, lps)
+    solve_lp(*lps[0])  # the instance exists and has solved before the fork
+    order = np.random.default_rng(INSTANCE_SEED + 1).permutation(len(lps))
+    with ProcessPoolExecutor(
+        1, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        child = pool.submit(_solve_all, lps, order).result(timeout=120)
+    assert [child[k] for k in range(len(lps))] == fresh
