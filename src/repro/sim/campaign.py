@@ -8,7 +8,7 @@ optionally sharding groups of cells across one process pool per run
 (:class:`ShardPool`); the planner's hot loops are pure Python, so only
 separate processes run them in parallel, each with its own LP and
 flow memos.  A serial runner may still put a second CPU to work: it
-runs half of each stacked group on a forked twin
+runs half of each large enough stacked group on a forked twin
 (:func:`_run_group_split`) when :func:`_second_process_selected`, the
 rule the testbed campaign's PER-table helper follows too, allows it.
 
@@ -185,7 +185,7 @@ class ShardPool:
 
     A serial pool starts no process, and its map runs in the caller;
     the serial :class:`CampaignRunner` maps :func:`_run_group_split`
-    on it, which may fork one twin per stacked group.
+    on it, which may fork one twin per large enough stacked group.
 
     Args:
         max_workers: None or 1 maps serially and starts no process;
@@ -471,6 +471,20 @@ def _second_process_selected(n_items: int) -> bool:
     return cpus >= 2
 
 
+#: The least work, in terminal-rounds (each cell's ``rounds`` times its
+#: ``n_terminals``, summed over the group), for which a stacked group
+#: forks a twin.  A twin costs about 7-10 ms of wall clock and 10-20 ms
+#: of CPU per group (the fork, copy-on-write faults, the pipe), and the
+#: two halves slow each other down, so it only pays on a group whose
+#: in-line pass takes about 30 ms or more.  Measured on a 2-vCPU VM
+#: (Python 3.11), 10 alternating pairs per shape: 4 cells x 100 rounds
+#: at n = 4 ran 61 -> 47 ms (9/10 pairs faster), at n = 3 (1200
+#: terminal-rounds, 19 ms in-line) 19 -> 25 ms (5/10); n = 3 gained from
+#: 4 x 150 rounds (1800, 36 -> 31 ms, 8/10); 2 cells x 16-100 rounds at
+#: n = 3 were 1.3x-4x slower.
+_TWIN_MIN_TERMINAL_ROUNDS = 1500
+
+
 def _twin_main(half, sender) -> None:
     """The twin's whole life: one stacked pass, its outcomes (or the
     exception the pass raised) sent on the pipe."""
@@ -484,22 +498,24 @@ def _twin_main(half, sender) -> None:
 def _run_group_split(group) -> List[ScenarioOutcome]:
     """One stacked group of a serial sweep, half of it on a forked twin.
 
-    When :func:`_second_process_selected` allows it for a group of two
-    or more cells, the caller first solves every cell's planning LP
+    When the group holds at least :data:`_TWIN_MIN_TERMINAL_ROUNDS` of
+    work and :func:`_second_process_selected` allows it for a group of
+    two or more cells, the caller first solves every cell's planning LP
     (:func:`~repro.sim.engine.planning_profile`), so the twin inherits
     a warm LP memo and every distinct LP counts one miss in the
-    caller's memo, as in an in-line run.  It then forks one twin that runs :func:`_run_scenario_group`
-    on the second half of the group, runs the first half itself, and
-    reads the twin's outcomes from a pipe.  Every cell owns its
-    generator and the lattice pass works row by row, so the outcomes,
-    in cell order, are bit-identical to one in-line pass.  Otherwise
-    the whole group runs in-line.
+    caller's memo, as in an in-line run.  It then forks one twin that
+    runs :func:`_run_scenario_group` on the second half of the group,
+    runs the first half itself, and reads the twin's outcomes from a
+    pipe.  Every cell owns its generator and the lattice pass works row
+    by row, so the outcomes, in cell order, are bit-identical to one
+    in-line pass.  Otherwise the whole group runs in-line.
 
     A twin that dies, or whose pass raises, raises
     :class:`ShardWorkerError` naming the group; the twin is joined (or
     ended, if the caller's half raised) before this returns or raises.
     """
-    if not _second_process_selected(len(group)):
+    work = sum(scenario.rounds * scenario.n_terminals for scenario, _, _ in group)
+    if work < _TWIN_MIN_TERMINAL_ROUNDS or not _second_process_selected(len(group)):
         return _run_scenario_group(group)
     for scenario, _, _ in group:
         planning_profile(scenario)
@@ -551,7 +567,8 @@ class CampaignRunner:
             where :func:`_second_process_selected` allows a second
             process (main thread of a top-level process with no live
             children, two usable CPUs, ``fork``), the second half of
-            each stacked group of two or more cells runs on a forked
+            each stacked group of two or more cells with at least
+            :data:`_TWIN_MIN_TERMINAL_ROUNDS` of work runs on a forked
             twin (:func:`_run_group_split`).  Results are identical
             every way.  ``progress`` and every store call stay in the
             caller's process.

@@ -3,7 +3,8 @@
 When the shared selection rule
 (:func:`repro.sim.campaign._second_process_selected`) allows a second
 process, a serial runner splits each stacked group of two or more cells
-in two and runs the second half on a forked twin.  This module pins
+that holds enough work (``_TWIN_MIN_TERMINAL_ROUNDS``) in two and runs
+the second half on a forked twin.  This module pins
 that the twin changes wall-clock only:
 
 * equivalence: with the rule forced on, forced off and as the host
@@ -18,11 +19,12 @@ that the twin changes wall-clock only:
   :class:`ShardWorkerError` naming the group, with exactly the earlier
   groups stored; a caller whose own half raises ends the twin; no
   process and no thread outlives a run;
-* scope: sharded runners (``max_workers`` > 1) and single-cell groups
-  fork no twin.
+* scope: sharded runners (``max_workers`` > 1), single-cell groups
+  and groups below the work floor fork no twin.
 
 Every test forces the side of the selection it needs, so the module
-also passes pinned to one CPU (``taskset -c 0``).
+also passes pinned to one CPU (``taskset -c 0``).  Forcing the twin on
+also lowers the work floor to 0, so the small golden grids split.
 """
 
 from __future__ import annotations
@@ -57,12 +59,15 @@ HOST_RULE = sim_campaign._second_process_selected
 
 
 def select_twin(monkeypatch, selected) -> None:
-    """Force the rule on (True: whatever the host, for two or more
-    cells) or off (False), or restore the host's (None)."""
+    """Force the twin on (True: whatever the host and the group's
+    work, for two or more cells) or off (False), or restore the host's
+    rule and the shipped work floor (None)."""
     rule = HOST_RULE if selected is None else (
         lambda n_items: selected and n_items >= 2
     )
     monkeypatch.setattr(sim_campaign, "_second_process_selected", rule)
+    if selected:
+        monkeypatch.setattr(sim_campaign, "_TWIN_MIN_TERMINAL_ROUNDS", 0)
 
 
 @pytest.fixture
@@ -128,11 +133,20 @@ def group_label(group) -> str:
     return _group_label(tuple(items))
 
 
+def work(group) -> int:
+    """A group's work in terminal-rounds, as the work floor counts it."""
+    return sum(scenario.rounds * scenario.n_terminals for scenario in group)
+
+
 def expected_twins(cells=None) -> int:
     """Forks for one run of ``cells`` (the golden cells): one per
-    group of two or more cells."""
+    group of two or more cells that reaches the current work floor."""
     cells = store_golden.golden_cells() if cells is None else cells
-    return sum(len(g) >= 2 for g in group_cells(cells))
+    return sum(
+        len(g) >= 2
+        and work([cells[i] for i in g]) >= sim_campaign._TWIN_MIN_TERMINAL_ROUNDS
+        for g in group_cells(cells)
+    )
 
 
 # -- equivalence ---------------------------------------------------------
@@ -213,9 +227,11 @@ def test_lp_solved_once_per_distinct_cell_with_a_twin(monkeypatch, twins):
 
 
 def test_no_twin_in_sharded_runs_or_single_cell_groups(
-    tmp_path, golden_lines, twins, two_cpus_and_fork, no_leftovers
+    monkeypatch, tmp_path, golden_lines, twins, two_cpus_and_fork, no_leftovers
 ):
-    """The host's rule, on facts that select a twin for a group."""
+    """The host's rule, on facts that select a twin for a group, with
+    no work floor."""
+    monkeypatch.setattr(sim_campaign, "_TWIN_MIN_TERMINAL_ROUNDS", 0)
     assert sim_campaign._second_process_selected(2)
     got = store_golden.campaign_digests(f"file:{tmp_path}", max_workers=2)
     assert got == golden_lines["file"]
@@ -223,6 +239,30 @@ def test_no_twin_in_sharded_runs_or_single_cell_groups(
     assert twins == []
     CampaignRunner(seed=3).run(GROUPS[0])
     assert len(twins) == 1
+
+
+def test_no_twin_below_the_work_floor(monkeypatch, twins, no_leftovers):
+    """A group forks from exactly the floor's work up."""
+    select_twin(monkeypatch, True)
+    floor = work(GROUPS[0])
+    monkeypatch.setattr(sim_campaign, "_TWIN_MIN_TERMINAL_ROUNDS", floor + 1)
+    CampaignRunner(seed=3).run(GROUPS[0])
+    assert twins == []
+    monkeypatch.setattr(sim_campaign, "_TWIN_MIN_TERMINAL_ROUNDS", floor)
+    CampaignRunner(seed=3).run(GROUPS[0])
+    assert len(twins) == 1
+
+
+def test_short_groups_stay_in_line_on_the_shipped_floor(
+    twins, two_cpus_and_fork, no_leftovers
+):
+    """The host's rule, on facts that select a twin: a stacked pair of
+    a few rounds, where a fork costs more than the half it saves, runs
+    in-line."""
+    assert sim_campaign._second_process_selected(2)
+    assert work(GROUPS[0]) < sim_campaign._TWIN_MIN_TERMINAL_ROUNDS
+    CampaignRunner(seed=3).run(GROUPS[0])
+    assert twins == []
 
 
 # -- lifecycle and failures ----------------------------------------------
