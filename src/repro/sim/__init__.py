@@ -26,7 +26,8 @@ Design (see :mod:`repro.sim.engine` for the full derivation):
   round's realised pools, become whole-packet demands, and each round
   realises them with an integral transportation max-flow on its
   pattern histogram (:func:`repro.theory.allocation.realised_support_flow`,
-  memoized by histogram and demand).
+  solved once per histogram and demand in each cell, on a memo that
+  dies with the cell).
 * **Declarative campaigns** — :class:`~repro.sim.campaign.ScenarioGrid`
   expands the scenario matrix, and
   :class:`~repro.sim.campaign.CampaignRunner` shards cells across a

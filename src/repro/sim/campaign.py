@@ -6,9 +6,10 @@ expanded into concrete :class:`~repro.sim.spec.Scenario` cells.  The
 :class:`CampaignRunner` executes every cell on the batched engine,
 optionally sharding groups of cells across one process pool per run
 (:class:`ShardPool`); the planner's hot loops are pure Python, so only
-separate processes run them in parallel, each with its own LP and
-flow memos.  A serial runner may still put a second CPU to work: it
-runs half of each large enough stacked group on a forked twin
+separate processes run them in parallel, each with its own LP memo
+(a cell's flow plans are memoised in the cell, in any process).  A
+serial runner may still put a second CPU to work: it runs half of
+each large enough stacked group on a forked twin
 (:func:`_run_group_split`) when :func:`_second_process_selected`, the
 rule the testbed campaign's PER-table helper follows too, allows it.
 
@@ -167,7 +168,7 @@ class ShardPool:
 
     A manifest drain runs one map per claimed batch of ``max_workers``
     items.  A pool per map would start new workers for every batch,
-    each with empty LP and flow memos and, on ``forkserver`` or
+    each with an empty LP memo and, on ``forkserver`` or
     ``spawn``, its own imports of numpy, scipy's HiGHS binding and
     :mod:`repro`: about 0.35 s to start two workers and run their
     first map, and 0.3-0.4 s to close them, on a 2-core x86-64 host

@@ -26,11 +26,12 @@ for B independent rounds simultaneously:
 5. **Realised assignment** — each round's demand is realised by an
    *integral* transportation max-flow on the round's observed pattern
    histogram (:func:`repro.theory.allocation.realised_support_flow`,
-   memoized by observed-pattern key, sharing the flow core of
-   :mod:`repro.solvers` with the per-packet session).  Supports are
-   disjoint, rows are whole numbers, and shortfalls land exactly where
-   the session's flow assignment would put them — no fractional-LP
-   optimism at small N.
+   sharing the flow core of :mod:`repro.solvers` with the per-packet
+   session), solved once per observed-pattern key and cell: the memo
+   is a dict of the cell's own, freed when the cell returns.  Supports
+   are disjoint, rows are whole numbers, and shortfalls land exactly
+   where the session's flow assignment would put them — no
+   fractional-LP optimism at small N.
 6. **Accounting** — Eve's misses *inside each realised support* are
    drawn from the exact multivariate hypergeometric law of the cell
    composition; per-round ``M_i``, ``L = min_i M_i`` (after the
@@ -46,10 +47,12 @@ one reception tensor (:func:`repro.sim.stack.run_stacked_batch`, which
 slices the lattice arrays per cell — every step is row-wise, so a
 slice is indistinguishable from a per-cell array).  Demand
 integerisation uses no randomness and runs once over all of a cell's
-rounds (:func:`_integerise_rows`); the per-round loop (memoized
-max-flow, hypergeometric sampling, certification, excess-row trim)
+rounds (:func:`_integerise_rows`); the per-round loop (the cell's
+plan memo, hypergeometric sampling, certification, excess-row trim)
 runs on plain Python scalars and lists (:func:`_realise_fast`):
-numpy's per-op dispatch dominates at subset-lattice sizes.  Golden
+numpy's per-op dispatch dominates at subset-lattice sizes.  The memo
+keeps each plan as its subsets' nonzero ``(cell index, units)`` pairs,
+so the draw loop walks only the flow's nonzero entries.  Golden
 digests recorded from the earlier array form of that loop
 (``tests/sim/test_accounting_golden.py``) pin its results.
 
@@ -91,7 +94,7 @@ from repro.sim.spec import (
     OracleEstimatorSpec,
     Scenario,
 )
-from repro.theory.allocation import realised_support_flow
+from repro.theory.allocation import count_realised_flow_hit, realised_support_flow
 from repro.theory.efficiency import AllocationProfile, group_allocation_profile
 
 __all__ = ["BatchResult", "BatchedRoundEngine", "run_batch", "planning_profile"]
@@ -299,14 +302,22 @@ class BatchedRoundEngine:
         self, miss_rates: np.ndarray, margin: float
     ) -> np.ndarray:
         """Worst eligible pretend-Eve rate per (round, subset), where a
-        block decodable by subset S may only cite receivers outside S."""
-        b = miss_rates.shape[0]
-        rates = np.zeros((b, self._n_subsets))
-        for s in range(self._n_subsets):
-            outside = ~self._membership[s]
-            if not outside.any():
-                continue  # every receiver is inside: nothing certifiable
-            rates[:, s] = miss_rates[:, outside].min(axis=1)
+        block decodable by subset S may only cite receivers outside S.
+
+        One ``np.minimum`` pass per receiver i covers every mask that
+        lacks i; ``min`` is exact, so the order of the passes does not
+        matter.  The full mask has no receiver outside: nothing is
+        certifiable there.
+        """
+        rates = np.full((miss_rates.shape[0], self._n_subsets), _INF)
+        for i in range(self.scenario.n_receivers):
+            np.minimum(
+                rates,
+                miss_rates[:, i, None],
+                out=rates,
+                where=~self._membership[None, :, i],
+            )
+        rates[:, -1] = 0.0
         return np.maximum(rates - margin, 0.0)
 
     def _collusion_rates(
@@ -722,17 +733,19 @@ def _realise_fast(
 ) -> Tuple[List[float], float]:
     """One round's integral assignment: (rows over 2^r subsets, deficit).
 
-    Draws the round's support assignment from the memoized flow on the
-    observed pattern histogram, samples Eve's misses inside each
-    realised support (multivariate hypergeometric over the support's
-    cell composition: one draw per (subset j, cell k) with flow,
-    ascending), certifies rows per estimator on the realised support,
-    trims rows that cannot raise ``L`` (the session's
+    Draws the round's support assignment from the flow on the observed
+    pattern histogram, samples Eve's misses inside each realised support
+    (multivariate hypergeometric over the support's cell composition:
+    one draw per (subset j, cell k) with flow, ascending), certifies
+    rows per estimator on the realised support, trims rows that cannot
+    raise ``L`` (the session's
     :func:`repro.coding.privacy.trim_excess_rows`), and sums the rank
     deficit Eve's actual misses leave behind.  Rows are integral
     doubles throughout, so the membership sums and the trim's slack
-    arithmetic are exact in any order.  ``plan_memo`` caches each flow
-    plan in list form for the rest of the cell.
+    arithmetic are exact in any order.  ``plan_memo`` is the cell's plan
+    memo: per key, the plan's subsets and cells, each subset's nonzero
+    ``(cell index, units)`` flow pairs, its units in total, and the
+    plan's scale.
     """
     n_sub = len(counts_int)
     rows = [0.0] * n_sub
@@ -752,14 +765,15 @@ def _realise_fast(
         plan_parts = (
             plan.subsets,
             plan.cells,
-            flow,
+            [[(k, take) for k, take in enumerate(frow) if take] for frow in flow],
             [sum(frow) for frow in flow],
             plan.scale,
         )
         plan_memo[(cells, active)] = plan_parts
-    subsets, plan_cells, flow, assigned, scale = plan_parts
+    else:
+        count_realised_flow_hit()
+    subsets, plan_cells, pairs, assigned, scale = plan_parts
     n_plan = len(subsets)
-    n_cells = len(plan_cells)
 
     # Eve's misses inside each realised support: cells are
     # exchangeable pools, so sequential hypergeometric draws give the
@@ -770,12 +784,8 @@ def _realise_fast(
     sampled = [0] * n_plan
     hyper = rng.hypergeometric
     for j in range(n_plan):
-        frow = flow[j]
         drawn_total = 0
-        for k in range(n_cells):
-            take = frow[k]
-            if take == 0:
-                continue
+        for k, take in pairs[j]:
             good = good_left[k]
             total = total_left[k]
             if good <= 0:

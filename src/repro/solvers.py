@@ -12,7 +12,7 @@
   :func:`solve_transport_counts`; the batched engine's realised planner
   (:func:`repro.theory.allocation.realised_support_flow`) runs
   :func:`route_direct` and :class:`TransportGraph` on reception-pattern
-  histograms.
+  histograms, once per distinct round of each accounted cell.
 
 Both are deterministic functions of their input order, so the same
 inputs give the same bits in every process.  This module imports only
@@ -466,8 +466,10 @@ def solve_transport_counts(
     batched engine's per-round realised planner
     (:func:`repro.theory.allocation.realised_support_flow`) runs the
     same :func:`route_direct` and :class:`TransportGraph` on
-    reception-pattern histograms, at most one graph per plan —
-    thousands of plans per campaign, which is why this is a
+    reception-pattern histograms, at most one graph per plan and one
+    plan per distinct round of each cell — thousands of plans per
+    campaign (3,168 per pass of perfbench's ``fig2_testbed``), nothing
+    cached across cells, which is why this is a
     dependency-free Dinic on lists and edge arrays rather than a graph
     library call (per-call overhead dominates at these sizes).
 

@@ -5,9 +5,10 @@ docs/paper-map.md (Figure 1) maps the curves to the paper, and
 docs/architecture.md (Planning LP) describes how the level LP is solved.
 
 :mod:`repro.theory.allocation` complements the fractional LP with the
-*realised* side: memoized integral support flows on observed
-reception-pattern histograms, which the batched engine uses for honest
-per-round accounting.
+*realised* side: integral support flows on observed reception-pattern
+histograms, which the batched engine uses for honest per-round
+accounting (it solves each distinct round of a cell once and keeps
+the plan only as long as the cell).
 """
 
 from repro.theory.allocation import (

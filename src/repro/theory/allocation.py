@@ -26,18 +26,25 @@ Hall certificates that each failed solve's minimum cut provides
 (:meth:`~repro.solvers.TransportGraph.hall_cut`); the plan is
 the cold solve at that point.
 
-Solves are memoized on the observed ``(histogram, demands)`` key:
-within a scenario many rounds realise the same histogram (small ``N``
-especially, which is also where integrality bites hardest), so the
-cache amortises like the allocation-LP cache does.  The cached
-:class:`RealisedPlan` is immutable and shared — callers must treat the
-flow table as read-only (the array is marked unwriteable).
+Each call is one solve; nothing is cached here.  The memo is the
+accounting kernel's per-cell dict (:func:`repro.sim.engine._account_cell`):
+within a cell many rounds realise the same ``(histogram, demands)`` key
+(small ``N`` especially, which is also where integrality bites
+hardest), and the cell solves each key once.  The memo lives only as
+long as its cell, so no plan outlives the cell that asked for it and
+memory stays bounded by one cell's rounds.  There is no process-wide
+cache: keys seldom repeat across cells (on the Figure-2 campaign only
+between its two estimator variants), and such a cache held a dense
+flow array per plan for the life of the process.  The counters behind
+:func:`realised_flow_cache_info` report the per-cell memo: its hits,
+and the solves made here.  A :class:`RealisedPlan`'s flow table
+is read-only (the array is marked unwriteable).
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +56,17 @@ __all__ = [
     "realised_support_flow",
     "realised_flow_cache_info",
     "clear_realised_flow_cache",
+    "count_realised_flow_hit",
 ]
 
 #: Scales of an infeasible round live on the grid ``k / SCALE_STEPS``.
 SCALE_STEPS = 64
+
+#: Plan-memo counts since the last :func:`clear_realised_flow_cache`:
+#: ``[hits, solves]``.
+_counts = [0, 0]
+
+FlowMemoInfo = namedtuple("FlowMemoInfo", ["hits", "misses"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +101,10 @@ class RealisedPlan:
         return self.flow.sum(axis=1)
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def realised_support_flow(
     cell_counts: tuple, subset_demands: tuple, top_up: bool = False
 ) -> RealisedPlan:
-    """Memoized integral support assignment for one observed round.
+    """Integral support assignment for one observed round.
 
     Args:
         cell_counts: ``((pattern_mask, packet_count), ...)`` — the
@@ -110,10 +123,12 @@ def realised_support_flow(
             ceiling with no rounding buffer.
 
     Returns:
-        The cached :class:`RealisedPlan`.  Identical keys return the
-        *identical object* (``is``-equal), which is what lets thousands
-        of rounds share one max-flow solve.
+        A new :class:`RealisedPlan`.  Identical keys give equal plans
+        (same ``subsets``, ``cells``, ``flow`` bytes and ``scale``) but
+        not the same object: every call solves, and counts as one
+        miss in :func:`realised_flow_cache_info`.
     """
+    _counts[1] += 1
     cells = tuple(p for p, _ in cell_counts)
     subsets = tuple(s for s, _ in subset_demands)
     demands = [int(d) for _, d in subset_demands]
@@ -184,11 +199,16 @@ def realised_support_flow(
     return RealisedPlan(subsets=subsets, cells=cells, flow=flow, scale=scale)
 
 
-def realised_flow_cache_info():
-    """Hit/miss statistics of the realised-flow memo (tests use this)."""
-    return realised_support_flow.cache_info()
+def count_realised_flow_hit() -> None:
+    """Count one plan-memo hit: a round whose key its cell had solved."""
+    _counts[0] += 1
+
+
+def realised_flow_cache_info() -> FlowMemoInfo:
+    """``(hits, misses)`` of the per-cell plan memo: misses are solves."""
+    return FlowMemoInfo(*_counts)
 
 
 def clear_realised_flow_cache() -> None:
-    """Drop every memoized realised flow (tests use this for isolation)."""
-    realised_support_flow.cache_clear()
+    """Zero the plan-memo counters (there is no process-wide cache)."""
+    _counts[0] = _counts[1] = 0

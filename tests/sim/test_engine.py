@@ -236,6 +236,34 @@ class TestEstimatorBudgets:
         assert slack.secret_packets.mean() <= no_slack.secret_packets.mean()
 
 
+def _leave_one_out_rates_loop(engine, miss_rates, margin):
+    """The per-mask form the engine's r ``np.minimum`` passes replace."""
+    rates = np.zeros((miss_rates.shape[0], engine._n_subsets))
+    for s in range(engine._n_subsets):
+        outside = ~engine._membership[s]
+        if outside.any():
+            rates[:, s] = miss_rates[:, outside].min(axis=1)
+    return np.maximum(rates - margin, 0.0)
+
+
+@pytest.mark.accounting
+class TestLeaveOneOutRates:
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_bytes_equal_the_per_mask_loop(self, r):
+        engine = BatchedRoundEngine(scenario(n_terminals=r + 1), seed=0)
+        rng = np.random.default_rng(100 + r)
+        n = 90
+        miss_rates = rng.integers(0, n + 1, size=(40, r)) / float(n)
+        miss_rates[0] = miss_rates[0, 0]  # every receiver tied
+        miss_rates[1] = 0.0
+        for margin in (0.0, 0.05):
+            got = engine._leave_one_out_rates(miss_rates, margin)
+            want = _leave_one_out_rates_loop(engine, miss_rates, margin)
+            assert got.tobytes() == want.tobytes()
+            # The full mask has no receiver outside: it certifies nothing.
+            assert not got[:, -1].any()
+
+
 class TestResultViews:
     def test_secret_bits_and_int_floor(self):
         result = run_batch(scenario(rounds=50, payload_bytes=10), seed=13)
