@@ -15,7 +15,9 @@ The tentpole claims under test:
 """
 
 from collections import deque
+from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.service import (
@@ -29,7 +31,7 @@ from repro.service import (
     reference_budget,
     reference_keys,
 )
-from repro.service.derive import MIN_KEY_BYTES
+from repro.service.derive import MIN_KEY_BYTES, derive_session_keys
 from repro.service.errors import abort_code_for
 
 LEADER = "leader"  # routing token, distinct from any terminal name
@@ -172,6 +174,27 @@ class TestSizedDerivation:
         with pytest.raises((InsufficientEntropyError, NoSecretError)):
             pump(leader, engines)
         assert leader.derived_keys is None  # failed closed, keys cleared
+
+    @pytest.mark.parametrize("margin_bits", [0, 13])
+    def test_the_key_floor_is_exactly_min_key_bytes(self, margin_bits):
+        """A budget of exactly MIN_KEY_BYTES - 1 extractable bytes
+        aborts; one of exactly MIN_KEY_BYTES ships that many bytes."""
+        derive = partial(
+            derive_session_keys,
+            np.arange(64, dtype=np.uint8),
+            session_id=b"floor",
+            config_digest=b"digest",
+            leader="alice",
+            key_bytes=64,
+        )
+        # One bit short of MIN_KEY_BYTES whole bytes.
+        short = LeakageBudget(MIN_KEY_BYTES * 8 - 1 + margin_bits, 0, margin_bits)
+        assert short.extractable_bytes == MIN_KEY_BYTES - 1
+        with pytest.raises(InsufficientEntropyError, match="need at least 16"):
+            derive(budget=short)
+        exact = LeakageBudget(MIN_KEY_BYTES * 8 + 7 + margin_bits, 7, margin_bits)
+        assert exact.extractable_bytes == MIN_KEY_BYTES
+        assert len(derive(budget=exact).material) == MIN_KEY_BYTES
 
     def test_exhausted_margin_aborts_low_entropy(self):
         """A margin larger than anything the session can agree forces
