@@ -23,8 +23,8 @@ follower cannot replay the leader's tag back at it.  An empty secret
 derives nothing: :class:`~repro.service.errors.NoSecretError` enforces
 the fail-closed contract at the derivation boundary itself.
 
-Privacy amplification sizing (leftover-hash style): when the caller
-hands over a measured :class:`LeakageBudget`, the expand step emits at
+Privacy amplification sizing (leftover-hash style): every caller hands
+over a measured :class:`LeakageBudget`, and the expand step emits at
 most ``extractable_bytes`` — the session's residual min-entropy after
 Eve's measured observations and the configured safety margin — and a
 session whose budget cannot support even :data:`MIN_KEY_BYTES` aborts
@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -175,16 +175,14 @@ def derive_session_keys(
     config_digest: bytes,
     leader: str,
     key_bytes: int,
-    budget: Optional[LeakageBudget] = None,
+    budget: LeakageBudget,
 ) -> DerivedKeys:
     """Turn the agreed secret packets into usable symmetric keys.
 
     Args:
-        budget: the session's measured secrecy budget.  When given, the
-            emitted material is ``min(key_bytes, budget.extractable_bytes)``
-            — privacy amplification sized by measurement, not by hope.
-            When None the caller takes responsibility for sizing
-            (legacy contract: emit exactly ``key_bytes``).
+        budget: the session's measured secrecy budget.  The emitted
+            material is ``min(key_bytes, budget.extractable_bytes)`` —
+            privacy amplification sized by measurement, not by hope.
 
     Raises:
         NoSecretError: when the secret is empty — a session that agreed
@@ -196,15 +194,14 @@ def derive_session_keys(
     arr = np.asarray(secret, dtype=np.uint8)
     if arr.size == 0:
         raise NoSecretError("the rounds produced an empty secret")
-    if budget is not None:
-        key_bytes = min(key_bytes, budget.extractable_bytes)
-        if key_bytes < MIN_KEY_BYTES:
-            raise InsufficientEntropyError(
-                f"measured budget supports {budget.extractable_bytes} key "
-                f"bytes ({budget.min_entropy_bits} residual min-entropy "
-                f"bits, margin {budget.safety_margin_bits}); "
-                f"need at least {MIN_KEY_BYTES}"
-            )
+    key_bytes = min(key_bytes, budget.extractable_bytes)
+    if key_bytes < MIN_KEY_BYTES:
+        raise InsufficientEntropyError(
+            f"measured budget supports {budget.extractable_bytes} key "
+            f"bytes ({budget.min_entropy_bits} residual min-entropy "
+            f"bits, margin {budget.safety_margin_bits}); "
+            f"need at least {MIN_KEY_BYTES}"
+        )
     h = hashlib.sha256()
     h.update(b"thin-air/service/v1|")
     h.update(session_id)
