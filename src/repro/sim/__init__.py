@@ -27,7 +27,8 @@ Design (see :mod:`repro.sim.engine` for the full derivation):
   realises them with an integral transportation max-flow on its
   pattern histogram (:func:`repro.theory.allocation.realised_support_flow`,
   solved once per histogram and demand in each cell, on a memo that
-  dies with the cell).
+  dies with the cell, next to the Hall certificates the cell's failed
+  solves proved).
 * **Declarative campaigns** — :class:`~repro.sim.campaign.ScenarioGrid`
   expands the scenario matrix, and
   :class:`~repro.sim.campaign.CampaignRunner` shards cells across a

@@ -44,7 +44,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.sim.engine import BatchResult, planning_profile
+from repro.sim.engine import BatchResult
 from repro.sim.stack import group_cells, run_stacked_batch
 from repro.sim.spec import (
     AdversarySpec,
@@ -501,15 +501,17 @@ def _run_group_split(group) -> List[ScenarioOutcome]:
 
     When the group holds at least :data:`_TWIN_MIN_TERMINAL_ROUNDS` of
     work and :func:`_second_process_selected` allows it for a group of
-    two or more cells, the caller first solves every cell's planning LP
-    (:func:`~repro.sim.engine.planning_profile`), so the twin inherits
-    a warm LP memo and every distinct LP counts one miss in the
-    caller's memo, as in an in-line run.  It then forks one twin that
-    runs :func:`_run_scenario_group` on the second half of the group,
-    runs the first half itself, and reads the twin's outcomes from a
-    pipe.  Every cell owns its generator and the lattice pass works row
-    by row, so the outcomes, in cell order, are bit-identical to one
-    in-line pass.  Otherwise the whole group runs in-line.
+    two or more cells, the caller forks one twin that runs
+    :func:`_run_scenario_group` on the second half of the group, runs
+    the first half itself, and reads the twin's outcomes from a pipe.
+    Each process plans the cells it accounts: it solves each distinct
+    planning LP of its own half once (a memo hit if an earlier group
+    of the caller solved it before the fork), so the caller's LP memo
+    counts its own half only, as its flow-plan counters do.  Every cell
+    owns its generator, the LP is a deterministic solve and the lattice
+    pass works row by row, so the outcomes, in cell order, are
+    bit-identical to one in-line pass.  Otherwise the whole group runs
+    in-line.
 
     A twin that dies, or whose pass raises, raises
     :class:`ShardWorkerError` naming the group; the twin is joined (or
@@ -518,8 +520,6 @@ def _run_group_split(group) -> List[ScenarioOutcome]:
     work = sum(scenario.rounds * scenario.n_terminals for scenario, _, _ in group)
     if work < _TWIN_MIN_TERMINAL_ROUNDS or not _second_process_selected(len(group)):
         return _run_scenario_group(group)
-    for scenario, _, _ in group:
-        planning_profile(scenario)
     half = len(group) // 2
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)

@@ -28,7 +28,13 @@ for B independent rounds simultaneously:
    histogram (:func:`repro.theory.allocation.realised_support_flow`,
    sharing the flow core of :mod:`repro.solvers` with the per-packet
    session), solved once per observed-pattern key and cell: the memo
-   is a dict of the cell's own, freed when the cell returns.  Supports
+   is a dict of the cell's own, freed when the cell returns, and holds
+   each plan's sparse ``(cell index, units)`` pairs, its subsets'
+   totals and its trim order.  Next to it the cell keeps a
+   :class:`~repro.theory.allocation.HallMemory`, the Hall certificates
+   its failed solves proved, so that a later infeasible round starts
+   its scale search where they pin it and skips most failed solves;
+   the plans are the same without it.  Supports
    are disjoint, rows are whole numbers, and shortfalls land exactly
    where the session's flow assignment would put them — no
    fractional-LP optimism at small N.
@@ -51,8 +57,9 @@ rounds (:func:`_integerise_rows`); the per-round loop (the cell's
 plan memo, hypergeometric sampling, certification, excess-row trim)
 runs on plain Python scalars and lists (:func:`_realise_fast`):
 numpy's per-op dispatch dominates at subset-lattice sizes.  The memo
-keeps each plan as its subsets' nonzero ``(cell index, units)`` pairs,
-so the draw loop walks only the flow's nonzero entries.  Golden
+keeps each plan as the planner hands it out, its subsets' nonzero
+``(cell index, units)`` pairs, so the draw loop walks only the flow's
+nonzero entries and no dense matrix is built.  Golden
 digests recorded from the earlier array form of that loop
 (``tests/sim/test_accounting_golden.py``) pin its results.
 
@@ -94,7 +101,11 @@ from repro.sim.spec import (
     OracleEstimatorSpec,
     Scenario,
 )
-from repro.theory.allocation import count_realised_flow_hit, realised_support_flow
+from repro.theory.allocation import (
+    HallMemory,
+    count_realised_flow_hit,
+    realised_support_flow,
+)
 from repro.theory.efficiency import AllocationProfile, group_allocation_profile
 
 __all__ = ["BatchResult", "BatchedRoundEngine", "run_batch", "planning_profile"]
@@ -430,11 +441,10 @@ def planning_profile(scenario: Scenario) -> Tuple[dict, AllocationProfile]:
     process (:func:`repro.analysis.experiments._prefetch_table`); the
     caller adopts each profile under its arguments
     (:func:`~repro.theory.efficiency.adopt_allocation_profile`), so
-    the leader's own call here is a memo hit.  A serial
-    :class:`~repro.sim.CampaignRunner` calls it for every cell of a
-    stacked group before it forks the group's twin
-    (:func:`repro.sim.campaign._run_group_split`), so the twin inherits
-    the solved profiles.
+    the leader's own call here is a memo hit.  The twin of a serial
+    :class:`~repro.sim.CampaignRunner`'s stacked group
+    (:func:`repro.sim.campaign._run_group_split`) plans the cells of
+    its own half here, and the caller those of the other.
     """
     planning_loss = scenario.loss.planning_loss(scenario.n_receivers)
     arguments = dict(
@@ -600,6 +610,7 @@ def _account_cell(
     rates_list = rates.tolist() if rates is not None else None
     rng = engine.rng
     plan_memo: Dict[tuple, tuple] = {}
+    memory = HallMemory()
 
     rows_out = np.zeros((b, n_sub))
     deficit = np.zeros(b)
@@ -616,6 +627,7 @@ def _account_cell(
             sizes,
             members_of,
             plan_memo,
+            memory,
         )
         rows_out[bi] = row
         deficit[bi] = d
@@ -730,6 +742,7 @@ def _realise_fast(
     sizes: Tuple[int, ...],
     members_of: Tuple[tuple, ...],
     plan_memo: Dict[tuple, tuple],
+    memory: HallMemory,
 ) -> Tuple[List[float], float]:
     """One round's integral assignment: (rows over 2^r subsets, deficit).
 
@@ -744,8 +757,10 @@ def _realise_fast(
     doubles throughout, so the membership sums and the trim's slack
     arithmetic are exact in any order.  ``plan_memo`` is the cell's plan
     memo: per key, the plan's subsets and cells, each subset's nonzero
-    ``(cell index, units)`` flow pairs, its units in total, and the
-    plan's scale.
+    ``(cell index, units)`` flow pairs, its units in total, the plan's
+    scale and its trim order (its subsets by size, then mask).
+    ``memory`` is the cell's Hall-certificate memory, which every solve
+    of the cell reads and extends.
     """
     n_sub = len(counts_int)
     rows = [0.0] * n_sub
@@ -760,19 +775,21 @@ def _realise_fast(
 
     plan_parts = plan_memo.get((cells, active))
     if plan_parts is None:
-        plan = realised_support_flow(cells, active, top_up=rates_row is None)
-        flow = plan.flow.tolist()
+        plan = realised_support_flow(
+            cells, active, top_up=rates_row is None, memory=memory
+        )
         plan_parts = (
             plan.subsets,
             plan.cells,
-            [[(k, take) for k, take in enumerate(frow) if take] for frow in flow],
-            [sum(frow) for frow in flow],
+            plan.pairs,
+            [sum([take for _, take in row]) for row in plan.pairs],
             plan.scale,
+            sorted(plan.subsets, key=lambda s: (sizes[s], s)),
         )
         plan_memo[(cells, active)] = plan_parts
     else:
         count_realised_flow_hit()
-    subsets, plan_cells, pairs, assigned, scale = plan_parts
+    subsets, plan_cells, pairs, assigned, scale, trim_order = plan_parts
     n_plan = len(subsets)
 
     # Eve's misses inside each realised support: cells are
@@ -826,9 +843,10 @@ def _realise_fast(
         rows[s] = value if value > 0.0 else 0.0
 
     # Trim rows that cannot raise L = min_i M_i (every extra z-packet
-    # hands Eve a free equation), small subsets first.
-    order = sorted((s for s in subsets if rows[s] > 0), key=lambda s: (sizes[s], s))
-    trim_excess_rows(rows, order, members_of, r)
+    # hands Eve a free equation), small subsets first.  A subset whose
+    # row is 0 sheds nothing and adds nothing to any M_i, so the trim
+    # visits the plan's whole order.
+    trim_excess_rows(rows, trim_order, members_of, r)
 
     deficit = 0.0
     for j in range(n_plan):

@@ -6,7 +6,8 @@
   :func:`repro.theory.efficiency.group_allocation_profile`.
 * The flow core — :func:`route_direct` (Dinic's first phase on plain
   lists), :func:`flow_matrix`, :class:`TransportGraph` (the later
-  phases and the Hall certificate) and :func:`solve_transport_counts`
+  phases, the sparse reader of a solved flow and the Hall certificate)
+  and :func:`solve_transport_counts`
   (a one-shot integral transportation max-flow).  The per-packet
   session assigns x-ids to blocks through
   :func:`solve_transport_counts`; the batched engine's realised planner
@@ -234,7 +235,8 @@ class TransportGraph:
     A solve (:meth:`solve`) starts from :func:`route_direct`'s flow
     (Dinic's first phase, run without the graph), loads it into a
     residual (:meth:`residual`), runs Dinic's later phases on it
-    (:meth:`augment`) and reads the flow matrix off it (:meth:`flow`).
+    (:meth:`augment`) and reads the flow matrix off it (:meth:`flow`),
+    or each demand node's nonzero pairs (:meth:`pairs`).
     When the demand does not route in full, the same residual yields a
     Hall certificate (:meth:`hall_cut`).
     """
@@ -392,6 +394,18 @@ class TransportGraph:
         for j, k in self.links:
             if cap[e]:
                 out[j, k] = cap[e]
+            e += 2
+        return out
+
+    def pairs(self, cap: list) -> list:
+        """Each demand node's ``(supply, units)`` pairs with flow in
+        residual ``cap``, ascending supply: the nonzero entries of
+        :meth:`flow`'s rows, without the matrix."""
+        out: list = [[] for _ in range(self.n_demands)]
+        e = 2 * (self.n_demands + self.n_supplies) + 1
+        for j, k in self.links:
+            if cap[e]:
+                out[j].append((k, cap[e]))
             e += 2
         return out
 

@@ -24,34 +24,47 @@ cannot meet its full demand, the demand is scaled down to the largest
 routable grid point ``k / SCALE_STEPS``, found by jumping between the
 Hall certificates that each failed solve's minimum cut provides
 (:meth:`~repro.solvers.TransportGraph.hall_cut`); the plan is
-the cold solve at that point.
+the cold solve at that point.  A certificate holds in every round of a
+cell, so a :class:`HallMemory` passed in by the caller keeps them: each
+later round starts its search at the largest point they all allow, and
+an infeasible one usually routes on its first solve.  The search lands
+on the same point with or without the memory, so the plan is the same.
 
-Each call is one solve; nothing is cached here.  The memo is the
-accounting kernel's per-cell dict (:func:`repro.sim.engine._account_cell`):
-within a cell many rounds realise the same ``(histogram, demands)`` key
-(small ``N`` especially, which is also where integrality bites
-hardest), and the cell solves each key once.  The memo lives only as
-long as its cell, so no plan outlives the cell that asked for it and
-memory stays bounded by one cell's rounds.  There is no process-wide
+A plan is sparse: each subset's nonzero ``(cell index, units)`` pairs,
+read straight off :func:`~repro.solvers.route_direct`'s pushes or the
+graph's links (:meth:`~repro.solvers.TransportGraph.pairs`).  Its
+dense ``flow`` table is a read-only view built on first use, for
+callers that want the matrix; the batched engine never asks for it.
+
+Each call is one solve; nothing is cached here.  The memos are the
+accounting kernel's (:func:`repro.sim.engine._account_cell`): a dict
+of plans per cell, since within a cell many rounds realise the same
+``(histogram, demands)`` key (small ``N`` especially, which is also
+where integrality bites hardest) and the cell solves each key once,
+and the cell's :class:`HallMemory`.  Both live only as long as their
+cell, so no plan or certificate outlives the cell that asked for it
+and memory stays bounded by one cell's rounds.  There is no process-wide
 cache: keys seldom repeat across cells (on the Figure-2 campaign only
 between its two estimator variants), and such a cache held a dense
 flow array per plan for the life of the process.  The counters behind
 :func:`realised_flow_cache_info` report the per-cell memo: its hits,
-and the solves made here.  A :class:`RealisedPlan`'s flow table
-is read-only (the array is marked unwriteable).
+and the solves made here.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.solvers import TransportGraph, flow_matrix, route_direct
+from repro.solvers import TransportGraph, route_direct
 
 __all__ = [
+    "HallMemory",
     "RealisedPlan",
     "realised_support_flow",
     "realised_flow_cache_info",
@@ -79,15 +92,15 @@ class RealisedPlan:
         cells: reception-pattern bitmasks with at least one packet, in
             key order (ascending mask); the empty pattern is excluded
             (packets nobody received cannot support any block).
-        flow: read-only int64 array ``(len(subsets), len(cells))`` —
-            how many support packets each subset draws from each cell
-            under a maximum flow.  Supports are disjoint by
-            construction (each packet funds one subset).
+        pairs: per subset, the ``(cell index, units)`` pairs of the
+            cells it draws support packets from under a maximum flow,
+            ascending cell index, nonzero units only.  Supports are
+            disjoint by construction (each packet funds one subset).
     """
 
     subsets: tuple
     cells: tuple
-    flow: np.ndarray
+    pairs: tuple
     #: Uniform demand fraction the histogram could fully satisfy (1.0
     #: when every subset got its whole demand).  Row targets scale by
     #: this, so scarce rounds keep every block *demand*-bound — the
@@ -95,14 +108,168 @@ class RealisedPlan:
     #: preserving the session's rounding buffer against Eve.
     scale: float = 1.0
 
+    @cached_property
+    def flow(self) -> np.ndarray:
+        """Read-only int64 array ``(len(subsets), len(cells))`` of
+        :attr:`pairs`, built on first use."""
+        out = np.zeros((len(self.subsets), len(self.cells)), dtype=np.int64)
+        for j, row in enumerate(self.pairs):
+            for k, units in row:
+                out[j, k] = units
+        out.setflags(write=False)
+        return out
+
     @property
     def assigned(self) -> np.ndarray:
         """Support packets each subset actually obtained, ``(len(subsets),)``."""
-        return self.flow.sum(axis=1)
+        return np.array(
+            [sum(units for _, units in row) for row in self.pairs], dtype=np.int64
+        )
+
+
+class HallMemory:
+    """The Hall certificates that one cell's failed solves proved.
+
+    A failed solve's minimum cut (:meth:`~repro.solvers.TransportGraph.hall_cut`)
+    names rows whose demand exceeds the cells they may draw from.  Its
+    certificate is the minimal subset masks of those rows; call ``U``
+    the masks that contain one of them.  In any round, a subset in
+    ``U`` may draw only from cells in ``U`` (a pattern that contains
+    the subset contains its generator), so a grid point ``k`` whose
+    floored demands on the round's subsets in ``U`` exceed the
+    capacity of the round's cells in ``U`` cannot route, whatever the
+    other subsets want.  The test reads the containment structure
+    alone, so a certificate learned in one round of a cell holds in
+    every other.
+
+    A certificate keeps its generator masks, never its up-closure
+    (``2^r`` masks at up to 16 receivers).  The memory tests each mask
+    that its rounds bring, a subset or a cell, against every
+    certificate once, and keeps the answers packed in one integer per
+    mask: bit ``width * i`` is set when the mask lies in certificate
+    ``i``'s ``U``.  A round's demand and capacity inside every ``U``
+    then take one multiply-add per subset and per cell, certificate
+    ``i``'s in the ``i``-th ``width``-bit field.
+
+    One memory serves the rounds of one cell
+    (:func:`repro.sim.engine._account_cell`) and dies with it.
+    """
+
+    __slots__ = ("certificates", "_width", "_packed")
+
+    def __init__(self) -> None:
+        #: Each certificate's generator masks, in the order the failed
+        #: solves found them.
+        self.certificates: List[tuple] = []
+        #: Bits per packed field: enough for any round's summed demand
+        #: or capacity so far.
+        self._width = 32
+        #: mask -> its packed membership in every certificate.
+        self._packed: Dict[int, int] = {}
+
+    def add(self, masks: Iterable[int]) -> None:
+        """Remember a failed solve's cut, given its rows' subset masks."""
+        generators: list = []
+        for m in sorted(set(masks), key=lambda m: (bin(m).count("1"), m)):
+            if not any(m & g == g for g in generators):
+                generators.append(m)
+        bit = 1 << (self._width * len(self.certificates))
+        self.certificates.append(tuple(generators))
+        packed = self._packed
+        for m in packed:
+            for g in generators:
+                if m & g == g:
+                    packed[m] |= bit
+                    break
+
+    def _members(self, masks: tuple) -> list:
+        """The packed membership of each of ``masks``."""
+        packed = self._packed
+        out = [packed.get(m) for m in masks]
+        if None in out:
+            width = self._width
+            for j, m in enumerate(masks):
+                if out[j] is None:
+                    bits = 0
+                    bit = 1
+                    for generators in self.certificates:
+                        for g in generators:
+                            if m & g == g:
+                                bits |= bit
+                                break
+                        bit <<= width
+                    out[j] = packed[m] = bits
+        return out
+
+    def bound(
+        self,
+        subsets: tuple,
+        demands: list,
+        cells: tuple,
+        capacities: list,
+        step: int,
+    ) -> int:
+        """The largest grid point ``<= step`` that every certificate
+        allows on one round."""
+        if not self.certificates:
+            return step
+        need = max(sum(demands), sum(capacities)).bit_length()
+        if need > self._width:
+            self._width = need
+            self._packed.clear()
+        width = self._width
+        field = (1 << width) - 1
+        in_subsets = self._members(subsets)
+        wanted = sum(map(mul, demands, in_subsets))
+        room = sum(map(mul, capacities, self._members(cells)))
+        bit = 1
+        for _ in self.certificates:
+            # floor(k d / 64) <= k d / 64: the floors fit if the sum does.
+            if step * (wanted & field) > SCALE_STEPS * (room & field):
+                step = _largest_step(
+                    [d for d, b in zip(demands, in_subsets) if b & bit],
+                    room & field,
+                    step,
+                )
+            wanted >>= width
+            room >>= width
+            bit <<= width
+        return step
+
+
+def _largest_step(wanted: list, room: int, step: int) -> int:
+    """The largest grid point ``<= step`` whose floored ``wanted``
+    demands fit in ``room``; ``wanted`` sums to more than
+    ``room * SCALE_STEPS / step``."""
+    total = sum(wanted)
+    # floor(k d / 64) lies in [(k d - 63) / 64, k d / 64]: the floors
+    # fit at lo, and no longer fit from hi on.
+    lo = room * SCALE_STEPS // total
+    hi = (SCALE_STEPS * room + (SCALE_STEPS - 1) * len(wanted)) // total + 1
+    hi = min(hi, step + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sum([mid * d // SCALE_STEPS for d in wanted]) <= room:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _pairs_of(pushes: list, n_rows: int) -> list:
+    """Each row's ``(supply, units)`` pairs of :func:`route_direct`'s
+    pushes: a row pushes into each of its arcs once, in arc order."""
+    pairs: list = [[] for _ in range(n_rows)]
+    for _, j, k, pushed in pushes:
+        pairs[j].append((k, pushed))
+    return pairs
 
 
 def realised_support_flow(
-    cell_counts: tuple, subset_demands: tuple, top_up: bool = False
+    cell_counts: tuple,
+    subset_demands: tuple,
+    top_up: bool = False,
+    memory: Optional[HallMemory] = None,
 ) -> RealisedPlan:
     """Integral support assignment for one observed round.
 
@@ -121,12 +288,17 @@ def realised_support_flow(
             over-promise); wrong for rate-certified estimators, whose
             partially-filled blocks would sit at their certified
             ceiling with no rounding buffer.
+        memory: a :class:`HallMemory` shared by the rounds of one cell.
+            Every round bounds its grid step with every certificate in
+            it before its first solve, and each failed solve adds its
+            cut.  ``None`` (the default) keeps no memory.  The plan is
+            the same either way.
 
     Returns:
         A new :class:`RealisedPlan`.  Identical keys give equal plans
-        (same ``subsets``, ``cells``, ``flow`` bytes and ``scale``) but
-        not the same object: every call solves, and counts as one
-        miss in :func:`realised_flow_cache_info`.
+        (same ``subsets``, ``cells``, ``pairs`` and ``scale``) but not
+        the same object: every call solves, and counts as one miss in
+        :func:`realised_flow_cache_info`.
     """
     _counts[1] += 1
     cells = tuple(p for p, _ in cell_counts)
@@ -135,68 +307,83 @@ def realised_support_flow(
     capacities = [int(c) for _, c in cell_counts]
     # Subset s may draw from the cells that contain it.
     arcs = [[k for k, p in enumerate(cells) if s & p == s] for s in subsets]
+    # A round whose full demand does not route is infeasible: a maximum
+    # flow meets the total but may starve individual subsets entirely
+    # (max-flow optimises the sum, not the spread), and a starved subset
+    # drags the secret cap L = min_i M_i down for every terminal it
+    # served.  Scale the demand vector down uniformly to the largest
+    # grid point k / SCALE_STEPS whose floored demands the histogram can
+    # fully satisfy, which spreads the shortfall evenly like the
+    # fractional planner would.  No opportunistic top-up:
+    # partially-filled blocks would sit exactly at their certified-rate
+    # ceiling with no rounding buffer, precisely the blocks whose
+    # secrecy deficits the session never produces.
+    #
+    # Each failed solve's minimum cut is a Hall certificate
+    # (TransportGraph.hall_cut) that holds in every round of the cell
+    # (HallMemory).  Start from the largest point that the remembered
+    # certificates allow (the full demand when none rules it out), and
+    # solve cold there; a failed solve's cut is the next certificate.
+    # Routability is monotone in the step, so this stops on the largest
+    # routable grid point whatever certificates it used, and the plan
+    # is the cold solve at its demands.
+    if memory is None:
+        memory = HallMemory()
+    step = memory.bound(subsets, demands, cells, capacities, SCALE_STEPS)
     graph = None
-    step = SCALE_STEPS
-    met = demands
     while True:
-        # Dinic's first phase needs no graph; a round it routes in full
-        # is planned without one.  Otherwise the graph is built once and
+        met = [step * d // SCALE_STEPS for d in demands]
+        want = sum(met)
+        # Dinic's first phase needs no graph; a solve it routes in full
+        # builds none.  Otherwise the plan builds its graph once, and
         # the later phases run from the first phase's flow.
         pushes, routed = route_direct(met, capacities, arcs)
-        want = sum(met)
         if routed == want:
-            flow = flow_matrix(pushes, len(subsets), len(cells))
+            pairs = _pairs_of(pushes, len(subsets))
             break
         if graph is None:
             graph = TransportGraph(arcs, len(cells))
         cap = graph.residual(met, capacities, pushes)
         if routed + graph.augment(cap) == want:
-            flow = graph.flow(cap)
+            pairs = graph.pairs(cap)
             break
-        # Infeasible round: a maximum flow meets the total but may
-        # starve individual subsets entirely (max-flow optimises the
-        # sum, not the spread), and a starved subset drags the secret
-        # cap L = min_i M_i down for every terminal it served.  Scale
-        # the demand vector down uniformly to the largest grid point
-        # k / SCALE_STEPS whose floored demands the histogram can fully
-        # satisfy, which spreads the shortfall evenly like the
-        # fractional planner would.  No opportunistic top-up:
-        # partially-filled blocks would sit exactly at their
-        # certified-rate ceiling with no rounding buffer, precisely the
-        # blocks whose secrecy deficits the session never produces.
-        #
-        # Each failed solve's minimum cut is a Hall certificate
-        # (TransportGraph.hall_cut): no grid point whose floored demand
-        # on the cut's rows exceeds their cells' capacity can route.
-        # Jump to the largest point the certificate allows and solve
-        # cold there; a failed solve's cut is the next certificate.
-        # Routability is monotone in the step, so this stops on the
-        # largest routable grid point, and the plan is the cold solve at
-        # its demands.
         rows, room = graph.hall_cut(cap)
-        lo, hi = 0, step  # the certificate holds at lo, fails at hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            wanted = sum(math.floor(mid / SCALE_STEPS * demands[j]) for j in rows)
-            if wanted <= room:
-                lo = mid
-            else:
-                hi = mid
-        step = lo
-        met = [math.floor(step / SCALE_STEPS * d) for d in demands]
+        memory.add(subsets[j] for j in rows)
+        step = _largest_step([demands[j] for j in rows], room, step)
     scale = 1.0
     if step < SCALE_STEPS:
         if top_up:
             # Grant the leftover capacity on top of the balanced plan;
             # demand caps stay unscaled, exact budgets bind instead.
-            left = [d - f for d, f in zip(demands, flow.sum(axis=1).tolist())]
-            room = [c - f for c, f in zip(capacities, flow.sum(axis=0).tolist())]
-            extra, _ = route_direct(left, room, arcs)
-            flow = flow + graph.solve(left, room, extra)
+            left = list(demands)
+            room = list(capacities)
+            for j, row in enumerate(pairs):
+                for k, units in row:
+                    left[j] -= units
+                    room[k] -= units
+            extra, routed = route_direct(left, room, arcs)
+            if routed == sum(left):
+                extra = _pairs_of(extra, len(subsets))
+            else:
+                if graph is None:
+                    graph = TransportGraph(arcs, len(cells))
+                cap = graph.residual(left, room, extra)
+                graph.augment(cap)
+                extra = graph.pairs(cap)
+            for j, more in enumerate(extra):
+                if more:
+                    units = dict(pairs[j])
+                    for k, add in more:
+                        units[k] = units.get(k, 0) + add
+                    pairs[j] = sorted(units.items())
         else:
             scale = step / SCALE_STEPS
-    flow.setflags(write=False)
-    return RealisedPlan(subsets=subsets, cells=cells, flow=flow, scale=scale)
+    return RealisedPlan(
+        subsets=subsets,
+        cells=cells,
+        pairs=tuple(map(tuple, pairs)),
+        scale=scale,
+    )
 
 
 def count_realised_flow_hit() -> None:

@@ -79,9 +79,9 @@ def test_a_cell_solves_each_distinct_key_once(monkeypatch):
     keys = []
     original = engine_module.realised_support_flow
 
-    def spy(cells, active, top_up=False):
+    def spy(cells, active, top_up=False, memory=None):
         keys.append((cells, active, top_up))
-        return original(cells, active, top_up)
+        return original(cells, active, top_up, memory)
 
     monkeypatch.setattr(engine_module, "realised_support_flow", spy)
     # Few receivers and packets: rounds often repeat a histogram.

@@ -13,8 +13,9 @@ that the twin changes wall-clock only:
   plain, resumed and drained as a manifest; the accounting golden's
   cells (``tests/sim/golden/accounting.json``), stacked by signature
   and split across a twin, give the golden ``BatchResult`` digests;
-* memo counts: the caller solves every cell's planning LP before the
-  fork, so each distinct LP is one miss in the caller;
+* memo counts: each process solves each distinct planning LP of its
+  own half once, so the caller's LP memo counts its own half only, as
+  its flow-plan counters do;
 * lifecycle: a twin that dies, or whose pass raises, raises
   :class:`ShardWorkerError` naming the group, with exactly the earlier
   groups stored; a caller whose own half raises ends the twin; no
@@ -36,6 +37,7 @@ import os
 import re
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -207,20 +209,34 @@ def test_twin_outcomes_equal_the_accounting_golden(monkeypatch, twins):
     assert len(twins) == sum(len(g) >= 2 for g in group_cells(scenarios)) > 0
 
 
-def test_lp_solved_once_per_distinct_cell_with_a_twin(monkeypatch, twins):
-    """The caller solves each cell's planning LP before forking, so
-    the twin's cells count in the caller's memo as in-line ones do."""
+def test_lp_solved_once_per_distinct_cell_with_a_twin(monkeypatch, tmp_path, twins):
+    """Each process solves each distinct planning LP of its own half
+    once: the caller's memo counts the first half only, the twin's the
+    second.  Each half holds one LP twice (cells that differ only in
+    their rounds plan alike)."""
     select_twin(monkeypatch, True)
-    grid = ScenarioGrid(
+    report = tmp_path / "twin-lp-memo.json"
+
+    def counting_twin(half, sender):
+        TWIN_MAIN(half, sender)
+        info = efficiency_cache_info()
+        report.write_text(json.dumps([info.hits, info.misses]))
+
+    monkeypatch.setattr(sim_campaign, "_twin_main", counting_twin)
+    oracle, loo = ScenarioGrid(
         group_sizes=(4,),
         estimators=store_golden.GRID.estimators,
         rounds=10,
         n_x_packets=40,
-    )
+    ).scenarios()
+    cells = [oracle, replace(oracle, rounds=12), loo, replace(loo, rounds=12)]
+    assert group_cells(cells) == [[0, 1, 2, 3]]
     clear_efficiency_cache()
-    CampaignRunner(seed=1).run(grid)
-    assert efficiency_cache_info().misses == 2
+    CampaignRunner(seed=1).run(cells)
     assert len(twins) == 1
+    info = efficiency_cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert json.loads(report.read_text()) == [1, 1]
 
 
 # -- scope ---------------------------------------------------------------
