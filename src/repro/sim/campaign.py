@@ -474,15 +474,18 @@ def _second_process_selected(n_items: int) -> bool:
 
 #: The least work, in terminal-rounds (each cell's ``rounds`` times its
 #: ``n_terminals``, summed over the group), for which a stacked group
-#: forks a twin.  A twin costs about 7-10 ms of wall clock and 10-20 ms
-#: of CPU per group (the fork, copy-on-write faults, the pipe), and the
-#: two halves slow each other down, so it only pays on a group whose
-#: in-line pass takes about 30 ms or more.  Measured on a 2-vCPU VM
-#: (Python 3.11), 10 alternating pairs per shape: 4 cells x 100 rounds
-#: at n = 4 ran 61 -> 47 ms (9/10 pairs faster), at n = 3 (1200
-#: terminal-rounds, 19 ms in-line) 19 -> 25 ms (5/10); n = 3 gained from
-#: 4 x 150 rounds (1800, 36 -> 31 ms, 8/10); 2 cells x 16-100 rounds at
-#: n = 3 were 1.3x-4x slower.
+#: forks a twin.  A twin costs about 7 ms of wall clock per group (the
+#: fork, copy-on-write faults, the pipe): a 2-cell group of 16 rounds
+#: at n = 3 took 4.6 ms in-line and 9.7 ms with a twin running half of
+#: it.  The two halves also slow each other down, so only a group whose
+#: in-line pass takes about 30 ms or more gains clearly.  Measured on a
+#: 2-vCPU VM (Python 3.11), each process solving its own half's LPs,
+#: medians of 7 runs in each of 10 processes, in-line -> twin: 2 cells
+#: x 100 rounds at n = 3 (600 terminal-rounds) 15.8 -> 15.8 ms (4/10
+#: faster); 4 x 100 at n = 3 (1,200) 28.9 -> 24.2 ms (10/10), at n = 4
+#: (1,600) 62.4 -> 42.5 ms (10/10); 4 x 150 at n = 3 (1,800) 41.3 ->
+#: 30.1 ms (10/10).  Another cell mix at 1,200 (19 ms in-line) once ran
+#: 19 -> 25 ms (5/10), so the floor stays between 1,200 and 1,800.
 _TWIN_MIN_TERMINAL_ROUNDS = 1500
 
 

@@ -5,9 +5,10 @@
   :func:`repro.coding.privacy.plan_y_allocation` and the level LP of
   :func:`repro.theory.efficiency.group_allocation_profile`.
 * The flow core — :func:`route_direct` (Dinic's first phase on plain
-  lists), :func:`flow_matrix`, :class:`TransportGraph` (the later
-  phases, the sparse reader of a solved flow and the Hall certificate)
-  and :func:`solve_transport_counts`
+  lists), :func:`push_pairs` and :func:`flow_matrix` (a flow as each
+  demand's nonzero pairs, and as a matrix), :class:`TransportGraph`
+  (the later phases and the Hall certificate) and
+  :func:`solve_transport_counts`
   (a one-shot integral transportation max-flow).  The per-packet
   session assigns x-ids to blocks through
   :func:`solve_transport_counts`; the batched engine's realised planner
@@ -44,6 +45,7 @@ import scipy
 __all__ = [
     "solve_lp",
     "route_direct",
+    "push_pairs",
     "flow_matrix",
     "TransportGraph",
     "solve_transport_counts",
@@ -180,7 +182,7 @@ def route_direct(
     Returns ``(pushes, routed)``: one ``(arc, j, k, units)`` per path
     that carried flow, ``arc`` counting every row's arcs row-major (the
     graph's link order), and the total.  When ``routed`` is the whole
-    demand the pushes are a maximum flow (:func:`flow_matrix`), and no
+    demand the pushes are a maximum flow (:func:`push_pairs`), and no
     graph is needed; otherwise :meth:`TransportGraph.residual` loads
     them and :meth:`TransportGraph.augment` runs the later phases.
     """
@@ -207,11 +209,23 @@ def route_direct(
     return pushes, routed
 
 
-def flow_matrix(pushes: Sequence[tuple], n_demands: int, n_supplies: int) -> np.ndarray:
-    """The ``(J, K)`` flow matrix of :func:`route_direct`'s pushes."""
-    out = np.zeros((n_demands, n_supplies), dtype=np.int64)
-    if pushes:
-        _, rows, cols, units = zip(*pushes)
+def push_pairs(pushes: Sequence[tuple], n_demands: int) -> list:
+    """Each demand node's ``(supply, units)`` pairs of
+    :func:`route_direct`'s pushes, ascending supply: a row pushes into
+    each of its arcs at most once, in arc order."""
+    pairs: list = [[] for _ in range(n_demands)]
+    for _, j, k, units in pushes:
+        pairs[j].append((k, units))
+    return pairs
+
+
+def flow_matrix(pairs: Sequence[Sequence[tuple]], n_supplies: int) -> np.ndarray:
+    """The ``(J, K)`` int64 flow matrix of each demand node's
+    ``(supply, units)`` pairs."""
+    out = np.zeros((len(pairs), n_supplies), dtype=np.int64)
+    entries = [(j, k, units) for j, row in enumerate(pairs) for k, units in row]
+    if entries:
+        rows, cols, units = zip(*entries)
         out[rows, cols] = units
     return out
 
@@ -232,11 +246,11 @@ class TransportGraph:
     order alone.  A *residual* is the list of per-edge residual
     capacities; the flow on a forward edge is its reverse's residual.
 
-    A solve (:meth:`solve`) starts from :func:`route_direct`'s flow
-    (Dinic's first phase, run without the graph), loads it into a
-    residual (:meth:`residual`), runs Dinic's later phases on it
-    (:meth:`augment`) and reads the flow matrix off it (:meth:`flow`),
-    or each demand node's nonzero pairs (:meth:`pairs`).
+    A solve starts from :func:`route_direct`'s flow (Dinic's first
+    phase, run without the graph), loads it into a residual
+    (:meth:`residual`), runs Dinic's later phases on it
+    (:meth:`augment`) and reads each demand node's nonzero
+    ``(supply, units)`` pairs off it (:meth:`pairs`).
     When the demand does not route in full, the same residual yields a
     Hall certificate (:meth:`hall_cut`).
     """
@@ -387,20 +401,10 @@ class TransportGraph:
                     break
         return total
 
-    def flow(self, cap: list) -> np.ndarray:
-        """The ``(J, K)`` demand-to-supply flow matrix of residual ``cap``."""
-        out = np.zeros((self.n_demands, self.n_supplies), dtype=np.int64)
-        e = 2 * (self.n_demands + self.n_supplies) + 1
-        for j, k in self.links:
-            if cap[e]:
-                out[j, k] = cap[e]
-            e += 2
-        return out
-
     def pairs(self, cap: list) -> list:
         """Each demand node's ``(supply, units)`` pairs with flow in
-        residual ``cap``, ascending supply: the nonzero entries of
-        :meth:`flow`'s rows, without the matrix."""
+        residual ``cap``, ascending supply (:func:`flow_matrix` makes
+        them a matrix)."""
         out: list = [[] for _ in range(self.n_demands)]
         e = 2 * (self.n_demands + self.n_supplies) + 1
         for j, k in self.links:
@@ -408,18 +412,6 @@ class TransportGraph:
                 out[j].append((k, cap[e]))
             e += 2
         return out
-
-    def solve(
-        self,
-        demands: Sequence[int],
-        capacities: Sequence[int],
-        pushes: Sequence[tuple] = (),
-    ) -> np.ndarray:
-        """A maximum flow from :func:`route_direct`'s ``pushes``, as a
-        flow matrix."""
-        cap = self.residual(demands, capacities, pushes)
-        self.augment(cap)
-        return self.flow(cap)
 
     def hall_cut(self, cap: list) -> Tuple[list, int]:
         """Hall certificate read from the minimum cut of a maximum flow.
@@ -494,6 +486,11 @@ def solve_transport_counts(
     """
     arcs = [[k for k, ok in enumerate(row) if ok] for row in allowed]
     pushes, routed = route_direct(demands, capacities, arcs)
-    if routed < sum(int(d) for d in demands):
-        return TransportGraph(arcs, len(capacities)).solve(demands, capacities, pushes)
-    return flow_matrix(pushes, len(arcs), len(capacities))
+    if routed == sum(int(d) for d in demands):
+        pairs = push_pairs(pushes, len(arcs))
+    else:
+        graph = TransportGraph(arcs, len(capacities))
+        cap = graph.residual(demands, capacities, pushes)
+        graph.augment(cap)
+        pairs = graph.pairs(cap)
+    return flow_matrix(pairs, len(capacities))

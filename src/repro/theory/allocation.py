@@ -61,7 +61,7 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.solvers import TransportGraph, route_direct
+from repro.solvers import TransportGraph, flow_matrix, push_pairs, route_direct
 
 __all__ = [
     "HallMemory",
@@ -112,10 +112,7 @@ class RealisedPlan:
     def flow(self) -> np.ndarray:
         """Read-only int64 array ``(len(subsets), len(cells))`` of
         :attr:`pairs`, built on first use."""
-        out = np.zeros((len(self.subsets), len(self.cells)), dtype=np.int64)
-        for j, row in enumerate(self.pairs):
-            for k, units in row:
-                out[j, k] = units
+        out = flow_matrix(self.pairs, len(self.cells))
         out.setflags(write=False)
         return out
 
@@ -256,15 +253,6 @@ def _largest_step(wanted: list, room: int, step: int) -> int:
     return lo
 
 
-def _pairs_of(pushes: list, n_rows: int) -> list:
-    """Each row's ``(supply, units)`` pairs of :func:`route_direct`'s
-    pushes: a row pushes into each of its arcs once, in arc order."""
-    pairs: list = [[] for _ in range(n_rows)]
-    for _, j, k, pushed in pushes:
-        pairs[j].append((k, pushed))
-    return pairs
-
-
 def realised_support_flow(
     cell_counts: tuple,
     subset_demands: tuple,
@@ -339,7 +327,7 @@ def realised_support_flow(
         # the later phases run from the first phase's flow.
         pushes, routed = route_direct(met, capacities, arcs)
         if routed == want:
-            pairs = _pairs_of(pushes, len(subsets))
+            pairs = push_pairs(pushes, len(subsets))
             break
         if graph is None:
             graph = TransportGraph(arcs, len(cells))
@@ -363,7 +351,7 @@ def realised_support_flow(
                     room[k] -= units
             extra, routed = route_direct(left, room, arcs)
             if routed == sum(left):
-                extra = _pairs_of(extra, len(subsets))
+                extra = push_pairs(extra, len(subsets))
             else:
                 if graph is None:
                     graph = TransportGraph(arcs, len(cells))

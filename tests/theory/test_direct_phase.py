@@ -17,7 +17,7 @@ from hypothesis import given, settings
 
 import repro.solvers as solvers
 import repro.theory.allocation as allocation
-from repro.solvers import flow_matrix, route_direct, solve_transport_counts
+from repro.solvers import flow_matrix, push_pairs, route_direct, solve_transport_counts
 from repro.theory import clear_realised_flow_cache
 from repro.theory.allocation import realised_support_flow
 from tests.theory.test_flow_properties import lattice_network, lattice_rounds
@@ -88,7 +88,7 @@ def test_first_phase_is_feasible_and_leaves_no_direct_path(key):
     demands, capacities, allowed = lattice_network(*key)
     arcs = [[k for k, ok in enumerate(row) if ok] for row in allowed]
     pushes, routed = route_direct(demands, capacities, arcs)
-    flow = flow_matrix(pushes, len(demands), len(capacities))
+    flow = flow_matrix(push_pairs(pushes, len(demands)), len(capacities))
     assert int(flow.sum()) == routed
     assert np.all(flow.sum(axis=1) <= demands)
     assert np.all(flow.sum(axis=0) <= capacities)

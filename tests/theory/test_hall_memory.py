@@ -280,9 +280,12 @@ class TestSparsePlans:
             flow = plan.flow
             assert flow.dtype == np.int64
             assert flow.shape == (len(plan.subsets), len(plan.cells))
-            entries = [(j, k, units) for j, row in enumerate(plan.pairs) for k, units in row]
+            entries = [
+                (j, k, units) for j, row in enumerate(plan.pairs) for k, units in row
+            ]
             rows, cols = np.nonzero(flow)
-            assert entries == list(zip(rows.tolist(), cols.tolist(), flow[rows, cols].tolist()))
+            nonzero = zip(rows.tolist(), cols.tolist(), flow[rows, cols].tolist())
+            assert entries == list(nonzero)
             assert plan.assigned.tolist() == flow.sum(axis=1).tolist()
             topped += top_up and realised_support_flow(*key).scale < 1.0
         assert topped >= 100 if top_up else topped == 0
