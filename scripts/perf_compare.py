@@ -60,6 +60,9 @@ def judge(workload: str, metrics: list, pairs: list) -> tuple:
     bound that stays inside the parent's IQR, or any move of a metric
     whose IQR is wider than its bound, cannot be told from noise and
     reads ``unresolved``, unless every change run beats every parent run.
+    A metric that would read ``ok`` reads ``gain`` when it would pass a
+    claim: at least ten pairs, the change better in at least nine of
+    every ten, and the medians apart by more than the parent's IQR.
     """
     failures = []
     for k, (parent, change) in enumerate(pairs, 1):
@@ -89,6 +92,7 @@ def judge(workload: str, metrics: list, pairs: list) -> tuple:
         spread = iqr(before)
         worse = sign * (p_med - c_med)
         limit = bound * abs(p_med)
+        wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
         if worse > limit and worse > spread:
             verdict = "REGRESSION"
             failures.append(
@@ -99,9 +103,10 @@ def judge(workload: str, metrics: list, pairs: list) -> tuple:
             spread > limit and min(sign * a for a in after) <= max(sign * b for b in before)
         ):
             verdict = "unresolved"
+        elif len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and -worse > spread:
+            verdict = "gain"
         else:
             verdict = "ok"
-        wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
         delta = (c_med - p_med) / p_med if p_med else 0.0
         rows.append(
             f"| {workload} | {name} | {p_med:.4g} | {c_med:.4g} | {delta:+.1%} "

@@ -116,11 +116,10 @@ class ExperimentRecord:
 
     ``min_entropy_bits`` is the measured residual min-entropy of the
     experiment's secret pool given everything Eve observed, and
-    ``leaked_bits`` its complement (``secret_bits - min_entropy_bits``)
-    — the measured-secrecy contract.  Records stored before these
-    fields existed reconstruct them from the reliability aggregate
-    (``reliability * secret_bits``), which is the same quantity up to
-    the rounding of the stored quotient.
+    ``leaked_bits`` its complement — the measured-secrecy contract.
+    Every record carries ``min_entropy_bits``; the store's decoder
+    refuses a stored record that lacks it (it predates measured
+    secrecy and must be re-run with ``resume=False``).
     """
 
     n_terminals: int
@@ -129,23 +128,12 @@ class ExperimentRecord:
     reliability: float
     secret_bits: int
     transmitted_bits: int
-    min_entropy_bits: Optional[float] = None
-    leaked_bits: Optional[float] = None
+    min_entropy_bits: float
 
-    def __post_init__(self) -> None:
-        if self.min_entropy_bits is None:
-            hidden = (
-                0.0
-                if self.secret_bits <= 0 or math.isnan(self.reliability)
-                else self.reliability * self.secret_bits
-            )
-            object.__setattr__(self, "min_entropy_bits", hidden)
-        if self.leaked_bits is None:
-            object.__setattr__(
-                self,
-                "leaked_bits",
-                max(float(self.secret_bits) - self.min_entropy_bits, 0.0),
-            )
+    @property
+    def leaked_bits(self) -> float:
+        """Bits of the secret Eve's observations determine."""
+        return max(float(self.secret_bits) - self.min_entropy_bits, 0.0)
 
     @property
     def secret_kbps_at_1mbps(self) -> float:

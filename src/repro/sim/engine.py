@@ -158,10 +158,9 @@ class BatchResult:
       round's x-payloads: her captured x-packets plus every public
       z-row (broadcast reliably, the paper's conservative assumption).
 
-    Records written before these fields existed reconstruct them from
-    ``reliability * secret_packets`` (an exact inverse of the engines'
-    division whenever the quotient was exact, and within one ulp
-    otherwise) — see ``__post_init__``.
+    Every record carries both measured fields; the store's decoder
+    refuses a stored cell that lacks one (it predates measured
+    secrecy and must be re-run with ``resume=False``).
     """
 
     scenario: Scenario
@@ -173,21 +172,8 @@ class BatchResult:
     eve_missed: np.ndarray
     terminal_receptions: np.ndarray  # (B, n_receivers)
     delivery_rates: np.ndarray  # (n_receivers,)
-    hidden_dims: Optional[np.ndarray] = None
-    eve_equations: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if self.hidden_dims is None:
-            secret = np.asarray(self.secret_packets, dtype=np.float64)
-            rel = np.asarray(self.reliability, dtype=np.float64)
-            self.hidden_dims = np.where(secret > 0.0, rel * secret, 0.0)
-        if self.eve_equations is None:
-            captured = self.scenario.n_x_packets - np.asarray(
-                self.eve_missed, dtype=np.int64
-            )
-            self.eve_equations = captured + np.asarray(
-                self.public_packets, dtype=np.float64
-            )
+    hidden_dims: np.ndarray
+    eve_equations: np.ndarray
 
     @property
     def rounds(self) -> int:

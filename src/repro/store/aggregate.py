@@ -41,7 +41,7 @@ from repro.analysis.stats import (
 )
 from repro.store.backend import open_store
 from repro.store.manifest import SweepManifest
-from repro.store.records import decode_value
+from repro.store.records import decode_value, require_measured
 from repro.store.store import CampaignStore
 
 __all__ = ["GroupAggregates", "stream_aggregates"]
@@ -71,6 +71,7 @@ class GroupAggregates:
 
 
 def _fold_record(record: Dict[str, Any], groups: Dict[int, GroupAggregates]) -> None:
+    require_measured(record)
     kind = record.get("kind")
     if kind == "experiment":
         n = int(record["n_terminals"])

@@ -17,6 +17,12 @@ has no ``NaN`` literal and a bare ``null`` would collide with
 legitimately-None optional fields.  Array dtypes are restored from an
 explicit schema, not guessed from the JSON values.
 
+Every record carries its measured secrecy (``min_entropy_bits`` and
+``leaked_bits``; ``hidden_dims`` and ``eve_equations``).  A stored
+record that lacks one predates measured secrecy: both decoders refuse
+it with a ``ValueError`` that names the field (:func:`require_measured`),
+and it must be re-run with ``resume=False``.
+
 Spec reconstruction goes through a whitelist registry of the frozen
 dataclasses in :mod:`repro.sim.spec` / :mod:`repro.testbed.placements`;
 a store written by a future revision with unknown spec classes fails
@@ -55,6 +61,7 @@ __all__ = [
     "decode_value",
     "encode_spec",
     "decode_spec",
+    "require_measured",
     "experiment_record_to_json",
     "experiment_record_from_json",
     "scenario_outcome_to_json",
@@ -142,6 +149,23 @@ def decode_spec(data: Any) -> Any:
     return decode_value(data)
 
 
+#: The measured-secrecy fields every stored record of a kind carries.
+_MEASURED_FIELDS = {
+    "experiment": ("min_entropy_bits", "leaked_bits"),
+    "sim-cell": ("hidden_dims", "eve_equations"),
+}
+
+
+def require_measured(data: Dict[str, Any]) -> None:
+    """Refuse a stored record that lacks a measured-secrecy field."""
+    for name in _MEASURED_FIELDS.get(data.get("kind"), ()):
+        if name not in data:
+            raise ValueError(
+                f"stored {data['kind']} record lacks {name!r}: it predates "
+                "measured secrecy; re-run it with resume=False"
+            )
+
+
 # -- testbed experiment records ------------------------------------------
 
 
@@ -166,23 +190,22 @@ def experiment_record_from_json(data: Dict[str, Any]) -> "ExperimentRecord":
 
     if data.get("kind") != "experiment":
         raise ValueError(f"not an experiment record: {data.get('kind')!r}")
-
-    def _optional_float(name: str) -> Any:
-        # Pre-measured-secrecy records lack the leakage fields; None
-        # lets the dataclass reconstruct them from the reliability.
-        value = data.get(name)
-        return None if value is None else float(decode_value(value))
-
-    return ExperimentRecord(
+    require_measured(data)
+    record = ExperimentRecord(
         n_terminals=int(data["n_terminals"]),
         placement=decode_spec(data["placement"]),
         efficiency=float(decode_value(data["efficiency"])),
         reliability=float(decode_value(data["reliability"])),
         secret_bits=int(data["secret_bits"]),
         transmitted_bits=int(data["transmitted_bits"]),
-        min_entropy_bits=_optional_float("min_entropy_bits"),
-        leaked_bits=_optional_float("leaked_bits"),
+        min_entropy_bits=float(decode_value(data["min_entropy_bits"])),
     )
+    if float(decode_value(data["leaked_bits"])) != record.leaked_bits:
+        raise ValueError(
+            f"stored leaked_bits {data['leaked_bits']!r} is not "
+            f"secret_bits - min_entropy_bits ({record.leaked_bits!r})"
+        )
+    return record
 
 
 # -- sim cell records -----------------------------------------------------
@@ -201,13 +224,6 @@ _BATCH_ARRAYS = {
     "hidden_dims": np.float64,
     "eve_equations": np.float64,
 }
-
-#: Fields added after the first stored shards shipped.  Old records
-#: simply lack them; the decoder leaves them out and
-#: :class:`~repro.sim.engine.BatchResult` reconstructs each from the
-#: fields every shard has carried since v0 (backward-compatible reads,
-#: never a re-encode requirement).
-_OPTIONAL_BATCH_ARRAYS = frozenset({"hidden_dims", "eve_equations"})
 
 
 def scenario_outcome_to_json(outcome: "ScenarioOutcome") -> Dict[str, Any]:
@@ -236,11 +252,11 @@ def scenario_outcome_from_json(data: Dict[str, Any]) -> "ScenarioOutcome":
 
     if data.get("kind") != "sim-cell":
         raise ValueError(f"not a sim-cell record: {data.get('kind')!r}")
+    require_measured(data)
     scenario = decode_spec(data["scenario"])
     arrays = {
         name: np.asarray(decode_value(data[name]), dtype=dtype)
         for name, dtype in _BATCH_ARRAYS.items()
-        if name in data or name not in _OPTIONAL_BATCH_ARRAYS
     }
     return ScenarioOutcome(
         scenario=scenario, result=BatchResult(scenario=scenario, **arrays)

@@ -8,12 +8,14 @@ a real mid-run abort: a worker dying mid-grid, or the process stopping
 between (and even during) shard appends.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from repro import SessionConfig, Testbed, TestbedConfig
 from repro.analysis import CampaignConfig, ReliabilityAccumulator, run_campaign
+from repro.analysis.experiments import experiment_store_key
 from repro.core import LeaveOneOutEstimator
 from repro.sim import (
     CampaignRunner,
@@ -27,6 +29,7 @@ from repro.sim.campaign import ShardWorkerError
 from repro.store import CampaignStore, open_store
 from repro.store.backend_mem import MemoryStoreBackend
 from repro.store.aggregate import stream_aggregates
+from repro.store.records import experiment_record_to_json, scenario_outcome_to_json
 from tests.sim.test_stack import assert_outcomes_identical
 
 GRID = ScenarioGrid(
@@ -291,6 +294,48 @@ class TestZeroSecretNaNThroughStore:
         live.merge(agg)
         assert live.summary(4) == before
         assert live.n_excluded == len(first.records)
+
+
+class TestPreMeasuredSecrecyRefused:
+    """A stored line written before records carried their measured
+    secrecy is refused through every public read path, with the
+    decoder's ValueError naming the missing field."""
+
+    CELL = GRID.scenarios()[0]
+
+    def legacy_store(self, tmp_path, key, payload, dropped):
+        store = open_store(f"file:{tmp_path}")
+        store.append(key, {k: v for k, v in payload.items() if k not in dropped})
+        return store
+
+    def test_experiment_line_refused_on_resume_and_aggregation(self, tmp_path):
+        kwargs = engine_kwargs("batched")
+        config = dataclasses.replace(CONFIG, max_placements_per_n=1)
+        record = run_campaign(TESTBED, config=config, **kwargs).records[0]
+        key = experiment_store_key(
+            TESTBED, config, "batched", kwargs["estimator_spec"],
+            record.placement, kwargs["rounds_per_leader"],
+        )
+        store = self.legacy_store(
+            tmp_path, key, experiment_record_to_json(record),
+            ("min_entropy_bits", "leaked_bits"),
+        )
+        with pytest.raises(ValueError, match="'min_entropy_bits'.*predates"):
+            run_campaign(TESTBED, config=config, store=store, resume=True, **kwargs)
+        with pytest.raises(ValueError, match="'min_entropy_bits'.*predates"):
+            stream_aggregates(store)
+
+    def test_sim_cell_line_refused_on_resume_and_aggregation(self, tmp_path):
+        runner = CampaignRunner(seed=9)
+        outcome = runner.run([self.CELL]).outcomes[0]
+        store = self.legacy_store(
+            tmp_path, runner.cell_key(self.CELL), scenario_outcome_to_json(outcome),
+            ("hidden_dims", "eve_equations"),
+        )
+        with pytest.raises(ValueError, match="'hidden_dims'.*predates"):
+            CampaignRunner(seed=9, store=store, resume=True).run([self.CELL])
+        with pytest.raises(ValueError, match="'hidden_dims'.*predates"):
+            stream_aggregates(store)
 
 
 class TestProcessPoolRunner:

@@ -436,6 +436,7 @@ class TestCampaignStore:
                 reliability=float("nan"),
                 secret_bits=0,
                 transmitted_bits=100,
+                min_entropy_bits=0.0,
             )
         )
         key = "12" * 10
@@ -492,6 +493,7 @@ class TestRecordCodecs:
             reliability=float("nan"),
             secret_bits=0,
             transmitted_bits=12345,
+            min_entropy_bits=0.0,
         )
         line = json.dumps(experiment_record_to_json(record), allow_nan=False)
         back = experiment_record_from_json(json.loads(line))
@@ -509,6 +511,7 @@ class TestRecordCodecs:
             reliability=0.9999999999999998,
             secret_bits=77,
             transmitted_bits=3,
+            min_entropy_bits=76.99999999999999,
         )
         line = json.dumps(experiment_record_to_json(record), allow_nan=False)
         assert experiment_record_from_json(json.loads(line)) == record
@@ -567,3 +570,68 @@ class TestRecordCodecs:
             experiment_record_from_json({"kind": "sim-cell"})
         with pytest.raises(ValueError, match="not a sim-cell record"):
             scenario_outcome_from_json({"kind": "experiment"})
+
+    @pytest.mark.parametrize(
+        "kind, missing", [
+            ("experiment", ("min_entropy_bits", "leaked_bits")),
+            ("sim-cell", ("hidden_dims", "eve_equations")),
+        ],
+        ids=["experiment", "sim-cell"],
+    )
+    def test_record_without_measured_secrecy_refused(self, kind, missing):
+        """A stored line that predates measured secrecy fails to decode
+        with a ValueError naming the first field it lacks, never a bare
+        KeyError or a value rebuilt from the reliability."""
+        if kind == "experiment":
+            payload = experiment_record_to_json(EXPERIMENT)
+            decode = experiment_record_from_json
+        else:
+            payload = scenario_outcome_to_json(ScenarioOutcome(
+                scenario=SCENARIO, result=BatchedRoundEngine(SCENARIO, seed=3).run(),
+            ))
+            decode = scenario_outcome_from_json
+        for dropped in (missing, missing[1:]):
+            line = {k: v for k, v in payload.items() if k not in dropped}
+            with pytest.raises(ValueError) as info:
+                decode(line)
+            message = str(info.value)
+            assert repr(dropped[0]) in message
+            assert "predates measured secrecy" in message
+            assert "resume=False" in message
+
+    def test_stored_leaked_bits_must_match_the_derivation(self):
+        payload = experiment_record_to_json(EXPERIMENT)
+        assert payload["leaked_bits"] == EXPERIMENT.leaked_bits == 77 - 70.5
+        with pytest.raises(ValueError, match="leaked_bits"):
+            experiment_record_from_json(dict(payload, leaked_bits=6.0))
+
+    def test_measured_fields_are_required(self):
+        kwargs = {
+            f.name: getattr(EXPERIMENT, f.name)
+            for f in dataclasses.fields(EXPERIMENT)
+            if f.name != "min_entropy_bits"
+        }
+        with pytest.raises(TypeError, match="min_entropy_bits"):
+            ExperimentRecord(**kwargs)
+        with pytest.raises(AttributeError):
+            ExperimentRecord(**kwargs, min_entropy_bits=1.0).leaked_bits = 2.0
+        result = BatchedRoundEngine(SCENARIO, seed=3).run()
+        for name in ("hidden_dims", "eve_equations"):
+            arrays = {
+                f.name: getattr(result, f.name)
+                for f in dataclasses.fields(result)
+                if f.name != name
+            }
+            with pytest.raises(TypeError, match=name):
+                type(result)(**arrays)
+
+
+EXPERIMENT = ExperimentRecord(
+    n_terminals=4,
+    placement=Placement(eve_cell=1, terminal_cells=(0, 2, 6, 8)),
+    efficiency=0.25,
+    reliability=70.5 / 77,
+    secret_bits=77,
+    transmitted_bits=308,
+    min_entropy_bits=70.5,
+)

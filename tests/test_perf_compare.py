@@ -40,6 +40,9 @@ TIGHT = [{"rate": 100.0}, {"rate": 101.0}, {"rate": 99.0}]
 WIDE = [{"rate": 100.0}, {"rate": 40.0}, {"rate": 160.0}]
 SLOWER = [{"rate": 0.6 * run["rate"]} for run in TIGHT]
 OK = {"rounds_per_s": "ok", "round_p50_ms": "ok"}
+TEN = [{"rate": 100.0 + k % 3 - 1} for k in range(10)]
+#: 8% faster in 9 of 10 pairs; the first pair loses.
+FASTER = [{"rate": 98.0}] + [{"rate": 108.0}] * 9
 
 #: parent runs, change runs, verdict per metric, failure-line prefixes.
 CASES = {
@@ -52,6 +55,14 @@ CASES = {
         WIDE, SLOWER, dict(OK, rounds_per_s="unresolved"), [],
     ),
     "lower-is-better-falling": (TIGHT, [dict(r, p50=5.0) for r in TIGHT], OK, []),
+    "claim-met-in-9-of-10-pairs": (TEN, FASTER, dict(OK, rounds_per_s="gain"), []),
+    "claim-not-met-in-8-of-10-pairs": (
+        TEN, [{"rate": 98.0}] * 2 + FASTER[2:], OK, [],
+    ),
+    "claim-not-met-with-fewer-than-10-pairs": (TEN[:9], FASTER[1:], OK, []),
+    "claim-not-met-inside-the-parent-iqr": (
+        [{"rate": 100.0 + 10 * (k % 3 - 1)} for k in range(10)], FASTER, OK, [],
+    ),
     "differing-digests": (
         TIGHT, [dict(r, digest="e81ef5e7") for r in TIGHT], {},
         ["FAILED sim_grid: shard digests differ"],
