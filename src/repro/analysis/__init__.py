@@ -25,7 +25,6 @@ from repro.analysis.stats import (
     ReliabilitySummary,
     SecrecyAccumulator,
     SecrecySummary,
-    StreamingMoments,
     ValueCountAccumulator,
     summarize_reliability,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "placement_label",
     "ReliabilitySummary",
     "summarize_reliability",
-    "StreamingMoments",
     "ValueCountAccumulator",
     "ReliabilityAccumulator",
     "SecrecyAccumulator",

@@ -135,10 +135,6 @@ class ExperimentRecord:
         """Bits of the secret Eve's observations determine."""
         return max(float(self.secret_bits) - self.min_entropy_bits, 0.0)
 
-    @property
-    def secret_kbps_at_1mbps(self) -> float:
-        return self.efficiency * 1e3
-
 
 @dataclass
 class CampaignResult:

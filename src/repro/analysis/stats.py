@@ -9,10 +9,9 @@ Two aggregation styles share the :class:`ReliabilitySummary` output:
 
 * :func:`summarize_reliability` — the original list-in, summary-out
   collapse (fine when the population already sits in memory).
-* **Streaming accumulators** — :class:`StreamingMoments` (Welford
-  moments with Chan's parallel merge) and :class:`ValueCountAccumulator`
-  / :class:`ReliabilityAccumulator` (an exact, merge-able value
-  multiset for the rank statistics).  Campaign-store readers feed these
+* **Streaming accumulators** — :class:`ValueCountAccumulator` /
+  :class:`ReliabilityAccumulator` (an exact, merge-able value multiset
+  for the rank statistics).  Campaign-store readers feed these
   one record at a time, so Figure-2 aggregates over arbitrarily large
   sweeps never materialise the experiment population; and because the
   finalised statistics are computed from the *multiset* (insertion and
@@ -32,7 +31,6 @@ __all__ = [
     "ReliabilitySummary",
     "summarize_reliability",
     "best_fraction_minimum",
-    "StreamingMoments",
     "ValueCountAccumulator",
     "ReliabilityAccumulator",
     "SecrecySummary",
@@ -116,69 +114,6 @@ def summarize_reliability(
         p95=best_fraction_minimum(values, 0.95),
         median=best_fraction_minimum(values, 0.50),
     )
-
-
-class StreamingMoments:
-    """Welford moment accumulator with Chan's parallel merge.
-
-    Tracks count, mean, M2 (sum of squared deviations), minimum and
-    maximum in O(1) memory — one :meth:`update` per observation, one
-    :meth:`merge` per shard — so campaign-wide means and variances
-    never need the observation list.  Used by the benchmark harness for
-    timing statistics and by store readers for efficiency aggregates.
-    """
-
-    __slots__ = ("count", "mean", "m2", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def update(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.update(value)
-
-    def merge(self, other: "StreamingMoments") -> None:
-        """Fold another accumulator in (Chan et al.'s pairwise update)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self.m2 = other.m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self.m2 += other.m2 + delta * delta * self.count * other.count / total
-        self.count = total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
-    @property
-    def variance(self) -> float:
-        """Population variance (matches ``np.var`` up to rounding)."""
-        if self.count == 0:
-            raise ValueError("no values accumulated")
-        return self.m2 / self.count
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
 
 
 class ValueCountAccumulator:

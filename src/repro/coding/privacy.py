@@ -137,14 +137,6 @@ class YAllocation:
         """M — the total number of y-packets."""
         return sum(b.rows for b in self.blocks)
 
-    def block_row_offsets(self) -> list:
-        offsets = []
-        acc = 0
-        for b in self.blocks:
-            offsets.append(acc)
-            acc += b.rows
-        return offsets
-
     def rows_for_terminal(self, terminal) -> list:
         """Global y-row indices terminal ``terminal`` can decode (M_i rows)."""
         rows = []
@@ -163,12 +155,6 @@ class YAllocation:
         if not self.receivers:
             return 0
         return min(self.m_i(t) for t in self.receivers)
-
-    def support_ids(self) -> list:
-        ids = []
-        for b in self.blocks:
-            ids.extend(b.support)
-        return ids
 
     def global_matrix(self, column_ids: Sequence[int]) -> GFMatrix:
         """The M x len(column_ids) map from x-payloads to y-payloads.

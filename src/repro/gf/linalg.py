@@ -16,7 +16,7 @@ Python-level loop, so cost is O(min(r,c)) vectorised passes.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -103,10 +103,6 @@ class GFMatrix:
     @classmethod
     def identity(cls, n: int) -> "GFMatrix":
         return cls(np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable) -> "GFMatrix":
-        return cls(np.vstack([as_gf_array(np.atleast_1d(r)) for r in rows]))
 
     @classmethod
     def random(cls, rows: int, cols: int, rng: np.random.Generator) -> "GFMatrix":
@@ -246,14 +242,6 @@ class GFMatrix:
             for row_idx, pc in enumerate(pivots):
                 basis[k, pc] = rref.data[row_idx, fc]
         return GFMatrix(basis) if free_cols else GFMatrix.zeros(0, self.cols)
-
-    def row_space_contains(self, vector) -> bool:
-        """True iff ``vector`` lies in the row space of this matrix."""
-        vec = as_gf_array(np.atleast_1d(vector)).reshape(1, -1)
-        if vec.shape[1] != self.cols:
-            raise ValueError("vector length must match column count")
-        base = self.rank()
-        return GFMatrix(np.vstack([self.data, vec])).rank() == base
 
 
 def conditional_rank(rows: GFMatrix, given: GFMatrix) -> int:

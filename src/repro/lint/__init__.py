@@ -35,25 +35,22 @@ Module map:
 - :mod:`repro.lint.rules` — the visitor/rule framework and the six rules.
 - :mod:`repro.lint.runner` — file discovery, suppression comments,
   per-file orchestration (:func:`lint_source`, :func:`lint_paths`).
-- :mod:`repro.lint.baseline` — the committed shrink-only baseline.
 - :mod:`repro.lint.__main__` — the ``python -m repro.lint`` CLI.
 
 Usage::
 
-    python -m repro.lint src scripts          # lint, compare to baseline
+    python -m repro.lint src scripts          # lint; exit 1 on any finding
     python -m repro.lint --list-rules         # what is enforced, and where
 
-Per-line suppressions use ``# reprolint: disable=R3`` (comma-separated
-ids, or ``all``) on the offending line; anything broader goes in the
-baseline file, which CI only ever allows to shrink.
+Every violation fails the run.  The one exception is a justified
+``# reprolint: disable=R3`` (comma-separated ids, or ``all``) on the
+offending line.
 """
 
-from repro.lint.baseline import Baseline, load_baseline, write_baseline
 from repro.lint.rules import RULES, Rule, Violation, iter_rules
 from repro.lint.runner import LintReport, lint_paths, lint_source
 
 __all__ = [
-    "Baseline",
     "LintReport",
     "RULES",
     "Rule",
@@ -61,6 +58,4 @@ __all__ = [
     "iter_rules",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "write_baseline",
 ]

@@ -1,8 +1,8 @@
 """``python -m repro.lint`` — run the reproducibility contract.
 
-Exit status: 0 when the tree is clean against the baseline, 1 when new
-violations fired (or the baseline holds stale, already-fixed entries —
-it is shrink-only by construction), 2 on usage errors.
+Exit status: 0 when the tree is clean, 1 when any violation fired, 2
+on usage errors.  A finding is excused only by a justified
+``# reprolint: disable=R<n>`` comment on its own line.
 """
 
 from __future__ import annotations
@@ -12,12 +12,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import load_baseline, write_baseline
 from repro.lint.rules import iter_rules
 from repro.lint.runner import lint_paths
 
 DEFAULT_PATHS = ("src", "scripts")
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def _list_rules() -> str:
@@ -44,22 +42,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help=f"files/directories to lint (default: {' '.join(DEFAULT_PATHS)})",
     )
     parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help="baseline file of grandfathered violations "
-        f"(default: {DEFAULT_BASELINE}; missing file = empty)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every violation, ignoring the baseline",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline to the current violations and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="describe every rule, its patrol area and rationale",
@@ -76,42 +58,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        baseline = write_baseline(args.baseline, report.violations)
-        print(
-            f"wrote {len(baseline.entries)} entr"
-            f"{'y' if len(baseline.entries) == 1 else 'ies'} to {args.baseline}"
-        )
-        return 0
-
-    baseline = load_baseline(args.baseline) if not args.no_baseline else None
-    violations = (
-        list(report.violations)
-        if baseline is None
-        else baseline.new_violations(report.violations)
-    )
-    stale = baseline.stale_entries(report.violations) if baseline is not None else []
-
-    for violation in violations:
+    for violation in report.violations:
         print(violation.render())
-    for fingerprint in stale:
-        print(
-            f"stale baseline entry {fingerprint}: the violation no longer "
-            f"fires — remove it from {args.baseline} (shrink-only)"
-        )
-    grandfathered = (
-        len(report.violations) - len(violations) if baseline is not None else 0
+    count = len(report.violations)
+    print(
+        f"{report.files_checked} files checked, {count} "
+        f"violation{'s' if count != 1 else ''}"
     )
-    summary = (
-        f"{report.files_checked} files checked, {len(violations)} new "
-        f"violation{'s' if len(violations) != 1 else ''}"
-    )
-    if grandfathered:
-        summary += f", {grandfathered} baselined"
-    if stale:
-        summary += f", {len(stale)} stale baseline entries"
-    print(summary)
-    return 1 if violations or stale else 0
+    return 1 if count else 0
 
 
 if __name__ == "__main__":

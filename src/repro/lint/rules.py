@@ -40,11 +40,6 @@ class Violation:
     rule: str  # "R1" … "R6" (or "E0" for unparseable files)
     message: str
 
-    @property
-    def fingerprint(self) -> str:
-        """The baseline identity: rule + file + line."""
-        return f"{self.rule}:{self.path}:{self.line}"
-
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
 

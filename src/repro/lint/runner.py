@@ -107,10 +107,6 @@ class LintReport:
     violations: Tuple[Violation, ...]
     files_checked: int
 
-    @property
-    def fingerprints(self) -> Set[str]:
-        return {violation.fingerprint for violation in self.violations}
-
 
 def lint_paths(
     paths: Sequence[str],

@@ -182,19 +182,3 @@ class BroadcastMedium:
             if not self.loss_model.lost(src, node, packet, effective_slot, self.rng):
                 received.add(name)
         return received
-
-    def delivery_probability_estimate(
-        self, src_name: str, dst_name: str, packet: Packet, slot: int, trials: int = 200
-    ) -> float:
-        """Monte-Carlo estimate of one link's delivery rate (diagnostics).
-
-        Uses a forked RNG so it never perturbs the simulation stream.
-        """
-        src = self.nodes[src_name]
-        dst = self.nodes[dst_name]
-        probe_rng = np.random.default_rng(self.rng.integers(0, 2**63))
-        hits = sum(
-            0 if self.loss_model.lost(src, dst, packet, slot, probe_rng) else 1
-            for _ in range(trials)
-        )
-        return hits / trials

@@ -6,7 +6,7 @@ combination descriptors, z-contents, every retransmission of a reliable
 broadcast, and the ACKs that drive those retransmissions.
 
 :class:`TransmissionLedger` records one entry per transmission *attempt*
-and offers per-kind and per-node breakdowns that the benchmarks print.
+and offers the per-kind breakdown that the benchmarks print.
 """
 
 from __future__ import annotations
@@ -68,24 +68,6 @@ class TransmissionLedger:
         for e in self.entries:
             out[e.kind] += e.bits
         return dict(out)
-
-    def bits_by_node(self) -> dict:
-        out: dict = defaultdict(int)
-        for e in self.entries:
-            out[e.src] += e.bits
-        return dict(out)
-
-    def bits_by_round(self) -> dict:
-        out: dict = defaultdict(int)
-        for e in self.entries:
-            out[e.round_id] += e.bits
-        return dict(out)
-
-    def airtime_seconds(self, bitrate_bps: float) -> float:
-        """Wall-clock airtime at a fixed bitrate (1 Mbps in the paper)."""
-        if bitrate_bps <= 0:
-            raise ValueError("bitrate must be positive")
-        return self.total_bits / bitrate_bps
 
     def merge(self, other: "TransmissionLedger") -> None:
         """Fold another ledger's entries into this one."""

@@ -25,6 +25,7 @@ Entry points:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -39,7 +40,13 @@ from repro.service.errors import (
     TransportClosed,
     abort_code_for,
 )
-from repro.service.frames import Frame, FrameError, WireAbort
+from repro.service.frames import (
+    Frame,
+    FrameError,
+    FrameType,
+    WireAbort,
+    WireHello,
+)
 from repro.service.transport import (
     FaultSpec,
     FlakyTransport,
@@ -79,6 +86,61 @@ async def _recv(transport: FrameTransport) -> Frame:
         return await transport.recv()
     except FrameError as exc:
         raise ProtocolViolation(f"frame codec failure: {exc}") from None
+
+
+async def _read_peer(
+    peer: str, transport: FrameTransport, queue: asyncio.Queue
+) -> None:
+    """Queue ``peer``'s frames as ``(peer, frame, None)`` for the leader
+    loop; the first failure ends the read as ``(peer, None, error)``.
+
+    A failure outside the taxonomy becomes a :class:`ProtocolViolation`,
+    so the session aborts at once instead of waiting out its deadline.
+    """
+    try:
+        while True:
+            frame = await _recv(transport)
+            await queue.put((peer, frame, None))
+    except ServiceError as exc:
+        await queue.put((peer, None, exc))
+    except Exception as exc:  # defensive: surface, don't hang the session
+        await queue.put((peer, None, ProtocolViolation(f"reader failed: {exc}")))
+
+
+async def _lead(
+    engine: LeaderEngine,
+    transports: Dict[str, FrameTransport],
+    queue: asyncio.Queue,
+) -> DerivedKeys:
+    """Feed queued frames to ``engine`` and route its replies until it
+    establishes, within the session deadline.
+
+    ``transports`` may still grow while the loop runs (TCP followers
+    connect as they come).  Any failure is sent as an ABORT to every
+    transport before it is raised.
+    """
+    try:
+        async with asyncio.timeout(engine.config.handshake_timeout):
+            while not engine.established:
+                peer, frame, exc = await queue.get()
+                if exc is not None:
+                    raise exc
+                for dst, out in engine.on_frame(peer, frame):
+                    await transports[dst].send(out)
+    except TimeoutError:
+        exc = SessionTimeout(
+            f"leader {engine.name} timed out in {engine.phase.value}"
+        )
+        for transport in transports.values():
+            await _notify_abort(transport, exc)
+        raise exc from None
+    except ServiceError as exc:
+        for transport in transports.values():
+            await _notify_abort(transport, exc)
+        raise
+    keys = engine.derived_keys
+    assert keys is not None  # established implies keys, by construction
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -130,47 +192,16 @@ async def run_leader(
     """
     engine = LeaderEngine(config, name, tuple(transports), nonce)
     queue: asyncio.Queue = asyncio.Queue()
-
-    async def reader(peer: str, transport: FrameTransport) -> None:
-        try:
-            while True:
-                frame = await _recv(transport)
-                await queue.put((peer, frame, None))
-        except ServiceError as exc:
-            await queue.put((peer, None, exc))
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # defensive: surface, don't hang the session
-            await queue.put((peer, None, ProtocolViolation(f"reader failed: {exc}")))
-
     readers = [
-        asyncio.create_task(reader(peer, transport))
+        asyncio.create_task(_read_peer(peer, transport, queue))
         for peer, transport in transports.items()
     ]
     try:
-        async with asyncio.timeout(config.handshake_timeout):
-            while not engine.established:
-                peer, frame, exc = await queue.get()
-                if exc is not None:
-                    raise exc
-                for dst, out in engine.on_frame(peer, frame):
-                    await transports[dst].send(out)
-    except TimeoutError:
-        exc = SessionTimeout(f"leader {name} timed out in {engine.phase.value}")
-        for transport in transports.values():
-            await _notify_abort(transport, exc)
-        raise exc from None
-    except ServiceError as exc:
-        for transport in transports.values():
-            await _notify_abort(transport, exc)
-        raise
+        return await _lead(engine, transports, queue)
     finally:
         for task in readers:
             task.cancel()
         await asyncio.gather(*readers, return_exceptions=True)
-    keys = engine.derived_keys
-    assert keys is not None
-    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -328,63 +359,39 @@ class TcpLeader:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        transport = StreamFrameTransport(reader, writer, self.config.max_frame_bytes)
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.append(task)
-        peer: Optional[str] = None
-        try:
-            while True:
-                frame = await _recv(transport)
-                if peer is None:
-                    # First frame must be the HELLO; it names the peer so
-                    # the session loop can route replies.
-                    from repro.service.frames import FrameType, WireHello
+        transport = StreamFrameTransport(reader, writer, self.config.max_frame_bytes)
+        # aclose cancels this task, and asyncio's done-callback on it
+        # calls task.exception(), which raises on a cancelled task.
+        with contextlib.suppress(asyncio.CancelledError):
+            await self._serve(transport)
 
-                    if frame.type is not FrameType.HELLO:
-                        raise ProtocolViolation("connection must open with HELLO")
-                    hello = WireHello.unpack(frame)
-                    if hello.name not in self.followers:
-                        raise ProtocolViolation(
-                            f"{hello.name!r} is not part of this session"
-                        )
-                    if hello.name in self._transports:
-                        raise ProtocolViolation(f"duplicate connection for {hello.name!r}")
-                    peer = hello.name
-                    self._transports[peer] = transport
-                await self._queue.put((peer, frame, None))
+    async def _serve(self, transport: FrameTransport) -> None:
+        """Identify a connection's follower by its HELLO, then queue its
+        frames for the session loop; a refused connection gets an ABORT."""
+        try:
+            hello = await _recv(transport)
+            if hello.type is not FrameType.HELLO:
+                raise ProtocolViolation("connection must open with HELLO")
+            peer = WireHello.unpack(hello).name
+            if peer not in self.followers:
+                raise ProtocolViolation(f"{peer!r} is not part of this session")
+            if peer in self._transports:
+                raise ProtocolViolation(f"duplicate connection for {peer!r}")
         except ServiceError as exc:
-            if peer is not None:
-                await self._queue.put((peer, None, exc))
-            else:
-                await _notify_abort(transport, exc)
-                await transport.aclose()
-        except asyncio.CancelledError:
-            pass
+            await _notify_abort(transport, exc)
+            await transport.aclose()
+            return
+        self._transports[peer] = transport
+        await self._queue.put((peer, hello, None))
+        await _read_peer(peer, transport, self._queue)
 
     async def run(self) -> DerivedKeys:
         """Run the session to establishment; returns the leader's keys."""
         engine = LeaderEngine(self.config, self.name, self.followers, self.nonce)
-        try:
-            async with asyncio.timeout(self.config.handshake_timeout):
-                while not engine.established:
-                    peer, frame, exc = await self._queue.get()
-                    if exc is not None:
-                        raise exc
-                    for dst, out in engine.on_frame(peer, frame):
-                        await self._transports[dst].send(out)
-        except TimeoutError:
-            exc = SessionTimeout(f"leader {self.name} timed out in {engine.phase.value}")
-            for transport in self._transports.values():
-                await _notify_abort(transport, exc)
-            raise exc from None
-        except ServiceError as exc:
-            for transport in self._transports.values():
-                await _notify_abort(transport, exc)
-            raise
-        keys = engine.derived_keys
-        assert keys is not None
-        return keys
+        return await _lead(engine, self._transports, self._queue)
 
     async def aclose(self) -> None:
         if self._server is not None:

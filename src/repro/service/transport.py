@@ -61,7 +61,12 @@ class FrameTransport(abc.ABC):
 
 
 class StreamFrameTransport(FrameTransport):
-    """Frames over an asyncio stream (TCP / unix socket)."""
+    """Frames over an asyncio stream (TCP / unix socket).
+
+    A socket error on either side (a reset connection, a broken pipe)
+    raises :class:`TransportClosed`, with the ``OSError`` chained as
+    its cause, like a clean end of stream.
+    """
 
     def __init__(
         self,
@@ -79,14 +84,20 @@ class StreamFrameTransport(FrameTransport):
     async def send(self, frame: Frame) -> None:
         if self._closed:
             raise TransportClosed("send on a closed stream transport")
-        self._writer.write(encode_frame(frame, self._max_frame_bytes))
-        await self._writer.drain()
+        try:
+            self._writer.write(encode_frame(frame, self._max_frame_bytes))
+            await self._writer.drain()
+        except OSError as exc:
+            raise TransportClosed(f"stream send failed: {exc!r}") from exc
 
     async def recv(self) -> Frame:
         while not self._pending:
             if self._closed:
                 raise TransportClosed("recv on a closed stream transport")
-            chunk = await self._reader.read(65536)
+            try:
+                chunk = await self._reader.read(65536)
+            except OSError as exc:
+                raise TransportClosed(f"stream recv failed: {exc!r}") from exc
             if not chunk:
                 self._decoder.eof()  # raises FrameTruncated on torn frame
                 raise TransportClosed("peer closed the stream")

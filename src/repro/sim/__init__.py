@@ -64,7 +64,6 @@ from repro.sim.campaign import (
     ScenarioGrid,
     ScenarioOutcome,
     SimCampaignResult,
-    shard_map,
 )
 from repro.sim.engine import BatchedRoundEngine, BatchResult, run_batch
 from repro.sim.reception import (
@@ -116,7 +115,6 @@ __all__ = [
     "group_cells",
     "run_stacked_batch",
     # campaigns
-    "shard_map",
     "ScenarioGrid",
     "ScenarioOutcome",
     "SimCampaignResult",

@@ -57,7 +57,6 @@ from repro.sim.spec import (
 from repro.store.fingerprint import fingerprint, fingerprint_spawn_key
 
 __all__ = [
-    "shard_map",
     "ShardPool",
     "ShardWorkerError",
     "ScenarioGrid",
@@ -73,12 +72,12 @@ _SIM_KIND = "sim-grid"
 class ShardWorkerError(RuntimeError):
     """A sharded worker failed; the message names the failing item.
 
-    Raised by :func:`shard_map`'s process-pool path so a campaign abort
-    says *which* placement or scenario died — a pool worker's exception
-    otherwise surfaces as a bare pickled traceback with no clue about
-    the cell that produced it.  A ``fn`` or item that cannot be pickled
-    fails the same way.  The original exception is chained as
-    ``__cause__``.
+    Raised by :meth:`ShardPool.map`'s process-pool path so a campaign
+    abort says *which* placement or scenario died — a pool worker's
+    exception otherwise surfaces as a bare pickled traceback with no
+    clue about the cell that produced it.  A ``fn`` or item that cannot
+    be pickled fails the same way.  The original exception is chained
+    as ``__cause__``.
 
     Checkpoint-hook failures get the same treatment on every path
     (serial included): an ``on_result`` callback that raises — a full
@@ -107,60 +106,13 @@ def _checkpoint(on_result, item, result, label) -> None:
         on_result(item, result)
     except Exception as exc:
         raise ShardWorkerError(
-            f"shard_map on_result hook failed on {_item_name(item, label)}: "
+            f"on_result hook failed on {_item_name(item, label)}: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
 
 
 def _failed(future) -> bool:
     return future.done() and isinstance(future.exception(), Exception)
-
-
-def shard_map(
-    fn: Callable,
-    items: Sequence,
-    max_workers: Optional[int] = None,
-    label: Optional[Callable] = None,
-    on_result: Optional[Callable] = None,
-) -> list:
-    """Order-preserving map, serial or sharded across a process pool.
-
-    The shared sharding primitive of every campaign runner: work items
-    must be independent (each owning its private RNG stream), so the
-    result list is identical to ``[fn(x) for x in items]`` whatever the
-    worker count — sharding changes wall-clock only.  This is one
-    :meth:`ShardPool.map` on a pool of its own; a sweep that maps
-    batch after batch keeps one :class:`ShardPool` instead.
-
-    Args:
-        fn: the per-item worker.  When sharded it must be picklable (a
-            module-level function or :func:`functools.partial` over
-            one), as must the items and results.
-        items: the work list; results come back in the same order.
-        max_workers: None or 1 (or a work list of at most one item)
-            runs serially in the caller's thread (exceptions propagate
-            raw, exactly like a list comprehension); more shards the
-            items across a :class:`~concurrent.futures.ProcessPoolExecutor`
-            of at most that many processes, on the platform's default
-            start method.
-        label: optional ``item -> str`` naming items in error messages;
-            pooled-path worker failures raise :class:`ShardWorkerError`
-            carrying that name (campaign runners pass the placement's
-            scenario key), with the worker's exception as the cause.
-            The item named is the earliest in work order among the
-            failures seen when the first one is reported (for an
-            unpicklable ``fn``, the first item).
-        on_result: optional ``(item, result) -> None`` checkpoint hook,
-            always invoked in the *caller's* process as each item
-            completes — in completion order on the pooled path, item
-            order serially.  Campaign runners persist results through
-            it, so a kill mid-map loses only unfinished items.  A hook
-            that raises an :class:`Exception` re-raises as
-            :class:`ShardWorkerError` naming the item (on both paths
-            alike); ``BaseException`` kills propagate raw.
-    """
-    with ShardPool(max_workers) as shards:
-        return shards.map(fn, items, label=label, on_result=on_result)
 
 
 class ShardPool:
@@ -230,12 +182,40 @@ class ShardPool:
         label: Optional[Callable] = None,
         on_result: Optional[Callable] = None,
     ) -> list:
-        """:func:`shard_map` on this pool.
+        """Order-preserving map, serial or sharded across the pool.
 
+        The sharding primitive of every campaign runner: work items
+        must be independent (each owning its private RNG stream), so
+        the result list is identical to ``[fn(x) for x in items]``
+        whatever the worker count; sharding changes wall-clock only.
         At most one item, or a serial pool, runs in the caller's
-        thread.  A larger map than :meth:`start` was sized for (or
-        none) starts the pool here.  On a failure the map's queued
+        thread, and exceptions propagate raw, exactly like a list
+        comprehension.  A larger map than :meth:`start` was sized for
+        (or none) starts the pool here.  On a failure the map's queued
         items are cancelled; the pool stays open for :meth:`close`.
+
+        Args:
+            fn: the per-item worker.  When sharded it must be picklable
+                (a module-level function or :func:`functools.partial`
+                over one), as must the items and results.
+            items: the work list; results come back in the same order.
+            label: optional ``item -> str`` naming items in error
+                messages; pooled-path worker failures raise
+                :class:`ShardWorkerError` carrying that name (campaign
+                runners pass the placement's scenario key), with the
+                worker's exception as the cause.  The item named is the
+                earliest in work order among the failures seen when the
+                first one is reported (for an unpicklable ``fn``, the
+                first item).
+            on_result: optional ``(item, result) -> None`` checkpoint
+                hook, always invoked in the *caller's* process as each
+                item completes: in completion order on the pooled path,
+                item order serially.  Campaign runners persist results
+                through it, so a kill mid-map loses only unfinished
+                items.  A hook that raises an :class:`Exception`
+                re-raises as :class:`ShardWorkerError` naming the item
+                (on both paths alike); ``BaseException`` kills
+                propagate raw.
         """
         items = list(items)
         if self._serial(len(items)):
@@ -259,7 +239,7 @@ class ShardPool:
                     failed = min(filter(_failed, futures), key=futures.get)
                     exc = failed.exception()
                     raise ShardWorkerError(
-                        f"shard_map worker failed on "
+                        f"shard worker failed on "
                         f"{_item_name(items[futures[failed]], label)}: "
                         f"{type(exc).__name__}: {exc}"
                     ) from exc

@@ -80,9 +80,6 @@ class TestCampaign:
         assert record.n_terminals == 3
         assert 0.0 <= record.reliability <= 1.0
         assert record.transmitted_bits > 0
-        assert record.secret_kbps_at_1mbps == pytest.approx(
-            record.efficiency * 1e3
-        )
 
     def test_campaign_runs_and_is_deterministic(self, testbed):
         config = CampaignConfig(

@@ -3,10 +3,9 @@
 The example-based classes at the top pin concrete behaviours; the
 hypothesis classes at the bottom pin the *merge algebra* the multi-host
 sweep layer leans on — merge must be associative and order-independent
-against the batch computation (exactly for the count-based
-accumulators, within floating-point tolerance for the moments),
-whatever partition of the observations each queue worker happened to
-produce, NaN zero-secret sentinels included.
+against the batch computation, exactly, whatever partition of the
+observations each queue worker happened to produce, NaN zero-secret
+sentinels included.
 """
 
 import math
@@ -22,7 +21,6 @@ from fractions import Fraction
 from repro.analysis.stats import (
     ReliabilityAccumulator,
     SecrecyAccumulator,
-    StreamingMoments,
     ValueCountAccumulator,
     best_fraction_minimum,
     summarize_reliability,
@@ -36,49 +34,6 @@ def populations():
     yield list(np.round(rng.random(500), 2))  # heavy duplication
     yield [0.5]
     yield list(rng.choice([0.0, 0.25, 1.0], size=64))
-
-
-class TestStreamingMoments:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(7)
-        values = rng.random(1000) * 3 - 1
-        moments = StreamingMoments()
-        moments.extend(values)
-        assert moments.count == 1000
-        assert moments.mean == pytest.approx(float(np.mean(values)), rel=1e-12)
-        assert moments.variance == pytest.approx(float(np.var(values)), rel=1e-10)
-        assert moments.std == pytest.approx(float(np.std(values)), rel=1e-10)
-        assert moments.minimum == float(values.min())
-        assert moments.maximum == float(values.max())
-
-    def test_merge_equals_single_pass(self):
-        rng = np.random.default_rng(8)
-        values = rng.random(999)
-        whole = StreamingMoments()
-        whole.extend(values)
-        merged = StreamingMoments()
-        for chunk in np.array_split(values, 7):
-            part = StreamingMoments()
-            part.extend(chunk)
-            merged.merge(part)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-13)
-        assert merged.m2 == pytest.approx(whole.m2, rel=1e-10)
-        assert merged.minimum == whole.minimum
-        assert merged.maximum == whole.maximum
-
-    def test_merge_into_empty(self):
-        part = StreamingMoments()
-        part.extend([1.0, 2.0, 3.0])
-        empty = StreamingMoments()
-        empty.merge(part)
-        assert (empty.count, empty.mean) == (3, 2.0)
-        part.merge(StreamingMoments())  # no-op the other way
-        assert part.count == 3
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="no values"):
-            StreamingMoments().variance
 
 
 class TestValueCountAccumulator:
@@ -270,33 +225,6 @@ def merge_in_tree_order(parts, seed, accumulate):
         combined.merge(right)
         forest.insert(i, combined)
     return forest[0]
-
-
-class TestMomentsMergeAlgebra:
-    @given(values=observations, seed=partition_seeds)
-    @settings(max_examples=150, deadline=None)
-    def test_merge_matches_batch_within_tolerance(self, values, seed):
-        parts = shuffled_chunks(values, seed, StreamingMoments)
-        merged = merge_in_tree_order(parts, seed + 1, StreamingMoments)
-        assert merged.count == len(values)
-        assert merged.mean == pytest.approx(float(np.mean(values)), rel=1e-9, abs=1e-9)
-        assert merged.variance == pytest.approx(
-            float(np.var(values)), rel=1e-6, abs=1e-9
-        )
-        assert merged.minimum == min(values)
-        assert merged.maximum == max(values)
-
-    @given(values=observations, seed=partition_seeds)
-    @settings(max_examples=100, deadline=None)
-    def test_two_merge_orders_agree(self, values, seed):
-        parts_a = shuffled_chunks(values, seed, StreamingMoments)
-        parts_b = shuffled_chunks(values, seed + 7, StreamingMoments)
-        a = merge_in_tree_order(parts_a, seed + 1, StreamingMoments)
-        b = merge_in_tree_order(parts_b, seed + 2, StreamingMoments)
-        assert a.count == b.count
-        assert a.mean == pytest.approx(b.mean, rel=1e-9, abs=1e-12)
-        assert a.m2 == pytest.approx(b.m2, rel=1e-6, abs=1e-9)
-        assert (a.minimum, a.maximum) == (b.minimum, b.maximum)
 
 
 class TestCountMergeAlgebraIsExact:

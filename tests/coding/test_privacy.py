@@ -150,16 +150,6 @@ class TestAllocationInvariants:
                 assert nz_cols <= set(b.support)
             offset += b.rows
 
-    def test_block_row_offsets(self, rng):
-        reports = make_reports(rng)
-        alloc = plan_y_allocation(reports, fraction_budget(0.3), 60)
-        offsets = alloc.block_row_offsets()
-        assert len(offsets) == len(alloc.blocks)
-        acc = 0
-        for off, b in zip(offsets, alloc.blocks):
-            assert off == acc
-            acc += b.rows
-
     @given(st.floats(min_value=0.05, max_value=0.95), st.integers(min_value=2, max_value=5))
     @settings(max_examples=15, deadline=None)
     def test_invariants_hold_across_rates(self, fraction, n_receivers):

@@ -22,10 +22,6 @@ class TestConstruction:
         eye = GFMatrix.identity(4)
         assert eye.rank() == 4
 
-    def test_from_rows(self):
-        m = GFMatrix.from_rows([[1, 2], [3, 4]])
-        assert m.shape == (2, 2)
-
     def test_rejects_3d(self):
         with pytest.raises(ValueError):
             GFMatrix(np.zeros((2, 2, 2), dtype=np.uint8))
@@ -183,17 +179,3 @@ class TestNullSpace:
     def test_full_rank_square_has_trivial_null_space(self, rng):
         m = random_invertible(4, rng)
         assert m.null_space().rows == 0
-
-    def test_row_space_contains(self, rng):
-        m = GFMatrix.random(3, 6, rng)
-        # Any row of m is in its own row space.
-        assert m.row_space_contains(m.data[0])
-        # A vector outside (generically) is not: extend rank check.
-        probe = rng.integers(0, 256, 6, dtype=np.uint8)
-        expected = GFMatrix(np.vstack([m.data, probe])).rank() == m.rank()
-        assert m.row_space_contains(probe) == expected
-
-    def test_row_space_contains_length_mismatch(self, rng):
-        m = GFMatrix.random(2, 4, rng)
-        with pytest.raises(ValueError):
-            m.row_space_contains([1, 2, 3])

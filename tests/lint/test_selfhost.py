@@ -1,18 +1,17 @@
 """Self-hosting: the contract holds over the repository's own tree.
 
 ``python -m repro.lint src scripts`` must be clean at HEAD — the rules
-encode invariants the repo claims to satisfy *now*, and the committed
-baseline is empty (violations were fixed, not grandfathered).
+encode invariants the repo claims to satisfy *now*, and any finding
+fails the run.
 """
 
-import json
 import os
 import subprocess
 import sys
 
 import pytest
 
-from repro.lint import lint_paths, load_baseline
+from repro.lint import lint_paths
 
 pytestmark = pytest.mark.lint
 
@@ -21,19 +20,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__fi
 
 def test_src_and_scripts_are_clean_at_head():
     report = lint_paths(["src", "scripts"], root=REPO_ROOT)
-    baseline = load_baseline(os.path.join(REPO_ROOT, "lint-baseline.json"))
-    new = baseline.new_violations(report.violations)
-    assert new == [], "\n".join(v.render() for v in new)
-    # Shrink-only also means no stale grandfathered entries linger.
-    assert baseline.stale_entries(report.violations) == []
+    assert report.violations == (), "\n".join(
+        v.render() for v in report.violations
+    )
     # Sanity: the walk actually covered the tree.
     assert report.files_checked > 50
-
-
-def test_committed_baseline_is_empty():
-    with open(os.path.join(REPO_ROOT, "lint-baseline.json"), encoding="utf-8") as f:
-        document = json.load(f)
-    assert document["entries"] == []
 
 
 def test_cli_exits_zero_at_head():
@@ -48,7 +39,7 @@ def test_cli_exits_zero_at_head():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "0 new violations" in proc.stdout
+    assert "0 violations" in proc.stdout
 
 
 def test_cli_list_rules_describes_all_six():

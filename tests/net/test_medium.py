@@ -157,13 +157,6 @@ class TestMultiAntenna:
 
 
 class TestDiagnostics:
-    def test_delivery_probability_estimate(self, make_medium):
-        medium, _, _ = make_medium(loss=0.25, seed=4)
-        est = medium.delivery_probability_estimate(
-            "T0", "T1", data_packet(), slot=0, trials=2000
-        )
-        assert abs(est - 0.75) < 0.05
-
     def test_node_lookup(self, make_medium):
         medium, _, _ = make_medium()
         assert isinstance(medium.node("T0"), Node)

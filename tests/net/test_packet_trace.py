@@ -69,15 +69,6 @@ class TestLedger:
         )
         assert ledger.total_attempts == 3
         assert ledger.bits_by_kind()[PacketKind.ACK] == 160
-        assert ledger.bits_by_node()["a"] == 120
-        assert ledger.bits_by_round()[1] == 120
-
-    def test_airtime(self):
-        ledger = TransmissionLedger(count_plcp=False)
-        ledger.charge(Packet(kind=PacketKind.ACK, src="a", control_bytes=125, header_bytes=0))
-        assert ledger.airtime_seconds(1e6) == pytest.approx(0.001)
-        with pytest.raises(ValueError):
-            ledger.airtime_seconds(0)
 
     def test_merge_and_reset(self):
         a = TransmissionLedger()

@@ -17,7 +17,7 @@ from repro.sim import (
     ScenarioGrid,
 )
 from repro.sim import campaign
-from repro.sim.campaign import ShardPool, ShardWorkerError, shard_map
+from repro.sim.campaign import ShardPool, ShardWorkerError
 from repro.store import CampaignStore, open_store, queue
 from repro.theory import clear_efficiency_cache, efficiency_cache_info
 
@@ -208,23 +208,23 @@ class TestShardMapErrors:
 
     def test_serial_path_raises_raw(self):
         # max_workers=None behaves exactly like a list comprehension.
-        with pytest.raises(ValueError, match="boom"):
-            shard_map(_double_or_explode, [1, 3])
+        with pytest.raises(ValueError, match="boom"), ShardPool() as shards:
+            shards.map(_double_or_explode, [1, 3])
 
     def test_pool_default_label_is_repr(self):
         with pytest.raises(ShardWorkerError, match=r"failed on 3:"):
-            shard_map(_double_or_explode, [1, 3], max_workers=2)
+            with ShardPool(2) as shards:
+                shards.map(_double_or_explode, [1, 3])
 
     def test_process_pool_error_names_item(self):
         # The regression this guards: a process worker's death used to
         # surface as an opaque pickle traceback with no scenario key.
         with pytest.raises(
             ShardWorkerError, match=r"cell-3.*ValueError: boom"
-        ) as excinfo:
-            shard_map(
+        ) as excinfo, ShardPool(2) as shards:
+            shards.map(
                 _double_or_explode,
                 [1, 2, 3, 4],
-                max_workers=2,
                 label=lambda item: f"cell-{item}",
             )
         assert isinstance(excinfo.value.__cause__, ValueError)
@@ -234,11 +234,10 @@ class TestShardMapErrors:
         # the first item's failure is the first one reported.
         with pytest.raises(
             ShardWorkerError, match=r"worker failed on cell-1: PicklingError"
-        ) as excinfo:
-            shard_map(
+        ) as excinfo, ShardPool(2) as shards:
+            shards.map(
                 _LAMBDA,
                 [1, 2, 3, 4],
-                max_workers=2,
                 label=lambda item: f"cell-{item}",
             )
         assert isinstance(excinfo.value.__cause__, pickle.PicklingError)
@@ -246,29 +245,29 @@ class TestShardMapErrors:
     def test_unpicklable_item_is_named(self):
         with pytest.raises(
             ShardWorkerError, match=r"failed on <function <lambda>"
-        ) as excinfo:
-            shard_map(_double, [1, _LAMBDA, 3], max_workers=2)
+        ) as excinfo, ShardPool(2) as shards:
+            shards.map(_double, [1, _LAMBDA, 3])
         assert isinstance(excinfo.value.__cause__, pickle.PicklingError)
 
     def test_successful_map_preserves_order(self):
         items = list(range(8))
-        assert shard_map(
-            _double, items, max_workers=3
-        ) == [x * 2 for x in items]
+        with ShardPool(3) as shards:
+            assert shards.map(_double, items) == [x * 2 for x in items]
 
     def test_pool_has_at_most_one_process_per_item(self, monkeypatch):
         sizes = _recording_pools(monkeypatch)
-        assert shard_map(_double, [1, 2, 3], max_workers=8) == [2, 4, 6]
+        with ShardPool(8) as shards:
+            assert shards.map(_double, [1, 2, 3]) == [2, 4, 6]
         assert sizes == [3]
 
     def test_workers_are_processes_and_hooks_run_in_the_caller(self):
         hooked = []
-        pids = shard_map(
-            _worker_pid,
-            [1, 2, 3],
-            max_workers=2,
-            on_result=lambda item, pid: hooked.append(os.getpid()),
-        )
+        with ShardPool(2) as shards:
+            pids = shards.map(
+                _worker_pid,
+                [1, 2, 3],
+                on_result=lambda item, pid: hooked.append(os.getpid()),
+            )
         assert os.getpid() not in pids
         assert hooked == [os.getpid()] * 3
 
@@ -379,29 +378,24 @@ class TestOnResultHookErrors:
     exception surfaced bare, with no clue which item's persist died.)"""
 
     @pytest.mark.parametrize(
-        "pool_kwargs",
-        [
-            dict(max_workers=None),  # serial path
-            dict(max_workers=2),
-        ],
-        ids=["serial", "process"],
+        "max_workers", [None, 2], ids=["serial", "process"]
     )
-    def test_hook_failure_names_item_on_every_path(self, pool_kwargs):
+    def test_hook_failure_names_item_on_every_path(self, max_workers):
         with pytest.raises(
             ShardWorkerError, match=r"on_result hook failed on cell-3.*disk full"
-        ) as excinfo:
-            shard_map(
+        ) as excinfo, ShardPool(max_workers) as shards:
+            shards.map(
                 _double,
                 [1, 2, 3, 4],
                 label=lambda item: f"cell-{item}",
                 on_result=_exploding_hook,
-                **pool_kwargs,
             )
         assert isinstance(excinfo.value.__cause__, OSError)
 
     def test_hook_failure_default_label_is_repr(self):
         with pytest.raises(ShardWorkerError, match=r"hook failed on 3:"):
-            shard_map(_double, [3], on_result=_exploding_hook)
+            with ShardPool() as shards:
+                shards.map(_double, [3], on_result=_exploding_hook)
 
     def test_keyboard_interrupt_in_hook_propagates_raw(self):
         """A kill landing inside the hook is a kill, not a checkpoint
@@ -410,8 +404,7 @@ class TestOnResultHookErrors:
         def kill_hook(item, result):
             raise KeyboardInterrupt("killed mid-checkpoint")
 
-        for pool_kwargs in (dict(max_workers=None), dict(max_workers=2)):
+        for max_workers in (None, 2):
             with pytest.raises(KeyboardInterrupt):
-                shard_map(
-                    _double, [1, 2, 3], on_result=kill_hook, **pool_kwargs
-                )
+                with ShardPool(max_workers) as shards:
+                    shards.map(_double, [1, 2, 3], on_result=kill_hook)

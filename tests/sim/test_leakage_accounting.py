@@ -15,10 +15,15 @@ tests/sim/test_stack.py.
 import numpy as np
 import pytest
 
-from repro.core.estimator import LeaveOneOutEstimator, OracleEstimator
+from repro.core.estimator import (
+    FixedFractionEstimator,
+    LeaveOneOutEstimator,
+    OracleEstimator,
+)
 from repro.core.eve import round_leakage
+from repro.core.rotation import run_experiment
 from repro.core.session import ProtocolSession, SessionConfig
-from repro.net.medium import BroadcastMedium, IIDLossModel
+from repro.net.medium import BroadcastMedium, IIDLossModel, MatrixLossModel
 from repro.net.node import Eavesdropper, Terminal
 from repro.sim import (
     AdversarySpec,
@@ -134,7 +139,8 @@ class TestUnboundedPassiveEve:
     leaves no secret, whatever the estimator promises: ``hidden_dims``
     is 0 on every round.  The oracle plans nothing; the others still
     plan secret packets on every round, and the measured budget is what
-    exposes the over-promise (reliability 0)."""
+    exposes the over-promise (reliability 0).  The per-packet session
+    is held to the same, with the rank oracle measuring each round."""
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize(
@@ -164,6 +170,36 @@ class TestUnboundedPassiveEve:
         else:
             assert np.all(batch.secret_packets > 0)
             assert np.all(batch.reliability == 0.0)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            OracleEstimator,
+            lambda: FixedFractionEstimator(0.25),
+            LeaveOneOutEstimator,
+        ],
+        ids=["oracle", "fixed-0.25", "leave-one-out"],
+    )
+    def test_per_packet_session_hides_nothing(self, factory):
+        names = ["T0", "T1", "T2"]
+        # Every terminal -> eve link is lossless; the rest lose 30%.
+        loss = MatrixLossModel({(t, "eve"): 0.0 for t in names}, default=0.3)
+        rng = np.random.default_rng(5)
+        nodes = [Terminal(name=t) for t in names] + [Eavesdropper(name="eve")]
+        result = run_experiment(
+            BroadcastMedium(nodes, loss, rng),
+            names,
+            factory(),
+            rng,
+            config=SessionConfig(n_x_packets=60, payload_bytes=8),
+        )
+        assert len(result.rounds) == len(names)
+        for round_result in result.rounds:
+            assert round_result.leakage.hidden_dims == 0
+            if factory is OracleEstimator:
+                assert round_result.leakage.secret_dims == 0
+            else:
+                assert round_result.leakage.secret_dims > 0
 
 
 class TestBatchedAccountingInvariants:
