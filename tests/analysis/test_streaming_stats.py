@@ -36,6 +36,55 @@ def populations():
     yield list(rng.choice([0.0, 0.25, 1.0], size=64))
 
 
+class TestStreamingMoments:
+    """The moments a campaign streams (count, mean, extrema) come from
+    :class:`ValueCountAccumulator`; all-distinct values are its worst
+    case, one map entry per observation."""
+
+    def test_matches_numpy(self):
+        rng = np.random.default_rng(7)
+        values = rng.random(1000) * 3 - 1
+        moments = ValueCountAccumulator()
+        moments.extend(values)
+        assert moments.total == 1000
+        assert moments.mean == pytest.approx(float(np.mean(values)), rel=1e-12)
+        assert moments.sum == math.fsum(values)
+        assert moments.minimum == float(values.min())
+        assert moments.maximum == float(values.max())
+
+    def test_merge_equals_single_pass(self):
+        rng = np.random.default_rng(8)
+        values = rng.random(999)
+        whole = ValueCountAccumulator()
+        whole.extend(values)
+        merged = ValueCountAccumulator()
+        for chunk in np.array_split(values, 7):
+            part = ValueCountAccumulator()
+            part.extend(chunk)
+            merged.merge(part)
+        assert merged.total == whole.total
+        assert merged.mean == whole.mean
+        assert merged.minimum == whole.minimum
+        assert merged.maximum == whole.maximum
+
+    def test_merge_into_empty(self):
+        part = ValueCountAccumulator()
+        part.extend([1.0, 2.0, 3.0])
+        empty = ValueCountAccumulator()
+        empty.merge(part)
+        assert (empty.total, empty.mean) == (3, 2.0)
+        part.merge(ValueCountAccumulator())  # no-op the other way
+        assert part.total == 3
+
+    def test_empty_raises(self):
+        empty = ValueCountAccumulator()
+        assert not empty and empty.total == 0
+        with pytest.raises(ValueError, match="no values"):
+            empty.maximum
+        with pytest.raises(ValueError, match="no values"):
+            empty.best_fraction_minimum(0.5)
+
+
 class TestValueCountAccumulator:
     @pytest.mark.parametrize("fraction", [0.05, 0.5, 0.95, 1.0])
     def test_rank_statistics_match_materialised(self, fraction):
@@ -225,6 +274,32 @@ def merge_in_tree_order(parts, seed, accumulate):
         combined.merge(right)
         forest.insert(i, combined)
     return forest[0]
+
+
+class TestMomentsMergeAlgebra:
+    @given(values=observations, seed=partition_seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_merge_matches_batch_within_tolerance(self, values, seed):
+        parts = shuffled_chunks(values, seed, ValueCountAccumulator)
+        merged = merge_in_tree_order(parts, seed + 1, ValueCountAccumulator)
+        assert merged.total == len(values)
+        assert merged.mean == pytest.approx(
+            float(np.mean(values)), rel=1e-9, abs=1e-9
+        )
+        assert merged.minimum == min(values)
+        assert merged.maximum == max(values)
+
+    @given(values=observations, seed=partition_seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_two_merge_orders_agree(self, values, seed):
+        parts_a = shuffled_chunks(values, seed, ValueCountAccumulator)
+        parts_b = shuffled_chunks(values, seed + 7, ValueCountAccumulator)
+        a = merge_in_tree_order(parts_a, seed + 1, ValueCountAccumulator)
+        b = merge_in_tree_order(parts_b, seed + 2, ValueCountAccumulator)
+        assert a.total == b.total
+        assert a.mean == b.mean
+        assert a.sum == b.sum
+        assert (a.minimum, a.maximum) == (b.minimum, b.maximum)
 
 
 class TestCountMergeAlgebraIsExact:

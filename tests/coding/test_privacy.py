@@ -150,6 +150,26 @@ class TestAllocationInvariants:
                 assert nz_cols <= set(b.support)
             offset += b.rows
 
+    def test_block_row_offsets(self, rng):
+        # Global y-rows run in block order: each block starts where the
+        # previous one ended, and a terminal decodes exactly its blocks.
+        reports = make_reports(rng)
+        alloc = plan_y_allocation(reports, fraction_budget(0.3), 60)
+        offsets = []
+        acc = 0
+        for b in alloc.blocks:
+            offsets.append(acc)
+            acc += b.rows
+        assert acc == alloc.total_rows
+        for t in alloc.receivers:
+            expected = [
+                row
+                for off, b in zip(offsets, alloc.blocks)
+                if t in b.subset
+                for row in range(off, off + b.rows)
+            ]
+            assert alloc.rows_for_terminal(t) == expected
+
     @given(st.floats(min_value=0.05, max_value=0.95), st.integers(min_value=2, max_value=5))
     @settings(max_examples=15, deadline=None)
     def test_invariants_hold_across_rates(self, fraction, n_receivers):

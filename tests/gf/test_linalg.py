@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gf.linalg import GFMatrix
+from repro.gf.linalg import GFMatrix, conditional_rank
 
 
 def random_invertible(n, rng):
@@ -21,6 +21,14 @@ class TestConstruction:
         assert z.shape == (3, 4) and z.data.max() == 0
         eye = GFMatrix.identity(4)
         assert eye.rank() == 4
+
+    def test_from_rows(self):
+        m = GFMatrix([[1, 2], [3, 4]])
+        assert m.shape == (2, 2)
+        assert m.data.dtype == np.uint8
+        assert m.data.tolist() == [[1, 2], [3, 4]]
+        # A single row is a 1 x n matrix, the shape a probe vector takes.
+        assert GFMatrix([5, 6, 7]).shape == (1, 3)
 
     def test_rejects_3d(self):
         with pytest.raises(ValueError):
@@ -179,3 +187,18 @@ class TestNullSpace:
     def test_full_rank_square_has_trivial_null_space(self, rng):
         m = random_invertible(4, rng)
         assert m.null_space().rows == 0
+
+    def test_row_space_contains(self, rng):
+        # Row-space membership is a conditional rank of zero.
+        m = GFMatrix.random(3, 6, rng)
+        # Any row of m is in its own row space.
+        assert conditional_rank(GFMatrix(m.data[0]), given=m) == 0
+        # A vector outside (generically) is not: extend rank check.
+        probe = rng.integers(0, 256, 6, dtype=np.uint8)
+        expected = GFMatrix(np.vstack([m.data, probe])).rank() == m.rank()
+        assert (conditional_rank(GFMatrix(probe), given=m) == 0) == expected
+
+    def test_row_space_contains_length_mismatch(self, rng):
+        m = GFMatrix.random(2, 4, rng)
+        with pytest.raises(ValueError):
+            conditional_rank(GFMatrix([1, 2, 3]), given=m)

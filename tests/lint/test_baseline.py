@@ -1,11 +1,15 @@
-"""Baseline semantics: grandfathering, shrink-only staleness, round-trip."""
+"""No baseline: a committed finding list grandfathers nothing.
+
+``python -m repro.lint`` reads no baseline file and takes no baseline
+option; every finding fails the run unless a justified same-line
+``# reprolint: disable=R<n>`` excuses it.
+"""
 
 import json
 
 import pytest
 
-from repro.lint import lint_source, load_baseline, write_baseline
-from repro.lint.baseline import Baseline
+from repro.lint.__main__ import main
 
 pytestmark = pytest.mark.lint
 
@@ -13,44 +17,26 @@ BAD = "seed = hash(key)\n"
 PATH = "src/repro/sim/example.py"
 
 
-def test_missing_baseline_is_empty(tmp_path):
-    baseline = load_baseline(tmp_path / "nope.json")
-    assert baseline.entries == frozenset()
+def test_new_violation_is_reported_against_baseline(tmp_path, monkeypatch, capsys):
+    # A lint-baseline.json in the old format, listing this very finding,
+    # is an ordinary file: the finding is still reported and fails.
+    bad = tmp_path / PATH
+    bad.parent.mkdir(parents=True)
+    bad.write_text(BAD, encoding="utf-8")
+    (tmp_path / "lint-baseline.json").write_text(
+        json.dumps({"version": 1, "entries": [f"R1:{PATH}:1"]}), encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["src"]) == 1
+    out = capsys.readouterr().out
+    assert f"{PATH}:1" in out and "R1" in out
+    assert "1 violation" in out
 
 
-def test_round_trip(tmp_path):
-    found = lint_source(BAD, PATH)
-    assert len(found) == 1
-    path = tmp_path / "baseline.json"
-    write_baseline(path, found)
-    assert load_baseline(path).entries == {found[0].fingerprint}
-
-
-def test_grandfathered_violation_is_not_new(tmp_path):
-    found = lint_source(BAD, PATH)
-    baseline = Baseline(entries=frozenset(v.fingerprint for v in found))
-    assert baseline.new_violations(found) == []
-    assert baseline.stale_entries(found) == []
-
-
-def test_fixed_violation_becomes_stale_entry():
-    found = lint_source(BAD, PATH)
-    baseline = Baseline(entries=frozenset(v.fingerprint for v in found))
-    # After the fix nothing fires; the grandfathered entry must go.
-    assert baseline.stale_entries([]) == sorted(baseline.entries)
-
-
-def test_new_violation_is_reported_against_baseline():
-    baseline = Baseline(entries=frozenset({"R1:somewhere/else.py:1"}))
-    found = lint_source(BAD, PATH)
-    assert baseline.new_violations(found) == found
-
-
-def test_malformed_baseline_rejected(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"version": 99, "entries": []}))
-    with pytest.raises(ValueError):
-        load_baseline(path)
-    path.write_text(json.dumps({"version": 1, "entries": [3]}))
-    with pytest.raises(ValueError):
-        load_baseline(path)
+def test_malformed_baseline_rejected(capsys):
+    # The baseline options are gone: each is a usage error (exit 2).
+    for option in (["--baseline", "lint-baseline.json"], ["--no-baseline"], ["--write-baseline"]):
+        with pytest.raises(SystemExit) as exc:
+            main(option)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from repro.lint import lint_paths
+from repro.lint.__main__ import main
 
 pytestmark = pytest.mark.lint
 
@@ -25,6 +26,15 @@ def test_src_and_scripts_are_clean_at_head():
     )
     # Sanity: the walk actually covered the tree.
     assert report.files_checked > 50
+
+
+def test_committed_baseline_is_empty(capsys):
+    # Nothing is grandfathered: no baseline file, no baseline option.
+    assert not os.path.exists(os.path.join(REPO_ROOT, "lint-baseline.json"))
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "baseline" not in capsys.readouterr().out
 
 
 def test_cli_exits_zero_at_head():

@@ -157,6 +157,21 @@ class TestMultiAntenna:
 
 
 class TestDiagnostics:
+    def test_delivery_probability_estimate(self, make_medium):
+        # A delivery estimate samples the loss model with its own
+        # generator, so the simulation stream and the ledger are untouched.
+        medium, _, _ = make_medium(loss=0.25, seed=4)
+        state = medium.rng.bit_generator.state
+        probe = np.random.default_rng(5)
+        src, dst = medium.node("T0"), medium.node("T1")
+        delivered = sum(
+            not medium.loss_model.lost(src, dst, data_packet(), 0, probe)
+            for _ in range(2000)
+        )
+        assert abs(delivered / 2000 - 0.75) < 0.05
+        assert medium.rng.bit_generator.state == state
+        assert medium.ledger.total_attempts == 0
+
     def test_node_lookup(self, make_medium):
         medium, _, _ = make_medium()
         assert isinstance(medium.node("T0"), Node)

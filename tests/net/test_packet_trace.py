@@ -70,6 +70,16 @@ class TestLedger:
         assert ledger.total_attempts == 3
         assert ledger.bits_by_kind()[PacketKind.ACK] == 160
 
+    def test_airtime(self):
+        # 125 bytes without PLCP are 1,000 bits: 1 ms at the paper's 1 Mbps.
+        ledger = TransmissionLedger(count_plcp=False)
+        ledger.charge(Packet(kind=PacketKind.ACK, src="a", control_bytes=125, header_bytes=0))
+        assert ledger.total_bits / 1e6 == pytest.approx(0.001)
+        # The PLCP preamble and header are airtime too, once per attempt.
+        with_plcp = TransmissionLedger()
+        with_plcp.charge(Packet(kind=PacketKind.ACK, src="a", control_bytes=125, header_bytes=0))
+        assert with_plcp.total_bits == 1000 + PLCP_OVERHEAD_BITS
+
     def test_merge_and_reset(self):
         a = TransmissionLedger()
         b = TransmissionLedger()
